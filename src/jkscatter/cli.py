@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -149,17 +148,6 @@ def _csv_cell(v):
     if isinstance(v, (list, dict)):
         return json.dumps(v, sort_keys=True).replace(",", ";")
     return v
-
-
-def _threads() -> int:
-    raw = os.environ.get("JKSCATTER_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ParseError(f"JKSCATTER_THREADS={raw!r} is not an integer") from exc
-    return max(1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +361,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_PASS
     try:
-        _threads()  # validate the env knob even though computation is serial
         return args.func(args, out)
     except NonRegularStability as exc:
         _emit({"command": args.command, "error": "NonRegularStability",

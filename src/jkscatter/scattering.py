@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 
-from .errors import BadCutoff, CutoffTooSmall, NonRegularStability, ValidationError
-from .exact import ONE, Q, ZERO
+from .errors import BadCutoff, CutoffTooSmall, ValidationError
+from .exact import Q, ZERO
 from .quiver import DimVector, Stability, bipartite_quiver, moduli_dimension
 from .quiverjk import jk_ab_infinity
 from .series import TruncatedSeries
@@ -48,8 +48,7 @@ class ScatteringDiagram:
 
 def init_bipartite(l1: int, l2: int, cutoff: int) -> ScatteringDiagram:
     """Initial diagram: line (1,0) with prod(1+s_i x), line (0,1) with prod(1+t_j y)."""
-    if l1 < 1 or l2 < 1 or cutoff < 1:
-        raise BadCutoff(f"need l1, l2, cutoff >= 1, got ({l1}, {l2}, {cutoff})")
+    _check_sizes(l1, l2, cutoff)
     params = tuple(f"s{i + 1}" for i in range(l1)) + tuple(f"t{j + 1}" for j in range(l2))
     fx = TruncatedSeries.const(params, cutoff, 1)
     for i in range(l1):
@@ -61,19 +60,30 @@ def init_bipartite(l1: int, l2: int, cutoff: int) -> ScatteringDiagram:
                              cutoff, params)
 
 
+def _check_sizes(l1: int, l2: int, cutoff: int) -> None:
+    if l1 < 1 or l2 < 1 or cutoff < 1:
+        raise BadCutoff(f"need l1, l2, cutoff >= 1, got ({l1}, {l2}, {cutoff})")
+
+
 def cross_wall(w: Wall, g: TruncatedSeries, orientation: int = 1) -> TruncatedSeries:
-    """Apply x -> x f^{±<m,(1,0)>}, y -> y f^{±<m,(0,1)>} to g."""
+    """Apply x -> x f^{±<m,(1,0)>}, y -> y f^{±<m,(0,1)>} to g.
+
+    The substitution sends a term c * p * x^A y^B to the same term times f^n,
+    with n = ±<m,(A,B)>.  The terms of g are grouped by that pairing value,
+    so each distinct n costs one product f^n * part.
+    """
     if orientation not in (1, -1):
         raise ValidationError("orientation", "must be +1 or -1")
-    ex = orientation * _pair(w.direction, (1, 0))
-    ey = orientation * _pair(w.direction, (0, 1))
-    fx = w.function.power(ex)
-    fy = w.function.power(ey)
+    parts: dict[int, dict] = {}
+    for key, c in g.terms.items():
+        n = orientation * _pair(w.direction, (key[0], key[1]))
+        parts.setdefault(n, {})[key] = c
+    f = w.function
+    inv = f.inverse() if min(parts, default=0) < 0 else None
     out = TruncatedSeries(g.params, g.cutoff)
-    for (xe, ye, p), c in g.terms.items():
-        term = (fx.power(xe) * fy.power(ye)).shift(xe, ye).scale(c)
-        mono = TruncatedSeries(g.params, g.cutoff, {(0, 0, p): ONE})
-        out = out + term * mono
+    for n, part in parts.items():
+        fn = f.power(n) if n >= 0 else inv.power(-n)
+        out = out + fn * TruncatedSeries(g.params, g.cutoff, part)
     return out
 
 
@@ -136,35 +146,32 @@ def loop_product(d: ScatteringDiagram) -> tuple[TruncatedSeries, TruncatedSeries
 # ---------------------------------------------------------------------------
 
 def scatter(d0: ScatteringDiagram) -> ScatteringDiagram:
-    """Add rays order-by-order in parameter degree until the loop is trivial.
+    """Add rays one parameter degree per round until the loop is trivial.
 
-    At each order the loop defect on x and y is a sum of terms c * p * x^A y^B;
-    the two defects of each monomial satisfy a*c_x + b*c_y = 0 for the primitive
-    direction (a,b) of (A,B), and the wall increment 1 + c' * p * x^A y^B is
-    solved from either one.
+    Round k takes the loop product with every wall truncated at parameter
+    degree k.  The rounds before it have cancelled every defect below degree
+    k, so what is left is a sum of degree-k terms c * p * x^A y^B.  The two
+    defects (on x and on y) of each monomial satisfy a*c_x + b*c_y = 0 for
+    the primitive direction (a,b) of (A,B), and the increment 1 + c' * p *
+    x^A y^B of the ray (a,b) is solved from either one.  Increments are added
+    in angular order.  A last loop product at the full cutoff must be the
+    identity.  This is the order-by-order proof of the Kontsevich-Soibelman
+    lemma (Gross-Pandharipande-Siebert, "The tropical vertex").
     """
     d = ScatteringDiagram(list(d0.walls), d0.cutoff, d0.params)
-    by_dir: dict[tuple[int, int], Wall] = {}
-    while True:
-        x, y = loop_product(d)
-        dx = x.shift(-1, 0) - 1   # X / x - 1 (monomial shift = division by x)
-        dy = y.shift(0, -1) - 1
-        degree = None
-        for g in (dx, dy):
-            for (_xe, _ye, p), _c in g.terms.items():
-                deg = sum(p)
-                if degree is None or deg < degree:
-                    degree = deg
-        if degree is None:
-            return d
+    rays: dict[tuple[int, int], Wall] = {}
+    for w in d.walls:
+        if w.support == "ray":
+            rays.setdefault(w.direction, w)
+    for k in range(1, d.cutoff + 1):
         defects: dict[tuple[int, int, tuple[int, ...]], list[Fraction]] = {}
-        for slot, g in ((0, dx), (1, dy)):
+        for slot, g in enumerate(_loop_defects(_truncated(d, k))):
             for (xe, ye, p), c in g.terms.items():
-                if sum(p) != degree:
-                    continue
-                rec = defects.setdefault((xe, ye, p), [ZERO, ZERO])
-                rec[slot] = c
-        for (xe, ye, p) in sorted(defects, key=lambda k: _angular_key(_primitive(k[0], k[1]))):
+                if sum(p) < k:
+                    raise ValidationError(
+                        "scatter", f"defect at x^{xe} y^{ye} {p} left below degree {k}")
+                defects.setdefault((xe, ye, p), [ZERO, ZERO])[slot] = c
+        for (xe, ye, p) in sorted(defects, key=lambda t: _angular_key(_primitive(t[0], t[1]))):
             cx, cy = defects[(xe, ye, p)]
             if xe <= 0 or ye <= 0:
                 raise ValidationError(
@@ -176,20 +183,29 @@ def scatter(d0: ScatteringDiagram) -> ScatteringDiagram:
             coeff = Fraction(cx, b) if cx else Fraction(-cy, a)
             if coeff == 0:
                 continue
-            wall = by_dir.get((a, b))
+            increment = 1 + TruncatedSeries(d.params, d.cutoff, {(xe, ye, p): coeff})
+            wall = rays.get((a, b))
             if wall is None:
-                for w in d.walls:
-                    if w.support == "ray" and w.direction == (a, b):
-                        wall = w
-                        break
-            increment = 1 + TruncatedSeries(
-                d.params, d.cutoff, {(xe, ye, p): coeff})
-            if wall is None:
-                wall = Wall((a, b), "ray", increment)
-                by_dir[(a, b)] = wall
-                d.walls.append(wall)
+                rays[(a, b)] = Wall((a, b), "ray", increment)
+                d.walls.append(rays[(a, b)])
             else:
                 wall.function = wall.function * increment
+    if any(not g.is_zero() for g in _loop_defects(d)):
+        raise ValidationError("scatter", f"loop product is not the identity at cutoff {d.cutoff}")
+    return d
+
+
+def _truncated(d: ScatteringDiagram, k: int) -> ScatteringDiagram:
+    """The diagram with every wall function truncated at parameter degree k."""
+    return ScatteringDiagram(
+        [Wall(w.direction, w.support, TruncatedSeries(d.params, k, w.function.terms))
+         for w in d.walls], k, d.params)
+
+
+def _loop_defects(d: ScatteringDiagram) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """X/x - 1 and Y/y - 1 for the loop product (X, Y) of d."""
+    x, y = loop_product(d)
+    return x.shift(-1, 0) - 1, y.shift(0, -1) - 1
 
 
 def _primitive(a: int, b: int) -> tuple[int, int]:
@@ -203,23 +219,32 @@ def _primitive(a: int, b: int) -> tuple[int, int]:
 
 def extract_cd(d: ScatteringDiagram, dim: DimVector) -> Fraction:
     """c_d = coeff(s^{P1} t^{P2} x^{ka} y^{kb}, log f_{(a,b)}) / k."""
+    p1, p2, pexp = _cd_target(dim, d.cutoff)
+    k = gcd(p1, p2)
+    a, b = p1 // k, p2 // k
+    for w in d.walls:
+        if w.support == "ray" and w.direction == (a, b):
+            return w.function.log().coefficient(p1, p2, pexp) / k
+    return ZERO
+
+
+def _cd_target(dim: DimVector, cutoff: int) -> tuple[int, int, dict[str, int]]:
+    """Source total P1, sink total P2 and parameter exponents of c_d.
+
+    Raises unless d touches both sides and |d| fits under the cutoff.
+    """
     dd = dim.as_dict()
     p1 = sum(v for k, v in dd.items() if k.startswith("i"))
     p2 = sum(v for k, v in dd.items() if k.startswith("j"))
     if p1 <= 0 or p2 <= 0:
         raise ValidationError("extract_cd", "dimension must touch both sides")
-    if p1 + p2 > d.cutoff:
-        raise CutoffTooSmall(f"|d| = {p1 + p2} exceeds cutoff {d.cutoff}")
-    k = gcd(p1, p2)
-    a, b = p1 // k, p2 // k
+    if p1 + p2 > cutoff:
+        raise CutoffTooSmall(f"|d| = {p1 + p2} exceeds cutoff {cutoff}")
     pexp = {}
     for name, v in dd.items():
         if v:
             pexp[("s" if name.startswith("i") else "t") + name[1:]] = v
-    for w in d.walls:
-        if w.support == "ray" and w.direction == (a, b):
-            return w.function.log().coefficient(p1, p2, pexp) / k
-    return ZERO
+    return p1, p2, pexp
 
 
 @dataclass(frozen=True)
@@ -232,16 +257,22 @@ class VerificationResult:
 
 def verify_main_theorem(l1: int, l2: int, dim: DimVector, zeta: Stability,
                         cutoff: int) -> VerificationResult:
-    """Check c_d = (-1)^D * jk_ab_infinity / prod d_v! for K(l1, l2)."""
+    """Check c_d = (-1)^D * jk_ab_infinity / prod d_v! for K(l1, l2).
+
+    The input checks run first and the JK side second, so a rejected input
+    (bad cutoff, |d| over the cutoff, non-regular stability) never pays for
+    the scattering diagram.
+    """
     q = bipartite_quiver(l1, l2)
     _check_compatible(q, dim, zeta, l1)
-    d = scatter(init_bipartite(l1, l2, cutoff))
-    lhs = extract_cd(d, dim)
+    _check_sizes(l1, l2, cutoff)
+    _cd_target(dim, cutoff)
     D = moduli_dimension(q, dim)
     dfact = 1
     for _v, dv in dim.values:
         dfact *= factorial(dv)
     rhs = Q(-1) ** D * jk_ab_infinity(q, dim, zeta) / dfact
+    lhs = extract_cd(scatter(init_bipartite(l1, l2, cutoff)), dim)
     return VerificationResult(lhs == rhs, lhs, rhs, D)
 
 

@@ -115,12 +115,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.params, self.cutoff,
                                {(x + dx, y + dy, p): c for (x, y, p), c in self.terms.items()})
 
-    def nilpotent_part(self) -> "TruncatedSeries":
-        """Drop all parameter-degree-0 terms."""
-        z = (0,) * len(self.params)
-        return TruncatedSeries(self.params, self.cutoff,
-                               {k: c for k, c in self.terms.items() if k[2] != z})
-
     def inverse(self) -> "TruncatedSeries":
         """Invert a unit of the form c * x^a y^b * (1 + nilpotent)."""
         z = (0,) * len(self.params)
@@ -142,14 +136,15 @@ class TruncatedSeries:
     def power(self, e: int) -> "TruncatedSeries":
         if e < 0:
             return self.inverse().power(-e)
-        out = TruncatedSeries.const(self.params, self.cutoff, 1)
+        out = None
         base = self
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if e:
+                base = base * base
+        return TruncatedSeries.const(self.params, self.cutoff, 1) if out is None else out
 
     def exp(self) -> "TruncatedSeries":
         if self.param_degree_zero_part():

@@ -1,5 +1,6 @@
 """Tests for the command-line surface: parsing, reports, exit codes."""
 
+import hashlib
 import io
 import json
 
@@ -169,10 +170,34 @@ class TestExitCodes:
         assert code == 1
         assert rep["results"]["passed"] is False
 
-    def test_bad_threads_env_is_2(self, monkeypatch):
-        monkeypatch.setenv("JKSCATTER_THREADS", "lots")
-        code, _ = run(["scatter", "--l1", "1", "--l2", "1", "--order", "2"])
+
+    def test_nonregular_over_cutoff_is_2(self):
+        code, rep = run_json(["verify-main", "--l1", "2", "--l2", "2",
+                              "--d", "1,1;1,1", "--zeta", "1,1,-1,-1",
+                              "--order", "3"])
         assert code == 2
+        assert rep["error"] == "CutoffTooSmall"
+
+
+# sha256 of stdout, frozen from the reports of the full-cutoff completion
+GOLDEN_REPORTS = [
+    (["scatter", "--l1", "2", "--l2", "2", "--order", "5"],
+     "c6d235579044cd25d46b43157a12af600c8649b418963582c43be16db84488b6"),
+    (["scatter", "--l1", "3", "--l2", "2", "--order", "4"],
+     "d1cb3d38a9e585dd959bc43bee0aff40c17680c1de0b71547a0052b6877853b8"),
+    (["scatter", "--l1", "1", "--l2", "1", "--order", "8", "--csv"],
+     "c7162e0e05cb27b9845febb55717f937fe11f3e62bedbc435b0dfb9190eb769a"),
+    (["extract-cd", "--l1", "1", "--l2", "1", "--d", "3;3", "--order", "6"],
+     "9d467c0cded8367eecb61729380c6ac3964649a91017a71a95e34695d5d3f9a4"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_REPORTS,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN_REPORTS])
+def test_golden_report(argv, digest):
+    code, text = run(argv)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestDeterminism:

@@ -5,8 +5,12 @@ consistent completion, and coefficient extraction.
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jkscatter.errors import BadCutoff, CutoffTooSmall, NonRegularStability
+from jkscatter import scattering
+from jkscatter.errors import (BadCutoff, CutoffTooSmall, NonRegularStability,
+                              ValidationError)
 from jkscatter.quiver import DimVector, Stability, bipartite_quiver
 from jkscatter.scattering import (ScatteringDiagram, Wall, cross_wall,
                                   extract_cd, init_bipartite, loop_product,
@@ -69,6 +73,50 @@ class TestCrossWall:
             Wall((2, 2), "ray", TruncatedSeries.const(params, 3, 1))
 
 
+# random small series over (s1, t1) truncated at degree 3, and walls whose
+# function is 1 + terms along multiples of the wall direction
+PARAMS, CUT = ("s1", "t1"), 3
+param_exps = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda p: sum(p) <= CUT)
+coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+series = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2), param_exps),
+                         coeffs, max_size=5).map(lambda t: TruncatedSeries(PARAMS, CUT, t))
+
+
+@st.composite
+def walls(draw):
+    a, b = draw(st.sampled_from([(1, 0), (0, 1), (-1, 0), (1, 1), (2, 1), (1, -2), (-1, 3)]))
+    terms = {(0, 0, (0, 0)): Q(1)}
+    for k, p, c in draw(st.lists(st.tuples(st.integers(1, 2),
+                                           param_exps.filter(lambda p: sum(p) >= 1), coeffs),
+                                 max_size=3)):
+        terms[(k * a, k * b, p)] = c
+    return Wall((a, b), draw(st.sampled_from(["line", "ray"])),
+                TruncatedSeries(PARAMS, CUT, terms))
+
+
+def naive_cross(w, g, eps):
+    """Substitute x -> x f^{-eps*b}, y -> y f^{eps*a} into g one term at a time."""
+    def pw(n):
+        base = w.function if n >= 0 else w.function.inverse()
+        out = TruncatedSeries.const(PARAMS, CUT, 1)
+        for _ in range(abs(n)):
+            out = out * base
+        return out
+
+    a, b = w.direction
+    out = TruncatedSeries(PARAMS, CUT)
+    for (xe, ye, p), c in g.terms.items():
+        term = TruncatedSeries(PARAMS, CUT, {(xe, ye, p): c})
+        out = out + term * pw(-eps * b * xe) * pw(eps * a * ye)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(walls(), series, st.sampled_from([1, -1]))
+def test_cross_wall_matches_per_term_substitution(w, g, eps):
+    assert cross_wall(w, g, eps) == naive_cross(w, g, eps)
+
+
 class TestLoopAndScatter:
     def test_initial_pentagon_is_inconsistent(self):
         d = init_bipartite(1, 1, 3)
@@ -100,6 +148,42 @@ class TestLoopAndScatter:
     def test_consistency_small_grid(self):
         for l1, l2, k in ((1, 2, 3), (2, 2, 3), (3, 1, 3), (2, 3, 3)):
             assert identity_loop(scatter(init_bipartite(l1, l2, k)))
+
+    def test_one_truncated_loop_product_per_degree(self, monkeypatch):
+        cutoffs = []
+        real = scattering.loop_product
+
+        def counting(d):
+            cutoffs.append(d.cutoff)
+            return real(d)
+
+        monkeypatch.setattr(scattering, "loop_product", counting)
+        scatter(init_bipartite(2, 2, 5))
+        assert cutoffs == [1, 2, 3, 4, 5, 5]
+
+    def perturbed_loop(self, monkeypatch, call, pexp):
+        """Make the call-th loop product add s^pexp x^2 y to the image of x."""
+        calls = []
+        real = scattering.loop_product
+
+        def perturbed(d):
+            calls.append(d.cutoff)
+            x, y = real(d)
+            if len(calls) == call:
+                x = x + TruncatedSeries.monomial(d.params, d.cutoff, xe=2, ye=1, pexp=pexp)
+            return x, y
+
+        monkeypatch.setattr(scattering, "loop_product", perturbed)
+
+    def test_defect_below_round_degree_raises(self, monkeypatch):
+        self.perturbed_loop(monkeypatch, 2, {"s1": 1})
+        with pytest.raises(ValidationError, match="below degree 2"):
+            scatter(init_bipartite(1, 1, 4))
+
+    def test_nontrivial_final_loop_raises(self, monkeypatch):
+        self.perturbed_loop(monkeypatch, 5, {"s1": 2, "t1": 2})
+        with pytest.raises(ValidationError, match="not the identity"):
+            scatter(init_bipartite(1, 1, 4))
 
     def test_idempotent(self):
         d = scatter(init_bipartite(2, 1, 3))
@@ -178,6 +262,21 @@ class TestVerifyMain:
                 Stability.make(k22, {"i1": Q(1), "i2": Q(1),
                                      "j1": Q(-1), "j2": Q(-1)}), 4)
         assert ei.value.witness is not None
+
+    def test_rejected_inputs_never_scatter(self, monkeypatch):
+        def no_scatter(d0):
+            raise AssertionError("scatter ran")
+
+        monkeypatch.setattr(scattering, "scatter", no_scatter)
+        k22 = bipartite_quiver(2, 2)
+        dim = dv(k22, i1=1, i2=1, j1=1, j2=1)
+        zeta = Stability.make(k22, {"i1": Q(1), "i2": Q(1), "j1": Q(-1), "j2": Q(-1)})
+        with pytest.raises(NonRegularStability):
+            verify_main_theorem(2, 2, dim, zeta, 4)
+        with pytest.raises(CutoffTooSmall):
+            verify_main_theorem(2, 2, dim, zeta, 3)
+        with pytest.raises(BadCutoff):
+            verify_main_theorem(2, 2, dim, zeta, 0)
 
     def test_incompatible_stability_rejected(self):
         k21 = bipartite_quiver(2, 1)

@@ -58,6 +58,15 @@ def test_negative_power():
     assert f.power(-2) == f.inverse() * f.inverse()
 
 
+@pytest.mark.parametrize("e", range(-3, 8))
+def test_power_is_repeated_product(e):
+    f = 1 + mono(xe=1, pexp={"s": 1}) + mono(ye=-1, pexp={"t": 1}).scale(Q(2, 3))
+    want = TruncatedSeries.const(P, 4, 1)
+    for _ in range(abs(e)):
+        want = want * (f if e > 0 else f.inverse())
+    assert f.power(e) == want
+
+
 def test_log_is_mercator_series():
     f = 1 + mono(pexp={"s": 1}, coeff=Q(1))
     g = f.log()
