@@ -12,16 +12,17 @@ residue shortcut when the active set is a basis.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import (DegenerateRCharges, NonRegularStability, NotProjective,
                      NotSumRegular)
-from .exact import (LinForm, ONE, Poly, Q, RationalExpr, ZERO, in_span,
-                    iterated_residue, mat_det, mat_inverse, mat_rank, qify,
+from .exact import (LinForm, ONE, Q, RationalExpr, ZERO, in_span,
+                    iterated_residue, mat_det, mat_rank, qify, rref,
                     solve_linear, subst_linear_basis)
 from .quiver import DimVector, Quiver, Stability, reduced_quiver, validate_quiver
 
@@ -191,50 +192,8 @@ def singular_points(a: Arrangement) -> list[SingularPoint]:
 
 
 # ---------------------------------------------------------------------------
-# regularity
+# projectivity
 # ---------------------------------------------------------------------------
-
-def _as_vectors(forms: Sequence, order: Sequence[str]) -> list[Vector]:
-    out = []
-    for f in forms:
-        if isinstance(f, LinForm):
-            out.append(f.vector(order))
-        else:
-            out.append(tuple(qify(x) for x in f))
-    return out
-
-
-def regularity(zeta: Sequence[Fraction], s: Sequence, n: int,
-               mode: str = "plain", order: Sequence[str] | None = None):
-    """None when zeta is (sum-)regular w.r.t. s, else a witness subset.
-
-    plain: zeta not in the span of any n-1 elements of s; sum: same with s
-    replaced by all sums of distinct elements of s.
-    """
-    if order is None:
-        order = []
-    vecs = _as_vectors(s, order)
-    zeta = tuple(qify(x) for x in zeta)
-    if mode == "sum":
-        candidates = []
-        for r in range(1, len(vecs) + 1):
-            for sub in itertools.combinations(range(len(vecs)), r):
-                candidates.append((sub, tuple(sum(col) for col in
-                                              zip(*(vecs[i] for i in sub)))))
-    elif mode == "plain":
-        candidates = [((i,), v) for i, v in enumerate(vecs)]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    if n <= 1:
-        if all(x == 0 for x in zeta):
-            return [[]]
-        return None
-    for sub in itertools.combinations(range(len(candidates)), n - 1):
-        gens = [candidates[i][1] for i in sub]
-        if in_span(zeta, gens):
-            return [candidates[i][0] for i in sub]
-    return None
-
 
 def is_projective(vectors: Sequence[Vector]) -> bool:
     """Is the set contained in a strict half-space (0 not in its convex hull)?"""
@@ -266,25 +225,6 @@ class Flag:
     gamma: tuple[LinForm, ...]               # adapted basis, det = sign(dmu)
     cone_coeffs: tuple[Fraction, ...] | None
     in_cone: bool
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    m = [list(r) for r in rows]
-    nr, nc = len(m), len(m[0])
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-    return tuple(tuple(row) for row in m[:r])
 
 
 def _dmu_sign(dmu_order: Sequence[str], base: Sequence[str]) -> int:
@@ -327,7 +267,7 @@ def enumerate_flags(activeset: Sequence[LinForm], zeta: Sequence[Fraction],
         for sub in itertools.combinations(range(len(vecs)), j):
             rows = [list(vecs[i]) for i in sub]
             if mat_rank(rows) == j:
-                spaces[j].setdefault(_rref(rows), sub)
+                spaces[j].setdefault(rref(rows), sub)
 
     def contains(big: tuple, small_sub: tuple[int, ...]) -> bool:
         gens = [list(r) for r in big]
@@ -471,49 +411,46 @@ def theta_lift(a: Arrangement, theta: Stability) -> Vector:
 PERTURBATION_SHIFT = 2 ** 40
 
 
-def zeta_from_theta(a: Arrangement, theta: Stability,
-                    points: Sequence[SingularPoint] | None = None) -> Vector:
+def zeta_from_theta(a: Arrangement, theta: Stability) -> Vector:
     """zeta = -theta_lift, perturbed (deterministically) to sum-regularity.
 
-    Raises NonRegularStability when -theta_lift lies on an arrangement wall
-    (the span of n-1 active functionals at some singular point); failures of
-    mere sum-regularity are repaired by a small in-chamber perturbation.
+    The active functionals of every singular point form a basis B
+    (singular_points rejects more than n planes through a point), and zeta
+    is tested in its coordinates c, zeta = sum c_i B_i.  zeta lies on a
+    plain wall, the span of n-1 active functionals, exactly when some c_i is
+    0: that raises NonRegularStability with the smallest such wall as the
+    witness.  zeta lies on a sum wall, the span of n-1 sums of distinct
+    active functionals, exactly when c lies on a hyperplane spanned by n-1
+    nonzero 0/1 vectors.  Such a failure of mere sum-regularity is repaired
+    by a small perturbation that keeps the sign of every c_i, so zeta stays
+    in the chamber of -theta_lift.
     """
     n = a.n
     zeta0 = tuple(-x for x in theta_lift(a, theta))
-    if points is None:
-        points = singular_points(a)
-    plain_walls: set[tuple[Vector, ...]] = set()
-    sum_walls: set[tuple[Vector, ...]] = set()
-    for pt in points:
+    if n == 0:
+        # the one singular point is the origin of a zero-dimensional space,
+        # and zeta = () lies on its empty wall
+        raise NonRegularStability("lifted stability lies on an arrangement wall",
+                                  witness=[])
+    bases = []
+    walls = []
+    for pt in singular_points(a):
         vecs = [f.vector(a.variables) for f in pt.functionals]
-        for sub in itertools.combinations(vecs, max(n - 1, 0)):
-            plain_walls.add(tuple(sorted(sub)))
-        sums = []
-        for r in range(1, len(vecs) + 1):
-            for sub in itertools.combinations(vecs, r):
-                sums.append(tuple(sum(c) for c in zip(*sub)))
-        for sub in itertools.combinations(range(len(sums)), max(n - 1, 0)):
-            sum_walls.add(tuple(sorted(sums[i] for i in sub)))
-
-    for wall in sorted(plain_walls):
-        if in_span(zeta0, list(wall)):
-            raise NonRegularStability(
-                "lifted stability lies on an arrangement wall",
-                witness=[list(w) for w in wall])
+        cols = [list(col) for col in zip(*vecs)]
+        c0 = solve_linear(cols, zeta0)
+        walls.extend(tuple(sorted(vecs[:i] + vecs[i + 1:]))
+                     for i, x in enumerate(c0) if x == 0)
+        bases.append((cols, c0))
+    if walls:
+        raise NonRegularStability(
+            "lifted stability lies on an arrangement wall",
+            witness=[list(w) for w in min(walls)])
 
     def ok(z: Vector) -> bool:
-        for wall in sum_walls:
-            if in_span(z, list(wall)):
-                return False
-        # stay in the chamber: keep the strict side of every rank-(n-1) wall
-        for wall in plain_walls:
-            rows = [list(w) for w in wall]
-            if not rows or mat_rank(rows) != n - 1:
-                continue
-            normal = _normal_vector(rows, n)
-            s0 = _dot(normal, zeta0)
-            if s0 == 0 or _dot(normal, z) * s0 <= 0:
+        for cols, c0 in bases:
+            c = solve_linear(cols, z)
+            if (any(x * x0 <= 0 for x, x0 in zip(c, c0))
+                    or any(_dot(h, c) == 0 for h in _sum_wall_normals(n))):
                 return False
         return True
 
@@ -533,31 +470,36 @@ def zeta_from_theta(a: Arrangement, theta: Stability,
     raise NotSumRegular("could not perturb zeta to a sum-regular point")
 
 
+@functools.cache
+def _sum_wall_normals(n: int) -> tuple[Vector, ...]:
+    """Normals of the hyperplanes of Q^n spanned by n-1 nonzero 0/1 vectors.
+
+    A sum of distinct elements of a basis has 0/1 coordinates in it, so
+    these are the sum walls of every basis, in its coordinates.  The normal
+    of n-1 vectors is their vector of signed maximal minors (zero when they
+    span less), scaled so that its first nonzero entry is 1.  Once a
+    hyperplane is found, the (n-1)-subsets of its 0/1 vectors are skipped.
+    """
+    cube = [v for v in itertools.product((0, 1), repeat=n) if any(v)]
+    normals = []
+    seen = set()
+    for sub in itertools.combinations(range(len(cube)), n - 1):
+        if sub in seen:
+            continue
+        rows = [cube[i] for i in sub]
+        minors = [(-1) ** i * mat_det([v[:i] + v[i + 1:] for v in rows])
+                  for i in range(n)]
+        lead = next((x for x in minors if x != 0), None)
+        if lead is not None:
+            h = tuple(x / lead for x in minors)
+            normals.append(h)
+            seen.update(itertools.combinations(
+                [j for j, v in enumerate(cube) if _dot(h, v) == 0], n - 1))
+    return tuple(sorted(normals))
+
+
 def _dot(u, v):
     return sum((a * b for a, b in zip(u, v)), ZERO)
-
-
-def _normal_vector(rows: list[list[Fraction]], n: int) -> Vector:
-    """A nonzero vector orthogonal... rather: a covector vanishing on the span."""
-    # Solve rows @ x = 0 ... we need a functional vanishing on all rows:
-    # find x with row . x = 0 for each row; the rows span an (n-1)-dim space.
-    # Use the nullspace of the matrix whose rows are the wall generators.
-    m = [list(r) for r in rows]
-    # append nothing; find kernel by RREF
-    rref = _rref(m)
-    pivots = []
-    for row in rref:
-        for c, val in enumerate(row):
-            if val != 0:
-                pivots.append(c)
-                break
-    free = [c for c in range(n) if c not in pivots]
-    c = free[0]
-    x = [ZERO] * n
-    x[c] = ONE
-    for row, p in zip(rref, pivots):
-        x[p] = -row[c]
-    return tuple(x)
 
 
 def jk_global(f: RationalExpr, a: Arrangement, zeta: Sequence[Fraction]) -> Fraction:

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import prod
 
 from .arrangement import build_arrangement
 from .errors import (JKScatterError, NonRegularStability, ParseError,
@@ -19,7 +20,7 @@ from .quiver import (DimVector, Quiver, Stability, bipartite_quiver,
                      reduced_quiver, spanning_trees, tree_components,
                      validate_quiver, weist_count)
 from .quiverjk import (jk_ab, jk_ab_infinity, jk_global_ZQ, jk_tree_expansion)
-from .scattering import (extract_cd, init_bipartite, scatter,
+from .scattering import (_cd_target, extract_cd, init_bipartite, scatter,
                          verify_main_theorem)
 
 EXIT_PASS = 0
@@ -165,7 +166,7 @@ def _cmd_trees(args, out) -> int:
             "arrows": [list(qbar.arrows[i]) for i in tree.arrows],
             "components": [comps[i] for i in tree.arrows],
             "stable": all(c < 0 for c in comps.values()),
-            "multiplicity": _prod(mult[i] for i in tree.arrows),
+            "multiplicity": prod(mult[i] for i in tree.arrows),
         })
     report = {
         "command": "trees",
@@ -177,13 +178,6 @@ def _cmd_trees(args, out) -> int:
     else:
         _emit(report, out)
     return EXIT_PASS
-
-
-def _prod(it):
-    p = 1
-    for x in it:
-        p *= x
-    return p
 
 
 def _cmd_jk(args, out) -> int:
@@ -264,8 +258,9 @@ def _cmd_scatter(args, out) -> int:
 
 def _cmd_extract_cd(args, out) -> int:
     q, d, _zeta = _bipartite_inputs(args)
-    diagram = scatter(init_bipartite(args.l1, args.l2, args.order))
-    value = extract_cd(diagram, d)
+    initial = init_bipartite(args.l1, args.l2, args.order)
+    _cd_target(d, args.order)  # reject d before paying for the diagram
+    value = extract_cd(scatter(initial), d)
     report = {
         "command": "extract-cd",
         "inputs": {"l1": args.l1, "l2": args.l2, "order": args.order,

@@ -19,6 +19,7 @@ only pure ``v`` factors create a principal part.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SingularBasis, ZeroDenominator
@@ -39,47 +40,67 @@ def qify(x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra helpers (dense, Fraction entries)
+# linear algebra (dense, Fraction entries): one Gauss-Jordan kernel
 # ---------------------------------------------------------------------------
 
-def mat_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(m)
-    a = [list(row) for row in m]
-    det = ONE
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+def _gauss_jordan(m: Sequence[Sequence[Fraction]], ncols: int):
+    """Reduce a copy of m to reduced row echelon form in its first ncols columns.
+
+    Later columns (an augmented right-hand side or identity) ride along.
+    Returns (rows, pivot columns, pivot values, swaps): the pivot values are
+    the entries divided out, as they stood when their column was reached, so
+    a square m has det = (-1)**swaps * prod(pivot values) at full rank.
+    """
+    rows = [list(r) for r in m]
+    nrows = len(rows)
+    pivots: list[int] = []
+    values: list[Fraction] = []
+    swaps = 0
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
         if piv is None:
-            return ZERO
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = ONE / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            swaps += 1
+        value = rows[r][c]
+        inv = ONE / value
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        values.append(value)
+        r += 1
+    return rows, pivots, values, swaps
+
+
+def rref(m: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
+    """The nonzero rows of the reduced row echelon form of m."""
+    rows, pivots, _values, _swaps = _gauss_jordan(m, len(m[0]) if m else 0)
+    return tuple(tuple(row) for row in rows[:len(pivots)])
+
+
+def mat_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
+    _rows, pivots, values, swaps = _gauss_jordan(m, len(m))
+    if len(pivots) < len(m):
+        return ZERO
+    return prod(values, start=-ONE if swaps % 2 else ONE)
 
 
 def mat_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
-    """Exact inverse via Gauss-Jordan, or None if singular."""
+    """Exact inverse, or None if singular."""
     n = len(m)
-    a = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = ONE / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    rows, pivots, _values, _swaps = _gauss_jordan(
+        [list(row) + [ONE if i == j else ZERO for j in range(n)]
+         for i, row in enumerate(m)], n)
+    if len(pivots) < n:
+        return None
+    return [row[n:] for row in rows]
 
 
 def solve_linear(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]):
@@ -88,55 +109,16 @@ def solve_linear(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]):
     Returns the solution vector when the system is consistent and has a
     unique solution, and None otherwise.
     """
-    rows = [list(r) + [bb] for r, bb in zip(a, b)]
-    nrows, ncols = len(rows), len(a[0]) if a else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    # inconsistent?
-    for i in range(r, nrows):
-        if rows[i][ncols] != 0:
-            return None
-    if len(pivots) < ncols:
-        return None  # underdetermined
-    x = [ZERO] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][ncols]
-    return x
+    ncols = len(a[0]) if a else 0
+    rows, pivots, _values, _swaps = _gauss_jordan(
+        [list(r) + [bb] for r, bb in zip(a, b)], ncols)
+    if len(pivots) < ncols or any(row[ncols] != 0 for row in rows[ncols:]):
+        return None
+    return [row[ncols] for row in rows[:ncols]]
 
 
 def mat_rank(m: Sequence[Sequence[Fraction]]) -> int:
-    rows = [list(r) for r in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, nrows) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = ONE / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(nrows):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    return len(_gauss_jordan(m, len(m[0]) if m else 0)[1])
 
 
 def in_span(vec: Sequence[Fraction], gens: Sequence[Sequence[Fraction]]) -> bool:
@@ -623,7 +605,7 @@ class RationalExpr:
         if red.variables():
             raise ValueError(f"expression is not constant: {red!r}")
         return red.scalar * red.num.const_value() * \
-            _prod(lf.const ** e for lf, e in red.factors)
+            prod(lf.const ** e for lf, e in red.factors)
 
     def _key(self):
         return (self.scalar, self.num._key(), self.factors)
@@ -643,13 +625,6 @@ class RationalExpr:
         for lf, e in self.factors:
             bits.append(f"({lf!r})^{e}" if e != 1 else f"({lf!r})")
         return " * ".join(bits)
-
-
-def _prod(it):
-    out = ONE
-    for x in it:
-        out *= x
-    return out
 
 
 # ---------------------------------------------------------------------------

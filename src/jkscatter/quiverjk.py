@@ -5,6 +5,7 @@ limit, and residues of the tree functions W_T.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -68,7 +69,9 @@ def jk_tree_expansion(q: Quiver, theta: Stability,
     Every spanning tree of the reduced quiver, together with a choice of
     original arrow per tree arrow, determines a singular point whose active
     weights form a basis; the tree contributes iff all its stability
-    coefficients are negative.  This route never enumerates singular points.
+    coefficients are negative.  Residues are taken at these tree points
+    only; the full singular-point enumeration runs once, inside
+    zeta_from_theta, to check that the stability is regular.
     """
     if not a.dim.is_abelian():
         raise ValueError("tree expansion needs an abelian dimension vector")
@@ -91,7 +94,7 @@ def jk_tree_expansion(q: Quiver, theta: Stability,
                     witness={"tree": tree.arrows, "arrow": qbar.arrows[i]})
         stable = all(c < 0 for c in comps.values())
         comp_tuple = tuple(comps[i] for i in tree.arrows)
-        for lift in _lifts([by_reduced[qbar.arrows[i]] for i in tree.arrows]):
+        for lift in itertools.product(*(by_reduced[qbar.arrows[i]] for i in tree.arrows)):
             forms = [a.weights[i].form for i in lift]
             rows = [f.vector(a.variables) for f in forms]
             rhs = [-a.weights[i].rcharge for i in lift]
@@ -111,15 +114,6 @@ def jk_tree_expansion(q: Quiver, theta: Stability,
             terms.append(TreeExpansionTerm(tree.arrows, tuple(lift), tuple(point),
                                            local, 1 if stable else 0, comp_tuple))
     return total, TreeExpansion(tuple(terms), total)
-
-
-def _lifts(options: list[list[int]]):
-    if not options:
-        yield []
-        return
-    for head in options[0]:
-        for rest in _lifts(options[1:]):
-            yield [head] + rest
 
 
 def jk_global_ZQ(q: Quiver, theta: Stability, a: Arrangement) -> Fraction:

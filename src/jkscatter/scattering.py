@@ -158,7 +158,9 @@ def scatter(d0: ScatteringDiagram) -> ScatteringDiagram:
     identity.  This is the order-by-order proof of the Kontsevich-Soibelman
     lemma (Gross-Pandharipande-Siebert, "The tropical vertex").
     """
-    d = ScatteringDiagram(list(d0.walls), d0.cutoff, d0.params)
+    # fresh Wall objects: rays grow in place below, and d0 keeps its own
+    d = ScatteringDiagram([Wall(w.direction, w.support, w.function) for w in d0.walls],
+                          d0.cutoff, d0.params)
     rays: dict[tuple[int, int], Wall] = {}
     for w in d.walls:
         if w.support == "ray":

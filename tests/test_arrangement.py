@@ -1,16 +1,22 @@
 """Tests for arrangements, flags, and the JK residue machinery."""
 
+import itertools
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from jkscatter.arrangement import (build_arrangement, enumerate_flags,
+from jkscatter.arrangement import (PERTURBATION_SHIFT, _sum_wall_normals,
+                                   build_arrangement, enumerate_flags,
                                    flag_residue, jk_basis, jk_global, jk_zeta,
                                    sample_rcharges, singular_points,
                                    theta_lift, zeta_from_theta)
-from jkscatter.errors import (DegenerateRCharges, NonRegularStability,
-                              NotProjective, NotSumRegular)
-from jkscatter.exact import LinForm, RationalExpr
+from jkscatter.errors import (DegenerateRCharges, JKScatterError,
+                              NonRegularStability, NotProjective,
+                              NotSumRegular)
+from jkscatter.exact import (LinForm, RationalExpr, in_span, mat_det,
+                             mat_rank)
 from jkscatter.quiver import DimVector, Quiver, Stability, bipartite_quiver
 from jkscatter.quiverjk import build_ZQ
 
@@ -191,6 +197,116 @@ class TestZetaFromTheta:
         with pytest.raises(NonRegularStability) as ei:
             zeta_from_theta(a, stab(k22, 1, 1, -1, -1))
         assert ei.value.witness
+
+
+def reference_zeta_from_theta(a, theta):
+    """The all-subsets span scan over plain and sum walls (test reference).
+
+    A plain wall is the span of n-1 active functionals at a singular point,
+    a sum wall the span of n-1 sums of distinct active functionals.  The
+    chamber side of a plain wall W is the sign of det(W, z).
+    """
+    n = a.n
+    zeta0 = tuple(-x for x in theta_lift(a, theta))
+    plain_walls, sum_walls = set(), set()
+    for pt in singular_points(a):
+        vecs = [f.vector(a.variables) for f in pt.functionals]
+        for sub in itertools.combinations(vecs, max(n - 1, 0)):
+            plain_walls.add(tuple(sorted(sub)))
+        sums = [tuple(sum(c) for c in zip(*sub))
+                for r in range(1, len(vecs) + 1)
+                for sub in itertools.combinations(vecs, r)]
+        for sub in itertools.combinations(sums, max(n - 1, 0)):
+            sum_walls.add(tuple(sorted(sub)))
+    for wall in sorted(plain_walls):
+        if in_span(zeta0, list(wall)):
+            raise NonRegularStability("lifted stability lies on an arrangement wall",
+                                      witness=[list(w) for w in wall])
+
+    def ok(z):
+        if any(in_span(z, list(wall)) for wall in sum_walls):
+            return False
+        for wall in plain_walls:
+            if not wall or mat_rank(wall) != n - 1:
+                continue
+            s0 = mat_det(list(wall) + [zeta0])
+            if s0 == 0 or mat_det(list(wall) + [z]) * s0 <= 0:
+                return False
+        return True
+
+    if ok(zeta0):
+        return zeta0
+    scale = max((abs(x) for x in zeta0), default=Q(1)) or Q(1)
+    for t in (3, 5, 7, 11, 13):
+        delta = tuple(Q(1, t ** i) for i in range(1, n + 1))
+        eps = scale / PERTURBATION_SHIFT
+        for _ in range(80):
+            cand = tuple(z + eps * dl for z, dl in zip(zeta0, delta))
+            if ok(cand):
+                return cand
+            eps /= 2
+    raise NotSumRegular("could not perturb zeta to a sum-regular point")
+
+
+def outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except JKScatterError as exc:
+        return type(exc).__name__, str(exc), exc.witness
+
+
+@st.composite
+def small_arrangements(draw):
+    """An acyclic quiver on 3-4 vertices with n <= 3, and theta in -2..2."""
+    nv = draw(st.integers(min_value=3, max_value=4))
+    verts = [f"v{i}" for i in range(nv)]
+    arrows = [(verts[i], verts[j]) for i in range(nv) for j in range(i + 1, nv)
+              for _ in range(draw(st.integers(min_value=0, max_value=2)))]
+    # at most one vertex of dimension 2: more make most R-charges degenerate
+    dims = draw(st.lists(st.integers(min_value=0, max_value=1), min_size=nv, max_size=nv))
+    dims[draw(st.integers(min_value=0, max_value=nv - 1))] += draw(st.booleans())
+    assume(arrows and 2 <= sum(dims) <= 4)
+    q = Quiver.make(verts, arrows)
+    try:
+        a = build_arrangement(q, DimVector.make(q, dict(zip(verts, dims))),
+                              seed=draw(st.integers(min_value=0, max_value=50)))
+    except DegenerateRCharges:
+        assume(False)
+    theta = draw(st.lists(st.integers(min_value=-2, max_value=2),
+                          min_size=nv, max_size=nv))
+    return a, stab(q, *theta)
+
+
+class TestRegularityInBasisCoordinates:
+    @given(small_arrangements())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_all_subsets_scan(self, case):
+        a, theta = case
+        assert outcome(zeta_from_theta, a, theta) == \
+            outcome(reference_zeta_from_theta, a, theta)
+
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 9), (4, 45)])
+    def test_sum_wall_hyperplanes(self, n, count):
+        # every hyperplane spanned by n-1 nonzero 0/1 vectors, as the set of
+        # 0/1 vectors it contains, by a span test on every (n-1)-subset:
+        # v lies in the span of n-1 independent vectors iff det(sub, v) = 0
+        cube = [v for v in itertools.product((0, 1), repeat=n) if any(v)]
+        spans = {frozenset(v for v in cube if mat_det(list(sub) + [v]) == 0)
+                 for sub in itertools.combinations(cube, n - 1)
+                 if mat_rank(sub) == n - 1}
+        normals = _sum_wall_normals(n)
+        assert len(normals) == len(spans) == count
+        assert {frozenset(v for v in cube
+                          if sum(h * x for h, x in zip(normal, v)) == 0)
+                for normal in normals} == spans
+
+    def test_zero_dimensional_witness_is_empty(self):
+        k11 = bipartite_quiver(1, 1)
+        a = build_arrangement(k11, dv(k11, i1=1, j1=0), seed=0)
+        assert a.n == 0
+        with pytest.raises(NonRegularStability) as ei:
+            zeta_from_theta(a, stab(k11, 0, 0))
+        assert ei.value.witness == []
 
 
 # -- global JK -----------------------------------------------------------------

@@ -171,6 +171,15 @@ class TestExitCodes:
         assert rep["results"]["passed"] is False
 
 
+    def test_extract_cd_rejects_d_before_scatter(self, monkeypatch):
+        def no_scatter(_d0):
+            raise AssertionError("scatter ran for a rejected d")
+        monkeypatch.setattr(cli, "scatter", no_scatter)
+        code, rep = run_json(["extract-cd", "--l1", "2", "--l2", "2",
+                              "--d", "3,3;3,3", "--order", "6"])
+        assert code == 2
+        assert rep["error"] == "CutoffTooSmall"
+
     def test_nonregular_over_cutoff_is_2(self):
         code, rep = run_json(["verify-main", "--l1", "2", "--l2", "2",
                               "--d", "1,1;1,1", "--zeta", "1,1,-1,-1",
@@ -179,24 +188,37 @@ class TestExitCodes:
         assert rep["error"] == "CutoffTooSmall"
 
 
-# sha256 of stdout, frozen from the reports of the full-cutoff completion
+# (argv, exit code, sha256 of stdout), frozen from the reports of the
+# full-cutoff completion and of the all-subsets regularity scan; the first
+# three JK requests perturb zeta, the last two pin the witnesses (n = 0 too)
 GOLDEN_REPORTS = [
-    (["scatter", "--l1", "2", "--l2", "2", "--order", "5"],
+    (["scatter", "--l1", "2", "--l2", "2", "--order", "5"], 0,
      "c6d235579044cd25d46b43157a12af600c8649b418963582c43be16db84488b6"),
-    (["scatter", "--l1", "3", "--l2", "2", "--order", "4"],
+    (["scatter", "--l1", "3", "--l2", "2", "--order", "4"], 0,
      "d1cb3d38a9e585dd959bc43bee0aff40c17680c1de0b71547a0052b6877853b8"),
-    (["scatter", "--l1", "1", "--l2", "1", "--order", "8", "--csv"],
+    (["scatter", "--l1", "1", "--l2", "1", "--order", "8", "--csv"], 0,
      "c7162e0e05cb27b9845febb55717f937fe11f3e62bedbc435b0dfb9190eb769a"),
-    (["extract-cd", "--l1", "1", "--l2", "1", "--d", "3;3", "--order", "6"],
+    (["extract-cd", "--l1", "1", "--l2", "1", "--d", "3;3", "--order", "6"], 0,
      "9d467c0cded8367eecb61729380c6ac3964649a91017a71a95e34695d5d3f9a4"),
+    (["jk", "--l1", "2", "--l2", "2", "--d", "1,1;1,1", "--zeta", "3,1,-2,-2"], 0,
+     "adc119858b2b1ba57f7c21c126bf3d406d1daa1c3a4213f4955c3e2f4ae2f4e4"),
+    (["jk", "--l1", "2", "--l2", "1", "--d", "1,1;1", "--zeta", "1,1,-2"], 0,
+     "5cd7bd4e405198cc2f2f04ccec2b4be6ca6501c3980bca9c10ac54bf4aa2b71e"),
+    (["jk-ab", "--l1", "3", "--l2", "1", "--d", "1,1,1;2", "--zeta", "2,2,2,-3",
+      "--lambda", "1000"], 0,
+     "ee1045ffb7dbc9aa84eaff743609f2fdb349c8ec6d45a678aca27add392aa110"),
+    (["jk", "--l1", "2", "--l2", "2", "--d", "1,1;1,1", "--zeta", "1,1,-1,-1"], 3,
+     "d78bbc8a8fb14d3fdd916bd82f23b7a78787f61000972e71347a0b6f74606638"),
+    (["jk", "--l1", "1", "--l2", "1", "--d", "1;0", "--zeta", "0,0"], 3,
+     "337af0d9f8bdc958a383b8de8af4b0905179d492956751fd31715fe82a6a7712"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN_REPORTS,
-                         ids=[" ".join(argv) for argv, _ in GOLDEN_REPORTS])
-def test_golden_report(argv, digest):
+@pytest.mark.parametrize("argv, exit_code, digest", GOLDEN_REPORTS,
+                         ids=[" ".join(argv) for argv, _, _ in GOLDEN_REPORTS])
+def test_golden_report(argv, exit_code, digest):
     code, text = run(argv)
-    assert code == 0
+    assert code == exit_code
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

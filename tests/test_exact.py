@@ -2,13 +2,17 @@
 factored rational expressions, and iterated residues.
 """
 
+import itertools
 from fractions import Fraction as Q
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jkscatter.exact import (LinForm, Poly, RationalExpr, binom_general,
                              change_vars_linear, in_span, iterated_residue,
-                             mat_det, mat_inverse, mat_rank, qify,
+                             mat_det, mat_inverse, mat_rank, qify, rref,
                              residue_step, solve_linear, subst_linear_basis)
 from jkscatter.errors import SingularBasis, ZeroDenominator
 
@@ -60,6 +64,91 @@ class TestLinearAlgebra:
         # C(-1, k) = (-1)^k
         assert [binom_general(-1, k) for k in range(4)] == [1, -1, 1, -1]
         assert binom_general(-2, 2) == 3
+
+
+# -- the elimination kernel against formulas that use no elimination ----------
+
+# zeros and small entries make singular and inconsistent systems common
+entries = st.one_of(st.just(Q(0)), st.fractions(min_value=-3, max_value=3,
+                                                 max_denominator=3))
+
+
+@st.composite
+def matrices(draw, square=False):
+    nrows = draw(st.integers(min_value=1, max_value=4))
+    ncols = nrows if square else draw(st.integers(min_value=1, max_value=5))
+    return [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def leibniz(m):
+    n = len(m)
+    return sum((Q(-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+                * prod(m[i][p[i]] for i in range(n))
+                for p in itertools.permutations(range(n))), Q(0))
+
+
+def rank_by_minors(m):
+    """The largest k with a nonzero k x k minor."""
+    nrows, ncols = len(m), len(m[0])
+    for k in range(min(nrows, ncols), 0, -1):
+        if any(leibniz([[m[i][j] for j in cols] for i in rows]) != 0
+               for rows in itertools.combinations(range(nrows), k)
+               for cols in itertools.combinations(range(ncols), k)):
+            return k
+    return 0
+
+
+class TestKernel:
+    @given(matrices(square=True))
+    @settings(max_examples=60, deadline=None)
+    def test_det_is_leibniz(self, m):
+        assert mat_det(m) == leibniz(m)
+
+    @given(matrices(square=True))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_times_m_is_identity(self, m):
+        inv = mat_inverse(m)
+        n = len(m)
+        if leibniz(m) == 0:
+            assert inv is None
+        else:
+            assert [[sum(inv[i][k] * m[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)] == [[Q(i == j) for j in range(n)] for i in range(n)]
+
+    @given(matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_solve_linear(self, a, data):
+        nrows, ncols = len(a), len(a[0])
+        if data.draw(st.booleans()):   # consistent by construction
+            x0 = [data.draw(entries) for _ in range(ncols)]
+            b = [sum(r * x for r, x in zip(row, x0)) for row in a]
+        else:
+            b = [data.draw(entries) for _ in range(nrows)]
+        rank = rank_by_minors(a)
+        consistent = rank_by_minors([row + [bb] for row, bb in zip(a, b)]) == rank
+        x = solve_linear(a, b)
+        if rank == ncols and consistent:
+            assert [sum(r * xx for r, xx in zip(row, x)) for row in a] == b
+        else:
+            assert x is None
+
+    @given(matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_rank_span_and_rref(self, m):
+        rank = rank_by_minors(m)
+        assert mat_rank(m) == rank
+        reduced = rref(m)
+        assert len(reduced) == rank
+        # echelon form with unit pivot columns, and every row of m is the
+        # combination of the reduced rows read off at the pivot columns
+        pivots = [next(j for j, x in enumerate(row) if x != 0) for row in reduced]
+        assert pivots == sorted(set(pivots))
+        assert all(row[p] == (i == k) for k, p in enumerate(pivots)
+                   for i, row in enumerate(reduced))
+        assert all(list(v) == [sum(v[p] * row[j] for p, row in zip(pivots, reduced))
+                               for j in range(len(v))] for v in m)
+        assert in_span(m[-1], m[:-1]) == (rank_by_minors(m[:-1]) == rank
+                                          if len(m) > 1 else all(x == 0 for x in m[0]))
 
 
 class TestLinForm:

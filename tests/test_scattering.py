@@ -192,6 +192,14 @@ class TestLoopAndScatter:
                 for w in d.walls] == \
             [(w.direction, w.support, w.function.sorted_terms()) for w in d2.walls]
 
+    def test_input_diagram_unchanged(self):
+        d0 = init_bipartite(2, 1, 3)
+        d0.walls.append(Wall((1, 1), "ray", 1 + TruncatedSeries.monomial(
+            d0.params, 3, xe=1, ye=1, pexp={"s1": 1, "t1": 1})))
+        before = [repr(w) for w in d0.walls]
+        scatter(d0)
+        assert [repr(w) for w in d0.walls] == before
+
     def test_rays_strictly_inside_first_quadrant(self):
         d = scatter(init_bipartite(3, 2, 4))
         for w in d.walls:
