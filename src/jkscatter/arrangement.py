@@ -68,6 +68,11 @@ class Arrangement:
         out.extend((r, Q(-1)) for r in self.roots)
         return out
 
+    @functools.cached_property
+    def points(self) -> tuple[SingularPoint, ...]:
+        """The singular points, enumerated once per arrangement."""
+        return tuple(singular_points(self))
+
 
 RC_DENOMINATOR = 2 ** 31
 MAX_RESAMPLES = 32
@@ -122,7 +127,7 @@ def build_arrangement(q: Quiver, d: DimVector, reference: tuple[str, int] | None
             raise ValueError(f"expected {len(carriers)} R-charges, got {len(rc)}")
         arr = _assemble(q, d, variables, reference, carriers, mults, rc,
                         split_multiplicities, proj)
-        singular_points(arr)  # raises DegenerateRCharges on coincidences
+        arr.points  # raises DegenerateRCharges on coincidences
         return arr
     if seed is None:
         raise ValueError("provide explicit rcharges or a seed")
@@ -131,11 +136,22 @@ def build_arrangement(q: Quiver, d: DimVector, reference: tuple[str, int] | None
         arr = _assemble(q, d, variables, reference, carriers, mults, rc,
                         split_multiplicities, proj)
         try:
-            singular_points(arr)
+            arr.points
             return arr
         except DegenerateRCharges:
             continue
     raise DegenerateRCharges(f"no generic R-charges after {MAX_RESAMPLES} samples")
+
+
+def scale_rcharges(a: Arrangement, lam: Fraction) -> Arrangement:
+    """``a`` with every R-charge times lambda, validated anew (lambda * R can
+    be degenerate where R is not); ``a`` itself at lambda = 1."""
+    lam = qify(lam)
+    if lam == 1:
+        return a
+    return build_arrangement(a.quiver, a.dim, reference=a.reference,
+                             rcharges=[r * lam for r in a.rcharges],
+                             split_multiplicities=a.split_multiplicities)
 
 
 def _assemble(q, d, variables, reference, carriers, mults, rc,
@@ -434,7 +450,7 @@ def zeta_from_theta(a: Arrangement, theta: Stability) -> Vector:
                                   witness=[])
     bases = []
     walls = []
-    for pt in singular_points(a):
+    for pt in a.points:
         vecs = [f.vector(a.variables) for f in pt.functionals]
         cols = [list(col) for col in zip(*vecs)]
         c0 = solve_linear(cols, zeta0)
@@ -507,7 +523,7 @@ def jk_global(f: RationalExpr, a: Arrangement, zeta: Sequence[Fraction]) -> Frac
     zeta = tuple(qify(x) for x in zeta)
     n = a.n
     total = ZERO
-    for pt in singular_points(a):
+    for pt in a.points:
         shift = dict(zip(a.variables, pt.location))
         germ = f.translate(shift)
         funcs = list(pt.functionals)

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from math import prod
 
-from .arrangement import build_arrangement
+from .arrangement import build_arrangement, scale_rcharges
 from .errors import (JKScatterError, NonRegularStability, ParseError,
                      ValidationError)
 from .quiver import (DimVector, Quiver, Stability, bipartite_quiver,
@@ -187,10 +187,7 @@ def _cmd_jk(args, out) -> int:
     if explicit is not None:
         a = build_arrangement(q, d, rcharges=[r * lam for r in explicit])
     else:
-        base = build_arrangement(q, d, seed=seed)
-        a = (base if lam == 1 else
-             build_arrangement(q, d, reference=base.reference,
-                               rcharges=[r * lam for r in base.rcharges]))
+        a = scale_rcharges(build_arrangement(q, d, seed=seed), lam)
     value = jk_global_ZQ(q, theta, a)
     report = {
         "command": "jk",

@@ -5,14 +5,14 @@ stability coefficients, and abelianization (blown-up quivers).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Mapping, Sequence
 
 from .errors import (Disconnected, HasLoop, HasOrientedCycle, NonRegularStability,
                      NotNormalized, UnknownVertex)
-from .exact import ONE, ZERO, qify, solve_linear
+from .exact import ONE, ZERO, qify
 
 Q = Fraction
 
@@ -192,58 +192,72 @@ def spanning_trees(qbar: Quiver) -> list[SpanningTree]:
     n = len(qbar.vertices)
     out = []
     for combo in itertools.combinations(range(len(qbar.arrows)), n - 1):
-        edges = [qbar.arrows[i] for i in combo]
-        if _is_connected(qbar.vertices, edges):
+        if _tree_walk(qbar, combo, qbar.vertices[0]) is not None:
             out.append(SpanningTree(combo))
     return out
 
 
+def _tree_walk(qbar: Quiver, arrows: Sequence[int], root: str):
+    """Breadth-first walk from root: (vertex order, {vertex: (arrow, parent)}),
+    or None unless the arrows form a spanning tree and root is a vertex."""
+    if root not in qbar.vertices or len(arrows) != len(qbar.vertices) - 1:
+        return None
+    adj: dict[str, list[tuple[int, str]]] = {v: [] for v in qbar.vertices}
+    for i in arrows:
+        t, h = qbar.arrows[i]
+        adj[t].append((i, h))
+        adj[h].append((i, t))
+    order, parent = [root], {}
+    for v in order:  # grows while it is read: a FIFO queue
+        for i, u in adj[v]:
+            if u != root and u not in parent:
+                parent[u] = (i, v)
+                order.append(u)
+    # n - 1 arrows that reach all n vertices form a tree
+    return (order, parent) if len(order) == len(qbar.vertices) else None
+
+
 def tree_components(qbar: Quiver, tree: SpanningTree,
                     theta: Stability) -> dict[int, Fraction]:
-    """Solve theta = sum c_alpha * (e_head - e_tail) over the tree's arrows."""
+    """The c_alpha of theta = sum c_alpha * (e_head - e_tail) over the tree.
+
+    Cut arrow alpha: every other arrow adds 0 to theta summed over either
+    side, so c_alpha is theta summed over the side that holds alpha's head.
+    Raises NotNormalized unless theta sums to 0 and the arrows form a
+    spanning tree, and NonRegularStability (witness: tree and arrow) on the
+    first zero c_alpha in tree order.
+    """
     d_ab = DimVector.make(qbar, {v: 1 for v in qbar.vertices})
     theta.check_normalized(d_ab)
-    verts = list(qbar.vertices)
-    # theta lies in the hyperplane sum = 0; drop the last coordinate
-    rows = []
-    for v in verts[:-1]:
-        row = []
-        for i in tree.arrows:
-            t, h = qbar.arrows[i]
-            row.append((ONE if h == v else ZERO) - (ONE if t == v else ZERO))
-        rows.append(row)
-    b = [theta[v] for v in verts[:-1]]
-    sol = solve_linear(rows, b)
-    if sol is None:
+    walk = _tree_walk(qbar, tree.arrows, qbar.vertices[0])
+    if walk is None:
         raise NotNormalized("tree arrows do not form a basis of the hyperplane")
-    return {i: c for i, c in zip(tree.arrows, sol)}
+    order, parent = walk
+    below = theta.as_dict()  # becomes theta summed over the subtree below v
+    comps = {}
+    for v in reversed(order[1:]):
+        i, p = parent[v]
+        below[p] += below[v]
+        comps[i] = below[v] if qbar.arrows[i][1] == v else -below[v]
+    for i in tree.arrows:
+        if comps[i] == 0:
+            raise NonRegularStability(
+                f"component of arrow {qbar.arrows[i]} vanishes on tree {tree.arrows}",
+                witness={"tree": tree.arrows, "arrow": qbar.arrows[i]})
+    return {i: comps[i] for i in tree.arrows}
 
 
 def stable_trees(qbar: Quiver, theta: Stability) -> list[SpanningTree]:
     """N^theta: spanning trees with all components strictly negative."""
-    out = []
-    for tree in spanning_trees(qbar):
-        comps = tree_components(qbar, tree, theta)
-        for i, c in comps.items():
-            if c == 0:
-                raise NonRegularStability(
-                    f"component of arrow {qbar.arrows[i]} vanishes on tree {tree.arrows}",
-                    witness={"tree": tree.arrows, "arrow": qbar.arrows[i]})
-        if all(c < 0 for c in comps.values()):
-            out.append(tree)
-    return out
+    return [tree for tree in spanning_trees(qbar)
+            if all(c < 0 for c in tree_components(qbar, tree, theta).values())]
 
 
 def weist_count(q: Quiver, theta: Stability) -> Fraction:
     """Sum over stable spanning trees of the product of arrow multiplicities."""
     qbar, mult = reduced_quiver(q)
-    total = ZERO
-    for tree in stable_trees(qbar, theta):
-        prod = ONE
-        for i in tree.arrows:
-            prod *= mult[i]
-        total += prod
-    return total
+    stable = stable_trees(qbar, theta)
+    return sum((prod(mult[i] for i in tree.arrows) for tree in stable), ZERO)
 
 
 # ---------------------------------------------------------------------------

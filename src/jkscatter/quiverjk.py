@@ -11,12 +11,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arrangement import (Arrangement, build_arrangement, jk_basis, jk_global,
-                          zeta_from_theta)
+                          scale_rcharges, zeta_from_theta)
 from .errors import NonRegularStability, NotATree, NotSumRegular
 from .exact import (LinForm, ONE, Q, RationalExpr, ZERO, qify, residue_step,
                     solve_linear)
-from .quiver import (AbelianizationTerm, DimVector, Quiver, SpanningTree,
-                     Stability, abelianize, moduli_dimension, reduced_quiver,
+from .quiver import (DimVector, Quiver, SpanningTree, Stability, _is_connected,
+                     _tree_walk, abelianize, moduli_dimension, reduced_quiver,
                      spanning_trees, tree_components, weist_count)
 
 
@@ -66,32 +66,33 @@ def jk_tree_expansion(q: Quiver, theta: Stability,
                       a: Arrangement) -> tuple[Fraction, TreeExpansion]:
     """Abelian JK residue as a sum over stable spanning trees.
 
-    Every spanning tree of the reduced quiver, together with a choice of
-    original arrow per tree arrow, determines a singular point whose active
-    weights form a basis; the tree contributes iff all its stability
-    coefficients are negative.  Residues are taken at these tree points
-    only; the full singular-point enumeration runs once, inside
-    zeta_from_theta, to check that the stability is regular.
+    Every spanning tree of the reduced quiver on the support of d, together
+    with a choice of original arrow per tree arrow, determines a singular
+    point whose active weights form a basis; the tree contributes iff all
+    its stability coefficients are negative.  A disconnected support has
+    no spanning tree, and the residue is 0.  The tree points are solved
+    here, not read from a.points, so the two JK routes stay independent;
+    zeta_from_theta reads a.points to check that the stability is regular.
     """
     if not a.dim.is_abelian():
         raise ValueError("tree expansion needs an abelian dimension vector")
     z = build_ZQ(q, a.dim, a)
-    qbar, _mult = reduced_quiver(q)
+    # the arrangement sees only the support of d: trees of the quiver on it
+    support = a.dim.support()
+    qbar, _mult = reduced_quiver(Quiver.make(
+        support, [(t, h) for t, h in q.arrows if t in support and h in support]))
     zeta = zeta_from_theta(a, theta)
     # weights grouped by reduced arrow
     by_reduced: dict[tuple[str, str], list[int]] = {}
     for i, w in enumerate(a.weights):
         by_reduced.setdefault(w.arrow, []).append(i)
+    # a disconnected support has no spanning tree
+    trees = spanning_trees(qbar) if _is_connected(support, qbar.arrows) else []
 
     terms = []
     total = ZERO
-    for tree in spanning_trees(qbar):
+    for tree in trees:
         comps = tree_components(qbar, tree, theta)
-        for i, c in comps.items():
-            if c == 0:
-                raise NonRegularStability(
-                    f"vanishing stability coefficient on arrow {qbar.arrows[i]}",
-                    witness={"tree": tree.arrows, "arrow": qbar.arrows[i]})
         stable = all(c < 0 for c in comps.values())
         comp_tuple = tuple(comps[i] for i in tree.arrows)
         for lift in itertools.product(*(by_reduced[qbar.arrows[i]] for i in tree.arrows)):
@@ -127,18 +128,6 @@ def jk_global_ZQ(q: Quiver, theta: Stability, a: Arrangement) -> Fraction:
 # abelianized JK and the large-R limit
 # ---------------------------------------------------------------------------
 
-def _term_arrangement(term: AbelianizationTerm, seed: int,
-                      lam: Fraction | None = None) -> Arrangement:
-    """Arrangement of a blown-up quiver with frozen R-bar scaled by lambda."""
-    base = build_arrangement(term.quiver, term.dimension, seed=seed)
-    if lam is None or lam == 1:
-        return base
-    lam = qify(lam)
-    return build_arrangement(term.quiver, term.dimension,
-                             reference=base.reference,
-                             rcharges=[r * lam for r in base.rcharges])
-
-
 def jk_ab(q: Quiver, d: DimVector, zeta: Stability, rseed: int,
           lam: Fraction = ONE) -> Fraction:
     """Abelianized JK residue: weighted sum over blown-up abelian quivers.
@@ -148,7 +137,8 @@ def jk_ab(q: Quiver, d: DimVector, zeta: Stability, rseed: int,
     """
     total = ZERO
     for k, term in enumerate(abelianize(q, d, zeta)):
-        arr = _term_arrangement(term, rseed + 1000003 * k, lam)
+        arr = scale_rcharges(build_arrangement(
+            term.quiver, term.dimension, seed=rseed + 1000003 * k), lam)
         value, _ = jk_tree_expansion(term.quiver, term.stability, arr)
         total += term.coefficient * value
     return total
@@ -186,33 +176,10 @@ def wt_residue(qbar: Quiver, tree: SpanningTree,
     with the root variable left untouched (the result is w_root-free).
     Contract: the value equals prod m_a.
     """
-    arrows = [qbar.arrows[i] for i in tree.arrows]
-    verts = set(qbar.vertices)
-    if root not in verts or len(arrows) != len(verts) - 1:
-        raise NotATree("not a spanning arrow subset with a valid root")
-    # root the tree on its undirected structure: parent[v] = (arrow id, sign)
-    # where sign is +1 if the arrow points from the parent into v
-    adj: dict[str, list[tuple[int, str, int]]] = {v: [] for v in verts}
-    for i, (t, h) in zip(tree.arrows, arrows):
-        adj[t].append((i, h, 1))
-        adj[h].append((i, t, -1))
-    depth = {root: 0}
-    order = [root]
-    parent: dict[str, tuple[int, str, int]] = {}
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for i, u, sign in adj[v]:
-            if u in depth:
-                if u != v and (v not in parent or parent[v][0] != i):
-                    raise NotATree("arrow subset has a cycle")
-                continue
-            depth[u] = depth[v] + 1
-            parent[u] = (i, v, sign)
-            order.append(u)
-            queue.append(u)
-    if len(depth) != len(verts):
-        raise NotATree("arrow subset does not span the vertices")
+    walk = _tree_walk(qbar, tree.arrows, root)
+    if walk is None:
+        raise NotATree("arrows do not form a spanning tree with a valid root")
+    order, parent = walk
 
     w = {v: LinForm.var(f"w_{v}") for v in qbar.vertices}
     expr = RationalExpr(1)
@@ -223,10 +190,12 @@ def wt_residue(qbar: Quiver, tree: SpanningTree,
 
     # coordinates: v_i = w_head - w_tail per arrow; w_v = w_parent +- v_i
     path: dict[str, LinForm] = {root: LinForm.var(f"w_{root}")}
+    depth = {root: 0}
     for v in order[1:]:
-        i, p, sign = parent[v]
+        i, p = parent[v]
+        depth[v] = depth[p] + 1
         step = LinForm.var(f"v{i}")
-        path[v] = path[p] + step if sign > 0 else path[p] - step
+        path[v] = path[p] + step if qbar.arrows[i][1] == v else path[p] - step
     expr = expr.subs_linear({f"w_{v}": path[v] for v in qbar.vertices})
 
     # leaf-first: deepest arrows first; residue variable v_i for arrow into v

@@ -95,7 +95,8 @@ START_DIRECTION = (1, -3)  # generic: not parallel to any integer wall we produc
 
 
 def _angular_key(v: tuple[int, int]) -> tuple:
-    """Total order of directions counterclockwise from START_DIRECTION, exact."""
+    """Sector of v counterclockwise from START_DIRECTION, then v itself: not
+    angular inside a sector, where the first quadrant sorts (1,1), (1,2), (2,1)."""
     sx, sy = START_DIRECTION
     cr = sx * v[1] - sy * v[0]
     dt = sx * v[0] + sy * v[1]
@@ -153,10 +154,11 @@ def scatter(d0: ScatteringDiagram) -> ScatteringDiagram:
     k, so what is left is a sum of degree-k terms c * p * x^A y^B.  The two
     defects (on x and on y) of each monomial satisfy a*c_x + b*c_y = 0 for
     the primitive direction (a,b) of (A,B), and the increment 1 + c' * p *
-    x^A y^B of the ray (a,b) is solved from either one.  Increments are added
-    in angular order.  A last loop product at the full cutoff must be the
-    identity.  This is the order-by-order proof of the Kontsevich-Soibelman
-    lemma (Gross-Pandharipande-Siebert, "The tropical vertex").
+    x^A y^B of the ray (a,b) is solved from either one.  Increments of a round
+    commute, so their _angular_key order only places new rays in the wall
+    list.  A last loop product at the full cutoff must be the identity.  This
+    is the order-by-order proof of the Kontsevich-Soibelman lemma
+    (Gross-Pandharipande-Siebert, "The tropical vertex").
     """
     # fresh Wall objects: rays grow in place below, and d0 keeps its own
     d = ScatteringDiagram([Wall(w.direction, w.support, w.function) for w in d0.walls],

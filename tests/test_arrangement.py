@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from jkscatter.arrangement import (PERTURBATION_SHIFT, _sum_wall_normals,
                                    build_arrangement, enumerate_flags,
                                    flag_residue, jk_basis, jk_global, jk_zeta,
-                                   sample_rcharges, singular_points,
-                                   theta_lift, zeta_from_theta)
+                                   sample_rcharges, scale_rcharges,
+                                   singular_points, theta_lift,
+                                   zeta_from_theta)
 from jkscatter.errors import (DegenerateRCharges, JKScatterError,
                               NonRegularStability, NotProjective,
                               NotSumRegular)
@@ -81,6 +82,17 @@ class TestBuildArrangement:
             build_arrangement(KRON2, dv(KRON2, **{"1": 1, "2": 1}),
                               rcharges=[Q(1, 3), Q(1, 3)])
 
+    def test_scale_rcharges(self):
+        d = dv(KRON2, **{"1": 1, "2": 1})
+        a = build_arrangement(KRON2, d, rcharges=[Q(1, 3)], split_multiplicities=False)
+        assert scale_rcharges(a, Q(1)) is a
+        b = scale_rcharges(a, Q(7))
+        assert b.rcharges == (Q(7, 3),) and b.reference == a.reference
+        assert b.weights[0].multiplicity == 2
+        # the scaled arrangement is validated on its own
+        with pytest.raises(DegenerateRCharges):
+            scale_rcharges(build_arrangement(KRON2, d, rcharges=[Q(1, 3), Q(2, 5)]), Q(0))
+
 
 class TestSingularPoints:
     def test_kronecker2_two_points(self):
@@ -88,6 +100,7 @@ class TestSingularPoints:
                               rcharges=[Q(1, 3), Q(2, 5)])
         pts = singular_points(a)
         assert [p.location for p in pts] == [(Q(1, 3),), (Q(2, 5),)]
+        assert a.points == tuple(pts)
         assert all(len(p.active) == 1 for p in pts)
 
     def test_k21_point_count(self):

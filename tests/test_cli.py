@@ -180,6 +180,20 @@ class TestExitCodes:
         assert code == 2
         assert rep["error"] == "CutoffTooSmall"
 
+    # a zero in d: the tree route walks the quiver on the support of d only
+    @pytest.mark.parametrize("l1, l2, d, zeta, value", [
+        ("3", "1", "1,0,0;1", "1,2,-2,-1", "1/1"),
+        ("2", "1", "1,0;1", "1,1,-1", "1/1"),
+        ("2", "1", "1,0;1", "1,0,-1", "1/1"),
+        ("2", "2", "1,1;0,0", "1,-1,0,0", "0/1"),  # disconnected support
+    ])
+    def test_jk_zero_in_d(self, l1, l2, d, zeta, value):
+        code, rep = run_json(["jk", "--l1", l1, "--l2", l2, "--d", d, "--zeta", zeta])
+        assert code == 0
+        res = rep["results"]
+        assert res["value"] == res["tree_expansion"]["value"] == value
+        assert (value == "0/1") == (res["tree_expansion"]["terms"] == [])
+
     def test_nonregular_over_cutoff_is_2(self):
         code, rep = run_json(["verify-main", "--l1", "2", "--l2", "2",
                               "--d", "1,1;1,1", "--zeta", "1,1,-1,-1",
@@ -190,7 +204,10 @@ class TestExitCodes:
 
 # (argv, exit code, sha256 of stdout), frozen from the reports of the
 # full-cutoff completion and of the all-subsets regularity scan; the first
-# three JK requests perturb zeta, the last two pin the witnesses (n = 0 too)
+# three JK requests perturb zeta, the next two pin the witnesses (n = 0
+# too); the last five, frozen from the linear-solve tree coefficients and
+# the twice-enumerated arrangements, pin the tree listings, the tree wall
+# witness, a weist count and a lambda-scaled JK report
 GOLDEN_REPORTS = [
     (["scatter", "--l1", "2", "--l2", "2", "--order", "5"], 0,
      "c6d235579044cd25d46b43157a12af600c8649b418963582c43be16db84488b6"),
@@ -211,6 +228,19 @@ GOLDEN_REPORTS = [
      "d78bbc8a8fb14d3fdd916bd82f23b7a78787f61000972e71347a0b6f74606638"),
     (["jk", "--l1", "1", "--l2", "1", "--d", "1;0", "--zeta", "0,0"], 3,
      "337af0d9f8bdc958a383b8de8af4b0905179d492956751fd31715fe82a6a7712"),
+    (["trees", "--l1", "2", "--l2", "2", "--d", "1,1;1,1", "--zeta", "3,1,-2,-2"], 0,
+     "50126906a423d4c72478c76204d56a73c13e0bc0e74b57f0752f61c6f6a968fd"),
+    (["trees", "--l1", "3", "--l2", "2", "--d", "1,1,1;1,1", "--zeta", "2,2,2,-3,-3",
+      "--csv"], 0,
+     "a029405a672d706a0a1831b212d21a2fcecab1829cc23d7ce44db21af9f1dc69"),
+    (["trees", "--l1", "2", "--l2", "2", "--d", "1,1;1,1", "--zeta", "1,1,-1,-1"], 3,
+     "2dacb2977ec278fcbe0190b7769fcd6ca5e3d96011c0c16c7008a500d1122f13"),
+    (["jk-ab", "--l1", "2", "--l2", "2", "--d", "2,2;1,2", "--zeta", "3,3,-4,-4",
+      "--infinity"], 0,
+     "f7c23baa0a969ec6f1248a8cf577599c7d58071a5e158c4612905d41364a9859"),
+    (["jk", "--l1", "2", "--l2", "2", "--d", "1,1;1,1", "--zeta", "3,1,-2,-2",
+      "--lambda", "7"], 0,
+     "55674cc3f335e9458203cdaf8866552c1e17e101ae879fdbbd953b804b5ef121"),
 ]
 
 

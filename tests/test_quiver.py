@@ -5,15 +5,19 @@ trees, stability coefficients, and abelianization.
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jkscatter.errors import (Disconnected, HasLoop, HasOrientedCycle,
-                              NonRegularStability, NotNormalized,
+                              NonRegularStability, NotATree, NotNormalized,
                               UnknownVertex)
+from jkscatter.exact import solve_linear
 from jkscatter.quiver import (DimVector, Quiver, SpanningTree, Stability,
                               abelianize, bipartite_quiver, moduli_dimension,
                               reduced_quiver, skew_euler_form, spanning_trees,
                               stable_trees, tree_components, validate_quiver,
                               weist_count)
+from jkscatter.quiverjk import wt_residue
 
 A2 = Quiver.make(["1", "2"], [("1", "2")])
 KRON2 = Quiver.make(["1", "2"], [("1", "2"), ("1", "2")])
@@ -104,6 +108,71 @@ def test_tree_components_sign():
     assert comps == {0: -1}
     comps = tree_components(A2, SpanningTree((0,)), stab(A2, -1, 1))
     assert comps == {0: 1}
+
+
+def solved_components(qbar, tree, theta):
+    """Test-only reference: solve theta = sum c_alpha (e_head - e_tail)."""
+    verts = list(qbar.vertices)
+    rows = [[int(qbar.arrows[i][1] == v) - int(qbar.arrows[i][0] == v)
+             for i in tree.arrows] for v in verts[:-1]]
+    sol = solve_linear(rows, [theta[v] for v in verts[:-1]])
+    return {i: c for i, c in zip(tree.arrows, sol)}
+
+
+@st.composite
+def trees_with_stability(draw):
+    """A connected reduced quiver on <= 6 vertices, one of its spanning
+    trees, and an integer stability summing to 0."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    vertices = [f"v{i}" for i in range(n)]
+    rank = draw(st.permutations(range(n)))  # arrows go up in rank: no cycles
+    pairs = {(draw(st.integers(min_value=0, max_value=i - 1)), i) for i in range(1, n)}
+    pairs |= set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda p: p[0] < p[1]), max_size=6)))
+    arrows = [(vertices[a], vertices[b]) if rank[a] < rank[b] else (vertices[b], vertices[a])
+              for a, b in sorted(pairs)]
+    qbar, _ = reduced_quiver(Quiver.make(vertices, arrows))
+    tree = draw(st.sampled_from(spanning_trees(qbar)))
+    vals = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+    return qbar, tree, stab(qbar, *vals, -sum(vals))
+
+
+class TestCutSums:
+    @given(trees_with_stability())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_linear_solve(self, data):
+        qbar, tree, theta = data
+        want = solved_components(qbar, tree, theta)
+        zeros = [i for i in tree.arrows if want[i] == 0]
+        if not zeros:
+            assert list(tree_components(qbar, tree, theta).items()) == list(want.items())
+            return
+        with pytest.raises(NonRegularStability) as ei:
+            tree_components(qbar, tree, theta)
+        arrow = qbar.arrows[zeros[0]]
+        assert str(ei.value) == f"component of arrow {arrow} vanishes on tree {tree.arrows}"
+        assert ei.value.witness == {"tree": tree.arrows, "arrow": arrow}
+
+    # K(2,2) with a pendant vertex k behind j1; arrows 0-3 form the 4-cycle
+    PENDANT = Quiver.make(["i1", "i2", "j1", "j2", "k"],
+                          [("i1", "j1"), ("i1", "j2"), ("i2", "j1"), ("i2", "j2"),
+                           ("j1", "k")])
+
+    @pytest.mark.parametrize("arrows", [
+        (0, 1, 2),        # a forest that leaves k out; theta is consistent on it
+        (0, 1, 2, 3),     # the 4-cycle, with k left out
+        (0, 1, 2, 3, 4),  # one arrow too many
+    ])
+    def test_non_trees_rejected(self, arrows):
+        theta = stab(self.PENDANT, 1, 1, -1, -1, 0)
+        with pytest.raises(NotNormalized):
+            tree_components(self.PENDANT, SpanningTree(arrows), theta)
+        with pytest.raises(NotATree):
+            wt_residue(self.PENDANT, SpanningTree(arrows), {i: 1 for i in range(5)}, "i1")
+
+    def test_bad_root_rejected(self):
+        with pytest.raises(NotATree):
+            wt_residue(self.PENDANT, SpanningTree((0, 1, 2, 4)), {i: 1 for i in range(5)}, "x")
 
 
 def test_stable_trees_and_weist_count():

@@ -2,14 +2,18 @@
 abelianized JK, large-R limits, and tree-function residues.
 """
 
+import io
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jkscatter import arrangement, cli
 from jkscatter.arrangement import build_arrangement
-from jkscatter.errors import NonRegularStability, NotATree
+from jkscatter.errors import JKScatterError, NonRegularStability, NotATree
 from jkscatter.quiver import (DimVector, Quiver, SpanningTree, Stability,
-                              bipartite_quiver, reduced_quiver)
+                              abelianize, bipartite_quiver, reduced_quiver)
 from jkscatter.quiverjk import (build_ZQ, jk_ab, jk_ab_infinity, jk_global_ZQ,
                                 jk_tree_expansion, lambda_sweep, wt_residue)
 
@@ -95,6 +99,75 @@ class TestTreeExpansion:
         a = build_arrangement(k11, dv(k11, i1=2, j1=1), seed=0)
         with pytest.raises(ValueError):
             jk_tree_expansion(k11, stab(k11, 1, -2), a)
+
+
+def outcome(route, *args):
+    """The value of a JK route, or its error type, message and witness."""
+    try:
+        return route(*args)
+    except JKScatterError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+@st.composite
+def bipartite_zero_one(draw):
+    """K(l1, l2), l1 <= 3, l2 <= 2, with 0/1 entries in d and theta.d = 0."""
+    l1 = draw(st.integers(min_value=1, max_value=3))
+    l2 = draw(st.integers(min_value=1, max_value=2))
+    q = bipartite_quiver(l1, l2)
+    d = draw(st.lists(st.integers(0, 1), min_size=l1 + l2, max_size=l1 + l2)
+             .filter(lambda d: sum(d) >= 2))
+    vals = draw(st.lists(st.integers(-3, 3), min_size=l1 + l2, max_size=l1 + l2))
+    last = max(i for i, x in enumerate(d) if x)
+    vals[last] -= sum(v for v, x in zip(vals, d) if x)
+    return q, DimVector.make(q, dict(zip(q.vertices, d))), stab(q, *vals)
+
+
+class TestTwoRoutes:
+    @given(bipartite_zero_one(), st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_tree_route_matches_global_route(self, data, seed):
+        q, d, theta = data
+        a = build_arrangement(q, d, seed=seed)
+        assert outcome(lambda: jk_tree_expansion(q, theta, a)[0]) == \
+            outcome(jk_global_ZQ, q, theta, a)
+
+
+class TestEnumerationCounts:
+    """Each arrangement enumerates its singular points once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        real = arrangement.singular_points
+
+        def counting(a):
+            seen.append(a)
+            return real(a)
+
+        monkeypatch.setattr(arrangement, "singular_points", counting)
+        return seen
+
+    def test_two_routes_share_one_enumeration(self, calls):
+        k22 = bipartite_quiver(2, 2)
+        th = stab(k22, 3, 1, -2, -2)
+        a = build_arrangement(k22, dv(k22, i1=1, i2=1, j1=1, j2=1), seed=0)
+        assert jk_global_ZQ(k22, th, a) == jk_tree_expansion(k22, th, a)[0]
+        assert len(calls) == 1
+
+    def test_cli_jk_at_lambda(self, calls):
+        code = cli.main(["jk", "--l1", "2", "--l2", "2", "--d", "1,1;1,1",
+                         "--zeta", "3,1,-2,-2", "--lambda", "7"], out=io.StringIO())
+        assert code == 0
+        assert len(calls) == 2  # the seeded arrangement and its lambda-scaled copy
+
+    def test_jk_ab_one_enumeration_per_arrangement(self, calls):
+        k31 = bipartite_quiver(3, 1)
+        d = dv(k31, i1=1, i2=1, i3=1, j1=2)
+        z = stab(k31, 2, 2, 2, -3)
+        assert len(abelianize(k31, d, z)) == 2
+        jk_ab(k31, d, z, rseed=0, lam=Q(1000))
+        assert len(calls) == 4
 
 
 class TestAbelianizedJK:
