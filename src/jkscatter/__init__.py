@@ -7,11 +7,10 @@ from .arrangement import (Arrangement, Flag, SingularPoint, Weight,
                           jk_basis, jk_global, jk_zeta, sample_rcharges,
                           singular_points, theta_lift, zeta_from_theta)
 from .errors import (BadConstantTerm, BadCutoff, CutoffTooSmall,
-                     DegenerateRCharges, Disconnected, HasLoop,
-                     HasOrientedCycle, JKScatterError, NonRegularStability,
-                     NotATree, NotNormalized, NotProjective, NotSumRegular,
-                     ParseError, SingularBasis, ValidationError,
-                     ZeroDenominator)
+                     DegenerateRCharges, HasLoop, HasOrientedCycle,
+                     JKScatterError, NonRegularStability, NotATree,
+                     NotNormalized, NotProjective, NotSumRegular, ParseError,
+                     SingularBasis, ValidationError, ZeroDenominator)
 from .exact import (LinForm, Poly, RationalExpr, change_vars_linear,
                     iterated_residue, residue_step, subst_linear_basis)
 from .quiver import (AbelianizationTerm, DimVector, Quiver, SpanningTree,

@@ -16,9 +16,10 @@ from math import prod
 from .arrangement import build_arrangement, scale_rcharges
 from .errors import (JKScatterError, NonRegularStability, ParseError,
                      ValidationError)
+from .exact import ZERO
 from .quiver import (DimVector, Quiver, Stability, bipartite_quiver,
-                     reduced_quiver, spanning_trees, tree_components,
-                     validate_quiver, weist_count)
+                     spanning_trees, support_quiver, tree_components,
+                     validate_quiver)
 from .quiverjk import (jk_ab, jk_ab_infinity, jk_global_ZQ, jk_tree_expansion)
 from .scattering import (_cd_target, extract_cd, init_bipartite, scatter,
                          verify_main_theorem)
@@ -96,11 +97,14 @@ def _bipartite_inputs(args) -> tuple[Quiver, DimVector, Stability | None]:
 
 def _quiver_inputs(args) -> tuple[Quiver, DimVector, Stability]:
     if args.quiver:
-        return parse_quiver_file(args.quiver)
-    if args.l1 is None or args.l2 is None or not args.d or not args.zeta:
+        q, d, zeta = parse_quiver_file(args.quiver)
+    elif args.l1 is None or args.l2 is None or not args.d or not args.zeta:
         raise ParseError("provide --quiver FILE or all of --l1/--l2/--d/--zeta")
-    q, d, zeta = _bipartite_inputs(args)
-    zeta.check_normalized(d)
+    else:
+        q, d, zeta = _bipartite_inputs(args)
+        zeta.check_normalized(d)
+    if d.total() == 0:
+        raise ValidationError("dimension", "d is zero at every vertex")
     return q, d, zeta
 
 
@@ -157,7 +161,7 @@ def _csv_cell(v):
 
 def _cmd_trees(args, out) -> int:
     q, d, theta = _quiver_inputs(args)
-    qbar, mult = reduced_quiver(q)
+    qbar, mult = support_quiver(q, d)
     rows = []
     for k, tree in enumerate(spanning_trees(qbar)):
         comps = tree_components(qbar, tree, theta)
@@ -171,7 +175,8 @@ def _cmd_trees(args, out) -> int:
     report = {
         "command": "trees",
         "inputs": {"dimension": d.as_dict(), "stability": theta.as_dict()},
-        "results": {"trees": rows, "weist_count": weist_count(q, theta)},
+        "results": {"trees": rows, "weist_count": sum(
+            (row["multiplicity"] for row in rows if row["stable"]), ZERO)},
     }
     if args.csv:
         _emit_csv(rows, ["tree", "arrows", "components", "stable", "multiplicity"], out)
@@ -358,11 +363,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         _emit({"command": args.command, "error": "NonRegularStability",
                "message": str(exc), "witness": exc.witness}, out)
         return EXIT_NONREGULAR
-    except (ParseError, ValidationError, ValueError, OSError) as exc:
-        _emit({"command": args.command, "error": type(exc).__name__,
-               "message": str(exc)}, out)
-        return EXIT_INPUT
-    except JKScatterError as exc:
+    except (JKScatterError, ValueError, OSError) as exc:
         _emit({"command": args.command, "error": type(exc).__name__,
                "message": str(exc)}, out)
         return EXIT_INPUT

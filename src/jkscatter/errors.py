@@ -38,10 +38,6 @@ class HasOrientedCycle(JKScatterError):
         super().__init__(f"oriented cycle through {self.cycle}")
 
 
-class Disconnected(JKScatterError):
-    """The underlying graph of the quiver is not connected."""
-
-
 class UnknownVertex(JKScatterError):
     """A vertex id is not part of the quiver."""
 

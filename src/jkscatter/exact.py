@@ -19,7 +19,7 @@ only pure ``v`` factors create a principal part.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SingularBasis, ZeroDenominator
@@ -136,7 +136,6 @@ def binom_general(e: int, k: int) -> Fraction:
     num = ONE
     for i in range(k):
         num *= e - i
-    from math import factorial
     return num / factorial(k)
 
 
@@ -607,9 +606,6 @@ class RationalExpr:
         return red.scalar * red.num.const_value() * \
             prod(lf.const ** e for lf, e in red.factors)
 
-    def _key(self):
-        return (self.scalar, self.num._key(), self.factors)
-
     def __eq__(self, other):
         if not isinstance(other, RationalExpr):
             return NotImplemented
@@ -631,7 +627,7 @@ class RationalExpr:
 # residues
 # ---------------------------------------------------------------------------
 
-def residue_step(f: RationalExpr, v: str, remaining: Sequence[str] = ()) -> RationalExpr:
+def residue_step(f: RationalExpr, v: str) -> RationalExpr:
     """Coefficient of v**(-1) of f in the iterated-Laurent field, v innermost.
 
     Denominator factors a*v + r with r a nonzero form in the remaining
@@ -686,16 +682,13 @@ def residue_step(f: RationalExpr, v: str, remaining: Sequence[str] = ()) -> Rati
 
 def iterated_residue(f: RationalExpr, order: Sequence[str]) -> Fraction:
     """IR_0(f): fold residue_step over `order` (first entry innermost)."""
-    vars_f = f.variables()
-    if set(order) != vars_f:
-        missing = vars_f - set(order)
-        extra = set(order) - vars_f
-        if missing:
-            raise ValueError(f"order omits variables {sorted(missing)}")
-        # extra variables are fine: residues in them act on a constant
+    missing = f.variables() - set(order)
+    if missing:
+        raise ValueError(f"order omits variables {sorted(missing)}")
+    # extra variables are fine: residues in them act on a constant
     g = f
-    for i, v in enumerate(order):
-        g = residue_step(g, v, order[i + 1:])
+    for v in order:
+        g = residue_step(g, v)
         if g.is_zero():
             return ZERO
     return g.as_fraction()

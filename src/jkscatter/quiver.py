@@ -10,8 +10,8 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Mapping, Sequence
 
-from .errors import (Disconnected, HasLoop, HasOrientedCycle, NonRegularStability,
-                     NotNormalized, UnknownVertex)
+from .errors import (HasLoop, HasOrientedCycle, NonRegularStability, NotNormalized,
+                     UnknownVertex)
 from .exact import ONE, ZERO, qify
 
 Q = Fraction
@@ -42,8 +42,8 @@ def bipartite_quiver(l1: int, l2: int) -> Quiver:
     return Quiver.make(sources + sinks, arrows)
 
 
-def validate_quiver(q: Quiver, require_connected: bool = False) -> None:
-    """Enforce loop-freeness, acyclicity and (optionally) connectivity."""
+def validate_quiver(q: Quiver) -> None:
+    """Enforce known vertices, loop-freeness and acyclicity."""
     vs = set(q.vertices)
     if len(vs) != len(q.vertices):
         raise HasOrientedCycle([])  # duplicate ids would corrupt everything
@@ -70,24 +70,6 @@ def validate_quiver(q: Quiver, require_connected: bool = False) -> None:
     if seen != len(q.vertices):
         cycle = sorted(v for v in q.vertices if indeg[v] > 0)
         raise HasOrientedCycle(cycle)
-    if require_connected and not _is_connected(q.vertices, q.arrows):
-        raise Disconnected("the underlying graph is not connected")
-
-
-def _is_connected(vertices: Sequence[str], arrows) -> bool:
-    if not vertices:
-        return True
-    adj: dict[str, set[str]] = {v: set() for v in vertices}
-    for t, h in arrows:
-        adj[t].add(h)
-        adj[h].add(t)
-    stack, seen = [vertices[0]], {vertices[0]}
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vertices)
 
 
 def reduced_quiver(q: Quiver) -> tuple[Quiver, dict[int, int]]:
@@ -103,6 +85,13 @@ def reduced_quiver(q: Quiver) -> tuple[Quiver, dict[int, int]]:
     return qbar, mult
 
 
+def support_quiver(q: Quiver, d: DimVector) -> tuple[Quiver, dict[int, int]]:
+    """reduced_quiver of the full subquiver of q on the support of d."""
+    support = d.support()
+    return reduced_quiver(Quiver.make(
+        support, [(t, h) for t, h in q.arrows if t in support and h in support]))
+
+
 def skew_euler_form(q: Quiver, a: str, b: str) -> int:
     """<a,b> = #(arrows b->a) - #(arrows a->b)."""
     if a not in q.vertices or b not in q.vertices:
@@ -114,12 +103,19 @@ def skew_euler_form(q: Quiver, a: str, b: str) -> int:
 # dimension vectors and stability
 # ---------------------------------------------------------------------------
 
+def _check_keys(q: Quiver, mapping: Mapping, what: str) -> None:
+    unknown = set(mapping) - set(q.vertices)
+    if unknown:
+        raise UnknownVertex(f"{what} keys {sorted(unknown)} are not vertices")
+
+
 @dataclass(frozen=True)
 class DimVector:
     values: tuple[tuple[str, int], ...]  # (vertex, d_v) in quiver order
 
     @staticmethod
     def make(q: Quiver, mapping: Mapping[str, int]) -> "DimVector":
+        _check_keys(q, mapping, "dimension")
         vals = []
         for v in q.vertices:
             d = int(mapping.get(v, 0))
@@ -153,6 +149,7 @@ class Stability:
 
     @staticmethod
     def make(q: Quiver, mapping: Mapping[str, Fraction]) -> "Stability":
+        _check_keys(q, mapping, "stability")
         return Stability(tuple((v, qify(mapping.get(v, 0))) for v in q.vertices))
 
     def __getitem__(self, v: str) -> Fraction:
@@ -183,12 +180,12 @@ def moduli_dimension(q: Quiver, d: DimVector) -> int:
 @dataclass(frozen=True)
 class SpanningTree:
     arrows: tuple[int, ...]          # indices into the reduced quiver's arrows
-    root: str | None = None
 
 
 def spanning_trees(qbar: Quiver) -> list[SpanningTree]:
-    """All spanning trees of the underlying graph, lexicographic in arrow ids."""
-    validate_quiver(qbar, require_connected=True)
+    """All spanning trees of the underlying graph, lexicographic in arrow ids;
+    none if the graph is disconnected."""
+    validate_quiver(qbar)
     n = len(qbar.vertices)
     out = []
     for combo in itertools.combinations(range(len(qbar.arrows)), n - 1):
@@ -223,12 +220,10 @@ def tree_components(qbar: Quiver, tree: SpanningTree,
 
     Cut arrow alpha: every other arrow adds 0 to theta summed over either
     side, so c_alpha is theta summed over the side that holds alpha's head.
-    Raises NotNormalized unless theta sums to 0 and the arrows form a
-    spanning tree, and NonRegularStability (witness: tree and arrow) on the
-    first zero c_alpha in tree order.
+    Raises NotNormalized unless the arrows form a spanning tree and theta
+    sums to 0 over its vertices, then NonRegularStability (witness: tree and
+    arrow) on the first zero c_alpha in tree order.
     """
-    d_ab = DimVector.make(qbar, {v: 1 for v in qbar.vertices})
-    theta.check_normalized(d_ab)
     walk = _tree_walk(qbar, tree.arrows, qbar.vertices[0])
     if walk is None:
         raise NotNormalized("tree arrows do not form a basis of the hyperplane")
@@ -239,6 +234,8 @@ def tree_components(qbar: Quiver, tree: SpanningTree,
         i, p = parent[v]
         below[p] += below[v]
         comps[i] = below[v] if qbar.arrows[i][1] == v else -below[v]
+    if below[order[0]] != 0:
+        raise NotNormalized(f"sum d_v*theta_v = {below[order[0]]} != 0")
     for i in tree.arrows:
         if comps[i] == 0:
             raise NonRegularStability(

@@ -15,9 +15,9 @@ from .arrangement import (Arrangement, build_arrangement, jk_basis, jk_global,
 from .errors import NonRegularStability, NotATree, NotSumRegular
 from .exact import (LinForm, ONE, Q, RationalExpr, ZERO, qify, residue_step,
                     solve_linear)
-from .quiver import (DimVector, Quiver, SpanningTree, Stability, _is_connected,
-                     _tree_walk, abelianize, moduli_dimension, reduced_quiver,
-                     spanning_trees, tree_components, weist_count)
+from .quiver import (DimVector, Quiver, SpanningTree, Stability, _tree_walk,
+                     abelianize, moduli_dimension, spanning_trees,
+                     support_quiver, tree_components, weist_count)
 
 
 def build_ZQ(q: Quiver, d: DimVector, a: Arrangement,
@@ -78,20 +78,16 @@ def jk_tree_expansion(q: Quiver, theta: Stability,
         raise ValueError("tree expansion needs an abelian dimension vector")
     z = build_ZQ(q, a.dim, a)
     # the arrangement sees only the support of d: trees of the quiver on it
-    support = a.dim.support()
-    qbar, _mult = reduced_quiver(Quiver.make(
-        support, [(t, h) for t, h in q.arrows if t in support and h in support]))
+    qbar, _mult = support_quiver(q, a.dim)
     zeta = zeta_from_theta(a, theta)
     # weights grouped by reduced arrow
     by_reduced: dict[tuple[str, str], list[int]] = {}
     for i, w in enumerate(a.weights):
         by_reduced.setdefault(w.arrow, []).append(i)
-    # a disconnected support has no spanning tree
-    trees = spanning_trees(qbar) if _is_connected(support, qbar.arrows) else []
 
     terms = []
     total = ZERO
-    for tree in trees:
+    for tree in spanning_trees(qbar):
         comps = tree_components(qbar, tree, theta)
         stable = all(c < 0 for c in comps.values())
         comp_tuple = tuple(comps[i] for i in tree.arrows)

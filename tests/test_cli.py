@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from jkscatter import cli
-from jkscatter.errors import ParseError, ValidationError
+from jkscatter import cli, quiver, quiverjk
+from jkscatter.errors import ParseError, UnknownVertex, ValidationError
 
 
 def run(argv):
@@ -64,6 +64,19 @@ class TestParseQuiverFile:
         with pytest.raises(ValidationError) as ei:
             cli.parse_quiver_file(str(p))
         assert ei.value.rule == "normalization"
+
+    @pytest.mark.parametrize("field", ["dimension", "stability"])
+    def test_unknown_key(self, tmp_path, field):
+        raw = dict(K21_FILE)
+        raw[field] = dict(raw[field], zz=4)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(raw))
+        with pytest.raises(UnknownVertex):
+            cli.parse_quiver_file(str(p))
+        code, rep = run_json(["trees", "--quiver", str(p)])
+        assert code == 2
+        assert rep["error"] == "UnknownVertex"
+        assert rep["message"] == f"{field} keys ['zz'] are not vertices"
 
     def test_cycle_named_rule(self, tmp_path):
         raw = dict(K21_FILE, arrows=[{"tail": "i1", "head": "j1"},
@@ -194,6 +207,48 @@ class TestExitCodes:
         assert res["value"] == res["tree_expansion"]["value"] == value
         assert (value == "0/1") == (res["tree_expansion"]["terms"] == [])
 
+    # trees and jk-ab --infinity read the quiver on the support of d too
+    @pytest.mark.parametrize("zeta", ["1,0,-1", "1,5,-1"])
+    def test_trees_zero_in_d(self, zeta):
+        argv = ["--l1", "2", "--l2", "1", "--d", "1,0;1", "--zeta", zeta]
+        code, rep = run_json(["trees", *argv])
+        assert code == 0
+        assert rep["results"]["trees"] == [{
+            "tree": 0, "arrows": [["i1", "j1"]], "components": ["-1/1"],
+            "stable": True, "multiplicity": 1}]
+        assert rep["results"]["weist_count"] == "1/1"
+        code, rep = run_json(["jk-ab", *argv, "--infinity"])
+        assert (code, rep["results"]["value"]) == (0, "1/1")
+
+    def test_disconnected_support_counts_zero(self):
+        argv = ["--l1", "2", "--l2", "1", "--d", "1,1;0", "--zeta", "1,-1,0"]
+        code, rep = run_json(["jk-ab", *argv, "--infinity"])
+        assert (code, rep["results"]["value"]) == (0, "0/1")
+        code, rep = run_json(["trees", *argv])
+        assert code == 0
+        assert rep["results"] == {"trees": [], "weist_count": "0/1"}
+        code, rep = run_json(["jk", *argv])
+        assert code == 0
+        assert rep["results"]["value"] == rep["results"]["tree_expansion"]["value"] == "0/1"
+
+    @pytest.mark.parametrize("argv", [
+        ["jk", "--l1", "1", "--l2", "1", "--d", "0;0", "--zeta", "0,0"],
+        ["jk-ab", "--l1", "1", "--l2", "1", "--d", "0;0", "--zeta", "0,0", "--infinity"],
+        ["jk-ab", "--l1", "1", "--l2", "1", "--d", "0;0", "--zeta", "0,0"],
+        ["trees", "--l1", "1", "--l2", "1", "--d", "0;0", "--zeta", "0,0"],
+    ])
+    def test_zero_d_is_2(self, argv):
+        code, rep = run_json(argv)
+        assert code == 2
+        assert rep["error"] == "ValidationError"
+        assert rep["message"] == "dimension: d is zero at every vertex"
+
+    def test_zero_d_file_is_2(self, tmp_path):
+        p = tmp_path / "zero.json"
+        p.write_text(json.dumps(dict(K21_FILE, dimension={})))
+        code, rep = run_json(["jk", "--quiver", str(p)])
+        assert (code, rep["error"]) == (2, "ValidationError")
+
     def test_nonregular_over_cutoff_is_2(self):
         code, rep = run_json(["verify-main", "--l1", "2", "--l2", "2",
                               "--d", "1,1;1,1", "--zeta", "1,1,-1,-1",
@@ -250,6 +305,30 @@ def test_golden_report(argv, exit_code, digest):
     code, text = run(argv)
     assert code == exit_code
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestTreeEnumerationCounts:
+    """One trees request walks the spanning trees once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        real = quiver.spanning_trees
+
+        def counting(qbar):
+            seen.append(qbar)
+            return real(qbar)
+
+        for module in (quiver, quiverjk, cli):
+            monkeypatch.setattr(module, "spanning_trees", counting)
+        return seen
+
+    @pytest.mark.parametrize("extra", [[], ["--csv"]])
+    def test_one_walk_per_trees_request(self, calls, extra):
+        code, _text = run(["trees", "--l1", "2", "--l2", "2", "--d", "1,1;1,1",
+                           "--zeta", "3,1,-2,-2", *extra])
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestDeterminism:

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jkscatter.errors import (Disconnected, HasLoop, HasOrientedCycle,
-                              NonRegularStability, NotATree, NotNormalized,
-                              UnknownVertex)
+from jkscatter.errors import (HasLoop, HasOrientedCycle, NonRegularStability,
+                              NotATree, NotNormalized, UnknownVertex)
 from jkscatter.exact import solve_linear
 from jkscatter.quiver import (DimVector, Quiver, SpanningTree, Stability,
                               abelianize, bipartite_quiver, moduli_dimension,
@@ -46,10 +45,10 @@ def test_unknown_vertex():
         validate_quiver(Quiver.make(["a"], [("a", "b")]))
 
 
-def test_disconnected():
+def test_disconnected_has_no_spanning_tree():
     q = Quiver.make(["a", "b", "c"], [("a", "b")])
-    with pytest.raises(Disconnected):
-        validate_quiver(q, require_connected=True)
+    assert spanning_trees(q) == []
+    assert weist_count(q, stab(q, 1, -1, 0)) == 0
 
 
 # -- reduced quiver / Euler form --------------------------------------------
@@ -169,6 +168,18 @@ class TestCutSums:
             tree_components(self.PENDANT, SpanningTree(arrows), theta)
         with pytest.raises(NotATree):
             wt_residue(self.PENDANT, SpanningTree(arrows), {i: 1 for i in range(5)}, "i1")
+
+    # theta is checked before the zero coefficient of arrow (i1, j2) in the
+    # second case
+    @pytest.mark.parametrize("vals, total", [
+        ((1, 1, -1, -1, 5), "5"),
+        ((0, 0, 0, 0, "1/2"), "1/2"),
+    ])
+    def test_unnormalized_theta(self, vals, total):
+        theta = stab(self.PENDANT, *vals)
+        with pytest.raises(NotNormalized) as ei:
+            tree_components(self.PENDANT, SpanningTree((0, 1, 2, 4)), theta)
+        assert str(ei.value) == f"sum d_v*theta_v = {total} != 0"
 
     def test_bad_root_rejected(self):
         with pytest.raises(NotATree):
