@@ -3,8 +3,8 @@
 Route one enumerates every singular point of the weight/root arrangement and
 sums the local JK residues.  Route two never looks at singular points: it
 walks the spanning trees of the reduced quiver, lifts each tree arrow back to
-an original arrow, and evaluates one ordered iterated residue per lift.  The
-two answers agree exactly, and are independent of the generic R-charges.
+an original arrow, and evaluates one local residue per lift.  The two answers
+agree exactly, and are independent of the generic R-charges.
 """
 
 from fractions import Fraction as Q

@@ -2,12 +2,14 @@
 
 The ambient space has one coordinate ``u_{v}_{k}`` per vertex v and index
 k = 1..d_v, with one reference coordinate removed (set to 0).  Weights are the
-projections of u_{head,j} - u_{tail,i} displaced by rational R-charges; roots
-are the differences u_{v,j} - u_{v,i} displaced by 1.
+projections of u_{head,j} - u_{tail,i} displaced by rational R-charges, one
+per original arrow; roots are the differences u_{v,j} - u_{v,i} displaced by 1.
 
-The local JK residue at a singular point is a signed sum of flag residues
-(sum over flags whose kappa-cone contains zeta), or the ordered iterated
-residue shortcut when the active set is a basis.
+Exactly n planes meet at every singular point (singular_points rejects
+more), so the local JK residue there is the basis case (Jeffrey-Kirwan 1995,
+Brion-Vergne 1999): it depends only on the signs of zeta's coordinates in
+the basis of active functionals, and jk_basis evaluates it in closed form.
+The flag residues of jk_zeta cover active sets that are not a basis.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (DegenerateRCharges, NonRegularStability, NotProjective,
 from .exact import (LinForm, ONE, Q, RationalExpr, ZERO, in_span,
                     iterated_residue, mat_det, mat_rank, qify, rref,
                     solve_linear, subst_linear_basis)
-from .quiver import DimVector, Quiver, Stability, reduced_quiver, validate_quiver
+from .quiver import DimVector, Quiver, Stability, validate_quiver
 
 Vector = tuple[Fraction, ...]
 
@@ -41,8 +43,7 @@ def coord_name(vertex: str, k: int) -> str:
 class Weight:
     form: LinForm            # linear part (reference coordinate projected out)
     rcharge: Fraction        # hyperplane: form + rcharge = 0
-    multiplicity: int        # exponent of the Z_Q factor
-    arrow: tuple[str, str]   # original (or reduced) arrow
+    arrow: tuple[str, str]   # original arrow
     arrow_index: int
     pair: tuple[int, int]    # (i, j) indices into the tail/head coordinates
 
@@ -55,8 +56,7 @@ class Arrangement:
     reference: tuple[str, int]
     weights: tuple[Weight, ...]
     roots: tuple[LinForm, ...]
-    rcharges: tuple[Fraction, ...]   # one per arrow (split) / reduced arrow
-    split_multiplicities: bool
+    rcharges: tuple[Fraction, ...]   # one per arrow
 
     @property
     def n(self) -> int:
@@ -86,13 +86,11 @@ def sample_rcharges(count: int, seed: int) -> list[Fraction]:
 
 def build_arrangement(q: Quiver, d: DimVector, reference: tuple[str, int] | None = None,
                       rcharges: Sequence[Fraction] | None = None,
-                      seed: int | None = None,
-                      split_multiplicities: bool = True) -> Arrangement:
+                      seed: int | None = None) -> Arrangement:
     """Build the weight/root arrangement of (Q, d) with explicit or seeded R.
 
-    With ``split_multiplicities`` (the default) every original arrow carries
-    its own R-charge and multiplicity-1 weights; otherwise one R-charge and
-    an exponent-m weight is attached per reduced arrow.  When a seed is given
+    Every arrow carries its own R-charge, so parallel arrows give parallel
+    weight hyperplanes and no hyperplane is repeated.  When a seed is given
     the R-charges are resampled (deterministically) up to 32 times until all
     hyperplane intersections are simple.
     """
@@ -113,28 +111,26 @@ def build_arrangement(q: Quiver, d: DimVector, reference: tuple[str, int] | None
             return LinForm()
         return LinForm.var(coord_name(vertex, k))
 
-    if split_multiplicities:
-        carriers = list(enumerate(q.arrows))
-        mults = [1] * len(carriers)
-    else:
-        qbar, mult = reduced_quiver(q)
-        carriers = list(enumerate(qbar.arrows))
-        mults = [mult[i] for i, _ in carriers]
+    def assemble(rc: list[Fraction]) -> Arrangement:
+        weights = tuple(Weight(proj(h, j) - proj(t, i), r, (t, h), idx, (i, j))
+                        for idx, ((t, h), r) in enumerate(zip(q.arrows, rc))
+                        for i in range(1, d[t] + 1) for j in range(1, d[h] + 1))
+        roots = tuple(proj(v, j) - proj(v, i) for v in q.vertices
+                      for i in range(1, d[v] + 1) for j in range(1, d[v] + 1)
+                      if i != j)
+        return Arrangement(q, d, variables, reference, weights, roots, tuple(rc))
 
     if rcharges is not None:
         rc = [qify(r) for r in rcharges]
-        if len(rc) != len(carriers):
-            raise ValueError(f"expected {len(carriers)} R-charges, got {len(rc)}")
-        arr = _assemble(q, d, variables, reference, carriers, mults, rc,
-                        split_multiplicities, proj)
+        if len(rc) != len(q.arrows):
+            raise ValueError(f"expected {len(q.arrows)} R-charges, got {len(rc)}")
+        arr = assemble(rc)
         arr.points  # raises DegenerateRCharges on coincidences
         return arr
     if seed is None:
         raise ValueError("provide explicit rcharges or a seed")
     for attempt in range(MAX_RESAMPLES):
-        rc = sample_rcharges(len(carriers), seed + attempt)
-        arr = _assemble(q, d, variables, reference, carriers, mults, rc,
-                        split_multiplicities, proj)
+        arr = assemble(sample_rcharges(len(q.arrows), seed + attempt))
         try:
             arr.points
             return arr
@@ -150,26 +146,7 @@ def scale_rcharges(a: Arrangement, lam: Fraction) -> Arrangement:
     if lam == 1:
         return a
     return build_arrangement(a.quiver, a.dim, reference=a.reference,
-                             rcharges=[r * lam for r in a.rcharges],
-                             split_multiplicities=a.split_multiplicities)
-
-
-def _assemble(q, d, variables, reference, carriers, mults, rc,
-              split, proj) -> Arrangement:
-    weights = []
-    for (idx, (t, h)), m, r in zip(carriers, mults, rc):
-        for i in range(1, d[t] + 1):
-            for j in range(1, d[h] + 1):
-                form = proj(h, j) - proj(t, i)
-                weights.append(Weight(form, r, m, (t, h), idx, (i, j)))
-    roots = []
-    for v in q.vertices:
-        for i in range(1, d[v] + 1):
-            for j in range(1, d[v] + 1):
-                if i != j:
-                    roots.append(proj(v, j) - proj(v, i))
-    return Arrangement(q, d, variables, reference, tuple(weights), tuple(roots),
-                       tuple(rc), split)
+                             rcharges=[r * lam for r in a.rcharges])
 
 
 # ---------------------------------------------------------------------------
@@ -381,33 +358,55 @@ def jk_zeta(f: RationalExpr, activeset: Sequence[LinForm],
 def jk_basis(f: RationalExpr, basis: Sequence[LinForm],
              zeta: Sequence[Fraction],
              var_order: Sequence[str] | None = None) -> Fraction:
-    """Basis shortcut: 0 outside the positive span, else the ordered IR_0.
+    """Local JK residue at 0 of a germ whose poles lie along a basis.
 
-    The coordinates are ordered by strictly descending components of zeta,
-    innermost variable first carrying the largest component.
+    zeta = sum c_i basis_i: a zero c_i raises NotSumRegular, and the value
+    is 0 unless every c_i is positive.  Inside the cone, every denominator
+    factor lf that vanishes at 0 must be proportional to a basis form,
+    basis_i = kappa_i * lf, else ValueError.  In x_i = basis_i(u) the germ
+    is then g(x) / prod x_i^m_i with g holomorphic at 0, and the residue is
+    the Taylor coefficient of g at x^(m-1), whatever the order of the x_i:
+    0 when some basis form carries no pole, and for simple poles
+
+        scalar * num(0) * prod lf(0)^e * prod kappa_i,
+
+    the first product over the factors that do not vanish at 0 (so 0 when a
+    numerator factor vanishes there).  A pole of order >= 2 takes the
+    iterated residue in the basis order.
     """
     if var_order is None:
         var_order = sorted({v for b in basis for v in b.variables()})
-    var_order = list(var_order)
-    zeta = tuple(qify(x) for x in zeta)
-    cols = [[b.vector(var_order)[i] for b in basis] for i in range(len(var_order))]
-    coeffs = solve_linear(cols, list(zeta))
+    cols = [list(col) for col in zip(*(b.vector(var_order) for b in basis))]
+    coeffs = solve_linear(cols, [qify(x) for x in zeta])
     if coeffs is None:
         raise NotSumRegular("basis is degenerate")
     if any(c == 0 for c in coeffs):
         idx = [i for i, c in enumerate(coeffs) if c == 0]
         raise NotSumRegular(f"zeta has vanishing components {idx} w.r.t. the basis",
                             witness=[basis[i] for i in range(len(basis)) if i not in idx])
-    if len(set(coeffs)) != len(coeffs):
-        raise NotSumRegular("zeta has tied components w.r.t. the basis",
-                            witness=list(coeffs))
     if any(c < 0 for c in coeffs):
         return ZERO
-    ordered_forms = [basis[i] for _, i in
-                     sorted(((c, i) for i, c in enumerate(coeffs)),
-                            key=lambda p: (-p[0], p[1]))]
-    names = [f"x{i + 1}" for i in range(len(ordered_forms))]
-    g = subst_linear_basis(f, ordered_forms, var_order=var_order, new_names=names)
+    kappa = {canon: (i, unit)
+             for i, (unit, canon) in enumerate(b.canonical() for b in basis)}
+    poles = [0] * len(basis)
+    value = f.scalar * f.num.const_value()
+    for lf, e in f.factors:  # canonical forms: lf(0) = lf.const
+        if lf.const != 0:
+            value *= lf.const ** e
+        elif lf in kappa:
+            i, unit = kappa[lf]
+            poles[i] = -e
+            value *= unit
+        elif e < 0:
+            raise ValueError(f"denominator {lf!r} vanishes at 0 off the basis")
+        else:
+            value = ZERO
+    if any(m < 1 for m in poles):
+        return ZERO
+    if all(m == 1 for m in poles):
+        return value
+    names = [f"x{i + 1}" for i in range(len(basis))]
+    g = subst_linear_basis(f, basis, var_order=var_order, new_names=names)
     return iterated_residue(g, names)
 
 
@@ -424,116 +423,40 @@ def theta_lift(a: Arrangement, theta: Stability) -> Vector:
     return tuple(comps)
 
 
-PERTURBATION_SHIFT = 2 ** 40
-
-
 def zeta_from_theta(a: Arrangement, theta: Stability) -> Vector:
-    """zeta = -theta_lift, perturbed (deterministically) to sum-regularity.
+    """zeta = -theta_lift, checked for regularity at every singular point.
 
     The active functionals of every singular point form a basis B
     (singular_points rejects more than n planes through a point), and zeta
     is tested in its coordinates c, zeta = sum c_i B_i.  zeta lies on a
-    plain wall, the span of n-1 active functionals, exactly when some c_i is
-    0: that raises NonRegularStability with the smallest such wall as the
-    witness.  zeta lies on a sum wall, the span of n-1 sums of distinct
-    active functionals, exactly when c lies on a hyperplane spanned by n-1
-    nonzero 0/1 vectors.  Such a failure of mere sum-regularity is repaired
-    by a small perturbation that keeps the sign of every c_i, so zeta stays
-    in the chamber of -theta_lift.
+    wall, the span of n-1 active functionals, exactly when some c_i is 0:
+    that raises NonRegularStability with the smallest such wall as the
+    witness.  Otherwise zeta is returned as it is: the local JK residue at
+    a basis depends only on the signs of the c_i, so ties and other
+    coincidences among them change no value.
     """
-    n = a.n
-    zeta0 = tuple(-x for x in theta_lift(a, theta))
-    if n == 0:
-        # the one singular point is the origin of a zero-dimensional space,
-        # and zeta = () lies on its empty wall
-        raise NonRegularStability("lifted stability lies on an arrangement wall",
-                                  witness=[])
-    bases = []
+    zeta = tuple(-x for x in theta_lift(a, theta))
     walls = []
     for pt in a.points:
         vecs = [f.vector(a.variables) for f in pt.functionals]
-        cols = [list(col) for col in zip(*vecs)]
-        c0 = solve_linear(cols, zeta0)
+        c = solve_linear([list(col) for col in zip(*vecs)], zeta)
         walls.extend(tuple(sorted(vecs[:i] + vecs[i + 1:]))
-                     for i, x in enumerate(c0) if x == 0)
-        bases.append((cols, c0))
+                     for i, x in enumerate(c) if x == 0)
     if walls:
         raise NonRegularStability(
             "lifted stability lies on an arrangement wall",
             witness=[list(w) for w in min(walls)])
-
-    def ok(z: Vector) -> bool:
-        for cols, c0 in bases:
-            c = solve_linear(cols, z)
-            if (any(x * x0 <= 0 for x, x0 in zip(c, c0))
-                    or any(_dot(h, c) == 0 for h in _sum_wall_normals(n))):
-                return False
-        return True
-
-    if ok(zeta0):
-        return zeta0
-
-    # exact deterministic perturbation, shrinking until all checks pass
-    scale = max((abs(x) for x in zeta0), default=ONE) or ONE
-    for t in (3, 5, 7, 11, 13):
-        delta = tuple(Q(1, t ** i) for i in range(1, n + 1))
-        eps = scale / PERTURBATION_SHIFT
-        for _ in range(80):
-            cand = tuple(z + eps * dl for z, dl in zip(zeta0, delta))
-            if ok(cand):
-                return cand
-            eps /= 2
-    raise NotSumRegular("could not perturb zeta to a sum-regular point")
-
-
-@functools.cache
-def _sum_wall_normals(n: int) -> tuple[Vector, ...]:
-    """Normals of the hyperplanes of Q^n spanned by n-1 nonzero 0/1 vectors.
-
-    A sum of distinct elements of a basis has 0/1 coordinates in it, so
-    these are the sum walls of every basis, in its coordinates.  The normal
-    of n-1 vectors is their vector of signed maximal minors (zero when they
-    span less), scaled so that its first nonzero entry is 1.  Once a
-    hyperplane is found, the (n-1)-subsets of its 0/1 vectors are skipped.
-    """
-    cube = [v for v in itertools.product((0, 1), repeat=n) if any(v)]
-    normals = []
-    seen = set()
-    for sub in itertools.combinations(range(len(cube)), n - 1):
-        if sub in seen:
-            continue
-        rows = [cube[i] for i in sub]
-        minors = [(-1) ** i * mat_det([v[:i] + v[i + 1:] for v in rows])
-                  for i in range(n)]
-        lead = next((x for x in minors if x != 0), None)
-        if lead is not None:
-            h = tuple(x / lead for x in minors)
-            normals.append(h)
-            seen.update(itertools.combinations(
-                [j for j, v in enumerate(cube) if _dot(h, v) == 0], n - 1))
-    return tuple(sorted(normals))
-
-
-def _dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+    return zeta
 
 
 def jk_global(f: RationalExpr, a: Arrangement, zeta: Sequence[Fraction]) -> Fraction:
     """Sum over singular points of the local JK of the translated germ."""
     zeta = tuple(qify(x) for x in zeta)
-    n = a.n
     total = ZERO
     for pt in a.points:
-        shift = dict(zip(a.variables, pt.location))
-        germ = f.translate(shift)
-        funcs = list(pt.functionals)
-        vecs = [ff.vector(a.variables) for ff in funcs]
+        germ = f.translate(dict(zip(a.variables, pt.location)))
         try:
-            if len(funcs) == n and mat_rank(vecs) == n:
-                total += jk_basis(germ, funcs, zeta, var_order=a.variables)
-            else:
-                total += jk_zeta(germ, funcs, zeta, dmu_order=a.variables,
-                                 var_order=a.variables)
+            total += jk_basis(germ, pt.functionals, zeta, var_order=a.variables)
         except NotSumRegular as exc:
             raise NonRegularStability(
                 f"zeta is not regular at singular point {pt.location}: {exc}",

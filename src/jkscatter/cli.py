@@ -1,14 +1,16 @@
 """Command-line surface: quiver ingestion, command dispatch, JSON reports.
 
 Exit codes: 0 success / verification pass, 1 verification fail, 2 input
-error, 3 non-regular stability.  Reports are byte-stable for fixed inputs
-and seeds (no timestamps, sorted keys, exact "p/q" rationals).
+error or closed stdout, 3 non-regular stability.  Reports are byte-stable
+for fixed inputs and seeds (no timestamps, sorted keys, exact "p/q"
+rationals).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from math import prod
@@ -358,15 +360,28 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_PASS
     try:
-        return args.func(args, out)
-    except NonRegularStability as exc:
-        _emit({"command": args.command, "error": "NonRegularStability",
-               "message": str(exc), "witness": exc.witness}, out)
-        return EXIT_NONREGULAR
-    except (JKScatterError, ValueError, OSError) as exc:
-        _emit({"command": args.command, "error": type(exc).__name__,
-               "message": str(exc)}, out)
+        try:
+            code = args.func(args, out)
+        except BrokenPipeError:
+            raise
+        except NonRegularStability as exc:
+            _emit({"command": args.command, "error": "NonRegularStability",
+                   "message": str(exc), "witness": exc.witness}, out)
+            code = EXIT_NONREGULAR
+        except (JKScatterError, ValueError, OSError) as exc:
+            _emit({"command": args.command, "error": type(exc).__name__,
+                   "message": str(exc)}, out)
+            code = EXIT_INPUT
+        out.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: no report can reach it, and the buffered
+        # rest must not fail again when the interpreter flushes it at exit
+        if out is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
         return EXIT_INPUT
+    return code
 
 
 if __name__ == "__main__":

@@ -25,7 +25,8 @@ def build_ZQ(q: Quiver, d: DimVector, a: Arrangement,
     """The meromorphic form of the arrangement.
 
     paper mode: (-1)^(|d|-1) * prod_roots r/(r-1) * prod_weights
-    ((rho+R-1)/(rho+R))^m; mero mode multiplies by (-1)^D.
+    (rho+R-1)/(rho+R), one weight factor per original arrow and index pair,
+    so every pole is simple; mero mode multiplies by (-1)^D.
     """
     scalar = Q(-1) ** (d.total() - 1)
     if sign_mode == "mero":
@@ -37,8 +38,8 @@ def build_ZQ(q: Quiver, d: DimVector, a: Arrangement,
         factors.append((r, 1))
         factors.append((r - 1, -1))
     for w in a.weights:
-        factors.append((w.form + (w.rcharge - 1), w.multiplicity))
-        factors.append((w.form + w.rcharge, -w.multiplicity))
+        factors.append((w.form + (w.rcharge - 1), 1))
+        factors.append((w.form + w.rcharge, -1))
     return RationalExpr(scalar, factors)
 
 

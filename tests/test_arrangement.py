@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jkscatter.arrangement import (PERTURBATION_SHIFT, _sum_wall_normals,
-                                   build_arrangement, enumerate_flags,
+from jkscatter import quiverjk
+from jkscatter.arrangement import (build_arrangement, enumerate_flags,
                                    flag_residue, jk_basis, jk_global, jk_zeta,
                                    sample_rcharges, scale_rcharges,
                                    singular_points, theta_lift,
@@ -16,10 +16,12 @@ from jkscatter.arrangement import (PERTURBATION_SHIFT, _sum_wall_normals,
 from jkscatter.errors import (DegenerateRCharges, JKScatterError,
                               NonRegularStability, NotProjective,
                               NotSumRegular)
-from jkscatter.exact import (LinForm, RationalExpr, in_span, mat_det,
-                             mat_rank)
+from jkscatter.exact import (LinForm, Poly, RationalExpr, in_span,
+                             iterated_residue, mat_det, mat_rank,
+                             subst_linear_basis)
 from jkscatter.quiver import DimVector, Quiver, Stability, bipartite_quiver
-from jkscatter.quiverjk import build_ZQ
+from jkscatter.quiverjk import (build_ZQ, jk_ab, jk_ab_infinity, jk_global_ZQ,
+                                jk_tree_expansion)
 
 KRON2 = Quiver.make(["1", "2"], [("1", "2"), ("1", "2")])
 
@@ -48,14 +50,9 @@ class TestBuildArrangement:
         assert a.variables == ("u_1_1",)
         assert a.reference == ("2", 1)
         assert len(a.weights) == 2 and len(a.roots) == 0
-        assert all(w.multiplicity == 1 for w in a.weights)
+        assert [w.arrow_index for w in a.weights] == [0, 1]
         # weight functionals are -u (head coordinate is the reference)
         assert all(w.form == lf(u_1_1=-1) for w in a.weights)
-
-    def test_reduced_mode_single_weight(self):
-        a = build_arrangement(KRON2, dv(KRON2, **{"1": 1, "2": 1}),
-                              rcharges=[Q(1, 3)], split_multiplicities=False)
-        assert len(a.weights) == 1 and a.weights[0].multiplicity == 2
 
     def test_roots_appear_for_higher_rank(self):
         k11 = bipartite_quiver(1, 1)
@@ -84,14 +81,14 @@ class TestBuildArrangement:
 
     def test_scale_rcharges(self):
         d = dv(KRON2, **{"1": 1, "2": 1})
-        a = build_arrangement(KRON2, d, rcharges=[Q(1, 3)], split_multiplicities=False)
+        a = build_arrangement(KRON2, d, rcharges=[Q(1, 3), Q(2, 5)])
         assert scale_rcharges(a, Q(1)) is a
         b = scale_rcharges(a, Q(7))
-        assert b.rcharges == (Q(7, 3),) and b.reference == a.reference
-        assert b.weights[0].multiplicity == 2
+        assert b.rcharges == (Q(7, 3), Q(14, 5)) and b.reference == a.reference
+        assert [w.rcharge for w in b.weights] == [Q(7, 3), Q(14, 5)]
         # the scaled arrangement is validated on its own
         with pytest.raises(DegenerateRCharges):
-            scale_rcharges(build_arrangement(KRON2, d, rcharges=[Q(1, 3), Q(2, 5)]), Q(0))
+            scale_rcharges(a, Q(0))
 
 
 class TestSingularPoints:
@@ -175,9 +172,39 @@ class TestJKBasis:
                         var_order=("u", "w")) == 0
 
     def test_tied_components_raise(self):
+        # the basis case depends only on the signs of zeta's coordinates
         f = RationalExpr(1, ((lf(u=1), -1), (lf(w=1), -1)))
-        with pytest.raises(NotSumRegular):
-            jk_basis(f, [lf(u=1), lf(w=1)], (Q(1), Q(1)), var_order=("u", "w"))
+        values = [jk_basis(f, [lf(u=1), lf(w=1)], zeta, var_order=("u", "w"))
+                  for zeta in ((Q(1), Q(1)), (Q(2), Q(1)), (Q(1), Q(2)))]
+        assert values == [1, 1, 1]
+
+    def test_closed_form_at_simple_poles(self):
+        # 3 (1+u) (u+w-1) / (u (u+w+1) (2w)) in x = (2u, -3w): the unit
+        # factors give 1, -1 and 1 at 0, and 1/u = 2/x1, 1/(2w) = (-3/2)/x2
+        basis = [lf(u=2), lf(w=-3)]
+        f = RationalExpr(3, ((lf(u=1) + 1, 1), (lf(u=1, w=1) - 1, 1),
+                             (lf(u=1), -1), (lf(u=1, w=1) + 1, -1),
+                             (lf(w=2), -1)))
+        zeta = (Q(2), Q(-3))
+        assert jk_basis(f, basis, zeta, var_order=("u", "w")) == \
+            3 * -1 * 2 * Q(-3, 2) == \
+            iterated_residue(subst_linear_basis(f, basis, ("u", "w")), ["x1", "x2"])
+        # a numerator factor vanishing at 0, or a basis form without a pole
+        for g in (RationalExpr(1, ((lf(u=1, w=1), 1),)), RationalExpr(1, ((lf(w=1), 1),))):
+            assert jk_basis(f * g, basis, zeta, var_order=("u", "w")) == 0
+
+    def test_double_pole(self):
+        # (1 + u + 5w + u^2) / (u^2 w): the Taylor coefficient at u^1 w^0
+        f = RationalExpr(1, ((lf(u=1), -2), (lf(w=1), -1)),
+                         Poly({(): 1, (("u", 1),): 1, (("w", 1),): 5,
+                               (("u", 2),): 1}))
+        assert jk_basis(f, [lf(u=1), lf(w=1)], (Q(1), Q(1)),
+                        var_order=("u", "w")) == 1
+
+    def test_denominator_off_the_basis(self):
+        f = RationalExpr(1, ((lf(u=1), -1), (lf(w=1), -1), (lf(u=1, w=1), -1)))
+        with pytest.raises(ValueError):
+            jk_basis(f, [lf(u=1), lf(w=1)], (Q(2), Q(1)), var_order=("u", "w"))
 
     def test_agrees_with_flag_sum(self):
         basis = (lf(u=1), lf(u=1, w=1))
@@ -185,6 +212,83 @@ class TestJKBasis:
         zeta = (Q(3), Q(1))
         assert jk_basis(f, basis, zeta, var_order=("u", "w")) == \
             jk_zeta(f, basis, zeta, ("u", "w"), var_order=("u", "w"))
+
+
+NAMES = ("u1", "u2", "u3")
+small = st.integers(min_value=-3, max_value=3)
+nonzero = small.filter(bool)
+
+
+@st.composite
+def simple_germs(draw):
+    """A germ at 0 with poles along a random basis, a zeta and the basis.
+
+    Each basis form b_i gives the pole (b_i / k_i)^-e, e = 1 or 2; extra
+    factors are units at 0 or vanishing numerators, some of them along a
+    basis form, and the polynomial numerator is random.  A random linear
+    denominator may be added; ``off`` says that the germ has a vanishing
+    denominator that is not along the basis.
+    """
+    n = draw(st.integers(min_value=1, max_value=3))
+    names = NAMES[:n]
+
+    def form(const=0):
+        return LinForm(dict(zip(names, draw(st.lists(small, min_size=n, max_size=n)))),
+                       const)
+
+    basis = [form() for _ in range(n)]
+    assume(mat_det([b.vector(names) for b in basis]) != 0)
+    factors = [(b * Q(1, draw(nonzero)), -draw(st.sampled_from((1, 1, 1, 2))))
+               for b in basis]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        unit = form(draw(nonzero))
+        factors.append((unit, draw(st.sampled_from((-2, -1, 1, 2)))))
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        vanishing = (basis[draw(st.integers(0, n - 1))] * draw(nonzero)
+                     if draw(st.booleans()) else form())
+        assume(not vanishing.is_zero())
+        factors.append((vanishing, draw(st.integers(min_value=1, max_value=2))))
+    if draw(st.booleans()):
+        extra = form()
+        assume(not extra.is_zero())
+        factors.append((extra, -1))
+    num = Poly({tuple((v, 1) for v in sub): draw(small)
+                for r in range(3) for sub in itertools.combinations(names, r)})
+    # mostly inside the cone, where the residue is taken: ties are welcome
+    coeffs = draw(st.lists(st.sampled_from((1, 2, 3, 1, 2, 3, -1, 0)),
+                           min_size=n, max_size=n))
+    zeta = tuple(sum((c * b.vector(names)[k] for c, b in zip(coeffs, basis)), Q(0))
+                 for k in range(n))
+    f = RationalExpr(draw(nonzero), factors, num)
+    along = {b.canonical()[1] for b in basis}
+    off = any(e < 0 and lf.const == 0 and lf not in along for lf, e in f.factors)
+    return f, basis, zeta, coeffs, off
+
+
+class TestClosedForm:
+    """jk_basis against the iterated residue in every order of the basis."""
+
+    @given(simple_germs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_iterated_residue_in_every_order(self, case):
+        f, basis, zeta, coeffs, off = case
+        names = NAMES[:len(basis)]
+        if any(c == 0 for c in coeffs):
+            with pytest.raises(NotSumRegular):
+                jk_basis(f, basis, zeta, var_order=names)
+            return
+        if any(c < 0 for c in coeffs):
+            assert jk_basis(f, basis, zeta, var_order=names) == 0
+            return
+        if off:
+            with pytest.raises(ValueError):
+                jk_basis(f, basis, zeta, var_order=names)
+            return
+        value = jk_basis(f, basis, zeta, var_order=names)
+        xs = [f"x{i + 1}" for i in range(len(basis))]
+        for perm in itertools.permutations(basis):
+            g = subst_linear_basis(f, perm, var_order=names, new_names=xs)
+            assert iterated_residue(g, xs) == value
 
 
 # -- zeta from theta -----------------------------------------------------------
@@ -197,11 +301,16 @@ class TestZetaFromTheta:
         assert lifted == (1, 1)  # two i1 coordinates; j1 holds the reference
 
     def test_tied_theta_gets_perturbed(self):
+        # the raw lift is tied and stays as it is: the tie changes no value
         k21 = bipartite_quiver(2, 1)
+        theta = stab(k21, 1, 1, -2)
         a = build_arrangement(k21, dv(k21, i1=1, i2=1, j1=1), seed=5)
-        zeta = zeta_from_theta(a, stab(k21, 1, 1, -2))
-        assert zeta != (-1, -1)          # the raw lift is tied, hence moved
-        assert all(abs(z + 1) < Q(1, 1000) for z in zeta)
+        zeta = zeta_from_theta(a, theta)
+        assert zeta == (-1, -1)
+        z = build_ZQ(k21, a.dim, a)
+        untied = (Q(-1) + Q(1, 1000), Q(-1) + Q(1, 10 ** 6))
+        assert jk_global(z, a, zeta) == jk_global(z, a, untied) == 1
+        assert jk_tree_expansion(k21, theta, a)[0] == 1
 
     def test_wall_theta_rejected(self):
         # K(2,2) with the symmetric stability: the lift lies on a plain wall
@@ -212,8 +321,14 @@ class TestZetaFromTheta:
         assert ei.value.witness
 
 
+PERTURBATION_SHIFT = 2 ** 40
+
+
 def reference_zeta_from_theta(a, theta):
     """The all-subsets span scan over plain and sum walls (test reference).
+
+    It perturbs zeta off every sum wall, as the library once did; the
+    library now returns the raw lift, which must give the same JK values.
 
     A plain wall is the span of n-1 active functionals at a singular point,
     a sum wall the span of n-1 sums of distinct active functionals.  The
@@ -295,31 +410,35 @@ class TestRegularityInBasisCoordinates:
     @settings(max_examples=150, deadline=None)
     def test_matches_all_subsets_scan(self, case):
         a, theta = case
-        assert outcome(zeta_from_theta, a, theta) == \
-            outcome(reference_zeta_from_theta, a, theta)
-
-    @pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 9), (4, 45)])
-    def test_sum_wall_hyperplanes(self, n, count):
-        # every hyperplane spanned by n-1 nonzero 0/1 vectors, as the set of
-        # 0/1 vectors it contains, by a span test on every (n-1)-subset:
-        # v lies in the span of n-1 independent vectors iff det(sub, v) = 0
-        cube = [v for v in itertools.product((0, 1), repeat=n) if any(v)]
-        spans = {frozenset(v for v in cube if mat_det(list(sub) + [v]) == 0)
-                 for sub in itertools.combinations(cube, n - 1)
-                 if mat_rank(sub) == n - 1}
-        normals = _sum_wall_normals(n)
-        assert len(normals) == len(spans) == count
-        assert {frozenset(v for v in cube
-                          if sum(h * x for h, x in zip(normal, v)) == 0)
-                for normal in normals} == spans
+        expected = outcome(reference_zeta_from_theta, a, theta)
+        got = outcome(zeta_from_theta, a, theta)
+        if expected[0] != "value":
+            assert got == expected
+            return
+        raw = tuple(-x for x in theta_lift(a, theta))
+        assert got == ("value", raw)
+        perturbed = expected[1]
+        z = build_ZQ(a.quiver, a.dim, a)
+        value = jk_global(z, a, perturbed)
+        assert jk_global(z, a, raw) == value
+        if a.dim.is_abelian() and sum(a.dim[v] * theta[v] for v in a.quiver.vertices) == 0:
+            assert jk_tree_expansion(a.quiver, theta, a)[0] == value
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(quiverjk, "zeta_from_theta", lambda _a, _t: perturbed)
+                assert jk_tree_expansion(a.quiver, theta, a)[0] == value
 
     def test_zero_dimensional_witness_is_empty(self):
+        # n = 0: the one singular point has an empty basis and no wall, so
+        # zeta = () is regular and every route counts the point once
         k11 = bipartite_quiver(1, 1)
-        a = build_arrangement(k11, dv(k11, i1=1, j1=0), seed=0)
+        d, theta = dv(k11, i1=1, j1=0), stab(k11, 0, 0)
+        a = build_arrangement(k11, d, seed=0)
         assert a.n == 0
-        with pytest.raises(NonRegularStability) as ei:
-            zeta_from_theta(a, stab(k11, 0, 0))
-        assert ei.value.witness == []
+        assert zeta_from_theta(a, theta) == ()
+        assert jk_global_ZQ(k11, theta, a) == 1
+        assert jk_tree_expansion(k11, theta, a)[0] == 1
+        assert jk_ab(k11, d, theta, rseed=0) == 1
+        assert jk_ab_infinity(k11, d, theta) == 1
 
 
 # -- global JK -----------------------------------------------------------------

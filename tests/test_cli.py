@@ -3,6 +3,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -257,12 +261,54 @@ class TestExitCodes:
         assert rep["error"] == "CutoffTooSmall"
 
 
+class ClosedOut(io.StringIO):
+    """An output whose reader has gone: every write fails."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["scatter", "--l1", "1", "--l2", "1", "--order", "3"],
+        ["jk", "--l1", "2", "--l2", "2", "--d", "1,1;1,1", "--zeta", "1,1,-1,-1"],
+        ["trees", "--quiver", "/nonexistent.json"],
+    ])
+    def test_in_process(self, argv):
+        out = ClosedOut()
+        assert cli.main(argv, out=out) == 2
+        assert out.writes == 1  # no second report after the failed one
+
+    def test_closed_pipe(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from jkscatter.cli import main; sys.exit(main())",
+                 "jk", "--l1", "2", "--l2", "1", "--d", "1,1;1", "--zeta", "1,1,-2"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (2, b"")
+
+
 # (argv, exit code, sha256 of stdout), frozen from the reports of the
 # full-cutoff completion and of the all-subsets regularity scan; the first
-# three JK requests perturb zeta, the next two pin the witnesses (n = 0
-# too); the last five, frozen from the linear-solve tree coefficients and
-# the twice-enumerated arrangements, pin the tree listings, the tree wall
-# witness, a weist count and a lambda-scaled JK report
+# three JK requests have zeta on sum walls, which change no value, the next
+# pins a wall witness, and the n = 0 request, frozen from the closed-form
+# local residue, gives 1 like trees; the last five, frozen from the
+# linear-solve tree coefficients and the twice-enumerated arrangements, pin
+# the tree listings, the tree wall witness, a weist count and a
+# lambda-scaled JK report
 GOLDEN_REPORTS = [
     (["scatter", "--l1", "2", "--l2", "2", "--order", "5"], 0,
      "c6d235579044cd25d46b43157a12af600c8649b418963582c43be16db84488b6"),
@@ -281,8 +327,8 @@ GOLDEN_REPORTS = [
      "ee1045ffb7dbc9aa84eaff743609f2fdb349c8ec6d45a678aca27add392aa110"),
     (["jk", "--l1", "2", "--l2", "2", "--d", "1,1;1,1", "--zeta", "1,1,-1,-1"], 3,
      "d78bbc8a8fb14d3fdd916bd82f23b7a78787f61000972e71347a0b6f74606638"),
-    (["jk", "--l1", "1", "--l2", "1", "--d", "1;0", "--zeta", "0,0"], 3,
-     "337af0d9f8bdc958a383b8de8af4b0905179d492956751fd31715fe82a6a7712"),
+    (["jk", "--l1", "1", "--l2", "1", "--d", "1;0", "--zeta", "0,0"], 0,
+     "eaa132f8c5cd84ba5879661e7bf3afecfb289db7c3c6c5ac4c2d66c7a4ce008d"),
     (["trees", "--l1", "2", "--l2", "2", "--d", "1,1;1,1", "--zeta", "3,1,-2,-2"], 0,
      "50126906a423d4c72478c76204d56a73c13e0bc0e74b57f0752f61c6f6a968fd"),
     (["trees", "--l1", "3", "--l2", "2", "--d", "1,1,1;1,1", "--zeta", "2,2,2,-3,-3",

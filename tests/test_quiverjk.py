@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jkscatter import arrangement, cli
+from jkscatter import arrangement, cli, exact, quiverjk
 from jkscatter.arrangement import build_arrangement
 from jkscatter.errors import JKScatterError, NonRegularStability, NotATree
 from jkscatter.quiver import (DimVector, Quiver, SpanningTree, Stability,
@@ -48,9 +48,9 @@ class TestBuildZQ:
         d = dv(k11, i1=2, j1=1)
         a = build_arrangement(k11, d, seed=0)
         z = build_ZQ(k11, d, a)
-        # proportional root factors merge, so count multiplicity-weighted degree
+        # proportional root factors merge; each weight gives two factors
         assert sum(abs(e) for _, e in z.factors) == \
-            2 * len(a.roots) + 2 * sum(w.multiplicity for w in a.weights)
+            2 * len(a.roots) + 2 * len(a.weights)
 
     def test_mero_sign(self):
         d = dv(KRON2, **{"1": 1, "2": 1})
@@ -168,6 +168,40 @@ class TestEnumerationCounts:
         assert len(abelianize(k31, d, z)) == 2
         jk_ab(k31, d, z, rseed=0, lam=Q(1000))
         assert len(calls) == 4
+
+
+class TestLocalResidueCounts:
+    """A jk request takes every local residue in closed form, and checks
+    the regularity of zeta with one solve per singular point."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--l1", "2", "--l2", "2", "--d", "1,1;1,1", "--zeta", "3,1,-2,-2"],
+        ["--l1", "1", "--l2", "1", "--d", "2;1", "--zeta", "1,-2"],  # roots too
+    ])
+    def test_jk_request(self, monkeypatch, argv):
+        def no_residue(*_args, **_kw):
+            raise AssertionError("a local residue left the closed form")
+
+        for module in (arrangement, exact):
+            monkeypatch.setattr(module, "iterated_residue", no_residue)
+            monkeypatch.setattr(module, "subst_linear_basis", no_residue)
+        solves = []
+        real_solve = arrangement.solve_linear
+        monkeypatch.setattr(arrangement, "solve_linear",
+                            lambda *a: solves.append(a) or real_solve(*a))
+        per_point = []
+        real_zeta = quiverjk.zeta_from_theta
+
+        def counting_zeta(a, theta):
+            before = len(solves)
+            zeta = real_zeta(a, theta)
+            per_point.append((len(solves) - before, len(a.points)))
+            return zeta
+
+        monkeypatch.setattr(quiverjk, "zeta_from_theta", counting_zeta)
+        code = cli.main(["jk", *argv], out=io.StringIO())
+        assert code == 0
+        assert per_point and all(n == points for n, points in per_point)
 
 
 class TestAbelianizedJK:
