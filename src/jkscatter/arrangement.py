@@ -8,8 +8,10 @@ per original arrow; roots are the differences u_{v,j} - u_{v,i} displaced by 1.
 Exactly n planes meet at every singular point (singular_points rejects
 more), so the local JK residue there is the basis case (Jeffrey-Kirwan 1995,
 Brion-Vergne 1999): it depends only on the signs of zeta's coordinates in
-the basis of active functionals, and jk_basis evaluates it in closed form.
-The flag residues of jk_zeta cover active sets that are not a basis.
+the basis of active planes.  jk_basis takes those planes as affine forms,
+finds the point where they meet and reads the residue off the form's
+factors there, in closed form.  The flag residues of jk_zeta cover active
+sets that are not a basis.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import Sequence
 from .errors import (DegenerateRCharges, NonRegularStability, NotProjective,
                      NotSumRegular)
 from .exact import (LinForm, ONE, Q, RationalExpr, ZERO, in_span,
-                    iterated_residue, mat_det, mat_rank, qify, rref,
-                    solve_linear, subst_linear_basis)
+                    iterated_residue, mat_det, mat_inverse, mat_rank, qify,
+                    rref, solve_linear, subst_linear_basis)
 from .quiver import DimVector, Quiver, Stability, validate_quiver
 
 Vector = tuple[Fraction, ...]
@@ -45,7 +47,6 @@ class Weight:
     rcharge: Fraction        # hyperplane: form + rcharge = 0
     arrow: tuple[str, str]   # original arrow
     arrow_index: int
-    pair: tuple[int, int]    # (i, j) indices into the tail/head coordinates
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ def sample_rcharges(count: int, seed: int) -> list[Fraction]:
     return [Q(rng.randrange(1, RC_DENOMINATOR), RC_DENOMINATOR) for _ in range(count)]
 
 
-def build_arrangement(q: Quiver, d: DimVector, reference: tuple[str, int] | None = None,
+def build_arrangement(q: Quiver, d: DimVector,
                       rcharges: Sequence[Fraction] | None = None,
                       seed: int | None = None) -> Arrangement:
     """Build the weight/root arrangement of (Q, d) with explicit or seeded R.
@@ -92,15 +93,13 @@ def build_arrangement(q: Quiver, d: DimVector, reference: tuple[str, int] | None
     Every arrow carries its own R-charge, so parallel arrows give parallel
     weight hyperplanes and no hyperplane is repeated.  When a seed is given
     the R-charges are resampled (deterministically) up to 32 times until all
-    hyperplane intersections are simple.
+    hyperplane intersections are simple.  The reference coordinate is the
+    last index of the last vertex in the support of d.
     """
     validate_quiver(q)
-    if reference is None:
-        last = d.support()[-1]
-        reference = (last, d[last])
-    rv, rk = reference
-    if d[rv] < rk or rk < 1:
-        raise ValueError(f"reference coordinate ({rv},{rk}) does not exist")
+    rv = d.support()[-1]
+    rk = d[rv]
+    reference = (rv, rk)
 
     variables = tuple(coord_name(v, k)
                       for v in q.vertices for k in range(1, d[v] + 1)
@@ -112,7 +111,7 @@ def build_arrangement(q: Quiver, d: DimVector, reference: tuple[str, int] | None
         return LinForm.var(coord_name(vertex, k))
 
     def assemble(rc: list[Fraction]) -> Arrangement:
-        weights = tuple(Weight(proj(h, j) - proj(t, i), r, (t, h), idx, (i, j))
+        weights = tuple(Weight(proj(h, j) - proj(t, i), r, (t, h), idx)
                         for idx, ((t, h), r) in enumerate(zip(q.arrows, rc))
                         for i in range(1, d[t] + 1) for j in range(1, d[h] + 1))
         roots = tuple(proj(v, j) - proj(v, i) for v in q.vertices
@@ -145,8 +144,7 @@ def scale_rcharges(a: Arrangement, lam: Fraction) -> Arrangement:
     lam = qify(lam)
     if lam == 1:
         return a
-    return build_arrangement(a.quiver, a.dim, reference=a.reference,
-                             rcharges=[r * lam for r in a.rcharges])
+    return build_arrangement(a.quiver, a.dim, rcharges=[r * lam for r in a.rcharges])
 
 
 # ---------------------------------------------------------------------------
@@ -157,30 +155,29 @@ def scale_rcharges(a: Arrangement, lam: Fraction) -> Arrangement:
 class SingularPoint:
     location: Vector                     # w.r.t. the arrangement's variables
     active: tuple[int, ...]              # indices into hyperplanes()
-    functionals: tuple[LinForm, ...]     # linear parts of the active planes
+    functionals: tuple[LinForm, ...]     # the active planes as affine forms,
+                                         # each 0 at the location
 
 
 def singular_points(a: Arrangement) -> list[SingularPoint]:
     """All isolated intersections of n hyperplanes, with their active sets."""
-    planes = a.hyperplanes()
+    planes = [lf + off for lf, off in a.hyperplanes()]
     n = a.n
     order = a.variables
+    vecs = [p.vector(order) for p in planes]
     pts: dict[Vector, None] = {}
     for combo in itertools.combinations(range(len(planes)), n):
-        rows = [planes[i][0].vector(order) for i in combo]
-        b = [-planes[i][1] for i in combo]
-        sol = solve_linear(rows, b)
+        sol = solve_linear([vecs[i] for i in combo], [-planes[i].const for i in combo])
         if sol is not None:
             pts[tuple(sol)] = None
     out = []
     for loc in sorted(pts):
         point = dict(zip(order, loc))
-        active = tuple(i for i, (lf, off) in enumerate(planes)
-                       if lf.evaluate(point) + off == 0)
+        active = tuple(i for i, p in enumerate(planes) if p.evaluate(point) == 0)
         if len(active) > n:
             raise DegenerateRCharges(
                 f"{len(active)} hyperplanes meet at {loc} (max {n})")
-        out.append(SingularPoint(loc, active, tuple(planes[i][0] for i in active)))
+        out.append(SingularPoint(loc, active, tuple(planes[i] for i in active)))
     return out
 
 
@@ -358,54 +355,62 @@ def jk_zeta(f: RationalExpr, activeset: Sequence[LinForm],
 def jk_basis(f: RationalExpr, basis: Sequence[LinForm],
              zeta: Sequence[Fraction],
              var_order: Sequence[str] | None = None) -> Fraction:
-    """Local JK residue at 0 of a germ whose poles lie along a basis.
+    """Local JK residue of f at the point p where the planes basis_i = 0 meet.
 
-    zeta = sum c_i basis_i: a zero c_i raises NotSumRegular, and the value
-    is 0 unless every c_i is positive.  Inside the cone, every denominator
-    factor lf that vanishes at 0 must be proportional to a basis form,
-    basis_i = kappa_i * lf, else ValueError.  In x_i = basis_i(u) the germ
-    is then g(x) / prod x_i^m_i with g holomorphic at 0, and the residue is
-    the Taylor coefficient of g at x^(m-1), whatever the order of the x_i:
-    0 when some basis form carries no pole, and for simple poles
+    The basis forms are affine; linear forms meet at p = 0.  One inverse of
+    their linear parts gives p and zeta's coordinates, zeta = sum c_i
+    basis_i: a zero c_i raises NotSumRegular, and the value is 0 unless
+    every c_i is positive.  Inside the cone, every denominator factor lf
+    that vanishes at p must be proportional to a basis form, basis_i =
+    kappa_i * lf, else ValueError.  In x_i = basis_i(u) the form is then
+    g(x) / prod x_i^m_i with g holomorphic at x = 0, and the residue is the
+    Taylor coefficient of g at x^(m-1), whatever the order of the x_i: 0
+    when some basis form carries no pole, and for simple poles
 
-        scalar * num(0) * prod lf(0)^e * prod kappa_i,
+        scalar * num(p) * prod lf(p)^e * prod kappa_i,
 
-    the first product over the factors that do not vanish at 0 (so 0 when a
+    the first product over the factors that do not vanish at p (so 0 when a
     numerator factor vanishes there).  A pole of order >= 2 takes the
     iterated residue in the basis order.
     """
     if var_order is None:
         var_order = sorted({v for b in basis for v in b.variables()})
-    cols = [list(col) for col in zip(*(b.vector(var_order) for b in basis))]
-    coeffs = solve_linear(cols, [qify(x) for x in zeta])
-    if coeffs is None:
+    n = len(basis)
+    minv = mat_inverse([b.vector(var_order) for b in basis]) \
+        if len(var_order) == n else None
+    if minv is None:
         raise NotSumRegular("basis is degenerate")
+    zeta = [qify(x) for x in zeta]
+    coeffs = [sum((zeta[k] * minv[k][i] for k in range(n)), ZERO) for i in range(n)]
     if any(c == 0 for c in coeffs):
         idx = [i for i, c in enumerate(coeffs) if c == 0]
         raise NotSumRegular(f"zeta has vanishing components {idx} w.r.t. the basis",
-                            witness=[basis[i] for i in range(len(basis)) if i not in idx])
+                            witness=[basis[i] for i in range(n) if i not in idx])
     if any(c < 0 for c in coeffs):
         return ZERO
+    point = {v: -sum((row[i] * basis[i].const for i in range(n)), ZERO)
+             for v, row in zip(var_order, minv)}
     kappa = {canon: (i, unit)
              for i, (unit, canon) in enumerate(b.canonical() for b in basis)}
-    poles = [0] * len(basis)
-    value = f.scalar * f.num.const_value()
-    for lf, e in f.factors:  # canonical forms: lf(0) = lf.const
-        if lf.const != 0:
-            value *= lf.const ** e
+    poles = [0] * n
+    value = f.scalar * f.num.evaluate(point)
+    for lf, e in f.factors:
+        at_p = lf.evaluate(point)
+        if at_p != 0:
+            value *= at_p ** e
         elif lf in kappa:
             i, unit = kappa[lf]
             poles[i] = -e
             value *= unit
         elif e < 0:
-            raise ValueError(f"denominator {lf!r} vanishes at 0 off the basis")
+            raise ValueError(f"denominator {lf!r} vanishes at p off the basis")
         else:
             value = ZERO
     if any(m < 1 for m in poles):
         return ZERO
     if all(m == 1 for m in poles):
         return value
-    names = [f"x{i + 1}" for i in range(len(basis))]
+    names = [f"x{i + 1}" for i in range(n)]
     g = subst_linear_basis(f, basis, var_order=var_order, new_names=names)
     return iterated_residue(g, names)
 
@@ -450,13 +455,13 @@ def zeta_from_theta(a: Arrangement, theta: Stability) -> Vector:
 
 
 def jk_global(f: RationalExpr, a: Arrangement, zeta: Sequence[Fraction]) -> Fraction:
-    """Sum over singular points of the local JK of the translated germ."""
+    """Sum over singular points of the local JK of f, read where the
+    point's active planes meet."""
     zeta = tuple(qify(x) for x in zeta)
     total = ZERO
     for pt in a.points:
-        germ = f.translate(dict(zip(a.variables, pt.location)))
         try:
-            total += jk_basis(germ, pt.functionals, zeta, var_order=a.variables)
+            total += jk_basis(f, pt.functionals, zeta, var_order=a.variables)
         except NotSumRegular as exc:
             raise NonRegularStability(
                 f"zeta is not regular at singular point {pt.location}: {exc}",

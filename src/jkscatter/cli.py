@@ -299,21 +299,21 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="jkscatter")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, zeta=True):
+    def common(p):
         p.add_argument("--quiver", help="JSON quiver file")
         p.add_argument("--l1", type=int)
         p.add_argument("--l2", type=int)
         p.add_argument("--d", help="dimension vector, e.g. 1,1;1")
-        if zeta:
-            p.add_argument("--zeta", help="stability vector, e.g. 1,1,-2")
-        p.add_argument("--csv", action="store_true")
+        p.add_argument("--zeta", help="stability vector, e.g. 1,1,-2")
 
     p = sub.add_parser("trees")
     common(p)
+    p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_trees)
 
     p = sub.add_parser("jk")
     common(p)
+    p.add_argument("--csv", action="store_true")
     p.add_argument("--lambda", dest="lam", default="1")
     p.add_argument("--rcharges", help='explicit "p/q,..." or seed:<u64>',
                    default="seed:0")

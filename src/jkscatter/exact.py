@@ -222,11 +222,6 @@ class LinForm:
                 out = out + repl * c
         return out
 
-    def translate(self, shift: Mapping[str, Fraction]) -> "LinForm":
-        """The form u -> self(u + shift): only the constant moves."""
-        delta = sum((c * qify(shift.get(v, ZERO)) for v, c in self.coeffs.items()), ZERO)
-        return LinForm(self.coeffs, self.const + delta)
-
     def canonical(self) -> tuple[Fraction, "LinForm"]:
         """Return (unit, canon) with self = unit * canon.
 
@@ -591,13 +586,6 @@ class RationalExpr:
                             tuple((lf.subs(mapping), e) for lf, e in self.factors),
                             self.num.subs(mapping))
 
-    def translate(self, shift: Mapping[str, Fraction]) -> "RationalExpr":
-        """Germ at `shift`: the function u -> f(u + shift)."""
-        mapping = {v: LinForm({v: 1}, qify(c)) for v, c in shift.items()}
-        return RationalExpr(self.scalar,
-                            tuple((lf.translate(shift), e) for lf, e in self.factors),
-                            self.num.subs(mapping))
-
     def as_fraction(self) -> Fraction:
         """Value of a variable-free expression."""
         red = self.reduce()
@@ -699,8 +687,10 @@ def subst_linear_basis(f: RationalExpr, basis: Sequence[LinForm],
                        new_names: Sequence[str] | None = None) -> RationalExpr:
     """Express f in coordinates x_i = basis_i(u) (substitution only).
 
-    Returns f(u(x)) in variables named x1..xn (or `new_names`), without the
-    Jacobian factor.  Raises SingularBasis when the basis is degenerate.
+    The basis forms may be affine: the point where they all vanish goes to
+    x = 0.  Returns f(u(x)) in variables named x1..xn (or `new_names`),
+    without the Jacobian factor.  Raises SingularBasis when the basis is
+    degenerate.
     """
     if var_order is None:
         var_order = sorted(f.variables() | {v for b in basis for v in b.variables()})
@@ -709,11 +699,12 @@ def subst_linear_basis(f: RationalExpr, basis: Sequence[LinForm],
         raise SingularBasis(f"basis of size {n} for {len(var_order)} variables")
     if new_names is None:
         new_names = [f"x{i + 1}" for i in range(n)]
-    m = [[b.coeff(u) for u in var_order] for b in basis]  # x = M u
+    m = [[b.coeff(u) for u in var_order] for b in basis]  # x = M u + c
     minv = mat_inverse(m)
     if minv is None:
         raise SingularBasis("basis matrix is singular")
-    mapping = {u: LinForm({new_names[i]: minv[j][i] for i in range(n)})
+    mapping = {u: LinForm({new_names[i]: minv[j][i] for i in range(n)},
+                          -sum((minv[j][i] * basis[i].const for i in range(n)), ZERO))
                for j, u in enumerate(var_order)}
     return f.subs_linear(mapping)
 

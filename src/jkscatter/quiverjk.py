@@ -93,17 +93,15 @@ def jk_tree_expansion(q: Quiver, theta: Stability,
         stable = all(c < 0 for c in comps.values())
         comp_tuple = tuple(comps[i] for i in tree.arrows)
         for lift in itertools.product(*(by_reduced[qbar.arrows[i]] for i in tree.arrows)):
-            forms = [a.weights[i].form for i in lift]
-            rows = [f.vector(a.variables) for f in forms]
-            rhs = [-a.weights[i].rcharge for i in lift]
-            point = solve_linear(rows, rhs)
+            planes = [a.weights[i].form + a.weights[i].rcharge for i in lift]
+            point = solve_linear([p.vector(a.variables) for p in planes],
+                                 [-p.const for p in planes])
             if point is None:
                 raise NotATree("tree weights do not form a basis")
             local = ZERO
             if stable:
-                germ = z.translate(dict(zip(a.variables, point)))
                 try:
-                    local = jk_basis(germ, forms, zeta, var_order=a.variables)
+                    local = jk_basis(z, planes, zeta, var_order=a.variables)
                 except NotSumRegular as exc:
                     raise NonRegularStability(
                         f"zeta not regular for tree {tree.arrows}: {exc}",

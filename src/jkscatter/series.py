@@ -124,14 +124,7 @@ class TruncatedSeries:
         (xa, ya, _), c = units[0]
         lead_inv = TruncatedSeries(self.params, self.cutoff, {(-xa, -ya, z): ONE / c})
         g = (self * lead_inv) - 1  # nilpotent
-        out = TruncatedSeries.const(self.params, self.cutoff, 1)
-        gp = TruncatedSeries.const(self.params, self.cutoff, 1)
-        for n in range(1, self.cutoff + 1):
-            gp = gp * g
-            if gp.is_zero():
-                break
-            out = out + gp.scale((-1) ** n)
-        return out * lead_inv
+        return g._power_sum(1, lambda n: (-1) ** n) * lead_inv
 
     def power(self, e: int) -> "TruncatedSeries":
         if e < 0:
@@ -149,26 +142,25 @@ class TruncatedSeries:
     def exp(self) -> "TruncatedSeries":
         if self.param_degree_zero_part():
             raise BadConstantTerm("exp requires an element == 0 mod parameters")
-        out = TruncatedSeries.const(self.params, self.cutoff, 1)
+        return self._power_sum(1, lambda n: Fraction(1, factorial(n)))
+
+    def log(self) -> "TruncatedSeries":
+        if self.param_degree_zero_part() != {(0, 0): ONE}:
+            raise BadConstantTerm("log requires an element == 1 mod parameters")
+        return (self - 1)._power_sum(0, lambda n: Fraction((-1) ** (n + 1), n))
+
+    def _power_sum(self, a0, a) -> "TruncatedSeries":
+        """a0 + sum_{n >= 1} a(n) * self^n, stopping once self^n is 0.
+
+        self must be nilpotent (0 mod parameters), so the sum is finite.
+        """
+        out = TruncatedSeries.const(self.params, self.cutoff, a0)
         gp = TruncatedSeries.const(self.params, self.cutoff, 1)
         for n in range(1, self.cutoff + 1):
             gp = gp * self
             if gp.is_zero():
                 break
-            out = out + gp.scale(Fraction(1, factorial(n)))
-        return out
-
-    def log(self) -> "TruncatedSeries":
-        if self.param_degree_zero_part() != {(0, 0): ONE}:
-            raise BadConstantTerm("log requires an element == 1 mod parameters")
-        g = self - 1
-        out = TruncatedSeries.const(self.params, self.cutoff, 0)
-        gp = TruncatedSeries.const(self.params, self.cutoff, 1)
-        for n in range(1, self.cutoff + 1):
-            gp = gp * g
-            if gp.is_zero():
-                break
-            out = out + gp.scale(Fraction((-1) ** (n + 1), n))
+            out = out + gp.scale(a(n))
         return out
 
     # -- identity / display

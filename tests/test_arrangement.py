@@ -290,6 +290,26 @@ class TestClosedForm:
             g = subst_linear_basis(f, perm, var_order=names, new_names=xs)
             assert iterated_residue(g, xs) == value
 
+    @given(simple_germs(),
+           st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                    min_size=len(NAMES), max_size=len(NAMES)))
+    @settings(max_examples=200, deadline=None)
+    def test_shifted_germ_is_read_at_its_point(self, case, shift):
+        # u -> u - p in f and in the basis: the planes now meet at p, and
+        # the local residue there is the one the germ had at 0
+        f, basis, zeta, _coeffs, _off = case
+        names = NAMES[:len(basis)]
+        move = {v: LinForm({v: 1}, -p) for v, p in zip(names, shift)}
+
+        def local(g, planes):
+            try:
+                return jk_basis(g, planes, zeta, var_order=names)
+            except (NotSumRegular, ValueError) as exc:
+                return type(exc)
+
+        assert local(f.subs_linear(move), [b.subs(move) for b in basis]) == \
+            local(f, basis)
+
 
 # -- zeta from theta -----------------------------------------------------------
 

@@ -172,6 +172,12 @@ class TestExitCodes:
         code, _text = run(["verify-main", "--l1", "2"])
         assert code == 2
 
+    def test_jk_ab_csv_is_unknown(self):
+        # jk-ab reports one value as JSON; it has no table to print
+        code, text = run(["jk-ab", "--l1", "1", "--l2", "1", "--d", "2;1",
+                          "--zeta", "1,-2", "--infinity", "--csv"])
+        assert code == 2 and text == ""
+
     def test_missing_file_is_2(self):
         code, rep = run_json(["trees", "--quiver", "/nonexistent.json"])
         assert code == 2

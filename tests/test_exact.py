@@ -171,10 +171,6 @@ class TestLinForm:
         unit, canon = LinForm.constant(Q(-5, 3)).canonical()
         assert unit == Q(-5, 3) and canon == LinForm.constant(1)
 
-    def test_translate(self):
-        f = lf(x=1, const=1)
-        assert f.translate({"x": Q(2)}) == lf(x=1, const=3)
-
 
 class TestPoly:
     def test_product_and_eval(self):
@@ -225,11 +221,6 @@ class TestRationalExpr:
     def test_evaluate(self):
         f = RationalExpr(3, ((lf(x=1, const=1), -2),))
         assert f.evaluate({"x": Q(1)}) == Q(3, 4)
-
-    def test_translate(self):
-        f = RationalExpr(1, ((lf(x=1, const=-1), -1),))
-        g = f.translate({"x": Q(1)})
-        assert g.evaluate({"x": Q(2)}) == Q(1, 2)
 
 
 class TestResidues:
@@ -286,6 +277,14 @@ class TestChangeOfVariables:
         f = RationalExpr(1, ((lf(u=1, w=1), -1), (lf(u=1, w=-1), -1)))
         g = subst_linear_basis(f, [lf(u=1, w=1), lf(u=1, w=-1)], var_order=["u", "w"])
         assert iterated_residue(g, ["x1", "x2"]) == 1
+
+    def test_affine_basis_moves_the_point_to_zero(self):
+        # x1 = u+w-3, x2 = u-w-1 vanish at (u, w) = (2, 1), where u = 2
+        x1, x2 = lf(u=1, w=1, const=-3), lf(u=1, w=-1, const=-1)
+        f = RationalExpr(1, ((lf(u=1), 1), (x1, -1), (x2, -2)))
+        g = subst_linear_basis(f, [x1, x2], var_order=["u", "w"])
+        assert g == RationalExpr(1, ((lf(x1=Q(1, 2), x2=Q(1, 2), const=2), 1),
+                                     (lf(x1=1), -1), (lf(x2=1), -2)))
 
     def test_singular_basis_raises(self):
         f = RationalExpr(1, ((lf(u=1), -1),))
