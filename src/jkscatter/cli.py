@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from .arrangement import build_arrangement, scale_rcharges
 from .errors import (JKScatterError, NonRegularStability, ParseError,
@@ -108,6 +108,20 @@ def _quiver_inputs(args) -> tuple[Quiver, DimVector, Stability]:
     if d.total() == 0:
         raise ValidationError("dimension", "d is zero at every vertex")
     return q, d, zeta
+
+
+def _ray(text: str | None) -> tuple[int, int] | None:
+    """Parse --ray "a,b" into a primitive nonzero direction (a, b)."""
+    if text is None:
+        return None
+    try:
+        a, b = (int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise ParseError(f"--ray {text!r}: expected two integers a,b") from exc
+    if gcd(a, b) != 1:
+        raise ParseError(f"--ray {text!r}: direction must be nonzero and primitive "
+                         f"(gcd(a, b) = 1)")
+    return a, b
 
 
 def _rcharges(args, count: int):
@@ -236,11 +250,8 @@ def _cmd_jk_ab(args, out) -> int:
 
 
 def _cmd_scatter(args, out) -> int:
+    ray_filter = _ray(args.ray)  # reject a bad direction before paying for the diagram
     diagram = scatter(init_bipartite(args.l1, args.l2, args.order))
-    ray_filter = None
-    if args.ray:
-        a, b = (int(x) for x in args.ray.split(","))
-        ray_filter = (a, b)
     walls = []
     for w in diagram.walls:
         if ray_filter and w.direction != ray_filter:

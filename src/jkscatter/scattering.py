@@ -18,7 +18,7 @@ from .errors import BadCutoff, CutoffTooSmall, ValidationError
 from .exact import Q, ZERO
 from .quiver import DimVector, Stability, bipartite_quiver, moduli_dimension
 from .quiverjk import jk_ab_infinity
-from .series import TruncatedSeries
+from .series import Coeff, TruncatedSeries
 
 # pairing <(a,b),(c,d)> = a*d - b*c
 def _pair(m: tuple[int, int], v: tuple[int, int]) -> int:
@@ -168,13 +168,13 @@ def scatter(d0: ScatteringDiagram) -> ScatteringDiagram:
         if w.support == "ray":
             rays.setdefault(w.direction, w)
     for k in range(1, d.cutoff + 1):
-        defects: dict[tuple[int, int, tuple[int, ...]], list[Fraction]] = {}
+        defects: dict[tuple[int, int, tuple[int, ...]], list[Coeff]] = {}
         for slot, g in enumerate(_loop_defects(_truncated(d, k))):
             for (xe, ye, p), c in g.terms.items():
                 if sum(p) < k:
                     raise ValidationError(
                         "scatter", f"defect at x^{xe} y^{ye} {p} left below degree {k}")
-                defects.setdefault((xe, ye, p), [ZERO, ZERO])[slot] = c
+                defects.setdefault((xe, ye, p), [0, 0])[slot] = c
         for (xe, ye, p) in sorted(defects, key=lambda t: _angular_key(_primitive(t[0], t[1]))):
             cx, cy = defects[(xe, ye, p)]
             if xe <= 0 or ye <= 0:

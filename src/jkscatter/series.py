@@ -4,6 +4,14 @@ Elements live in Q[x^{±1}, y^{±1}][s_1..s_{l1}, t_1..t_{l2}] / (parameter
 total degree > cutoff).  The monomial variables x, y are invertible; the
 parameters are nilpotent of the cutoff order, so all series inversions,
 exponentials and logarithms terminate.
+
+A coefficient is stored as an exact ``int`` when it is integral and as a
+``Fraction`` otherwise.  Wall functions of the tropical vertex have integer
+coefficients (Gross-Pandharipande, "Quivers, curves, and the tropical
+vertex"), so products in ``scatter`` stay in ``int`` arithmetic; Python's
+numeric tower moves a sum or product to ``Fraction`` when an operand is one.
+Every division is ``Fraction``-exact, and ``coefficient`` returns a
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -13,56 +21,54 @@ from math import factorial
 from typing import Mapping, Sequence
 
 from .errors import BadConstantTerm
-from .exact import ONE, ZERO, qify
+from .exact import ONE, qify
 
 # term key: (x_exp, y_exp, param_exponent_tuple)
 Key = tuple[int, int, tuple[int, ...]]
+Coeff = int | Fraction
 
 
 class TruncatedSeries:
+    """A truncated series; ``terms`` maps ``(x_exp, y_exp, param_exps)`` to a
+    nonzero coefficient, an ``int`` when integral and else a ``Fraction``."""
+
     __slots__ = ("params", "cutoff", "terms")
 
     def __init__(self, params: Sequence[str], cutoff: int,
-                 terms: Mapping[Key, Fraction] | None = None):
+                 terms: Mapping[Key, Coeff] | None = None):
         self.params = tuple(params)
         self.cutoff = int(cutoff)
-        t: dict[Key, Fraction] = {}
+        t: dict[Key, Coeff] = {}
         if terms:
             for k, c in terms.items():
-                c = qify(c)
-                if c != 0 and sum(k[2]) <= self.cutoff:
+                if type(c) is not int:
+                    c = qify(c)
+                    if c.denominator == 1:
+                        c = c.numerator
+                if c and sum(k[2]) <= self.cutoff:
                     t[k] = c
         self.terms = t
 
     # -- constructors
     @classmethod
     def const(cls, params, cutoff, c) -> "TruncatedSeries":
-        return cls(params, cutoff, {(0, 0, (0,) * len(params)): qify(c)})
+        return cls(params, cutoff, {(0, 0, (0,) * len(params)): c})
 
     @classmethod
     def monomial(cls, params, cutoff, xe=0, ye=0, pexp: Mapping[str, int] | None = None,
                  coeff=1) -> "TruncatedSeries":
-        pv = [0] * len(params)
-        if pexp:
-            idx = {p: i for i, p in enumerate(params)}
-            for p, e in pexp.items():
-                pv[idx[p]] = e
-        return cls(params, cutoff, {(xe, ye, tuple(pv)): qify(coeff)})
+        return cls(params, cutoff, {(xe, ye, _exponents(params, pexp or {})): coeff})
 
     # -- queries
     def is_zero(self) -> bool:
         return not self.terms
 
-    def param_degree_zero_part(self) -> dict[tuple[int, int], Fraction]:
+    def param_degree_zero_part(self) -> dict[tuple[int, int], Coeff]:
         z = (0,) * len(self.params)
         return {(xe, ye): c for (xe, ye, p), c in self.terms.items() if p == z}
 
     def coefficient(self, xe: int, ye: int, pexp: Mapping[str, int]) -> Fraction:
-        pv = [0] * len(self.params)
-        idx = {p: i for i, p in enumerate(self.params)}
-        for p, e in pexp.items():
-            pv[idx[p]] = e
-        return self.terms.get((xe, ye, tuple(pv)), ZERO)
+        return Fraction(self.terms.get((xe, ye, _exponents(self.params, pexp)), 0))
 
     def _compatible(self, other: "TruncatedSeries"):
         if self.params != other.params or self.cutoff != other.cutoff:
@@ -75,7 +81,7 @@ class TruncatedSeries:
         self._compatible(other)
         t = dict(self.terms)
         for k, c in other.terms.items():
-            t[k] = t.get(k, ZERO) + c
+            t[k] = t.get(k, 0) + c
         return TruncatedSeries(self.params, self.cutoff, t)
 
     __radd__ = __add__
@@ -89,7 +95,8 @@ class TruncatedSeries:
         return self + (-other)
 
     def scale(self, s) -> "TruncatedSeries":
-        s = qify(s)
+        if type(s) is not int:
+            s = qify(s)
         return TruncatedSeries(self.params, self.cutoff,
                                {k: c * s for k, c in self.terms.items()})
 
@@ -97,15 +104,20 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         self._compatible(other)
-        t: dict[Key, Fraction] = {}
-        cut = self.cutoff
+        # other's terms by parameter degree: a left term of degree d1 meets
+        # only the buckets of degree <= cutoff - d1
+        buckets: dict[int, list] = {}
+        for (x2, y2, p2), c2 in other.terms.items():
+            buckets.setdefault(sum(p2), []).append((x2, y2, p2, c2))
+        t: dict[Key, Coeff] = {}
         for (x1, y1, p1), c1 in self.terms.items():
-            d1 = sum(p1)
-            for (x2, y2, p2), c2 in other.terms.items():
-                if d1 + sum(p2) > cut:
+            room = self.cutoff - sum(p1)
+            for d2, bucket in buckets.items():
+                if d2 > room:
                     continue
-                k = (x1 + x2, y1 + y2, tuple(a + b for a, b in zip(p1, p2)))
-                t[k] = t.get(k, ZERO) + c1 * c2
+                for x2, y2, p2, c2 in bucket:
+                    k = (x1 + x2, y1 + y2, tuple(a + b for a, b in zip(p1, p2)))
+                    t[k] = t.get(k, 0) + c1 * c2
         return TruncatedSeries(self.params, self.cutoff, t)
 
     __rmul__ = __mul__
@@ -189,6 +201,15 @@ class TruncatedSeries:
             m = "*".join(mono)
             bits.append(f"{c}" + (f"*{m}" if m else ""))
         return " + ".join(bits)
+
+
+def _exponents(params: Sequence[str], pexp: Mapping[str, int]) -> tuple[int, ...]:
+    """The exponent tuple of the parameter monomial pexp, in params order."""
+    for p in pexp:
+        if p not in params:
+            raise ValueError(f"unknown parameter {p!r}; "
+                             f"the series has {', '.join(params) or 'none'}")
+    return tuple(pexp.get(p, 0) for p in params)
 
 
 def series_exp_log(g: TruncatedSeries, direction: str) -> TruncatedSeries:

@@ -203,6 +203,17 @@ class TestExitCodes:
         assert code == 2
         assert rep["error"] == "CutoffTooSmall"
 
+    @pytest.mark.parametrize("ray", ["0,0", "2,2", "1", "1,x"])
+    def test_bad_ray_is_2_before_scatter(self, monkeypatch, ray):
+        def no_scatter(_d0):
+            raise AssertionError("scatter ran for a rejected --ray")
+        monkeypatch.setattr(cli, "scatter", no_scatter)
+        code, rep = run_json(["scatter", "--l1", "1", "--l2", "1",
+                              "--order", "3", "--ray", ray])
+        assert code == 2
+        assert rep["error"] == "ParseError"
+        assert rep["message"].startswith(f"--ray {ray!r}: ")
+
     # a zero in d: the tree route walks the quiver on the support of d only
     @pytest.mark.parametrize("l1, l2, d, zeta, value", [
         ("3", "1", "1,0,0;1", "1,2,-2,-1", "1/1"),

@@ -247,6 +247,22 @@ class TestParameterSymmetry:
             extract_cd(d, dv(k21, i1=0, i2=1, j1=1))
 
 
+class TestIntegrality:
+    """Wall coefficients of the tropical vertex are integers
+    (Gross-Pandharipande), so series products in scatter run on int."""
+
+    @pytest.mark.parametrize("l1, l2, cutoff",
+                             [(1, 1, 8), (2, 1, 7), (2, 2, 6), (3, 2, 5), (3, 3, 4)])
+    def test_wall_coefficients_are_int(self, l1, l2, cutoff):
+        for w in scatter(init_bipartite(l1, l2, cutoff)).walls:
+            assert all(type(c) is int for c in w.function.terms.values()), w.direction
+
+    def test_extract_cd_is_a_fraction(self):
+        k11 = bipartite_quiver(1, 1)
+        c = extract_cd(scatter(init_bipartite(1, 1, 4)), dv(k11, i1=2, j1=2))
+        assert type(c) is Q and c == Q(-1, 4)
+
+
 class TestVerifyMain:
     def test_k21(self):
         k21 = bipartite_quiver(2, 1)
@@ -254,6 +270,7 @@ class TestVerifyMain:
             2, 1, dv(k21, i1=1, i2=1, j1=1),
             Stability.make(k21, {"i1": Q(1), "i2": Q(1), "j1": Q(-2)}), 4)
         assert r.passed and r.lhs == r.rhs == 1 and r.moduli_dim == 0
+        assert type(r.lhs) is Q and type(r.rhs) is Q
 
     def test_k11(self):
         k11 = bipartite_quiver(1, 1)
