@@ -4,7 +4,7 @@ tropical vertex, over arbitrary-precision rationals.
 
 from .arrangement import (Arrangement, Flag, SingularPoint, Weight,
                           build_arrangement, enumerate_flags, flag_residue,
-                          jk_basis, jk_global, jk_zeta, sample_rcharges,
+                          jk_basis, jk_global, jk_zeta, meet, sample_rcharges,
                           singular_points, theta_lift, zeta_from_theta)
 from .errors import (BadConstantTerm, BadCutoff, CutoffTooSmall,
                      DegenerateRCharges, HasLoop, HasOrientedCycle,
@@ -24,7 +24,7 @@ from .quiverjk import (TreeExpansion, TreeExpansionTerm, build_ZQ, jk_ab,
 from .scattering import (ScatteringDiagram, VerificationResult, Wall,
                          cross_wall, extract_cd, init_bipartite, loop_product,
                          scatter, verify_main_theorem)
-from .series import TruncatedSeries, series_exp_log
+from .series import TruncatedSeries
 
 __version__ = "0.1.0"
 

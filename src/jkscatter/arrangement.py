@@ -8,10 +8,11 @@ per original arrow; roots are the differences u_{v,j} - u_{v,i} displaced by 1.
 Exactly n planes meet at every singular point (singular_points rejects
 more), so the local JK residue there is the basis case (Jeffrey-Kirwan 1995,
 Brion-Vergne 1999): it depends only on the signs of zeta's coordinates in
-the basis of active planes.  jk_basis takes those planes as affine forms,
-finds the point where they meet and reads the residue off the form's
-factors there, in closed form.  The flag residues of jk_zeta cover active
-sets that are not a basis.
+the basis of active planes.  meet eliminates each basis once, and its
+SingularPoint keeps the inverse of the planes' linear parts: zeta_from_theta
+and jk_basis read zeta's coordinates there, and jk_basis reads the residue
+off the form's factors in closed form.  The flag residues of jk_zeta cover
+active sets that are not a basis.
 """
 
 from __future__ import annotations
@@ -154,31 +155,53 @@ def scale_rcharges(a: Arrangement, lam: Fraction) -> Arrangement:
 @dataclass(frozen=True)
 class SingularPoint:
     location: Vector                     # w.r.t. the arrangement's variables
-    active: tuple[int, ...]              # indices into hyperplanes()
+    active: tuple[int, ...]              # indices into hyperplanes(), or ()
     functionals: tuple[LinForm, ...]     # the active planes as affine forms,
                                          # each 0 at the location
+    inverse: tuple[Vector, ...]          # inverse of the functionals' linear parts
+
+    def coordinates(self, zeta: Sequence[Fraction]) -> list[Fraction]:
+        """c with zeta = sum c_i (linear part of functional i): zeta M^-1."""
+        return [sum((qify(z) * row[i] for z, row in zip(zeta, self.inverse)), ZERO)
+                for i in range(len(self.inverse))]
+
+
+def meet(planes: Sequence[LinForm], var_order: Sequence[str],
+         active: tuple[int, ...] = ()) -> SingularPoint | None:
+    """The point where the affine planes p_i = 0 meet, or None unless they
+    form a basis (n = len(var_order) planes with independent linear parts).
+
+    One inverse M^-1 of the linear parts gives the location -M^-1 const and
+    stays on the point: zeta's coordinates in the basis are zeta M^-1.
+    """
+    n = len(var_order)
+    minv = mat_inverse([p.vector(var_order) for p in planes]) if len(planes) == n else None
+    if minv is None:
+        return None
+    location = tuple(-sum((row[i] * planes[i].const for i in range(n)), ZERO)
+                     for row in minv)
+    return SingularPoint(location, active, tuple(planes), tuple(map(tuple, minv)))
 
 
 def singular_points(a: Arrangement) -> list[SingularPoint]:
-    """All isolated intersections of n hyperplanes, with their active sets."""
+    """All points where n hyperplanes meet, sorted by location.
+
+    Each combination of n planes is met once.  Where exactly n planes pass
+    through a point, only their own combination finds it; a second
+    combination landing on a stored location means more than n planes
+    meet there (basis exchange), which raises DegenerateRCharges at once.
+    """
     planes = [lf + off for lf, off in a.hyperplanes()]
-    n = a.n
-    order = a.variables
-    vecs = [p.vector(order) for p in planes]
-    pts: dict[Vector, None] = {}
-    for combo in itertools.combinations(range(len(planes)), n):
-        sol = solve_linear([vecs[i] for i in combo], [-planes[i].const for i in combo])
-        if sol is not None:
-            pts[tuple(sol)] = None
-    out = []
-    for loc in sorted(pts):
-        point = dict(zip(order, loc))
-        active = tuple(i for i, p in enumerate(planes) if p.evaluate(point) == 0)
-        if len(active) > n:
+    pts: dict[Vector, SingularPoint] = {}
+    for combo in itertools.combinations(range(len(planes)), a.n):
+        pt = meet([planes[i] for i in combo], a.variables, combo)
+        if pt is None:
+            continue
+        if pt.location in pts:
             raise DegenerateRCharges(
-                f"{len(active)} hyperplanes meet at {loc} (max {n})")
-        out.append(SingularPoint(loc, active, tuple(planes[i] for i in active)))
-    return out
+                f"more than {a.n} hyperplanes meet at {pt.location}")
+        pts[pt.location] = pt
+    return [pts[loc] for loc in sorted(pts)]
 
 
 # ---------------------------------------------------------------------------
@@ -352,20 +375,20 @@ def jk_zeta(f: RationalExpr, activeset: Sequence[LinForm],
     return total
 
 
-def jk_basis(f: RationalExpr, basis: Sequence[LinForm],
-             zeta: Sequence[Fraction],
-             var_order: Sequence[str] | None = None) -> Fraction:
-    """Local JK residue of f at the point p where the planes basis_i = 0 meet.
+def jk_basis(f: RationalExpr, point: SingularPoint, zeta: Sequence[Fraction],
+             var_order: Sequence[str]) -> Fraction:
+    """Local JK residue of f at a point where a basis of planes meets.
 
-    The basis forms are affine; linear forms meet at p = 0.  One inverse of
-    their linear parts gives p and zeta's coordinates, zeta = sum c_i
-    basis_i: a zero c_i raises NotSumRegular, and the value is 0 unless
-    every c_i is positive.  Inside the cone, every denominator factor lf
-    that vanishes at p must be proportional to a basis form, basis_i =
-    kappa_i * lf, else ValueError.  In x_i = basis_i(u) the form is then
-    g(x) / prod x_i^m_i with g holomorphic at x = 0, and the residue is the
-    Taylor coefficient of g at x^(m-1), whatever the order of the x_i: 0
-    when some basis form carries no pole, and for simple poles
+    The point (from meet) carries its basis forms basis_i, its location p
+    and the inverse M^-1 of their linear parts, so zeta's coordinates,
+    zeta = sum c_i basis_i, are c = zeta M^-1 with no elimination here: a
+    zero c_i raises NotSumRegular, and the value is 0 unless every c_i is
+    positive.  Inside the cone, every denominator factor lf that vanishes
+    at p must be proportional to a basis form, basis_i = kappa_i * lf, else
+    ValueError.  In x_i = basis_i(u) the form is then g(x) / prod x_i^m_i
+    with g holomorphic at x = 0, and the residue is the Taylor coefficient
+    of g at x^(m-1), whatever the order of the x_i: 0 when some basis form
+    carries no pole, and for simple poles
 
         scalar * num(p) * prod lf(p)^e * prod kappa_i,
 
@@ -373,29 +396,22 @@ def jk_basis(f: RationalExpr, basis: Sequence[LinForm],
     numerator factor vanishes there).  A pole of order >= 2 takes the
     iterated residue in the basis order.
     """
-    if var_order is None:
-        var_order = sorted({v for b in basis for v in b.variables()})
+    basis = point.functionals
     n = len(basis)
-    minv = mat_inverse([b.vector(var_order) for b in basis]) \
-        if len(var_order) == n else None
-    if minv is None:
-        raise NotSumRegular("basis is degenerate")
-    zeta = [qify(x) for x in zeta]
-    coeffs = [sum((zeta[k] * minv[k][i] for k in range(n)), ZERO) for i in range(n)]
+    coeffs = point.coordinates(zeta)
     if any(c == 0 for c in coeffs):
         idx = [i for i, c in enumerate(coeffs) if c == 0]
         raise NotSumRegular(f"zeta has vanishing components {idx} w.r.t. the basis",
                             witness=[basis[i] for i in range(n) if i not in idx])
     if any(c < 0 for c in coeffs):
         return ZERO
-    point = {v: -sum((row[i] * basis[i].const for i in range(n)), ZERO)
-             for v, row in zip(var_order, minv)}
+    p = dict(zip(var_order, point.location))
     kappa = {canon: (i, unit)
              for i, (unit, canon) in enumerate(b.canonical() for b in basis)}
     poles = [0] * n
-    value = f.scalar * f.num.evaluate(point)
+    value = f.scalar * f.num.evaluate(p)
     for lf, e in f.factors:
-        at_p = lf.evaluate(point)
+        at_p = lf.evaluate(p)
         if at_p != 0:
             value *= at_p ** e
         elif lf in kappa:
@@ -433,7 +449,8 @@ def zeta_from_theta(a: Arrangement, theta: Stability) -> Vector:
 
     The active functionals of every singular point form a basis B
     (singular_points rejects more than n planes through a point), and zeta
-    is tested in its coordinates c, zeta = sum c_i B_i.  zeta lies on a
+    is tested in its coordinates c, zeta = sum c_i B_i, read off the
+    inverse the point carries with no solve.  zeta lies on a
     wall, the span of n-1 active functionals, exactly when some c_i is 0:
     that raises NonRegularStability with the smallest such wall as the
     witness.  Otherwise zeta is returned as it is: the local JK residue at
@@ -444,7 +461,7 @@ def zeta_from_theta(a: Arrangement, theta: Stability) -> Vector:
     walls = []
     for pt in a.points:
         vecs = [f.vector(a.variables) for f in pt.functionals]
-        c = solve_linear([list(col) for col in zip(*vecs)], zeta)
+        c = pt.coordinates(zeta)
         walls.extend(tuple(sorted(vecs[:i] + vecs[i + 1:]))
                      for i, x in enumerate(c) if x == 0)
     if walls:
@@ -457,11 +474,10 @@ def zeta_from_theta(a: Arrangement, theta: Stability) -> Vector:
 def jk_global(f: RationalExpr, a: Arrangement, zeta: Sequence[Fraction]) -> Fraction:
     """Sum over singular points of the local JK of f, read where the
     point's active planes meet."""
-    zeta = tuple(qify(x) for x in zeta)
     total = ZERO
     for pt in a.points:
         try:
-            total += jk_basis(f, pt.functionals, zeta, var_order=a.variables)
+            total += jk_basis(f, pt, zeta, a.variables)
         except NotSumRegular as exc:
             raise NonRegularStability(
                 f"zeta is not regular at singular point {pt.location}: {exc}",

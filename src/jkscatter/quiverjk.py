@@ -11,28 +11,19 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arrangement import (Arrangement, build_arrangement, jk_basis, jk_global,
-                          scale_rcharges, zeta_from_theta)
+                          meet, scale_rcharges, zeta_from_theta)
 from .errors import NonRegularStability, NotATree, NotSumRegular
-from .exact import (LinForm, ONE, Q, RationalExpr, ZERO, qify, residue_step,
-                    solve_linear)
+from .exact import LinForm, ONE, Q, RationalExpr, ZERO, qify, residue_step
 from .quiver import (DimVector, Quiver, SpanningTree, Stability, _tree_walk,
-                     abelianize, moduli_dimension, spanning_trees,
-                     support_quiver, tree_components, weist_count)
+                     abelianize, spanning_trees, support_quiver,
+                     tree_components, weist_count)
 
 
-def build_ZQ(q: Quiver, d: DimVector, a: Arrangement,
-             sign_mode: str = "paper") -> RationalExpr:
-    """The meromorphic form of the arrangement.
-
-    paper mode: (-1)^(|d|-1) * prod_roots r/(r-1) * prod_weights
-    (rho+R-1)/(rho+R), one weight factor per original arrow and index pair,
-    so every pole is simple; mero mode multiplies by (-1)^D.
-    """
+def build_ZQ(q: Quiver, d: DimVector, a: Arrangement) -> RationalExpr:
+    """The meromorphic form (-1)^(|d|-1) * prod_roots r/(r-1) *
+    prod_weights (rho+R-1)/(rho+R) of the arrangement, one weight factor per
+    original arrow and index pair, so every pole is simple."""
     scalar = Q(-1) ** (d.total() - 1)
-    if sign_mode == "mero":
-        scalar *= Q(-1) ** moduli_dimension(q, d)
-    elif sign_mode != "paper":
-        raise ValueError(f"unknown sign_mode {sign_mode!r}")
     factors = []
     for r in a.roots:
         factors.append((r, 1))
@@ -71,9 +62,10 @@ def jk_tree_expansion(q: Quiver, theta: Stability,
     with a choice of original arrow per tree arrow, determines a singular
     point whose active weights form a basis; the tree contributes iff all
     its stability coefficients are negative.  A disconnected support has
-    no spanning tree, and the residue is 0.  The tree points are solved
-    here, not read from a.points, so the two JK routes stay independent;
-    zeta_from_theta reads a.points to check that the stability is regular.
+    no spanning tree, and the residue is 0.  Each lift's planes are met
+    here (meet, one elimination that jk_basis then reads), not looked up
+    in a.points, so the two JK routes stay independent; zeta_from_theta
+    reads a.points to check that the stability is regular.
     """
     if not a.dim.is_abelian():
         raise ValueError("tree expansion needs an abelian dimension vector")
@@ -93,21 +85,20 @@ def jk_tree_expansion(q: Quiver, theta: Stability,
         stable = all(c < 0 for c in comps.values())
         comp_tuple = tuple(comps[i] for i in tree.arrows)
         for lift in itertools.product(*(by_reduced[qbar.arrows[i]] for i in tree.arrows)):
-            planes = [a.weights[i].form + a.weights[i].rcharge for i in lift]
-            point = solve_linear([p.vector(a.variables) for p in planes],
-                                 [-p.const for p in planes])
+            point = meet([a.weights[i].form + a.weights[i].rcharge for i in lift],
+                         a.variables)
             if point is None:
                 raise NotATree("tree weights do not form a basis")
             local = ZERO
             if stable:
                 try:
-                    local = jk_basis(z, planes, zeta, var_order=a.variables)
+                    local = jk_basis(z, point, zeta, a.variables)
                 except NotSumRegular as exc:
                     raise NonRegularStability(
                         f"zeta not regular for tree {tree.arrows}: {exc}",
                         witness=exc.witness) from exc
                 total += local
-            terms.append(TreeExpansionTerm(tree.arrows, tuple(lift), tuple(point),
+            terms.append(TreeExpansionTerm(tree.arrows, tuple(lift), point.location,
                                            local, 1 if stable else 0, comp_tuple))
     return total, TreeExpansion(tuple(terms), total)
 

@@ -210,12 +210,3 @@ def _exponents(params: Sequence[str], pexp: Mapping[str, int]) -> tuple[int, ...
             raise ValueError(f"unknown parameter {p!r}; "
                              f"the series has {', '.join(params) or 'none'}")
     return tuple(pexp.get(p, 0) for p in params)
-
-
-def series_exp_log(g: TruncatedSeries, direction: str) -> TruncatedSeries:
-    """Truncated exponential ('exp') or logarithm ('log')."""
-    if direction == "exp":
-        return g.exp()
-    if direction == "log":
-        return g.log()
-    raise ValueError(f"unknown direction {direction!r}")

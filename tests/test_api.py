@@ -3,8 +3,9 @@ subcommand.
 
 A change to either must edit the tables here and be listed in CHANGES.md.
 Recorded removals: the ``reference=`` parameter of ``build_arrangement``,
-the ``Weight.pair`` field, ``LinForm.translate``, ``RationalExpr.translate``
-and ``jkscatter jk-ab --csv``.
+the ``Weight.pair`` field, ``LinForm.translate``, ``RationalExpr.translate``,
+``jkscatter jk-ab --csv``, the ``sign_mode=`` parameter of ``build_ZQ`` and
+``series_exp_log``.  Recorded additions: ``meet``.
 """
 
 import argparse
@@ -26,9 +27,10 @@ PUBLIC_NAMES = [
     "enumerate_flags", "errors", "exact", "extract_cd", "flag_residue",
     "init_bipartite", "iterated_residue", "jk_ab", "jk_ab_infinity",
     "jk_basis", "jk_global", "jk_global_ZQ", "jk_tree_expansion", "jk_zeta",
-    "lambda_sweep", "loop_product", "moduli_dimension", "quiver", "quiverjk",
+    "lambda_sweep", "loop_product", "meet", "moduli_dimension", "quiver",
+    "quiverjk",
     "reduced_quiver", "residue_step", "sample_rcharges", "scatter",
-    "scattering", "series", "series_exp_log", "singular_points",
+    "scattering", "series", "singular_points",
     "skew_euler_form", "spanning_trees", "stable_trees",
     "subst_linear_basis", "theta_lift", "tree_components", "validate_quiver",
     "verify_main_theorem", "weist_count", "wt_residue", "zeta_from_theta",

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jkscatter import quiverjk
+from jkscatter import arrangement, quiverjk
 from jkscatter.arrangement import (build_arrangement, enumerate_flags,
                                    flag_residue, jk_basis, jk_global, jk_zeta,
-                                   sample_rcharges, scale_rcharges,
+                                   meet, sample_rcharges, scale_rcharges,
                                    singular_points, theta_lift,
                                    zeta_from_theta)
 from jkscatter.errors import (DegenerateRCharges, JKScatterError,
@@ -18,7 +18,7 @@ from jkscatter.errors import (DegenerateRCharges, JKScatterError,
                               NotSumRegular)
 from jkscatter.exact import (LinForm, Poly, RationalExpr, in_span,
                              iterated_residue, mat_det, mat_rank,
-                             subst_linear_basis)
+                             solve_linear, subst_linear_basis)
 from jkscatter.quiver import DimVector, Quiver, Stability, bipartite_quiver
 from jkscatter.quiverjk import (build_ZQ, jk_ab, jk_ab_infinity, jk_global_ZQ,
                                 jk_tree_expansion)
@@ -108,6 +108,87 @@ class TestSingularPoints:
         assert len(singular_points(a)) == 1
 
 
+def reference_singular_points(a):
+    """Solve every combination, then evaluate every plane at every point
+    (test reference): more than n active planes anywhere is degenerate."""
+    planes = [lf + off for lf, off in a.hyperplanes()]
+    locations = set()
+    for combo in itertools.combinations(range(len(planes)), a.n):
+        sol = solve_linear([planes[i].vector(a.variables) for i in combo],
+                           [-planes[i].const for i in combo])
+        if sol is not None:
+            locations.add(tuple(sol))
+    out = []
+    for loc in sorted(locations):
+        point = dict(zip(a.variables, loc))
+        active = tuple(i for i, p in enumerate(planes) if p.evaluate(point) == 0)
+        if len(active) > a.n:
+            raise DegenerateRCharges(f"{len(active)} hyperplanes meet at {loc}")
+        out.append((loc, active, tuple(planes[i] for i in active)))
+    return out
+
+
+def unchecked_arrangement(q, d, rcharges):
+    """build_arrangement with explicit R-charges, minus its degeneracy check."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arrangement.Arrangement, "points", ())
+        return build_arrangement(q, d, rcharges=rcharges)
+
+
+def point_rows(a):
+    """Locations, active sets and functionals, or the degeneracy."""
+    try:
+        return [(p.location, p.active, p.functionals) for p in singular_points(a)]
+    except DegenerateRCharges:
+        return DegenerateRCharges
+
+
+def reference_rows(a):
+    try:
+        return reference_singular_points(a)
+    except DegenerateRCharges:
+        return DegenerateRCharges
+
+
+@st.composite
+def small_explicit_arrangements(draw):
+    """An acyclic quiver on 2-3 vertices with n <= 3, d up to 2 per vertex,
+    and R-charges that often coincide: drawn from a small pool, or all 0
+    (lambda = 0), or generic."""
+    nv = draw(st.integers(min_value=2, max_value=3))
+    verts = [f"v{i}" for i in range(nv)]
+    arrows = [(verts[i], verts[j]) for i in range(nv) for j in range(i + 1, nv)
+              for _ in range(draw(st.integers(min_value=0, max_value=2)))]
+    dims = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=nv, max_size=nv))
+    assume(arrows and 2 <= sum(dims) and sum(dims) - 1 <= 3)
+    q = Quiver.make(verts, arrows)
+    pool = st.sampled_from((Q(0), Q(1, 3), Q(1, 2), Q(2, 3), Q(1)))
+    generic = st.integers(min_value=1, max_value=2 ** 31 - 1).map(lambda k: Q(k, 2 ** 31))
+    lam = draw(st.sampled_from((0, 1, 1, 1)))
+    rc = [lam * r for r in draw(st.lists(st.one_of(pool, generic),
+                                         min_size=len(arrows), max_size=len(arrows)))]
+    return unchecked_arrangement(q, DimVector.make(q, dict(zip(verts, dims))), rc)
+
+
+class TestDegeneracyRule:
+    """A repeated point (singular_points) against the all-planes scan."""
+
+    @given(small_explicit_arrangements())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_evaluate_every_plane(self, a):
+        assert point_rows(a) == reference_rows(a)
+
+    @pytest.mark.parametrize("q, dims, rcharges", [
+        (KRON2, {"1": 1, "2": 1}, [Q(1, 3), Q(1, 3)]),                     # equal R
+        (KRON2, {"1": 1, "2": 1}, [Q(0), Q(0)]),                           # lambda = 0
+        (bipartite_quiver(1, 1), {"i1": 3, "j1": 1}, [Q(1, 3)]),           # non-abelian d
+        (bipartite_quiver(2, 1), {"i1": 2, "i2": 1, "j1": 2}, [Q(1, 5), Q(2, 7)]),
+    ])
+    def test_forced_coincidences(self, q, dims, rcharges):
+        a = unchecked_arrangement(q, dv(q, **dims), rcharges)
+        assert point_rows(a) == reference_rows(a) == DegenerateRCharges
+
+
 # -- flags ---------------------------------------------------------------------
 
 class TestFlags:
@@ -160,21 +241,22 @@ class TestFlags:
                     active, (Q(1),), ("u",), var_order=("u",))
 
 
+UW = ("u", "w")
+
+
 class TestJKBasis:
     def test_positive_cone(self):
         f = RationalExpr(1, ((lf(u=1), -1), (lf(w=1), -1)))
-        assert jk_basis(f, [lf(u=1), lf(w=1)], (Q(2), Q(1)),
-                        var_order=("u", "w")) == 1
+        assert jk_basis(f, meet([lf(u=1), lf(w=1)], UW), (Q(2), Q(1)), UW) == 1
 
     def test_outside_cone_is_zero(self):
         f = RationalExpr(1, ((lf(u=1), -1), (lf(w=1), -1)))
-        assert jk_basis(f, [lf(u=1), lf(w=1)], (Q(2), Q(-1)),
-                        var_order=("u", "w")) == 0
+        assert jk_basis(f, meet([lf(u=1), lf(w=1)], UW), (Q(2), Q(-1)), UW) == 0
 
     def test_tied_components_raise(self):
         # the basis case depends only on the signs of zeta's coordinates
         f = RationalExpr(1, ((lf(u=1), -1), (lf(w=1), -1)))
-        values = [jk_basis(f, [lf(u=1), lf(w=1)], zeta, var_order=("u", "w"))
+        values = [jk_basis(f, meet([lf(u=1), lf(w=1)], UW), zeta, UW)
                   for zeta in ((Q(1), Q(1)), (Q(2), Q(1)), (Q(1), Q(2)))]
         assert values == [1, 1, 1]
 
@@ -186,31 +268,30 @@ class TestJKBasis:
                              (lf(u=1), -1), (lf(u=1, w=1) + 1, -1),
                              (lf(w=2), -1)))
         zeta = (Q(2), Q(-3))
-        assert jk_basis(f, basis, zeta, var_order=("u", "w")) == \
+        assert jk_basis(f, meet(basis, UW), zeta, UW) == \
             3 * -1 * 2 * Q(-3, 2) == \
             iterated_residue(subst_linear_basis(f, basis, ("u", "w")), ["x1", "x2"])
         # a numerator factor vanishing at 0, or a basis form without a pole
         for g in (RationalExpr(1, ((lf(u=1, w=1), 1),)), RationalExpr(1, ((lf(w=1), 1),))):
-            assert jk_basis(f * g, basis, zeta, var_order=("u", "w")) == 0
+            assert jk_basis(f * g, meet(basis, UW), zeta, UW) == 0
 
     def test_double_pole(self):
         # (1 + u + 5w + u^2) / (u^2 w): the Taylor coefficient at u^1 w^0
         f = RationalExpr(1, ((lf(u=1), -2), (lf(w=1), -1)),
                          Poly({(): 1, (("u", 1),): 1, (("w", 1),): 5,
                                (("u", 2),): 1}))
-        assert jk_basis(f, [lf(u=1), lf(w=1)], (Q(1), Q(1)),
-                        var_order=("u", "w")) == 1
+        assert jk_basis(f, meet([lf(u=1), lf(w=1)], UW), (Q(1), Q(1)), UW) == 1
 
     def test_denominator_off_the_basis(self):
         f = RationalExpr(1, ((lf(u=1), -1), (lf(w=1), -1), (lf(u=1, w=1), -1)))
         with pytest.raises(ValueError):
-            jk_basis(f, [lf(u=1), lf(w=1)], (Q(2), Q(1)), var_order=("u", "w"))
+            jk_basis(f, meet([lf(u=1), lf(w=1)], UW), (Q(2), Q(1)), UW)
 
     def test_agrees_with_flag_sum(self):
         basis = (lf(u=1), lf(u=1, w=1))
         f = RationalExpr(1, ((basis[0], -2), (basis[1], -1)))
         zeta = (Q(3), Q(1))
-        assert jk_basis(f, basis, zeta, var_order=("u", "w")) == \
+        assert jk_basis(f, meet(basis, UW), zeta, UW) == \
             jk_zeta(f, basis, zeta, ("u", "w"), var_order=("u", "w"))
 
 
@@ -275,16 +356,16 @@ class TestClosedForm:
         names = NAMES[:len(basis)]
         if any(c == 0 for c in coeffs):
             with pytest.raises(NotSumRegular):
-                jk_basis(f, basis, zeta, var_order=names)
+                jk_basis(f, meet(basis, names), zeta, names)
             return
         if any(c < 0 for c in coeffs):
-            assert jk_basis(f, basis, zeta, var_order=names) == 0
+            assert jk_basis(f, meet(basis, names), zeta, names) == 0
             return
         if off:
             with pytest.raises(ValueError):
-                jk_basis(f, basis, zeta, var_order=names)
+                jk_basis(f, meet(basis, names), zeta, names)
             return
-        value = jk_basis(f, basis, zeta, var_order=names)
+        value = jk_basis(f, meet(basis, names), zeta, names)
         xs = [f"x{i + 1}" for i in range(len(basis))]
         for perm in itertools.permutations(basis):
             g = subst_linear_basis(f, perm, var_order=names, new_names=xs)
@@ -303,7 +384,7 @@ class TestClosedForm:
 
         def local(g, planes):
             try:
-                return jk_basis(g, planes, zeta, var_order=names)
+                return jk_basis(g, meet(planes, names), zeta, names)
             except (NotSumRegular, ValueError) as exc:
                 return type(exc)
 

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from jkscatter import cli, quiver, quiverjk
+from jkscatter import arrangement, cli, quiver, quiverjk
 from jkscatter.errors import ParseError, UnknownVertex, ValidationError
 
 
@@ -171,6 +172,22 @@ class TestExitCodes:
     def test_bad_flag_is_2(self):
         code, _text = run(["verify-main", "--l1", "2"])
         assert code == 2
+
+    def test_structural_degeneracy_is_2_at_once(self, monkeypatch):
+        # a non-abelian d whose weights meet more than n at a time for every
+        # R-charge: each resample stops at the first repeated point, far
+        # short of the C(18, 6) combinations of its 18 planes in 6 unknowns
+        meets, samples = [], []
+        real_meet, real_sample = arrangement.meet, arrangement.sample_rcharges
+        monkeypatch.setattr(arrangement, "meet",
+                            lambda *a: meets.append(a) or real_meet(*a))
+        monkeypatch.setattr(arrangement, "sample_rcharges",
+                            lambda *a: samples.append(a) or real_sample(*a))
+        code, rep = run_json(["jk", "--l1", "2", "--l2", "2", "--d", "2,2;1,2",
+                              "--zeta", "3,3,-4,-4"])
+        assert code == 2 and rep["error"] == "DegenerateRCharges"
+        assert len(samples) == arrangement.MAX_RESAMPLES
+        assert len(meets) < len(samples) * math.comb(18, 6) // 100
 
     def test_jk_ab_csv_is_unknown(self):
         # jk-ab reports one value as JSON; it has no table to print

@@ -52,19 +52,6 @@ class TestBuildZQ:
         assert sum(abs(e) for _, e in z.factors) == \
             2 * len(a.roots) + 2 * len(a.weights)
 
-    def test_mero_sign(self):
-        d = dv(KRON2, **{"1": 1, "2": 1})
-        a = build_arrangement(KRON2, d, rcharges=[Q(1, 7), Q(2, 7)])
-        paper = build_ZQ(KRON2, d, a, sign_mode="paper")
-        mero = build_ZQ(KRON2, d, a, sign_mode="mero")
-        assert mero == -paper  # D = 1 for the 2-Kronecker quiver
-
-    def test_bad_mode(self):
-        d = dv(A2, **{"1": 1, "2": 1})
-        a = build_arrangement(A2, d, rcharges=[Q(1, 3)])
-        with pytest.raises(ValueError):
-            build_ZQ(A2, d, a, sign_mode="other")
-
 
 class TestTreeExpansion:
     def test_kronecker2_per_lift_values(self, kron_arrangement):
@@ -172,7 +159,8 @@ class TestEnumerationCounts:
 
 class TestLocalResidueCounts:
     """A jk request takes every local residue in closed form, and checks
-    the regularity of zeta with one solve per singular point."""
+    the regularity of zeta and reads each residue with no elimination:
+    both read the inverse that each point carries."""
 
     @pytest.mark.parametrize("argv", [
         ["--l1", "2", "--l2", "2", "--d", "1,1;1,1", "--zeta", "3,1,-2,-2"],
@@ -185,23 +173,32 @@ class TestLocalResidueCounts:
         for module in (arrangement, exact):
             monkeypatch.setattr(module, "iterated_residue", no_residue)
             monkeypatch.setattr(module, "subst_linear_basis", no_residue)
-        solves = []
-        real_solve = arrangement.solve_linear
-        monkeypatch.setattr(arrangement, "solve_linear",
-                            lambda *a: solves.append(a) or real_solve(*a))
-        per_point = []
-        real_zeta = quiverjk.zeta_from_theta
+        # every solve and inverse runs through one elimination kernel
+        eliminations = []
+        real_gj = exact._gauss_jordan
+        monkeypatch.setattr(exact, "_gauss_jordan",
+                            lambda *a: eliminations.append(a) or real_gj(*a))
 
-        def counting_zeta(a, theta):
-            before = len(solves)
-            zeta = real_zeta(a, theta)
-            per_point.append((len(solves) - before, len(a.points)))
-            return zeta
+        def eliminations_per_call(fn, per_call):
+            def counting(*args):
+                before = len(eliminations)
+                out = fn(*args)
+                per_call.append(len(eliminations) - before)
+                return out
+            return counting
 
-        monkeypatch.setattr(quiverjk, "zeta_from_theta", counting_zeta)
+        zeta_calls, basis_calls = [], []
+        monkeypatch.setattr(quiverjk, "zeta_from_theta",
+                            eliminations_per_call(quiverjk.zeta_from_theta, zeta_calls))
+        counting_basis = eliminations_per_call(arrangement.jk_basis, basis_calls)
+        for module in (arrangement, quiverjk):
+            monkeypatch.setattr(module, "jk_basis", counting_basis)
         code = cli.main(["jk", *argv], out=io.StringIO())
         assert code == 0
-        assert per_point and all(n == points for n, points in per_point)
+        # the points are enumerated when the arrangement is built, so zeta's
+        # coordinates and each local residue read the point's inverse
+        assert zeta_calls and basis_calls
+        assert set(zeta_calls) == set(basis_calls) == {0}
 
 
 class TestAbelianizedJK:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jkscatter.errors import BadConstantTerm
-from jkscatter.series import TruncatedSeries, series_exp_log
+from jkscatter.series import TruncatedSeries
 
 P = ("s", "t")
 
@@ -78,7 +78,7 @@ def test_log_is_mercator_series():
 
 def test_exp_log_roundtrip():
     g = mono(xe=1, pexp={"s": 1}) + mono(ye=1, pexp={"t": 1}).scale(Q(2, 3))
-    assert series_exp_log(series_exp_log(g, "exp"), "log") == g
+    assert g.exp().log() == g
 
 
 def test_exp_rejects_constant_term():
