@@ -77,7 +77,6 @@ class Arrangement:
 
 
 RC_DENOMINATOR = 2 ** 31
-MAX_RESAMPLES = 32
 
 
 def sample_rcharges(count: int, seed: int) -> list[Fraction]:
@@ -92,60 +91,40 @@ def build_arrangement(q: Quiver, d: DimVector,
     """Build the weight/root arrangement of (Q, d) with explicit or seeded R.
 
     Every arrow carries its own R-charge, so parallel arrows give parallel
-    weight hyperplanes and no hyperplane is repeated.  When a seed is given
-    the R-charges are resampled (deterministically) up to 32 times until all
-    hyperplane intersections are simple.  The reference coordinate is the
-    last index of the last vertex in the support of d.
+    weight hyperplanes and no hyperplane is repeated.  A seed names one R,
+    sample_rcharges(len(q.arrows), seed); more than n planes through a point
+    raise DegenerateRCharges, and no other R is tried (such coincidences are
+    structural).  The reference coordinate is the last index of the last
+    vertex in the support of d.
     """
     validate_quiver(q)
+    if rcharges is None:
+        if seed is None:
+            raise ValueError("provide explicit rcharges or a seed")
+        rcharges = sample_rcharges(len(q.arrows), seed)
+    rc = tuple(qify(r) for r in rcharges)
+    if len(rc) != len(q.arrows):
+        raise ValueError(f"expected {len(q.arrows)} R-charges, got {len(rc)}")
     rv = d.support()[-1]
     rk = d[rv]
-    reference = (rv, rk)
-
-    variables = tuple(coord_name(v, k)
-                      for v in q.vertices for k in range(1, d[v] + 1)
-                      if (v, k) != (rv, rk))
 
     def proj(vertex: str, k: int) -> LinForm:
         if (vertex, k) == (rv, rk):
             return LinForm()
         return LinForm.var(coord_name(vertex, k))
 
-    def assemble(rc: list[Fraction]) -> Arrangement:
-        weights = tuple(Weight(proj(h, j) - proj(t, i), r, (t, h), idx)
-                        for idx, ((t, h), r) in enumerate(zip(q.arrows, rc))
-                        for i in range(1, d[t] + 1) for j in range(1, d[h] + 1))
-        roots = tuple(proj(v, j) - proj(v, i) for v in q.vertices
-                      for i in range(1, d[v] + 1) for j in range(1, d[v] + 1)
-                      if i != j)
-        return Arrangement(q, d, variables, reference, weights, roots, tuple(rc))
-
-    if rcharges is not None:
-        rc = [qify(r) for r in rcharges]
-        if len(rc) != len(q.arrows):
-            raise ValueError(f"expected {len(q.arrows)} R-charges, got {len(rc)}")
-        arr = assemble(rc)
-        arr.points  # raises DegenerateRCharges on coincidences
-        return arr
-    if seed is None:
-        raise ValueError("provide explicit rcharges or a seed")
-    for attempt in range(MAX_RESAMPLES):
-        arr = assemble(sample_rcharges(len(q.arrows), seed + attempt))
-        try:
-            arr.points
-            return arr
-        except DegenerateRCharges:
-            continue
-    raise DegenerateRCharges(f"no generic R-charges after {MAX_RESAMPLES} samples")
-
-
-def scale_rcharges(a: Arrangement, lam: Fraction) -> Arrangement:
-    """``a`` with every R-charge times lambda, validated anew (lambda * R can
-    be degenerate where R is not); ``a`` itself at lambda = 1."""
-    lam = qify(lam)
-    if lam == 1:
-        return a
-    return build_arrangement(a.quiver, a.dim, rcharges=[r * lam for r in a.rcharges])
+    variables = tuple(coord_name(v, k)
+                      for v in q.vertices for k in range(1, d[v] + 1)
+                      if (v, k) != (rv, rk))
+    weights = tuple(Weight(proj(h, j) - proj(t, i), r, (t, h), idx)
+                    for idx, ((t, h), r) in enumerate(zip(q.arrows, rc))
+                    for i in range(1, d[t] + 1) for j in range(1, d[h] + 1))
+    roots = tuple(proj(v, j) - proj(v, i) for v in q.vertices
+                  for i in range(1, d[v] + 1) for j in range(1, d[v] + 1)
+                  if i != j)
+    arr = Arrangement(q, d, variables, (rv, rk), weights, roots, rc)
+    arr.points  # raises DegenerateRCharges on coincidences
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +177,8 @@ def singular_points(a: Arrangement) -> list[SingularPoint]:
         if pt is None:
             continue
         if pt.location in pts:
-            raise DegenerateRCharges(
-                f"more than {a.n} hyperplanes meet at {pt.location}")
+            at = ", ".join(f"{x.numerator}/{x.denominator}" for x in pt.location)
+            raise DegenerateRCharges(f"more than {a.n} hyperplanes meet at ({at})")
         pts[pt.location] = pt
     return [pts[loc] for loc in sorted(pts)]
 

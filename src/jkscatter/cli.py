@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from math import gcd, prod
 
-from .arrangement import build_arrangement, scale_rcharges
+from .arrangement import build_arrangement, sample_rcharges
 from .errors import (JKScatterError, NonRegularStability, ParseError,
                      ValidationError)
 from .exact import ZERO
@@ -52,19 +53,30 @@ def parse_quiver_file(path: str) -> tuple[Quiver, DimVector, Stability]:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at position {exc.pos}: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ValidationError("schema", "the file must hold one JSON object")
     for key in ("vertices", "arrows", "dimension", "stability"):
         if key not in raw:
             raise ValidationError("schema", f"missing field {key!r}")
     try:
-        q = Quiver.make(raw["vertices"],
-                        [(a["tail"], a["head"]) for a in raw["arrows"]])
+        arrows = [(a["tail"], a["head"]) for a in raw["arrows"]]
     except (KeyError, TypeError) as exc:
         raise ValidationError("schema", f"bad arrow entry: {exc}") from exc
+    ends = [v for arrow in arrows for v in arrow]
+    if not isinstance(raw["vertices"], list) or not all(
+            isinstance(v, str) for v in raw["vertices"] + ends):
+        raise ValidationError("schema", "vertices must be a list of strings, "
+                                        "and each arrow's tail and head a string")
+    if not (isinstance(raw["dimension"], dict) and isinstance(raw["stability"], dict)
+            and all(type(x) is int for x in raw["dimension"].values())):
+        raise ValidationError("schema", "dimension and stability must be objects keyed "
+                                        "by vertex, with integer dimensions")
+    q = Quiver.make(raw["vertices"], arrows)
     try:
         validate_quiver(q)
     except JKScatterError as exc:
         raise ValidationError(type(exc).__name__.lower(), str(exc)) from exc
-    d = DimVector.make(q, {v: int(x) for v, x in raw["dimension"].items()})
+    d = DimVector.make(q, raw["dimension"])
     zeta = Stability.make(q, {v: _rat(str(x)) for v, x in raw["stability"].items()})
     try:
         zeta.check_normalized(d)
@@ -124,17 +136,21 @@ def _ray(text: str | None) -> tuple[int, int] | None:
     return a, b
 
 
-def _rcharges(args, count: int):
-    """Returns (explicit list | None, seed | None)."""
-    spec = getattr(args, "rcharges", None)
-    if spec is None:
-        return None, 0
+def _seed(spec: str) -> int:
+    """The N of --rcharges seed:N."""
+    if not re.fullmatch(r"seed:-?\d+", spec):
+        raise ParseError(f"--rcharges {spec!r}: expected seed:N with an integer N")
+    return int(spec[5:])
+
+
+def _rcharges(spec: str, count: int) -> list[Fraction]:
+    """--rcharges: explicit "p/q,..." values, or the sample seed:N names."""
     if spec.startswith("seed:"):
-        return None, int(spec[5:])
+        return sample_rcharges(count, _seed(spec))
     values = [_rat(x) for x in spec.split(",") if x.strip()]
     if len(values) != count:
         raise ParseError(f"--rcharges: expected {count} values, got {len(values)}")
-    return values, None
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +220,8 @@ def _cmd_trees(args, out) -> int:
 def _cmd_jk(args, out) -> int:
     q, d, theta = _quiver_inputs(args)
     lam = _rat(args.lam)
-    explicit, seed = _rcharges(args, len(q.arrows))
-    if explicit is not None:
-        a = build_arrangement(q, d, rcharges=[r * lam for r in explicit])
-    else:
-        a = scale_rcharges(build_arrangement(q, d, seed=seed), lam)
+    rc = _rcharges(args.rcharges, len(q.arrows))
+    a = build_arrangement(q, d, rcharges=[r * lam for r in rc])
     value = jk_global_ZQ(q, theta, a)
     report = {
         "command": "jk",
@@ -233,11 +246,11 @@ def _cmd_jk(args, out) -> int:
 
 def _cmd_jk_ab(args, out) -> int:
     q, d, zeta = _quiver_inputs(args)
-    _explicit, seed = _rcharges(args, 0)
+    seed = _seed(args.rcharges)
     if args.infinity:
         value = jk_ab_infinity(q, d, zeta)
     else:
-        value = jk_ab(q, d, zeta, rseed=seed or 0, lam=_rat(args.lam))
+        value = jk_ab(q, d, zeta, rseed=seed, lam=_rat(args.lam))
     report = {
         "command": "jk-ab",
         "inputs": {"dimension": d.as_dict(), "stability": zeta.as_dict(),
@@ -333,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jk-ab")
     common(p)
     p.add_argument("--lambda", dest="lam", default="1")
-    p.add_argument("--rcharges", default="seed:0")
+    p.add_argument("--rcharges", help="seed:<u64>", default="seed:0")
     p.add_argument("--infinity", action="store_true")
     p.set_defaults(func=_cmd_jk_ab)
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arrangement import (Arrangement, build_arrangement, jk_basis, jk_global,
-                          meet, scale_rcharges, zeta_from_theta)
+                          meet, sample_rcharges, zeta_from_theta)
 from .errors import NonRegularStability, NotATree, NotSumRegular
 from .exact import LinForm, ONE, Q, RationalExpr, ZERO, qify, residue_step
 from .quiver import (DimVector, Quiver, SpanningTree, Stability, _tree_walk,
@@ -118,13 +118,15 @@ def jk_ab(q: Quiver, d: DimVector, zeta: Stability, rseed: int,
           lam: Fraction = ONE) -> Fraction:
     """Abelianized JK residue: weighted sum over blown-up abelian quivers.
 
-    Each term is evaluated by the tree expansion with R-charges lambda * R-bar,
-    R-bar frozen deterministically from ``rseed`` per term.
+    Each term k is evaluated by the tree expansion with R-charges
+    lambda * R-bar, R-bar = sample_rcharges(arrows, rseed + 1000003 * k);
+    its arrangement is built once, at lambda * R-bar.
     """
     total = ZERO
     for k, term in enumerate(abelianize(q, d, zeta)):
-        arr = scale_rcharges(build_arrangement(
-            term.quiver, term.dimension, seed=rseed + 1000003 * k), lam)
+        rbar = sample_rcharges(len(term.quiver.arrows), rseed + 1000003 * k)
+        arr = build_arrangement(term.quiver, term.dimension,
+                                rcharges=[lam * r for r in rbar])
         value, _ = jk_tree_expansion(term.quiver, term.stability, arr)
         total += term.coefficient * value
     return total

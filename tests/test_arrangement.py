@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from jkscatter import arrangement, quiverjk
 from jkscatter.arrangement import (build_arrangement, enumerate_flags,
                                    flag_residue, jk_basis, jk_global, jk_zeta,
-                                   meet, sample_rcharges, scale_rcharges,
-                                   singular_points, theta_lift,
+                                   meet, sample_rcharges, singular_points, theta_lift,
                                    zeta_from_theta)
 from jkscatter.errors import (DegenerateRCharges, JKScatterError,
                               NonRegularStability, NotProjective,
@@ -69,26 +68,22 @@ class TestBuildArrangement:
         b = build_arrangement(KRON2, dv(KRON2, **{"1": 1, "2": 1}), seed=11)
         assert a.rcharges == b.rcharges
 
+    @pytest.mark.parametrize("seed", [0, 11, 2 ** 31 - 1])
+    def test_seed_names_one_sample(self, seed):
+        k22 = bipartite_quiver(2, 2)
+        a = build_arrangement(k22, dv(k22, i1=1, i2=1, j1=1, j2=1), seed=seed)
+        assert a.rcharges == tuple(sample_rcharges(len(k22.arrows), seed))
+
     def test_sample_rcharges_denominator(self):
         rc = sample_rcharges(4, 7)
         assert len(set(rc)) == 4
         assert all(0 < r < 1 and (2 ** 31) % r.denominator == 0 for r in rc)
 
     def test_degenerate_rcharges_detected(self):
-        with pytest.raises(DegenerateRCharges):
+        with pytest.raises(DegenerateRCharges,
+                           match=r"^more than 1 hyperplanes meet at \(1/3\)$"):
             build_arrangement(KRON2, dv(KRON2, **{"1": 1, "2": 1}),
                               rcharges=[Q(1, 3), Q(1, 3)])
-
-    def test_scale_rcharges(self):
-        d = dv(KRON2, **{"1": 1, "2": 1})
-        a = build_arrangement(KRON2, d, rcharges=[Q(1, 3), Q(2, 5)])
-        assert scale_rcharges(a, Q(1)) is a
-        b = scale_rcharges(a, Q(7))
-        assert b.rcharges == (Q(7, 3), Q(14, 5)) and b.reference == a.reference
-        assert [w.rcharge for w in b.weights] == [Q(7, 3), Q(14, 5)]
-        # the scaled arrangement is validated on its own
-        with pytest.raises(DegenerateRCharges):
-            scale_rcharges(a, Q(0))
 
 
 class TestSingularPoints:

@@ -83,6 +83,29 @@ class TestParseQuiverFile:
         assert rep["error"] == "UnknownVertex"
         assert rep["message"] == f"{field} keys ['zz'] are not vertices"
 
+    @pytest.mark.parametrize("body", [
+        dict(K21_FILE, dimension=[1, 1, 1]),
+        dict(K21_FILE, stability=[1, 1, -2]),
+        dict(K21_FILE, dimension={"i1": None, "i2": 1, "j1": 1}),
+        dict(K21_FILE, vertices=[["i1"], "i2", "j1"]),
+        dict(K21_FILE, arrows=[{"tail": ["i1"], "head": "j1"},
+                               {"tail": "i2", "head": "j1"}]),
+        dict(K21_FILE, vertices="i1"),
+        dict(K21_FILE, dimension={"i1": 1.7, "i2": 1, "j1": 1}),
+        dict(K21_FILE, dimension={"i1": True, "i2": 1, "j1": 1}),
+        5,
+    ])
+    def test_malformed_shape_is_schema_error(self, tmp_path, body):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(body))
+        with pytest.raises(ValidationError) as ei:
+            cli.parse_quiver_file(str(p))
+        assert ei.value.rule == "schema"
+        code, rep = run_json(["trees", "--quiver", str(p)])
+        assert code == 2
+        assert rep["error"] == "ValidationError"
+        assert rep["message"].startswith("schema: ")
+
     def test_cycle_named_rule(self, tmp_path):
         raw = dict(K21_FILE, arrows=[{"tail": "i1", "head": "j1"},
                                      {"tail": "j1", "head": "i1"}])
@@ -173,21 +196,52 @@ class TestExitCodes:
         code, _text = run(["verify-main", "--l1", "2"])
         assert code == 2
 
-    def test_structural_degeneracy_is_2_at_once(self, monkeypatch):
+    @pytest.fixture
+    def samples(self, monkeypatch):
+        """Every sample_rcharges call, made from arrangement or from cli."""
+        seen = []
+        real = arrangement.sample_rcharges
+        for module in (arrangement, cli):
+            monkeypatch.setattr(module, "sample_rcharges",
+                                lambda *a: seen.append(a) or real(*a))
+        return seen
+
+    def test_structural_degeneracy_is_2_at_once(self, monkeypatch, samples):
         # a non-abelian d whose weights meet more than n at a time for every
-        # R-charge: each resample stops at the first repeated point, far
+        # R-charge: the one sample stops at the first repeated point, far
         # short of the C(18, 6) combinations of its 18 planes in 6 unknowns
-        meets, samples = [], []
-        real_meet, real_sample = arrangement.meet, arrangement.sample_rcharges
+        meets = []
+        real_meet = arrangement.meet
         monkeypatch.setattr(arrangement, "meet",
                             lambda *a: meets.append(a) or real_meet(*a))
-        monkeypatch.setattr(arrangement, "sample_rcharges",
-                            lambda *a: samples.append(a) or real_sample(*a))
         code, rep = run_json(["jk", "--l1", "2", "--l2", "2", "--d", "2,2;1,2",
                               "--zeta", "3,3,-4,-4"])
         assert code == 2 and rep["error"] == "DegenerateRCharges"
-        assert len(samples) == arrangement.MAX_RESAMPLES
-        assert len(meets) < len(samples) * math.comb(18, 6) // 100
+        assert len(samples) == 1
+        assert len(meets) < math.comb(18, 6) // 100
+        assert rep["message"].startswith("more than 6 hyperplanes meet at (")
+        assert "Fraction(" not in rep["message"]
+
+    @pytest.mark.parametrize("l1, l2, d, zeta", [
+        (2, 1, "2,1;2", "1,1,-3/2"),
+        (1, 1, "3;2", "2,-3"),
+        (3, 1, "1,1,1;2", "2,2,2,-3"),
+        (2, 2, "2,1;1,1", "1,1,-3/2,-3/2"),
+    ])
+    def test_nonabelian_probes_are_degenerate(self, samples, l1, l2, d, zeta):
+        # the direct route on these non-abelian d: more than n planes meet
+        # for every R-charge, so one sample is all it takes to say so
+        code, rep = run_json(["jk", "--l1", str(l1), "--l2", str(l2), "--d", d,
+                              "--zeta", zeta])
+        assert code == 2 and rep["error"] == "DegenerateRCharges"
+        assert len(samples) == 1
+
+    @pytest.mark.parametrize("spec", ["1/2", "", "seed:", "seed:x", "7"])
+    def test_jk_ab_rcharges_take_only_a_seed(self, spec):
+        code, rep = run_json(["jk-ab", "--l1", "1", "--l2", "1", "--d", "2;1",
+                              "--zeta", "1,-2", "--rcharges", spec])
+        assert code == 2
+        assert rep["error"] == "ParseError" and "seed:N" in rep["message"]
 
     def test_jk_ab_csv_is_unknown(self):
         # jk-ab reports one value as JSON; it has no table to print

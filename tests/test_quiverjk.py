@@ -146,7 +146,7 @@ class TestEnumerationCounts:
         code = cli.main(["jk", "--l1", "2", "--l2", "2", "--d", "1,1;1,1",
                          "--zeta", "3,1,-2,-2", "--lambda", "7"], out=io.StringIO())
         assert code == 0
-        assert len(calls) == 2  # the seeded arrangement and its lambda-scaled copy
+        assert len(calls) == 1  # built once, at lambda * R
 
     def test_jk_ab_one_enumeration_per_arrangement(self, calls):
         k31 = bipartite_quiver(3, 1)
@@ -154,7 +154,7 @@ class TestEnumerationCounts:
         z = stab(k31, 2, 2, 2, -3)
         assert len(abelianize(k31, d, z)) == 2
         jk_ab(k31, d, z, rseed=0, lam=Q(1000))
-        assert len(calls) == 4
+        assert len(calls) == 2
 
 
 class TestLocalResidueCounts:
