@@ -4,15 +4,16 @@ The ambient space has one coordinate ``u_{v}_{k}`` per vertex v and index
 k = 1..d_v, with one reference coordinate removed (set to 0).  Weights are the
 projections of u_{head,j} - u_{tail,i} displaced by rational R-charges, one
 per original arrow; roots are the differences u_{v,j} - u_{v,i} displaced by 1.
+So each plane is an edge between two coordinates (the reference being one
+node), and the bases of n planes are the spanning trees on n + 1 nodes.
 
 Exactly n planes meet at every singular point (singular_points rejects
 more), so the local JK residue there is the basis case (Jeffrey-Kirwan 1995,
 Brion-Vergne 1999): it depends only on the signs of zeta's coordinates in
-the basis of active planes.  meet eliminates each basis once, and its
-SingularPoint keeps the inverse of the planes' linear parts: zeta_from_theta
-and jk_basis read zeta's coordinates there, and jk_basis reads the residue
-off the form's factors in closed form.  The flag residues of jk_zeta cover
-active sets that are not a basis.
+the basis.  meet eliminates each basis once, and its SingularPoint keeps the
+inverse of the planes' linear parts: zeta_from_theta and jk_basis read zeta's
+coordinates there, and jk_basis reads the residue off the form's factors in
+closed form.  The flag residues of jk_zeta cover active sets that are not a basis.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (DegenerateRCharges, NonRegularStability, NotProjective,
 from .exact import (LinForm, ONE, Q, RationalExpr, ZERO, in_span,
                     iterated_residue, mat_det, mat_inverse, mat_rank, qify,
                     rref, solve_linear, subst_linear_basis)
-from .quiver import DimVector, Quiver, Stability, validate_quiver
+from .quiver import DimVector, Quiver, Stability, _spanning_tree_indices, validate_quiver
 
 Vector = tuple[Fraction, ...]
 
@@ -165,17 +166,17 @@ def meet(planes: Sequence[LinForm], var_order: Sequence[str],
 def singular_points(a: Arrangement) -> list[SingularPoint]:
     """All points where n hyperplanes meet, sorted by location.
 
-    Each combination of n planes is met once.  Where exactly n planes pass
-    through a point, only their own combination finds it; a second
-    combination landing on a stored location means more than n planes
+    A plane x_i - x_j + c is an edge i-j (j = n for the reference, fixed at
+    0), so the bases are the spanning trees on n + 1 nodes; each is met once.
+    A second basis landing on a stored location means more than n planes
     meet there (basis exchange), which raises DegenerateRCharges at once.
     """
     planes = [lf + off for lf, off in a.hyperplanes()]
+    index = {v: i for i, v in enumerate(a.variables)}
+    edges = [(*(index[v] for v in p.coeffs), a.n, a.n)[:2] for p in planes]
     pts: dict[Vector, SingularPoint] = {}
-    for combo in itertools.combinations(range(len(planes)), a.n):
-        pt = meet([planes[i] for i in combo], a.variables, combo)
-        if pt is None:
-            continue
+    for basis in _spanning_tree_indices(a.n + 1, edges):
+        pt = meet([planes[i] for i in basis], a.variables, basis)
         if pt.location in pts:
             at = ", ".join(f"{x.numerator}/{x.denominator}" for x in pt.location)
             raise DegenerateRCharges(f"more than {a.n} hyperplanes meet at ({at})")

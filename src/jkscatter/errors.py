@@ -38,6 +38,10 @@ class HasOrientedCycle(JKScatterError):
         super().__init__(f"oriented cycle through {self.cycle}")
 
 
+class DuplicateVertex(JKScatterError):
+    """A vertex id is listed more than once."""
+
+
 class UnknownVertex(JKScatterError):
     """A vertex id is not part of the quiver."""
 

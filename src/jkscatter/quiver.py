@@ -10,8 +10,8 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Mapping, Sequence
 
-from .errors import (HasLoop, HasOrientedCycle, NonRegularStability, NotNormalized,
-                     UnknownVertex)
+from .errors import (DuplicateVertex, HasLoop, HasOrientedCycle, NonRegularStability,
+                     NotNormalized, UnknownVertex)
 from .exact import ONE, ZERO, qify
 
 Q = Fraction
@@ -43,10 +43,11 @@ def bipartite_quiver(l1: int, l2: int) -> Quiver:
 
 
 def validate_quiver(q: Quiver) -> None:
-    """Enforce known vertices, loop-freeness and acyclicity."""
+    """Enforce distinct and known vertices, loop-freeness and acyclicity."""
     vs = set(q.vertices)
     if len(vs) != len(q.vertices):
-        raise HasOrientedCycle([])  # duplicate ids would corrupt everything
+        repeated = sorted({v for v in q.vertices if q.vertices.count(v) > 1})
+        raise DuplicateVertex(f"repeated vertex ids {repeated}")
     for t, h in q.arrows:
         if t not in vs or h not in vs:
             raise UnknownVertex(f"arrow ({t}, {h}) references unknown vertex")
@@ -118,7 +119,9 @@ class DimVector:
         _check_keys(q, mapping, "dimension")
         vals = []
         for v in q.vertices:
-            d = int(mapping.get(v, 0))
+            d = mapping.get(v, 0)
+            if type(d) is not int:
+                raise TypeError(f"dimension at {v} must be an int, got {d!r}")
             if d < 0:
                 raise ValueError(f"negative dimension at {v}")
             vals.append((v, d))
@@ -183,15 +186,27 @@ class SpanningTree:
 
 
 def spanning_trees(qbar: Quiver) -> list[SpanningTree]:
-    """All spanning trees of the underlying graph, lexicographic in arrow ids;
-    none if the graph is disconnected."""
+    """All spanning trees of the underlying multigraph, lexicographic in arrow
+    ids; none if the graph is disconnected or has no vertex."""
     validate_quiver(qbar)
-    n = len(qbar.vertices)
-    out = []
-    for combo in itertools.combinations(range(len(qbar.arrows)), n - 1):
-        if _tree_walk(qbar, combo, qbar.vertices[0]) is not None:
-            out.append(SpanningTree(combo))
-    return out
+    edges = [(qbar.vertices.index(t), qbar.vertices.index(h)) for t, h in qbar.arrows]
+    return [SpanningTree(t) for t in _spanning_tree_indices(len(qbar.vertices), edges)]
+
+
+def _spanning_tree_indices(nodes: int, edges: Sequence[tuple[int, int]]):
+    """Edge-index tuples of the spanning trees on nodes 0..nodes-1, in
+    lexicographic order: an edge is taken only when it joins two components
+    of the forest so far, and a branch stops when too few edges remain."""
+    def grow(start: int, comp: list[int], chosen: tuple[int, ...]):
+        if len(chosen) == nodes - 1:
+            yield chosen
+            return
+        for i in range(start, len(edges) - nodes + len(chosen) + 2):
+            a, b = comp[edges[i][0]], comp[edges[i][1]]
+            if a != b:
+                yield from grow(i + 1, [a if c == b else c for c in comp], chosen + (i,))
+
+    return grow(0, list(range(nodes)), ()) if nodes else iter(())
 
 
 def _tree_walk(qbar: Quiver, arrows: Sequence[int], root: str):

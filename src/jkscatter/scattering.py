@@ -9,7 +9,6 @@ live in Q[x^{±1}, y^{±1}][s_*, t_*] truncated in total parameter degree.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
@@ -108,21 +107,15 @@ def _angular_key(v: tuple[int, int]) -> tuple:
 
 
 def _sort_events(events):
-    """Sort crossing events ccw; within a sector compare by the cross product."""
+    """Sort crossing events ccw: by sector, then by -dot/cross with
+    START_DIRECTION, the -cot of the angle from it (0 on the axis sectors)."""
 
-    def cmp(e1, e2):
-        k1, k2 = _angular_key(e1[0])[0], _angular_key(e2[0])[0]
-        if k1 != k2:
-            return -1 if k1 < k2 else 1
-        u, v = e1[0], e2[0]
-        cr = u[0] * v[1] - u[1] * v[0]
-        if cr > 0:
-            return -1
-        if cr < 0:
-            return 1
-        return 0
+    def key(event):
+        (a, b), (sx, sy) = event[0], START_DIRECTION
+        cr = sx * b - sy * a
+        return _angular_key((a, b))[0], Fraction(-(sx * a + sy * b), cr) if cr else 0
 
-    return sorted(events, key=functools.cmp_to_key(cmp))
+    return sorted(events, key=key)
 
 
 def loop_product(d: ScatteringDiagram) -> tuple[TruncatedSeries, TruncatedSeries]:

@@ -184,6 +184,66 @@ class TestDegeneracyRule:
         assert point_rows(a) == reference_rows(a) == DegenerateRCharges
 
 
+def combination_scan(a):
+    """The all-combinations scan singular_points replaced (test reference):
+    meet every n planes, skip the dependent ones, and stop at the first
+    repeated location.  Rows (location, active), or the degeneracy message."""
+    planes = [lf + off for lf, off in a.hyperplanes()]
+    pts = {}
+    for combo in itertools.combinations(range(len(planes)), a.n):
+        pt = meet([planes[i] for i in combo], a.variables, combo)
+        if pt is None:
+            continue
+        if pt.location in pts:
+            at = ", ".join(f"{x.numerator}/{x.denominator}" for x in pt.location)
+            return f"more than {a.n} hyperplanes meet at ({at})"
+        pts[pt.location] = pt
+    return [(loc, pts[loc].active) for loc in sorted(pts)]
+
+
+def tree_rows(a):
+    try:
+        return [(p.location, p.active) for p in singular_points(a)]
+    except DegenerateRCharges as exc:
+        return str(exc)
+
+
+class TestSpanningTreeBases:
+    """singular_points meets the spanning-tree bases only, in the order of
+    the combination scan, so points, active sets and the first repeated
+    location are those of the scan."""
+
+    @given(small_explicit_arrangements())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_combination_scan(self, a):
+        assert tree_rows(a) == combination_scan(a)
+
+    @pytest.mark.parametrize("q, dims, seed", [
+        (bipartite_quiver(2, 2), {"i1": 2, "i2": 2, "j1": 1, "j2": 2}, 1),
+        (bipartite_quiver(2, 1), {"i1": 2, "i2": 1, "j1": 2}, 3),
+        (bipartite_quiver(3, 1), {"i1": 1, "i2": 1, "i3": 1, "j1": 2}, 1),
+        (bipartite_quiver(2, 2), {"i1": 1, "i2": 1, "j1": 1, "j2": 1}, 7),
+    ])
+    def test_seeded_matches_combination_scan(self, q, dims, seed):
+        a = unchecked_arrangement(q, dv(q, **dims),
+                                  sample_rcharges(len(q.arrows), seed))
+        assert tree_rows(a) == combination_scan(a)
+
+    def test_one_meet_per_basis(self, monkeypatch):
+        # K(1,1), d = (2;1): 5 bases among the C(4, 2) = 6 pairs of planes
+        calls = []
+
+        def counting_meet(*args):
+            calls.append(args)
+            return meet(*args)
+
+        q = bipartite_quiver(1, 1)
+        a = unchecked_arrangement(q, dv(q, i1=2, j1=1), [Q(1, 3)])
+        monkeypatch.setattr(arrangement, "meet", counting_meet)
+        pts = singular_points(a)
+        assert len(calls) == len(pts) == 5
+
+
 # -- flags ---------------------------------------------------------------------
 
 class TestFlags:

@@ -115,6 +115,17 @@ class TestParseQuiverFile:
             cli.parse_quiver_file(str(p))
         assert "cycle" in ei.value.rule
 
+    def test_repeated_vertex_ids_named(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(dict(K21_FILE, vertices=["i1", "i1", "j1"])))
+        with pytest.raises(ValidationError) as ei:
+            cli.parse_quiver_file(str(p))
+        assert ei.value.rule == "duplicatevertex"
+        code, rep = run_json(["trees", "--quiver", str(p)])
+        assert code == 2
+        assert rep["error"] == "ValidationError"
+        assert rep["message"] == "duplicatevertex: repeated vertex ids ['i1']"
+
 
 class TestCommands:
     def test_trees(self, quiver_file):

@@ -2,6 +2,7 @@
 layers.
 """
 
+import itertools
 from fractions import Fraction as Q
 
 from hypothesis import given, settings
@@ -101,6 +102,58 @@ class TestSeriesProperties:
 
 
 @st.composite
+def small_quivers(draw):
+    """Acyclic quivers on 1-6 vertices: arrows run from a lower to a higher
+    index, in drawn order, parallel arrows allowed and often disconnected."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    vertices = [f"v{i}" for i in range(n)]
+    pairs = [(vertices[i], vertices[j]) for i in range(n) for j in range(i + 1, n)]
+    arrows = draw(st.lists(st.sampled_from(pairs), max_size=9)) if pairs else []
+    return Quiver.make(vertices, arrows)
+
+
+def subset_scan_trees(q):
+    """Every (V-1)-subset of arrows that reaches all vertices from the first
+    (test reference for spanning_trees), in combination order."""
+    out = []
+    for combo in itertools.combinations(range(len(q.arrows)), len(q.vertices) - 1):
+        reached = {q.vertices[0]}
+        for _ in combo:
+            reached |= {v for i in combo for v in q.arrows[i]
+                        if reached & set(q.arrows[i])}
+        if len(reached) == len(q.vertices):
+            out.append(combo)
+    return out
+
+
+def kirchhoff_count(q):
+    """Matrix-tree theorem: the determinant of the Laplacian with the first
+    row and column removed, by exact elimination."""
+    index = {v: i for i, v in enumerate(q.vertices)}
+    lap = [[Q(0)] * len(index) for _ in index]
+    for t, h in q.arrows:
+        a, b = index[t], index[h]
+        lap[a][a] += 1
+        lap[b][b] += 1
+        lap[a][b] -= 1
+        lap[b][a] -= 1
+    m = [row[1:] for row in lap[1:]]
+    det = Q(1)
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+@st.composite
 def random_rooted_trees(draw):
     n = draw(st.integers(min_value=2, max_value=6))
     vertices = [f"v{i}" for i in range(n)]
@@ -133,3 +186,10 @@ class TestTreeProperties:
         # K(a,b) has a^(b-1) * b^(a-1) spanning trees
         qbar, _ = reduced_quiver(bipartite_quiver(a, b))
         assert len(spanning_trees(qbar)) == a ** (b - 1) * b ** (a - 1)
+
+    @given(small_quivers())
+    @settings(max_examples=200, deadline=None)
+    def test_spanning_trees_match_subset_scan(self, q):
+        trees = [t.arrows for t in spanning_trees(q)]
+        assert trees == subset_scan_trees(q)
+        assert len(trees) == kirchhoff_count(q)

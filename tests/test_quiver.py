@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jkscatter.errors import (HasLoop, HasOrientedCycle, NonRegularStability,
-                              NotATree, NotNormalized, UnknownVertex)
+from jkscatter.errors import (DuplicateVertex, HasLoop, HasOrientedCycle,
+                              NonRegularStability, NotATree, NotNormalized,
+                              UnknownVertex)
 from jkscatter.exact import solve_linear
 from jkscatter.quiver import (DimVector, Quiver, SpanningTree, Stability,
                               abelianize, bipartite_quiver, moduli_dimension,
@@ -43,6 +44,25 @@ def test_cycle_rejected_with_witness():
 def test_unknown_vertex():
     with pytest.raises(UnknownVertex):
         validate_quiver(Quiver.make(["a"], [("a", "b")]))
+
+
+def test_repeated_vertex_ids_are_named():
+    q = Quiver.make(["b", "a", "b", "a", "c"], [("a", "c")])
+    with pytest.raises(DuplicateVertex) as ei:
+        validate_quiver(q)
+    assert str(ei.value) == "repeated vertex ids ['a', 'b']"
+
+
+def test_no_vertex_has_no_spanning_tree():
+    q = Quiver.make([], [])
+    assert spanning_trees(q) == []
+    assert weist_count(q, Stability.make(q, {})) == 0
+
+
+def test_one_vertex_has_the_empty_tree():
+    q = Quiver.make(["a"], [])
+    assert spanning_trees(q) == [SpanningTree(())]
+    assert weist_count(q, stab(q, 0)) == 1
 
 
 def test_disconnected_has_no_spanning_tree():
@@ -85,6 +105,12 @@ def test_dimvector_helpers():
 def test_negative_dimension_rejected():
     with pytest.raises(ValueError):
         DimVector.make(A2, {"1": -1, "2": 1})
+
+
+@pytest.mark.parametrize("value", [1.7, Q(3, 2), Q(2), 1.0, "1"])
+def test_non_integer_dimension_rejected(value):
+    with pytest.raises(TypeError, match="dimension at 2 must be an int"):
+        DimVector.make(A2, {"1": 1, "2": value})
 
 
 def test_normalization_check():

@@ -2,6 +2,7 @@
 consistent completion, and coefficient extraction.
 """
 
+import functools
 from fractions import Fraction as Q
 
 import pytest
@@ -115,6 +116,35 @@ def naive_cross(w, g, eps):
 @given(walls(), series, st.sampled_from([1, -1]))
 def test_cross_wall_matches_per_term_substitution(w, g, eps):
     assert cross_wall(w, g, eps) == naive_cross(w, g, eps)
+
+
+def cmp_sort_events(events):
+    """The comparator _sort_events replaced (test reference): the sector,
+    then u before v when u x v > 0."""
+
+    def cmp(e1, e2):
+        k1, k2 = scattering._angular_key(e1[0])[0], scattering._angular_key(e2[0])[0]
+        if k1 != k2:
+            return -1 if k1 < k2 else 1
+        u, v = e1[0], e2[0]
+        cr = u[0] * v[1] - u[1] * v[0]
+        return -1 if cr > 0 else 1 if cr < 0 else 0
+
+    return sorted(events, key=functools.cmp_to_key(cmp))
+
+
+START = scattering.START_DIRECTION
+axis = st.integers(-3, 3).filter(bool).map(lambda k: (k * START[0], k * START[1]))
+vectors = st.one_of(axis, st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+                    .filter(lambda v: v != (0, 0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(vectors, max_size=25))
+def test_sort_events_matches_comparator(dirs):
+    # distinct tags show that ties keep their input order on both sides
+    events = [(v, i, 1) for i, v in enumerate(dirs)]
+    assert scattering._sort_events(events) == cmp_sort_events(events)
 
 
 class TestLoopAndScatter:
