@@ -1,9 +1,10 @@
 """The global JK residue of a quiver's meromorphic form, two ways.
 
 Route one enumerates every singular point of the weight/root arrangement and
-sums the local JK residues.  Route two never looks at singular points: it
-walks the spanning trees of the reduced quiver, lifts each tree arrow back to
-an original arrow, and evaluates one local residue per lift.  The two answers
+sums the local JK residues.  Route two reads the singular points only to
+check that the stability is regular: it walks the spanning trees of the
+reduced quiver, lifts each tree arrow back to an original arrow, and
+evaluates one local residue per lift.  The two answers
 agree exactly, and are independent of the generic R-charges.
 """
 
@@ -18,7 +19,7 @@ theta = Stability.make(kron2, {"1": Q(1), "2": Q(-1)})
 
 a = build_arrangement(kron2, d, rcharges=[Q(1, 7), Q(2, 7)])
 print("Z_Q for the 2-Kronecker quiver:")
-print(" ", build_ZQ(kron2, d, a))
+print(" ", build_ZQ(a))
 
 value, expansion = jk_tree_expansion(kron2, theta, a)
 print("\ntree expansion:")

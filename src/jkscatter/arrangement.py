@@ -13,7 +13,8 @@ Brion-Vergne 1999): it depends only on the signs of zeta's coordinates in
 the basis.  meet eliminates each basis once, and its SingularPoint keeps the
 inverse of the planes' linear parts: zeta_from_theta and jk_basis read zeta's
 coordinates there, and jk_basis reads the residue off the form's factors in
-closed form.  The flag residues of jk_zeta cover active sets that are not a basis.
+closed form.  The flag residues of jk_zeta, for active sets that are not a
+basis, are reached by no command, since singular_points rejects such sets.
 """
 
 from __future__ import annotations
@@ -440,10 +441,11 @@ def zeta_from_theta(a: Arrangement, theta: Stability) -> Vector:
     zeta = tuple(-x for x in theta_lift(a, theta))
     walls = []
     for pt in a.points:
-        vecs = [f.vector(a.variables) for f in pt.functionals]
         c = pt.coordinates(zeta)
-        walls.extend(tuple(sorted(vecs[:i] + vecs[i + 1:]))
-                     for i, x in enumerate(c) if x == 0)
+        if 0 in c:  # the vectors serve only to name a wall
+            vecs = [f.vector(a.variables) for f in pt.functionals]
+            walls.extend(tuple(sorted(vecs[:i] + vecs[i + 1:]))
+                         for i, x in enumerate(c) if x == 0)
     if walls:
         raise NonRegularStability(
             "lifted stability lies on an arrangement wall",

@@ -71,6 +71,9 @@ def parse_quiver_file(path: str) -> tuple[Quiver, DimVector, Stability]:
             and all(type(x) is int for x in raw["dimension"].values())):
         raise ValidationError("schema", "dimension and stability must be objects keyed "
                                         "by vertex, with integer dimensions")
+    negative = sorted(v for v, x in raw["dimension"].items() if x < 0)
+    if negative:
+        raise ValidationError("schema", f"negative dimension at {negative}")
     q = Quiver.make(raw["vertices"], arrows)
     try:
         validate_quiver(q)
@@ -90,7 +93,16 @@ def _parse_blocks(text: str) -> list[list[str]]:
             for block in text.split(";")]
 
 
+def _dim_entry(text: str) -> int:
+    if not re.fullmatch(r"\s*\d+\s*", text):
+        raise ParseError(f"--d entry {text!r}: expected a non-negative integer")
+    return int(text)
+
+
 def _bipartite_inputs(args) -> tuple[Quiver, DimVector, Stability | None]:
+    for flag, size in (("--l1", args.l1), ("--l2", args.l2)):
+        if size < 1:
+            raise ParseError(f"{flag} {size}: K(l1, l2) needs l1, l2 >= 1")
     q = bipartite_quiver(args.l1, args.l2)
     blocks = _parse_blocks(args.d)
     if len(blocks) == 1 and len(blocks[0]) == args.l1 + args.l2:
@@ -99,7 +111,7 @@ def _bipartite_inputs(args) -> tuple[Quiver, DimVector, Stability | None]:
         flat = blocks[0] + blocks[1]
     else:
         raise ParseError(f"--d {args.d!r} does not match ({args.l1},{args.l2})")
-    d = DimVector.make(q, {v: int(x) for v, x in zip(q.vertices, flat)})
+    d = DimVector.make(q, {v: _dim_entry(x) for v, x in zip(q.vertices, flat)})
     zeta = None
     if getattr(args, "zeta", None):
         zflat = [x for b in _parse_blocks(args.zeta) for x in b]

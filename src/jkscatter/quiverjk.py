@@ -19,11 +19,11 @@ from .quiver import (DimVector, Quiver, SpanningTree, Stability, _tree_walk,
                      tree_components, weist_count)
 
 
-def build_ZQ(q: Quiver, d: DimVector, a: Arrangement) -> RationalExpr:
+def build_ZQ(a: Arrangement) -> RationalExpr:
     """The meromorphic form (-1)^(|d|-1) * prod_roots r/(r-1) *
-    prod_weights (rho+R-1)/(rho+R) of the arrangement, one weight factor per
-    original arrow and index pair, so every pole is simple."""
-    scalar = Q(-1) ** (d.total() - 1)
+    prod_weights (rho+R-1)/(rho+R) of the arrangement, d = a.dim, one weight
+    factor per original arrow and index pair, so every pole is simple."""
+    scalar = Q(-1) ** (a.dim.total() - 1)
     factors = []
     for r in a.roots:
         factors.append((r, 1))
@@ -63,13 +63,13 @@ def jk_tree_expansion(q: Quiver, theta: Stability,
     point whose active weights form a basis; the tree contributes iff all
     its stability coefficients are negative.  A disconnected support has
     no spanning tree, and the residue is 0.  Each lift's planes are met
-    here (meet, one elimination that jk_basis then reads), not looked up
-    in a.points, so the two JK routes stay independent; zeta_from_theta
-    reads a.points to check that the stability is regular.
+    here, not looked up in a.points: a.points is reached only through
+    zeta_from_theta's regularity check, so this route (the jk report's tree
+    table) stays an independent check of jk_global_ZQ, which jk_ab uses.
     """
     if not a.dim.is_abelian():
         raise ValueError("tree expansion needs an abelian dimension vector")
-    z = build_ZQ(q, a.dim, a)
+    z = build_ZQ(a)
     # the arrangement sees only the support of d: trees of the quiver on it
     qbar, _mult = support_quiver(q, a.dim)
     zeta = zeta_from_theta(a, theta)
@@ -105,7 +105,7 @@ def jk_tree_expansion(q: Quiver, theta: Stability,
 
 def jk_global_ZQ(q: Quiver, theta: Stability, a: Arrangement) -> Fraction:
     """Global JK of Z_Q via full singular-point enumeration (second route)."""
-    z = build_ZQ(q, a.dim, a)
+    z = build_ZQ(a)
     zeta = zeta_from_theta(a, theta)
     return jk_global(z, a, zeta)
 
@@ -118,17 +118,17 @@ def jk_ab(q: Quiver, d: DimVector, zeta: Stability, rseed: int,
           lam: Fraction = ONE) -> Fraction:
     """Abelianized JK residue: weighted sum over blown-up abelian quivers.
 
-    Each term k is evaluated by the tree expansion with R-charges
-    lambda * R-bar, R-bar = sample_rcharges(arrows, rseed + 1000003 * k);
-    its arrangement is built once, at lambda * R-bar.
+    Each term k is the global JK residue (jk_global_ZQ) of its blown-up
+    quiver with R-charges lambda * R-bar, R-bar = sample_rcharges(arrows,
+    rseed + 1000003 * k): the arrangement is built once, at lambda * R-bar,
+    and the residue is read at the singular points that build met.
     """
     total = ZERO
     for k, term in enumerate(abelianize(q, d, zeta)):
         rbar = sample_rcharges(len(term.quiver.arrows), rseed + 1000003 * k)
         arr = build_arrangement(term.quiver, term.dimension,
                                 rcharges=[lam * r for r in rbar])
-        value, _ = jk_tree_expansion(term.quiver, term.stability, arr)
-        total += term.coefficient * value
+        total += term.coefficient * jk_global_ZQ(term.quiver, term.stability, arr)
     return total
 
 

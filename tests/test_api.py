@@ -4,8 +4,9 @@ subcommand.
 A change to either must edit the tables here and be listed in CHANGES.md.
 Recorded removals: the ``reference=`` parameter of ``build_arrangement``,
 the ``Weight.pair`` field, ``LinForm.translate``, ``RationalExpr.translate``,
-``jkscatter jk-ab --csv``, the ``sign_mode=`` parameter of ``build_ZQ`` and
-``series_exp_log``.  Recorded additions: ``meet``.
+``jkscatter jk-ab --csv``, the ``sign_mode=`` parameter of ``build_ZQ``,
+``series_exp_log``, and the ``q`` and ``d`` parameters of ``build_ZQ``
+(it reads ``a.dim``).  Recorded additions: ``meet``.
 """
 
 import argparse

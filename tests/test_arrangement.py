@@ -463,7 +463,7 @@ class TestZetaFromTheta:
         a = build_arrangement(k21, dv(k21, i1=1, i2=1, j1=1), seed=5)
         zeta = zeta_from_theta(a, theta)
         assert zeta == (-1, -1)
-        z = build_ZQ(k21, a.dim, a)
+        z = build_ZQ(a)
         untied = (Q(-1) + Q(1, 1000), Q(-1) + Q(1, 10 ** 6))
         assert jk_global(z, a, zeta) == jk_global(z, a, untied) == 1
         assert jk_tree_expansion(k21, theta, a)[0] == 1
@@ -574,7 +574,7 @@ class TestRegularityInBasisCoordinates:
         raw = tuple(-x for x in theta_lift(a, theta))
         assert got == ("value", raw)
         perturbed = expected[1]
-        z = build_ZQ(a.quiver, a.dim, a)
+        z = build_ZQ(a)
         value = jk_global(z, a, perturbed)
         assert jk_global(z, a, raw) == value
         if a.dim.is_abelian() and sum(a.dim[v] * theta[v] for v in a.quiver.vertices) == 0:
@@ -603,13 +603,13 @@ class TestJKGlobal:
     def test_kronecker2_value(self):
         d = dv(KRON2, **{"1": 1, "2": 1})
         a = build_arrangement(KRON2, d, rcharges=[Q(1, 3), Q(2, 5)])
-        z = build_ZQ(KRON2, d, a)
+        z = build_ZQ(a)
         zeta = zeta_from_theta(a, stab(KRON2, 1, -1))
         assert jk_global(z, a, zeta) == 2
 
     def test_unstable_side_vanishes(self):
         d = dv(KRON2, **{"1": 1, "2": 1})
         a = build_arrangement(KRON2, d, rcharges=[Q(1, 3), Q(2, 5)])
-        z = build_ZQ(KRON2, d, a)
+        z = build_ZQ(a)
         zeta = zeta_from_theta(a, stab(KRON2, -1, 1))
         assert jk_global(z, a, zeta) == 0

@@ -1,5 +1,6 @@
 """Tests for the command-line surface: parsing, reports, exit codes."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jkscatter import arrangement, cli, quiver, quiverjk
 from jkscatter.errors import ParseError, UnknownVertex, ValidationError
@@ -360,6 +363,46 @@ class TestExitCodes:
         assert rep["error"] == "CutoffTooSmall"
 
 
+class TestBipartiteInputChecks:
+    """K(l1, l2) sizes below 1 and --d entries that are not non-negative
+    integers exit 2 with a ParseError that names the flag or the entry."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["trees", "--l1=-1", "--l2=2", "--d=1", "--zeta=0"], "--l1 -1"),
+        (["jk", "--l1=0", "--l2=2", "--d=1,0", "--zeta=0,0"], "--l1 0"),
+        (["jk-ab", "--l1=1", "--l2=0", "--d=1", "--zeta=0", "--infinity"], "--l2 0"),
+        (["extract-cd", "--l1=2", "--l2=-1", "--d=1,1", "--order=2"], "--l2 -1"),
+    ])
+    def test_size_below_one(self, argv, flag):
+        code, rep = run_json(argv)
+        assert code == 2
+        assert rep["error"] == "ParseError"
+        assert rep["message"] == f"{flag}: K(l1, l2) needs l1, l2 >= 1"
+
+    @pytest.mark.parametrize("argv, entry", [
+        (["verify-main", "--l1", "2", "--l2", "1", "--d", "x,1;1", "--zeta", "1,1,-2",
+          "--order", "4"], "x"),
+        (["trees", "--l1", "1", "--l2", "1", "--d=-1;1", "--zeta", "1,-1"], "-1"),
+        (["jk-ab", "--l1", "1", "--l2", "1", "--d", "1.5;1", "--zeta", "1,-1"], "1.5"),
+    ])
+    def test_bad_d_entry(self, argv, entry):
+        code, rep = run_json(argv)
+        assert code == 2
+        assert rep["error"] == "ParseError"
+        assert rep["message"] == f"--d entry {entry!r}: expected a non-negative integer"
+
+    def test_negative_dimension_in_file_is_schema_error(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(dict(K21_FILE, dimension={"i1": -1, "i2": 1, "j1": 1})))
+        with pytest.raises(ValidationError) as ei:
+            cli.parse_quiver_file(str(p))
+        assert ei.value.rule == "schema"
+        code, rep = run_json(["jk", "--quiver", str(p)])
+        assert code == 2
+        assert rep["error"] == "ValidationError"
+        assert rep["message"] == "schema: negative dimension at ['i1']"
+
+
 class ClosedOut(io.StringIO):
     """An output whose reader has gone: every write fails."""
 
@@ -485,3 +528,74 @@ class TestDeterminism:
     def test_scatter_byte_identical(self):
         argv = ["scatter", "--l1", "2", "--l2", "2", "--order", "4"]
         assert run(argv) == run(argv)
+
+
+# -- the CLI contract over argv -------------------------------------------------
+
+ARGV_TOKENS = {
+    "--d": ["1", "2", "1;1", "2;1", "1;2", "2;2", "1,1;1", "1,0;1", "2,1;1",
+            "1,1;1,1", "1,1,1,1", "0;0", "1,1", "x,1;1", "-1;1", "1;;1", "",
+            ";", "1.5;1", "+1;1"],
+    "--zeta": ["1,-1", "-1,1", "1,-2", "2,-1", "1,1,-2", "2,-1,-1", "1,1,-3/2",
+               "1,1,-1,-1", "3,1,-2,-2", "0,0", "1/2,-1/2", "x,1", "1/0,1", ""],
+    "--lambda": ["1", "7", "1000", "1/2", "-1", "0", "x", "1/0", ""],
+    "--rcharges": ["seed:0", "seed:7", "seed:-1", "seed:", "seed:x", "1/3",
+                   "1/3,2/5", "1/3,2/5,3/7", "0,0", "x", ""],
+    "--ray": ["1,1", "1,0", "0,1", "2,1", "-1,1", "0,0", "2,2", "1", "x", ""],
+}
+ARGV_VALUES = {
+    "--l1": st.integers(-1, 2).map(str),
+    "--l2": st.integers(-1, 2).map(str),
+    "--order": st.integers(-1, 3).map(str),
+    **{opt: st.sampled_from(tokens) for opt, tokens in ARGV_TOKENS.items()},
+}
+ARGV_FLAGS = ("--csv", "--infinity")
+BARE_ERRORS = {"ValueError", "TypeError", "KeyError", "IndexError",
+               "ZeroDivisionError"}
+CSV_HEADERS = {"tree,arrows,components,stable,multiplicity",
+               "tree,arrows,lift,stable,contribution", "direction,support,function"}
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand and --opt=value pairs from its options (no quiver file);
+    a few options are left out, so required ones are sometimes missing."""
+    (sub,) = [a for a in cli._build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    command = draw(st.sampled_from(sorted(sub.choices)))
+    options = sorted(opt for act in sub.choices[command]._actions
+                     for opt in act.option_strings
+                     if opt not in ("-h", "--help", "--quiver"))
+    left_out = draw(st.sets(st.sampled_from(options), max_size=2))
+    argv = [command]
+    for opt in options:
+        if opt in left_out:
+            continue
+        if opt in ARGV_FLAGS:
+            argv += [opt] if draw(st.booleans()) else []
+        else:
+            argv.append(f"{opt}={draw(ARGV_VALUES[opt])}")
+    return argv
+
+
+class TestArgvContract:
+    """Every request ends in exit 0-3 with one JSON report, a CSV table or,
+    for an argparse usage error, nothing on stdout; no report names a bare
+    Python exception."""
+
+    @given(cli_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_exit_code_and_one_report(self, argv):
+        code, text = run(argv)
+        assert code in (0, 1, 2, 3)
+        assert code != 1 or argv[0] == "verify-main"
+        if text == "":
+            assert code == 2  # argparse wrote its usage error to stderr
+            return
+        if code == 0 and "--csv" in argv and not text.startswith("{"):
+            assert text.splitlines()[0] in CSV_HEADERS
+            return
+        report = json.loads(text)
+        assert isinstance(report, dict)
+        assert ("error" in report) == (code in (2, 3))
+        assert report.get("error") not in BARE_ERRORS, report

@@ -3,6 +3,7 @@ abelianized JK, large-R limits, and tree-function residues.
 """
 
 import io
+import json
 from fractions import Fraction as Q
 
 import pytest
@@ -39,7 +40,7 @@ class TestBuildZQ:
     def test_a2_shape(self):
         d = dv(A2, **{"1": 1, "2": 1})
         a = build_arrangement(A2, d, rcharges=[Q(1, 3)])
-        z = build_ZQ(A2, d, a)
+        z = build_ZQ(a)
         # -(rho+R-1)/(rho+R) with rho = -u: value checks at a sample point
         assert z.evaluate({"u_1_1": Q(1)}) == -(Q(-1) + Q(1, 3) - 1) / (Q(-1) + Q(1, 3))
 
@@ -47,7 +48,7 @@ class TestBuildZQ:
         k11 = bipartite_quiver(1, 1)
         d = dv(k11, i1=2, j1=1)
         a = build_arrangement(k11, d, seed=0)
-        z = build_ZQ(k11, d, a)
+        z = build_ZQ(a)
         # proportional root factors merge; each weight gives two factors
         assert sum(abs(e) for _, e in z.factors) == \
             2 * len(a.roots) + 2 * len(a.weights)
@@ -155,6 +156,48 @@ class TestEnumerationCounts:
         assert len(abelianize(k31, d, z)) == 2
         jk_ab(k31, d, z, rseed=0, lam=Q(1000))
         assert len(calls) == 2
+
+
+class TestJkAbOneEliminationPerBasis:
+    """jk_ab reads each term's residue at the singular points its
+    arrangement build met: no basis is eliminated twice, and the tree
+    expansion is not on its path."""
+
+    K31 = bipartite_quiver(3, 1)
+
+    def k31_inputs(self):
+        return (dv(self.K31, i1=1, i2=1, i3=1, j1=2), stab(self.K31, 2, 2, 2, -3))
+
+    def test_one_meet_per_point(self, monkeypatch):
+        meets, built = [], []
+        real_meet, real_build = arrangement.meet, quiverjk.build_arrangement
+        for module in (arrangement, quiverjk):
+            monkeypatch.setattr(module, "meet",
+                                lambda *a: meets.append(a) or real_meet(*a))
+
+        def building(*args, **kw):
+            built.append(real_build(*args, **kw))
+            return built[-1]
+
+        monkeypatch.setattr(quiverjk, "build_arrangement", building)
+        d, z = self.k31_inputs()
+        assert jk_ab(self.K31, d, z, rseed=0, lam=Q(1000)) == 2
+        assert len(meets) == sum(len(a.points) for a in built) == 20
+
+    def test_no_tree_expansion(self, monkeypatch):
+        def no_tree_expansion(*_args):
+            raise AssertionError("jk_ab took the tree route")
+
+        monkeypatch.setattr(quiverjk, "jk_tree_expansion", no_tree_expansion)
+        d, z = self.k31_inputs()
+        assert jk_ab(self.K31, d, z, rseed=0, lam=Q(1000)) == 2
+        table = lambda_sweep(self.K31, d, z, 0, [Q(1), Q(7)])
+        assert [row["value"] for row in table["rows"]] == [2, 2]
+        out = io.StringIO()
+        code = cli.main(["jk-ab", "--l1", "3", "--l2", "1", "--d", "1,1,1;2",
+                         "--zeta", "2,2,2,-3", "--lambda", "7"], out=out)
+        assert code == 0
+        assert json.loads(out.getvalue())["results"]["value"] == "2/1"
 
 
 class TestLocalResidueCounts:
