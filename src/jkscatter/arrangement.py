@@ -10,11 +10,10 @@ node), and the bases of n planes are the spanning trees on n + 1 nodes.
 Exactly n planes meet at every singular point (singular_points rejects
 more), so the local JK residue there is the basis case (Jeffrey-Kirwan 1995,
 Brion-Vergne 1999): it depends only on the signs of zeta's coordinates in
-the basis.  meet eliminates each basis once, and its SingularPoint keeps the
-inverse of the planes' linear parts: zeta_from_theta and jk_basis read zeta's
-coordinates there, and jk_basis reads the residue off the form's factors in
-closed form.  The flag residues of jk_zeta, for active sets that are not a
-basis, are reached by no command, since singular_points rejects such sets.
+the basis, zeta summed across each cut of the tree (quiver._cut_sums, as
+for theta in tree_components).  meet walks each tree once, and jk_basis
+reads the residue in closed form.  The flag residues of jk_zeta, for active
+sets that are not a basis, are reached by no command.
 """
 
 from __future__ import annotations
@@ -29,9 +28,10 @@ from typing import Sequence
 from .errors import (DegenerateRCharges, NonRegularStability, NotProjective,
                      NotSumRegular)
 from .exact import (LinForm, ONE, Q, RationalExpr, ZERO, in_span,
-                    iterated_residue, mat_det, mat_inverse, mat_rank, qify,
+                    iterated_residue, mat_det, mat_rank, qify,
                     rref, solve_linear, subst_linear_basis)
-from .quiver import DimVector, Quiver, Stability, _spanning_tree_indices, validate_quiver
+from .quiver import (DimVector, Quiver, Stability, _cut_sums, _spanning_tree_indices,
+                     _tree_walk, validate_quiver)
 
 Vector = tuple[Fraction, ...]
 
@@ -137,14 +137,15 @@ def build_arrangement(q: Quiver, d: DimVector,
 class SingularPoint:
     location: Vector                     # w.r.t. the arrangement's variables
     active: tuple[int, ...]              # indices into hyperplanes(), or ()
-    functionals: tuple[LinForm, ...]     # the active planes as affine forms,
-                                         # each 0 at the location
-    inverse: tuple[Vector, ...]          # inverse of the functionals' linear parts
+    functionals: tuple[LinForm, ...]     # the active planes, 0 at the location
+    walk: tuple[tuple, ...]              # their edges' tree from the reference
+    scales: tuple[Fraction, ...]         # functional i: scales[i] (x_h - x_t) + c
 
     def coordinates(self, zeta: Sequence[Fraction]) -> list[Fraction]:
-        """c with zeta = sum c_i (linear part of functional i): zeta M^-1."""
-        return [sum((qify(z) * row[i] for z, row in zip(zeta, self.inverse)), ZERO)
-                for i in range(len(self.inverse))]
+        """c with zeta = sum c_i (linear part of functional i): the cut sums
+        of zeta (quiver._cut_sums) over the scales."""
+        sums = _cut_sums(self.walk, [*zeta, ZERO])
+        return [s / k for s, k in zip(sums, self.scales)]
 
 
 def meet(planes: Sequence[LinForm], var_order: Sequence[str],
@@ -152,23 +153,36 @@ def meet(planes: Sequence[LinForm], var_order: Sequence[str],
     """The point where the affine planes p_i = 0 meet, or None unless they
     form a basis (n = len(var_order) planes with independent linear parts).
 
-    One inverse M^-1 of the linear parts gives the location -M^-1 const and
-    stays on the point: zeta's coordinates in the basis are zeta M^-1.
+    Each plane must be an edge k (x_head - x_tail) + c on the n coordinates
+    and the reference node n, fixed at 0 (a plane in one coordinate is an
+    edge to it), else ValueError.  The location is read along the walk of
+    the tree from the reference; the walk and the scales stay on the point.
     """
     n = len(var_order)
-    minv = mat_inverse([p.vector(var_order) for p in planes]) if len(planes) == n else None
-    if minv is None:
+    index = {v: i for i, v in enumerate(var_order)}
+    edges, scales = [], []
+    for p in planes:
+        terms = sorted(p.coeffs.items(), key=lambda vc: -vc[1])  # the head first
+        ends = [index.get(v) for v, _ in terms] + [n]  # the reference last
+        if None in ends or not (len(terms) == 1 or len(terms) == 2 and terms[0][1] == -terms[1][1]):
+            raise ValueError(f"plane {p!r} is not an edge k (x_head - x_tail) + c")
+        edges.append((ends[1], ends[0]))
+        scales.append(terms[0][1])
+    walk = _tree_walk(range(n + 1), edges, n)
+    if walk is None:
         return None
-    location = tuple(-sum((row[i] * planes[i].const for i in range(n)), ZERO)
-                     for row in minv)
-    return SingularPoint(location, active, tuple(planes), tuple(map(tuple, minv)))
+    at = [ZERO] * (n + 1)
+    for v, k, p, down in walk:  # scale * (x_head - x_tail) = -const
+        step = planes[k].const / scales[k]
+        at[v] = at[p] - step if down else at[p] + step
+    return SingularPoint(tuple(at[:n]), active, tuple(planes), walk, tuple(scales))
 
 
 def singular_points(a: Arrangement) -> list[SingularPoint]:
     """All points where n hyperplanes meet, sorted by location.
 
-    A plane x_i - x_j + c is an edge i-j (j = n for the reference, fixed at
-    0), so the bases are the spanning trees on n + 1 nodes; each is met once.
+    Every plane is an edge (see meet), so the bases are the spanning trees
+    on n + 1 nodes; each is met once.
     A second basis landing on a stored location means more than n planes
     meet there (basis exchange), which raises DegenerateRCharges at once.
     """
@@ -361,8 +375,7 @@ def jk_basis(f: RationalExpr, point: SingularPoint, zeta: Sequence[Fraction],
     """Local JK residue of f at a point where a basis of planes meets.
 
     The point (from meet) carries its basis forms basis_i, its location p
-    and the inverse M^-1 of their linear parts, so zeta's coordinates,
-    zeta = sum c_i basis_i, are c = zeta M^-1 with no elimination here: a
+    and its tree, which gives zeta's coordinates, zeta = sum c_i basis_i: a
     zero c_i raises NotSumRegular, and the value is 0 unless every c_i is
     positive.  Inside the cone, every denominator factor lf that vanishes
     at p must be proportional to a basis form, basis_i = kappa_i * lf, else
@@ -428,15 +441,13 @@ def theta_lift(a: Arrangement, theta: Stability) -> Vector:
 def zeta_from_theta(a: Arrangement, theta: Stability) -> Vector:
     """zeta = -theta_lift, checked for regularity at every singular point.
 
-    The active functionals of every singular point form a basis B
-    (singular_points rejects more than n planes through a point), and zeta
-    is tested in its coordinates c, zeta = sum c_i B_i, read off the
-    inverse the point carries with no solve.  zeta lies on a
-    wall, the span of n-1 active functionals, exactly when some c_i is 0:
-    that raises NonRegularStability with the smallest such wall as the
-    witness.  Otherwise zeta is returned as it is: the local JK residue at
-    a basis depends only on the signs of the c_i, so ties and other
-    coincidences among them change no value.
+    The active functionals of every singular point form a basis B, and zeta
+    is tested in its coordinates c, zeta = sum c_i B_i, read off the point's
+    tree.  zeta lies on a wall, the span of n-1 active functionals, exactly
+    when some c_i is 0: that raises NonRegularStability with the smallest
+    such wall as the witness.  Otherwise zeta is returned as it is: the
+    local JK residue at a basis depends only on the signs of the c_i, so
+    ties and other coincidences among them change no value.
     """
     zeta = tuple(-x for x in theta_lift(a, theta))
     walls = []

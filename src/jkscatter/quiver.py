@@ -209,54 +209,59 @@ def _spanning_tree_indices(nodes: int, edges: Sequence[tuple[int, int]]):
     return grow(0, list(range(nodes)), ()) if nodes else iter(())
 
 
-def _tree_walk(qbar: Quiver, arrows: Sequence[int], root: str):
-    """Breadth-first walk from root: (vertex order, {vertex: (arrow, parent)}),
-    or None unless the arrows form a spanning tree and root is a vertex."""
-    if root not in qbar.vertices or len(arrows) != len(qbar.vertices) - 1:
+def _tree_walk(nodes: Sequence, edges: Sequence[tuple], root):
+    """Breadth-first walk from root along (tail, head) edges: a step
+    (v, k, p, down) per other node v, reached from p along edges[k] (from p
+    to v if down); None unless the edges form a spanning tree on nodes."""
+    if root not in nodes or len(edges) != len(nodes) - 1:
         return None
-    adj: dict[str, list[tuple[int, str]]] = {v: [] for v in qbar.vertices}
-    for i in arrows:
-        t, h = qbar.arrows[i]
-        adj[t].append((i, h))
-        adj[h].append((i, t))
-    order, parent = [root], {}
-    for v in order:  # grows while it is read: a FIFO queue
-        for i, u in adj[v]:
-            if u != root and u not in parent:
-                parent[u] = (i, v)
-                order.append(u)
-    # n - 1 arrows that reach all n vertices form a tree
-    return (order, parent) if len(order) == len(qbar.vertices) else None
+    adj = {v: [] for v in nodes}
+    for k, (t, h) in enumerate(edges):
+        adj[t].append((k, h, True))
+        adj[h].append((k, t, False))
+    steps, seen = [(root, None, None, None)], {root}
+    for v, _k, _p, _down in steps:  # grows while it is read: a FIFO queue
+        for k, u, down in adj[v]:
+            if u not in seen:
+                seen.add(u)
+                steps.append((u, k, v, down))
+    # n - 1 edges that reach all n nodes form a tree
+    return tuple(steps[1:]) if len(steps) == len(nodes) else None
+
+
+def _cut_sums(walk, below) -> list:
+    """The c_k of below = sum_k c_k (e_head_k - e_tail_k) off the walk's root:
+    every edge but k adds 0 to below summed over the side of k's cut away
+    from the root, so c_k is that sum, negated when k points toward the
+    root.  below[v] becomes the sum over v's subtree."""
+    sums = [None] * len(walk)
+    for v, k, p, down in reversed(walk):
+        below[p] += below[v]
+        sums[k] = below[v] if down else -below[v]
+    return sums
 
 
 def tree_components(qbar: Quiver, tree: SpanningTree,
                     theta: Stability) -> dict[int, Fraction]:
-    """The c_alpha of theta = sum c_alpha * (e_head - e_tail) over the tree.
-
-    Cut arrow alpha: every other arrow adds 0 to theta summed over either
-    side, so c_alpha is theta summed over the side that holds alpha's head.
-    Raises NotNormalized unless the arrows form a spanning tree and theta
-    sums to 0 over its vertices, then NonRegularStability (witness: tree and
-    arrow) on the first zero c_alpha in tree order.
+    """The c_alpha of theta = sum c_alpha * (e_head - e_tail) over the tree,
+    theta's cut sums.  Raises NotNormalized unless the arrows form a spanning
+    tree and theta sums to 0 over its vertices, then NonRegularStability
+    (witness: tree and arrow) on the first zero c_alpha in tree order.
     """
-    walk = _tree_walk(qbar, tree.arrows, qbar.vertices[0])
+    edges = [qbar.arrows[i] for i in tree.arrows]
+    walk = _tree_walk(qbar.vertices, edges, qbar.vertices[0])
     if walk is None:
         raise NotNormalized("tree arrows do not form a basis of the hyperplane")
-    order, parent = walk
-    below = theta.as_dict()  # becomes theta summed over the subtree below v
-    comps = {}
-    for v in reversed(order[1:]):
-        i, p = parent[v]
-        below[p] += below[v]
-        comps[i] = below[v] if qbar.arrows[i][1] == v else -below[v]
-    if below[order[0]] != 0:
-        raise NotNormalized(f"sum d_v*theta_v = {below[order[0]]} != 0")
+    below = theta.as_dict()
+    comps = dict(zip(tree.arrows, _cut_sums(walk, below)))
+    if below[qbar.vertices[0]] != 0:
+        raise NotNormalized(f"sum d_v*theta_v = {below[qbar.vertices[0]]} != 0")
     for i in tree.arrows:
         if comps[i] == 0:
             raise NonRegularStability(
                 f"component of arrow {qbar.arrows[i]} vanishes on tree {tree.arrows}",
                 witness={"tree": tree.arrows, "arrow": qbar.arrows[i]})
-    return {i: comps[i] for i in tree.arrows}
+    return comps
 
 
 def stable_trees(qbar: Quiver, theta: Stability) -> list[SpanningTree]:

@@ -87,8 +87,6 @@ def jk_tree_expansion(q: Quiver, theta: Stability,
         for lift in itertools.product(*(by_reduced[qbar.arrows[i]] for i in tree.arrows)):
             point = meet([a.weights[i].form + a.weights[i].rcharge for i in lift],
                          a.variables)
-            if point is None:
-                raise NotATree("tree weights do not form a basis")
             local = ZERO
             if stable:
                 try:
@@ -164,10 +162,9 @@ def wt_residue(qbar: Quiver, tree: SpanningTree,
     with the root variable left untouched (the result is w_root-free).
     Contract: the value equals prod m_a.
     """
-    walk = _tree_walk(qbar, tree.arrows, root)
+    walk = _tree_walk(qbar.vertices, [qbar.arrows[i] for i in tree.arrows], root)
     if walk is None:
         raise NotATree("arrows do not form a spanning tree with a valid root")
-    order, parent = walk
 
     w = {v: LinForm.var(f"w_{v}") for v in qbar.vertices}
     expr = RationalExpr(1)
@@ -179,18 +176,15 @@ def wt_residue(qbar: Quiver, tree: SpanningTree,
     # coordinates: v_i = w_head - w_tail per arrow; w_v = w_parent +- v_i
     path: dict[str, LinForm] = {root: LinForm.var(f"w_{root}")}
     depth = {root: 0}
-    for v in order[1:]:
-        i, p = parent[v]
+    for v, k, p, down in walk:
         depth[v] = depth[p] + 1
-        step = LinForm.var(f"v{i}")
-        path[v] = path[p] + step if qbar.arrows[i][1] == v else path[p] - step
+        step = LinForm.var(f"v{tree.arrows[k]}")
+        path[v] = path[p] + step if down else path[p] - step
     expr = expr.subs_linear({f"w_{v}": path[v] for v in qbar.vertices})
 
     # leaf-first: deepest arrows first; residue variable v_i for arrow into v
-    arrow_depth = sorted(order[1:], key=lambda v: (-depth[v], v))
-    for v in arrow_depth:
-        i = parent[v][0]
-        expr = residue_step(expr, f"v{i}")
+    for _v, k, _p, _down in sorted(walk, key=lambda s: (-depth[s[0]], s[0])):
+        expr = residue_step(expr, f"v{tree.arrows[k]}")
         if expr.is_zero():
             return ZERO
     expr = expr.reduce()

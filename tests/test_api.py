@@ -5,8 +5,10 @@ A change to either must edit the tables here and be listed in CHANGES.md.
 Recorded removals: the ``reference=`` parameter of ``build_arrangement``,
 the ``Weight.pair`` field, ``LinForm.translate``, ``RationalExpr.translate``,
 ``jkscatter jk-ab --csv``, the ``sign_mode=`` parameter of ``build_ZQ``,
-``series_exp_log``, and the ``q`` and ``d`` parameters of ``build_ZQ``
-(it reads ``a.dim``).  Recorded additions: ``meet``.
+``series_exp_log``, the ``q`` and ``d`` parameters of ``build_ZQ``
+(it reads ``a.dim``), and the ``SingularPoint.inverse`` field (the point
+keeps its tree's ``walk`` and edge ``scales``).  Recorded additions:
+``meet``, which accepts only planes k (x_head - x_tail) + c.
 """
 
 import argparse

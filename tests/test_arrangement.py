@@ -16,7 +16,7 @@ from jkscatter.errors import (DegenerateRCharges, JKScatterError,
                               NonRegularStability, NotProjective,
                               NotSumRegular)
 from jkscatter.exact import (LinForm, Poly, RationalExpr, in_span,
-                             iterated_residue, mat_det, mat_rank,
+                             iterated_residue, mat_det, mat_inverse, mat_rank,
                              solve_linear, subst_linear_basis)
 from jkscatter.quiver import DimVector, Quiver, Stability, bipartite_quiver
 from jkscatter.quiverjk import (build_ZQ, jk_ab, jk_ab_infinity, jk_global_ZQ,
@@ -244,6 +244,67 @@ class TestSpanningTreeBases:
         assert len(calls) == len(pts) == 5
 
 
+def elimination_meet(planes, var_order):
+    """The elimination meet replaced (test reference): one inverse M^-1 of
+    the planes' linear parts gives the location -M^-1 const and zeta's
+    coordinates zeta M^-1.  (location, M^-1), or None unless a basis."""
+    n = len(var_order)
+    minv = mat_inverse([p.vector(var_order) for p in planes]) if len(planes) == n else None
+    if minv is None:
+        return None
+    return tuple(-sum((row[i] * planes[i].const for i in range(n)), Q(0))
+                 for row in minv), minv
+
+
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def edge_planes(draw):
+    """Coordinates x0.. (0-4 of them) and planes k (x_head - x_tail) + c on
+    them and the reference node (x = 0), with k != 0: as many planes as
+    coordinates, most of the time, so trees and dependent sets both occur
+    (repeated pairs and cycles), and sometimes one plane fewer or more."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    names = tuple(f"x{i}" for i in range(n))
+
+    def node(i):
+        return LinForm.var(names[i]) if i < n else LinForm()
+
+    count = 0 if n == 0 else max(0, n + draw(st.sampled_from((0, 0, 0, -1, 1))))
+    planes = []
+    for _ in range(count):
+        t, h = draw(st.lists(st.integers(0, n), min_size=2, max_size=2, unique=True))
+        planes.append((node(h) - node(t)) * draw(fractions.filter(bool)) + draw(fractions))
+    zeta = tuple(draw(st.lists(fractions, min_size=n, max_size=n)))
+    return planes, names, zeta
+
+
+class TestMeetWalksTheTree:
+    """meet (the tree walk) against the elimination it replaced."""
+
+    @given(edge_planes())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_elimination(self, case):
+        planes, names, zeta = case
+        pt, ref = meet(planes, names), elimination_meet(planes, names)
+        assert (pt is None) == (ref is None)
+        if pt is None:
+            return
+        location, minv = ref
+        assert pt.location == location
+        assert pt.coordinates(zeta) == [sum((z * row[i] for z, row in zip(zeta, minv)), Q(0))
+                                        for i in range(len(names))]
+        assert all(p.evaluate(dict(zip(names, pt.location))) == 0 for p in planes)
+
+    @pytest.mark.parametrize("plane", [lf(u=1, w=1), lf(u=2, w=-1), lf(u=1, z=-1),
+                                       lf() + 1])
+    def test_non_edge_plane_is_named(self, plane):
+        with pytest.raises(ValueError, match="is not an edge") as ei:
+            meet([lf(u=1), plane], UW)
+        assert repr(plane) in str(ei.value)
+
+
 # -- flags ---------------------------------------------------------------------
 
 class TestFlags:
@@ -343,7 +404,7 @@ class TestJKBasis:
             jk_basis(f, meet([lf(u=1), lf(w=1)], UW), (Q(2), Q(1)), UW)
 
     def test_agrees_with_flag_sum(self):
-        basis = (lf(u=1), lf(u=1, w=1))
+        basis = (lf(u=1), lf(u=-1, w=1))
         f = RationalExpr(1, ((basis[0], -2), (basis[1], -1)))
         zeta = (Q(3), Q(1))
         assert jk_basis(f, meet(basis, UW), zeta, UW) == \
@@ -359,11 +420,13 @@ nonzero = small.filter(bool)
 def simple_germs(draw):
     """A germ at 0 with poles along a random basis, a zeta and the basis.
 
-    Each basis form b_i gives the pole (b_i / k_i)^-e, e = 1 or 2; extra
-    factors are units at 0 or vanishing numerators, some of them along a
-    basis form, and the polynomial numerator is random.  A random linear
-    denominator may be added; ``off`` says that the germ has a vanishing
-    denominator that is not along the basis.
+    The basis is a random spanning tree of scaled edges k (x_head - x_tail)
+    on the coordinates and the reference node (x = 0): meet accepts no
+    other basis.  Each basis form b_i gives the pole (b_i / k_i)^-e, e = 1 or 2;
+    extra factors are units at 0 or vanishing numerators, some of them
+    along a basis form, and the polynomial numerator is random.  A random
+    linear denominator may be added; ``off`` says that the germ has a
+    vanishing denominator that is not along the basis.
     """
     n = draw(st.integers(min_value=1, max_value=3))
     names = NAMES[:n]
@@ -372,8 +435,16 @@ def simple_germs(draw):
         return LinForm(dict(zip(names, draw(st.lists(small, min_size=n, max_size=n)))),
                        const)
 
-    basis = [form() for _ in range(n)]
-    assume(mat_det([b.vector(names) for b in basis]) != 0)
+    def node(i):
+        return LinForm.var(names[i]) if i < n else LinForm()
+
+    placed, basis = [n], []
+    for v in draw(st.permutations(range(n))):
+        p = draw(st.sampled_from(placed))
+        t, h = (p, v) if draw(st.booleans()) else (v, p)
+        basis.append((node(h) - node(t)) * draw(nonzero))
+        placed.append(v)
+    basis = draw(st.permutations(basis))
     factors = [(b * Q(1, draw(nonzero)), -draw(st.sampled_from((1, 1, 1, 2))))
                for b in basis]
     for _ in range(draw(st.integers(min_value=0, max_value=2))):

@@ -8,10 +8,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jkscatter import arrangement, cli, quiver, quiverjk
@@ -596,6 +598,95 @@ class TestArgvContract:
             assert text.splitlines()[0] in CSV_HEADERS
             return
         report = json.loads(text)
+        assert isinstance(report, dict)
+        assert ("error" in report) == (code in (2, 3))
+        assert report.get("error") not in BARE_ERRORS, report
+
+
+# -- the CLI contract over quiver files -------------------------------------------
+
+FILE_VERTICES = ("a", "b", "c")
+FILE_FAULTS = {
+    "shape": [
+        lambda raw: 5,
+        lambda raw: [raw],
+        lambda raw: dict(raw, vertices="a"),
+        lambda raw: dict(raw, vertices=[["a"]] + raw["vertices"][1:]),
+        lambda raw: dict(raw, arrows={"tail": "a", "head": "b"}),
+        lambda raw: dict(raw, arrows=[{"tail": "a"}]),
+        lambda raw: dict(raw, arrows=[["a", "b"]]),
+        lambda raw: dict(raw, dimension=list(raw["dimension"].values())),
+        lambda raw: dict(raw, stability=list(raw["stability"].values())),
+        lambda raw: {k: v for k, v in raw.items() if k != "arrows"},
+        lambda raw: {k: v for k, v in raw.items() if k != "stability"},
+    ],
+    "unknown vertex": [
+        lambda raw: dict(raw, arrows=raw["arrows"] + [{"tail": "a", "head": "z"}]),
+        lambda raw: dict(raw, dimension=dict(raw["dimension"], z=1)),
+        lambda raw: dict(raw, stability=dict(raw["stability"], z="0")),
+    ],
+    "repeated vertex": [
+        lambda raw: dict(raw, vertices=raw["vertices"] + raw["vertices"][:1]),
+    ],
+    "cycle": [
+        lambda raw: dict(raw, arrows=raw["arrows"] + [{"tail": "a", "head": "a"}]),
+        lambda raw: dict(raw, arrows=raw["arrows"] + [
+            {"tail": a["head"], "head": a["tail"]} for a in raw["arrows"][:1]]),
+    ],
+    "dimension": [
+        lambda raw, x=x: dict(raw, dimension=dict(raw["dimension"], a=x))
+        for x in (1.5, "1", True, None, -1, [1])
+    ],
+    "stability": [
+        lambda raw, x=x: dict(raw, stability=dict(raw["stability"], a=x))
+        for x in ("x", "1/0", 1.5, None, [1], "7", "", "1/3")
+    ],
+}
+
+
+@st.composite
+def quiver_files(draw):
+    """The text of a JSON quiver file: a small valid quiver (at most three
+    vertices and arrows, |d| <= 4, normalized stability), often with one
+    fault, or text that is not JSON at all."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from(["", "{", "[1,", "nul", '{"vertices": }']))
+    vertices = list(FILE_VERTICES[:draw(st.integers(1, 3))])
+    pairs = [(t, h) for t in vertices for h in vertices if t < h]
+    arrows = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    dims = {v: draw(st.integers(0, 2)) for v in vertices}
+    assume(sum(dims.values()) <= 4)
+    theta = {v: Fraction(draw(st.integers(-3, 3))) for v in vertices}
+    support = [v for v in vertices if dims[v]]
+    if support:  # sum d_v theta_v = 0
+        w = draw(st.sampled_from(support))
+        theta[w] = -sum((dims[v] * theta[v] for v in vertices if v != w),
+                       Fraction(0)) / dims[w]
+    raw = {"vertices": vertices,
+           "arrows": [{"tail": t, "head": h} for t, h in arrows],
+           "dimension": dims,
+           "stability": {v: str(x) for v, x in theta.items()}}
+    fault = draw(st.sampled_from([None, None, *sorted(FILE_FAULTS)]))
+    if fault is not None:
+        raw = draw(st.sampled_from(FILE_FAULTS[fault]))(raw)
+    return json.dumps(raw)
+
+
+class TestQuiverFileContract:
+    """Every quiver file, valid or not, ends in exit 0, 2 or 3 with exactly
+    one JSON report; an error report exactly on exits 2 and 3, and never a
+    bare Python exception as the error."""
+
+    @given(quiver_files(),
+           st.sampled_from([["trees"], ["jk"], ["jk-ab"], ["jk-ab", "--infinity"]]))
+    @settings(max_examples=300, deadline=None)
+    def test_exit_code_and_one_report(self, text, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "q.json"
+            path.write_text(text)
+            code, out = run([*command, "--quiver", str(path)])
+        assert code in (0, 2, 3)
+        report = json.loads(out)
         assert isinstance(report, dict)
         assert ("error" in report) == (code in (2, 3))
         assert report.get("error") not in BARE_ERRORS, report

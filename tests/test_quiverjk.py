@@ -160,7 +160,7 @@ class TestEnumerationCounts:
 
 class TestJkAbOneEliminationPerBasis:
     """jk_ab reads each term's residue at the singular points its
-    arrangement build met: no basis is eliminated twice, and the tree
+    arrangement build met: no basis is met twice, and the tree
     expansion is not on its path."""
 
     K31 = bipartite_quiver(3, 1)
@@ -203,7 +203,9 @@ class TestJkAbOneEliminationPerBasis:
 class TestLocalResidueCounts:
     """A jk request takes every local residue in closed form, and checks
     the regularity of zeta and reads each residue with no elimination:
-    both read the inverse that each point carries."""
+    both read zeta's coordinates off the tree that each point carries.  No
+    elimination runs anywhere in a jk request or a finite-lambda jk-ab
+    request: meet walks the tree of each basis."""
 
     @pytest.mark.parametrize("argv", [
         ["--l1", "2", "--l2", "2", "--d", "1,1;1,1", "--zeta", "3,1,-2,-2"],
@@ -239,9 +241,29 @@ class TestLocalResidueCounts:
         code = cli.main(["jk", *argv], out=io.StringIO())
         assert code == 0
         # the points are enumerated when the arrangement is built, so zeta's
-        # coordinates and each local residue read the point's inverse
+        # coordinates and each local residue read the point's tree
         assert zeta_calls and basis_calls
         assert set(zeta_calls) == set(basis_calls) == {0}
+        assert eliminations == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--l1", "3", "--l2", "1", "--d", "1,1,1;2", "--zeta", "2,2,2,-3",
+         "--lambda", "7"],
+        ["--l1", "1", "--l2", "1", "--d", "2;1", "--zeta", "1,-2",
+         "--lambda", "1000"],
+    ])
+    def test_jk_ab_request(self, monkeypatch, argv):
+        eliminations, meets = [], []
+        real_gj, real_meet = exact._gauss_jordan, arrangement.meet
+        monkeypatch.setattr(exact, "_gauss_jordan",
+                            lambda *a: eliminations.append(a) or real_gj(*a))
+        for module in (arrangement, quiverjk):
+            monkeypatch.setattr(module, "meet",
+                                lambda *a: meets.append(a) or real_meet(*a))
+        out = io.StringIO()
+        code = cli.main(["jk-ab", *argv], out=out)
+        assert code == 0, out.getvalue()
+        assert meets and eliminations == []
 
 
 class TestAbelianizedJK:
