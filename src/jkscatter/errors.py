@@ -50,6 +50,18 @@ class NotNormalized(JKScatterError):
     """A stability vector does not satisfy sum(d_v * theta_v) = 0."""
 
 
+class TooManyTerms(JKScatterError):
+    """An abelianization would have more terms than the fixed bound; both
+    numbers are kept on the exception."""
+
+    def __init__(self, estimate, bound):
+        self.estimate = estimate
+        self.bound = bound
+        super().__init__(f"abelianization needs at least {estimate} terms "
+                         f"(the product of the partition counts p(d_v)), "
+                         f"over the bound {bound}")
+
+
 class NotATree(JKScatterError):
     """An arrow subset is not a spanning tree oriented away from the root."""
 

@@ -7,11 +7,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm
 from typing import Mapping, Sequence
 
 from .errors import (DuplicateVertex, HasLoop, HasOrientedCycle, NonRegularStability,
-                     NotNormalized, UnknownVertex)
+                     NotNormalized, TooManyTerms, UnknownVertex)
 from .exact import ONE, ZERO, qify
 
 Q = Fraction
@@ -28,7 +28,10 @@ class Quiver:
 
     @staticmethod
     def make(vertices: Sequence[str], arrows: Sequence[tuple[str, str]]) -> "Quiver":
-        return Quiver(tuple(vertices), tuple((t, h) for t, h in arrows))
+        # tuples built from lists, here and for each abelianization term:
+        # CPython sizes tuple(generator) by resizing, and each such tuple goes
+        # on a free list when it dies, where only a full gc pass frees it
+        return Quiver(tuple(vertices), tuple([(t, h) for t, h in arrows]))
 
     def arrow_count(self, tail: str, head: str) -> int:
         return sum(1 for t, h in self.arrows if (t, h) == (tail, head))
@@ -153,7 +156,7 @@ class Stability:
     @staticmethod
     def make(q: Quiver, mapping: Mapping[str, Fraction]) -> "Stability":
         _check_keys(q, mapping, "stability")
-        return Stability(tuple((v, qify(mapping.get(v, 0))) for v in q.vertices))
+        return Stability(tuple([(v, qify(mapping.get(v, 0))) for v in q.vertices]))
 
     def __getitem__(self, v: str) -> Fraction:
         for w, c in self.values:
@@ -271,10 +274,104 @@ def stable_trees(qbar: Quiver, theta: Stability) -> list[SpanningTree]:
 
 
 def weist_count(q: Quiver, theta: Stability) -> Fraction:
-    """Sum over stable spanning trees of the product of arrow multiplicities."""
+    """Sum over theta-stable spanning trees of the product of arrow
+    multiplicities (Weist's count of tree modules), without listing trees.
+
+    A tree is stable iff every arrow leaves theta > 0 on the side of its
+    tail when cut.  Rooted at r, a child u with subtree U hangs from r by an
+    arrow r -> u if theta(U) < 0 and u -> r if theta(U) > 0, so the count
+    F(S, r) of stable trees on the vertex set S rooted at r sums, over the
+    branch U that holds the lowest vertex of S - {r},
+
+        [sum over u in U of F(U, u) * w(u, r, theta(U))] * F(S - U, r),
+
+    and weist_count = F(V, vertices[0]): O(3^V * V) work on bitmasks.  The
+    checks come in the order of the lexicographic tree scan: a disconnected
+    quiver has no tree and gives 0, theta not summing to 0 raises
+    NotNormalized, and a wall (a split into two connected sides with
+    theta = 0 on each) makes stable_trees raise NonRegularStability with the
+    scan's first tree and arrow as the witness.
+    """
     qbar, mult = reduced_quiver(q)
-    stable = stable_trees(qbar, theta)
-    return sum((prod(mult[i] for i in tree.arrows) for tree in stable), ZERO)
+    n = len(qbar.vertices)
+    index = {v: i for i, v in enumerate(qbar.vertices)}
+    adj = [0] * n
+    # down[r][u]: arrows r -> u; up[r][u]: arrows u -> r
+    down = [[0] * n for _ in range(n)]
+    up = [[0] * n for _ in range(n)]
+    for k, (t, h) in enumerate(qbar.arrows):
+        a, b = index[t], index[h]
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+        down[a][b] = up[b][a] = mult[k]
+    full = (1 << n) - 1
+    if not n or not _connected(full, adj):
+        return ZERO
+    values = theta.as_dict()
+    th = [values[v] for v in qbar.vertices]
+    total = sum(th, ZERO)
+    if total != 0:
+        raise NotNormalized(f"sum d_v*theta_v = {total} != 0")
+    # theta(U) for every vertex subset U, as an integer of the same sign
+    scale = lcm(*[c.denominator for c in th])
+    scaled = [int(c * scale) for c in th]
+    theta_of = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        theta_of[mask] = theta_of[mask ^ low] + scaled[low.bit_length() - 1]
+    for side in range(1, full, 2):  # the side that holds vertex 0
+        if theta_of[side] == 0 and _connected(side, adj) and _connected(full ^ side, adj):
+            stable_trees(qbar, theta)  # raises: some tree crosses this wall
+    # rooted[S * n + r] = F(S, r); hanging[U * n + r] = the bracket above
+    rooted = [0] * ((full + 1) * n)
+    hanging = [0] * ((full + 1) * n)
+    for mask in range(1, full + 1):
+        for r in _bits(mask):
+            rest = mask ^ (1 << r)
+            if not rest:
+                rooted[mask * n + r] = 1
+                continue
+            low = rest & -rest
+            others = rest ^ low
+            count = 0
+            sub = others
+            while True:  # every branch = sub | low, sub running over others' subsets
+                g = hanging[(sub | low) * n + r]
+                if g:
+                    count += g * rooted[(mask ^ sub ^ low) * n + r]
+                if not sub:
+                    break
+                sub = (sub - 1) & others
+            rooted[mask * n + r] = count
+        # F(mask, .) is complete: hang mask from each vertex outside it
+        if theta_of[mask]:
+            w = down if theta_of[mask] < 0 else up
+            for r in _bits(full ^ mask):
+                hanging[mask * n + r] = sum(rooted[mask * n + u] * w[r][u]
+                                            for u in _bits(mask & adj[r]))
+    return Q(rooted[full * n])
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _connected(mask: int, adj: Sequence[int]) -> bool:
+    """Whether the vertices in the bitmask span a connected subgraph;
+    adj[i] is the bitmask of vertex i's neighbours."""
+    reach = mask & -mask
+    while True:
+        grown = reach
+        for i in _bits(reach):
+            grown |= adj[i]
+        grown &= mask
+        if grown == reach:
+            return reach == mask
+        reach = grown
 
 
 # ---------------------------------------------------------------------------
@@ -292,19 +389,38 @@ class AbelianizationTerm:
 
 
 def _multiplicity_vectors(d: int) -> list[tuple[int, ...]]:
-    """All (m_1, .., m_d) with sum l*m_l = d, deterministic order."""
+    """All (m_1, .., m_d) with sum l*m_l = d, in lexicographic order."""
     out = []
-
-    def rec(l: int, left: int, acc: list[int]):
+    stack = [((), d)]  # (m_1, .., m_k) and what is left of d
+    while stack:
+        acc, left = stack.pop()
+        l = len(acc) + 1
         if l > d:
             if left == 0:
-                out.append(tuple(acc))
-            return
-        for m in range(left // l + 1):
-            rec(l + 1, left - l * m, acc + [m])
-
-    rec(1, d, [])
+                out.append(acc)
+            continue
+        stack.extend((acc + (m,), left - l * m) for m in range(left // l, -1, -1))
     return out
+
+
+# abelianize refuses a dimension vector with more terms than this
+MAX_ABELIANIZATION_TERMS = 10_000
+
+
+def _partition_counts(bound: int) -> list[int]:
+    """p(0), p(1), .., p(n) up to the first partition count over bound, by
+    Euler's pentagonal-number recurrence."""
+    p = [1]
+    while p[-1] <= bound:
+        n, total, k = len(p), 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            total += sign * p[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                total += sign * p[n - k * (3 * k + 1) // 2]
+            k += 1
+        p.append(total)
+    return p
 
 
 def abelianize(q: Quiver, d: DimVector, zeta: Stability) -> list[AbelianizationTerm]:
@@ -314,11 +430,20 @@ def abelianize(q: Quiver, d: DimVector, zeta: Stability) -> list[AbelianizationT
     every part size l with m_l > 0 and k = 1..m_l; an original arrow gains
     multiplicity l_tail * l_head between blown-up endpoints.  The lifted
     stability is zeta_hat(i@k,l) = l * zeta_i, and the coefficient is
-    prod_i d_i! * prod_l (1/m_l!) * ((-1)^(l-1) / l^2)^(m_l).
+    prod_i d_i! * prod_l (1/m_l!) * ((-1)^(l-1) / l^2)^(m_l).  There are
+    prod_i p(d_i) terms (p the partition count); past
+    MAX_ABELIANIZATION_TERMS, TooManyTerms is raised before any is built.
     """
     validate_quiver(q)
     zeta.check_normalized(d)
     support = [v for v in q.vertices if d[v] > 0]
+    # p is increasing: a d_v past the table already counts as over the bound
+    counts = _partition_counts(MAX_ABELIANIZATION_TERMS)
+    estimate = 1
+    for v in support:
+        estimate *= counts[min(d[v], len(counts) - 1)]
+        if estimate > MAX_ABELIANIZATION_TERMS:
+            raise TooManyTerms(estimate, MAX_ABELIANIZATION_TERMS)
     choices = [_multiplicity_vectors(d[v]) for v in support]
     terms = []
     for pick in itertools.product(*choices):
@@ -349,5 +474,5 @@ def abelianize(q: Quiver, d: DimVector, zeta: Stability) -> list[AbelianizationT
                                  for v in support for vid, l in parts[v]})
         terms.append(AbelianizationTerm(
             nq, nd, nz, coeff,
-            tuple((v, m) for v, m in zip(support, pick))))
+            tuple(list(zip(support, pick)))))
     return terms

@@ -131,7 +131,11 @@ def jk_ab(q: Quiver, d: DimVector, zeta: Stability, rseed: int,
 
 
 def jk_ab_infinity(q: Quiver, d: DimVector, zeta: Stability) -> Fraction:
-    """Closed-form large-R limit: sum of coefficient * weist_count per term."""
+    """Closed-form large-R limit: sum of coefficient * weist_count per
+    abelianization term.  weist_count counts the stable trees of each
+    blown-up quiver by a DP over vertex subsets and lists none, so the cost
+    is O(3^V * V) per term with V the term's vertex count; abelianize
+    refuses a d with more than MAX_ABELIANIZATION_TERMS terms."""
     total = ZERO
     for term in abelianize(q, d, zeta):
         total += term.coefficient * weist_count(term.quiver, term.stability)

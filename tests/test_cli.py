@@ -357,6 +357,26 @@ class TestExitCodes:
         code, rep = run_json(["jk", "--quiver", str(p)])
         assert (code, rep["error"]) == (2, "ValidationError")
 
+    TOO_MANY_TERMS = ("abelianization needs at least 10143 terms (the product of the "
+                      "partition counts p(d_v)), over the bound 10000")
+
+    @pytest.mark.parametrize("extra", [[], ["--infinity"]])
+    def test_too_many_abelianization_terms_is_2(self, extra):
+        # p(1500) terms: refused before the multiplicity vectors are listed
+        code, rep = run_json(["jk-ab", "--l1", "1", "--l2", "1", "--d", "1500;1",
+                              "--zeta", "1,-1500", *extra])
+        assert (code, rep["error"], rep["message"]) == (2, "TooManyTerms",
+                                                        self.TOO_MANY_TERMS)
+
+    def test_huge_dimension_in_file_is_2(self, tmp_path):
+        # p is increasing, so p(10^30) is never computed
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(dict(K21_FILE, dimension={"i1": 10**30, "j1": 1},
+                                     stability={"i1": "1", "j1": str(-10**30)})))
+        code, rep = run_json(["jk-ab", "--quiver", str(p), "--infinity"])
+        assert (code, rep["error"], rep["message"]) == (2, "TooManyTerms",
+                                                        self.TOO_MANY_TERMS)
+
     def test_nonregular_over_cutoff_is_2(self):
         code, rep = run_json(["verify-main", "--l1", "2", "--l2", "2",
                               "--d", "1,1;1,1", "--zeta", "1,1,-1,-1",

@@ -3,6 +3,7 @@ trees, stability coefficients, and abelianization.
 """
 
 from fractions import Fraction as Q
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from jkscatter.errors import (DuplicateVertex, HasLoop, HasOrientedCycle,
                               NonRegularStability, NotATree, NotNormalized,
-                              UnknownVertex)
+                              TooManyTerms, UnknownVertex)
 from jkscatter.exact import solve_linear
 from jkscatter.quiver import (DimVector, Quiver, SpanningTree, Stability,
                               abelianize, bipartite_quiver, moduli_dimension,
@@ -232,6 +233,58 @@ def test_vanishing_component_is_an_error():
     assert "tree" in ei.value.witness
 
 
+def tree_scan_count(q, theta):
+    """Test-only reference: the lexicographic scan over the stable trees."""
+    qbar, mult = reduced_quiver(q)
+    return sum((prod(mult[i] for i in tree.arrows) for tree in stable_trees(qbar, theta)),
+               Q(0))
+
+
+def outcome(fn, *args):
+    """fn's value, or its error's type, message and witness."""
+    try:
+        return fn(*args)
+    except (NotNormalized, NonRegularStability) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+
+
+@st.composite
+def quivers_with_stability(draw):
+    """An acyclic quiver on <= 7 vertices with repeated arrows, connected or
+    not, and a Fraction stability of small entries (so walls are common)
+    that mostly sums to 0."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    vertices = [f"v{i}" for i in range(n)]
+    rank = draw(st.permutations(range(n)))  # arrows go up in rank: no cycles
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]), max_size=8)) if n > 1 else []
+    if draw(st.integers(0, 5)):  # mostly connected: a random spanning tree first
+        pairs += [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    arrows = [(vertices[a], vertices[b]) if rank[a] < rank[b] else (vertices[b], vertices[a])
+              for a, b in pairs]
+    vals = draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=n, max_size=n))
+    if n and draw(st.integers(0, 5)):
+        vals[-1] -= sum(vals)
+    q = Quiver.make(vertices, arrows)
+    return q, stab(q, *vals)
+
+
+class TestWeistCount:
+    @given(quivers_with_stability())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_tree_scan(self, data):
+        q, theta = data
+        assert outcome(weist_count, q, theta) == outcome(tree_scan_count, q, theta)
+
+    def test_wall_witness_is_the_first_scanned(self):
+        # the 4-cycle K(2,2) with theta({i1, j1}) = 0: tree (0, 1, 2) has no
+        # zero cut, and the next one, (0, 1, 3), has one at arrow 1
+        k22 = bipartite_quiver(2, 2)
+        with pytest.raises(NonRegularStability) as ei:
+            weist_count(k22, stab(k22, 2, 1, -2, -1))
+        assert ei.value.witness == {"tree": (0, 1, 3), "arrow": ("i1", "j2")}
+
+
 # -- abelianization -----------------------------------------------------------
 
 def test_abelianize_trivial_for_abelian_d():
@@ -275,3 +328,22 @@ def test_abelianized_stability_normalized():
     d = DimVector.make(k11, {"i1": 2, "j1": 1})
     for t in abelianize(k11, d, stab(k11, 1, -2)):
         t.stability.check_normalized(t.dimension)
+
+
+def test_abelianize_counts_partitions():
+    # p(7) * p(5) = 15 * 7 terms, each m_* once, in lexicographic order
+    k11 = bipartite_quiver(1, 1)
+    terms = abelianize(k11, DimVector.make(k11, {"i1": 7, "j1": 5}), stab(k11, 5, -7))
+    picks = [t.multiplicities for t in terms]
+    assert len(picks) == 15 * 7 == len(set(picks))
+    assert picks == sorted(picks)
+    for pick in picks:
+        assert [sum(l * m for l, m in enumerate(ms, start=1)) for _v, ms in pick] == [7, 5]
+
+
+def test_abelianize_refuses_too_many_terms():
+    # p(20) * p(15) = 627 * 176 terms, over the bound, refused before any is built
+    k11 = bipartite_quiver(1, 1)
+    with pytest.raises(TooManyTerms) as ei:
+        abelianize(k11, DimVector.make(k11, {"i1": 20, "j1": 15}), stab(k11, 15, -20))
+    assert (ei.value.estimate, ei.value.bound) == (627 * 176, 10_000)

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jkscatter import arrangement, cli, exact, quiverjk
+from jkscatter import arrangement, cli, exact, quiver, quiverjk
 from jkscatter.arrangement import build_arrangement
 from jkscatter.errors import JKScatterError, NonRegularStability, NotATree
 from jkscatter.quiver import (DimVector, Quiver, SpanningTree, Stability,
                               abelianize, bipartite_quiver, reduced_quiver)
 from jkscatter.quiverjk import (build_ZQ, jk_ab, jk_ab_infinity, jk_global_ZQ,
                                 jk_tree_expansion, lambda_sweep, wt_residue)
+from jkscatter.scattering import verify_main_theorem
 
 A2 = Quiver.make(["1", "2"], [("1", "2")])
 KRON2 = Quiver.make(["1", "2"], [("1", "2"), ("1", "2")])
@@ -311,6 +312,45 @@ class TestAbelianizedJK:
         with pytest.raises(NonRegularStability):
             jk_ab_infinity(k22, dv(k22, i1=1, i2=1, j1=1, j2=1),
                            stab(k22, 1, 1, -1, -1))
+
+
+class TestStableTreeCounts:
+    """jk_ab_infinity counts stable trees without listing them, which
+    reaches blown-up quivers whose tree lists are out of reach."""
+
+    K11, K22, K31 = (bipartite_quiver(a, b) for a, b in ((1, 1), (2, 2), (3, 1)))
+
+    def test_k11_d65(self):
+        # 77 terms; the all-ones one has 11 vertices and 6^4 * 5^5 trees
+        assert jk_ab_infinity(self.K11, dv(self.K11, i1=6, j1=5), stab(self.K11, 5, -6)) == 0
+
+    def test_k22_d2223(self):
+        # 2! 2! 2! 3! * chi, with chi = 1 the Euler characteristic of the
+        # moduli space; the scattering side of the identity checks it below
+        d = dv(self.K22, i1=2, i2=2, j1=2, j2=3)
+        assert jk_ab_infinity(self.K22, d, stab(self.K22, 5, 5, -4, -4)) == 48
+        assert verify_main_theorem(2, 2, d, stab(self.K22, 5, 5, -4, -4), 9).passed
+
+    # the six jk_ab_infinity jobs of the benchmark's trees workload
+    FIXTURES = [
+        (K11, (5, 3), (3, -5), 0),
+        (K11, (4, 3), (3, -4), 0),
+        (K11, (3, 4), (4, -3), 0),
+        (K22, (2, 2, 1, 2), (3, 3, -4, -4), 8),
+        (K22, (1, 1, 1, 1), (3, 1, -2, -2), 2),
+        (K31, (1, 1, 1, 2), (2, 2, 2, -3), 2),
+    ]
+
+    @pytest.mark.parametrize("q, d, zeta, value", FIXTURES,
+                             ids=["K11-53", "K11-43", "K11-34", "K22-2212", "K22-1111", "K31-1112"])
+    def test_no_tree_is_listed(self, monkeypatch, q, d, zeta, value):
+        def no_trees(*_args):
+            raise AssertionError("spanning trees were listed")
+
+        for module in (quiver, quiverjk):
+            monkeypatch.setattr(module, "spanning_trees", no_trees)
+        dim = DimVector.make(q, dict(zip(q.vertices, d)))
+        assert jk_ab_infinity(q, dim, stab(q, *zeta)) == value
 
 
 class TestWTResidue:
