@@ -62,6 +62,17 @@ class TooManyTerms(JKScatterError):
                          f"over the bound {bound}")
 
 
+class TooMuchWork(JKScatterError):
+    """Counting stable trees would take more steps than the fixed bound;
+    both numbers are kept on the exception."""
+
+    def __init__(self, estimate, bound):
+        self.estimate = estimate
+        self.bound = bound
+        super().__init__(f"counting stable trees needs about {estimate} steps, "
+                         f"over the bound {bound}")
+
+
 class NotATree(JKScatterError):
     """An arrow subset is not a spanning tree oriented away from the root."""
 

@@ -7,14 +7,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from typing import Mapping, Sequence
 
 from .errors import (DuplicateVertex, HasLoop, HasOrientedCycle, NonRegularStability,
-                     NotNormalized, TooManyTerms, UnknownVertex)
+                     NotNormalized, TooManyTerms, TooMuchWork, UnknownVertex)
 from .exact import ONE, ZERO, qify
 
 Q = Fraction
+
+# The tuples of pairs on a Quiver, a Stability and an AbelianizationTerm are
+# built as tuple([...]), not tuple(generator): on CPython 3.11 the generator
+# form left about 1.8 MB more in the interpreter's per-size tuple free lists
+# (capped at 2000 tuples a size) over the benchmark's six jk_ab_infinity
+# jobs, 7% of their peak RSS.  Measured on 3.11 only.
 
 
 @dataclass(frozen=True)
@@ -28,9 +34,6 @@ class Quiver:
 
     @staticmethod
     def make(vertices: Sequence[str], arrows: Sequence[tuple[str, str]]) -> "Quiver":
-        # tuples built from lists, here and for each abelianization term:
-        # CPython sizes tuple(generator) by resizing, and each such tuple goes
-        # on a free list when it dies, where only a full gc pass frees it
         return Quiver(tuple(vertices), tuple([(t, h) for t, h in arrows]))
 
     def arrow_count(self, tail: str, head: str) -> int:
@@ -273,26 +276,123 @@ def stable_trees(qbar: Quiver, theta: Stability) -> list[SpanningTree]:
             if all(c < 0 for c in tree_components(qbar, tree, theta).values())]
 
 
-def weist_count(q: Quiver, theta: Stability) -> Fraction:
-    """Sum over theta-stable spanning trees of the product of arrow
-    multiplicities (Weist's count of tree modules), without listing trees.
+# weist_count's work is counted in steps of the subset DP's inner loop, of
+# which it runs about V * 3^V on V vertices.  Listing a spanning tree and
+# cutting it costs about SCAN_STEPS_PER_TREE * V steps: measured on CPython
+# 3.11 (x86_64), a DP step takes about 65 ns and a scanned tree about 6.5 us
+# per vertex, on complete bipartite quivers of 4 to 10 vertices.
+SCAN_STEPS_PER_TREE = 100
+# weist_count and jk_ab_infinity refuse more steps than this: about 13 s
+# at 65 ns a step, and the DP runs on at most 14 vertices, so each of its
+# two tables has at most 2^14 * 14 entries
+MAX_WEIST_STEPS = 200_000_000
 
-    A tree is stable iff every arrow leaves theta > 0 on the side of its
-    tail when cut.  Rooted at r, a child u with subtree U hangs from r by an
-    arrow r -> u if theta(U) < 0 and u -> r if theta(U) > 0, so the count
-    F(S, r) of stable trees on the vertex set S rooted at r sums, over the
-    branch U that holds the lowest vertex of S - {r},
+
+def spanning_tree_count(qbar: Quiver) -> int:
+    """The number of spanning trees of the underlying multigraph (Kirchhoff):
+    a principal minor of its Laplacian, by fraction-free elimination, once
+    the leaves are stripped (a leaf's edge is in every tree, so a star
+    leaves one vertex)."""
+    n = len(qbar.vertices)
+    if not n:
+        return 0
+    index = {v: i for i, v in enumerate(qbar.vertices)}
+    edges = [(index[t], index[h]) for t, h in qbar.arrows]
+    near = [[] for _ in range(n)]
+    for a, b in edges:
+        near[a].append(b)
+        near[b].append(a)
+    degree = [len(x) for x in near]
+    alive, left = [True] * n, n
+    leaves = [v for v in range(n) if degree[v] == 1]
+    while leaves and left > 1:
+        v = leaves.pop()
+        if not degree[v]:  # its one neighbour was a leaf: a component of two
+            continue
+        alive[v], left = False, left - 1
+        for u in near[v]:
+            if alive[u]:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    leaves.append(u)
+    core = {v: i for i, v in enumerate(v for v in range(n) if alive[v])}
+    size = len(core) - 1
+    lap = [[0] * (size + 1) for _ in range(size + 1)]
+    for a, b in edges:
+        if alive[a] and alive[b]:
+            a, b = core[a], core[b]
+            lap[a][a] += 1
+            lap[b][b] += 1
+            lap[a][b] -= 1
+            lap[b][a] -= 1
+    m = [row[1:] for row in lap[1:]]
+    pivot = 1
+    for k in range(size):
+        # the minor is positive semi-definite, so a zero pivot (a zero
+        # diagonal entry of a Schur complement) means a zero determinant
+        if not m[k][k]:
+            return 0
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // pivot
+        pivot = m[k][k]
+    return pivot
+
+
+@dataclass(frozen=True)
+class WeistPlan:
+    """How weist_count counts the stable trees of a quiver: its reduced
+    quiver and multiplicities, and the cheaper of the two routes (scan the
+    spanning trees, or run the subset DP) with its steps."""
+    qbar: Quiver
+    mult: dict[int, int]
+    steps: int
+    scan: bool
+
+
+def weist_plan(q: Quiver) -> WeistPlan:
+    """weist_count's route on q: the tree scan where it is cheaper than the
+    subset DP, as on a sparse quiver with many vertices."""
+    qbar, mult = reduced_quiver(q)
+    n = len(qbar.vertices)
+    scan = SCAN_STEPS_PER_TREE * n * spanning_tree_count(qbar)
+    return WeistPlan(qbar, mult, min(scan, n * 3 ** n), scan <= n * 3 ** n)
+
+
+def weist_count(q: Quiver, theta: Stability, plan: WeistPlan | None = None) -> Fraction:
+    """Sum over theta-stable spanning trees of the product of arrow
+    multiplicities (Weist's count of tree modules), along plan, which is
+    weist_plan(q) unless the caller has made it already.  TooMuchWork is
+    raised if the plan takes more than MAX_WEIST_STEPS.
+
+    The scan lists stable_trees.  The DP: a tree is stable iff every arrow
+    leaves theta > 0 on the side of its tail when cut.  Rooted at r, a child
+    u with subtree U hangs from r by an arrow r -> u if theta(U) < 0 and
+    u -> r if theta(U) > 0, so the count F(S, r) of stable trees on the
+    vertex set S rooted at r sums, over the branch U that holds the lowest
+    vertex of S - {r},
 
         [sum over u in U of F(U, u) * w(u, r, theta(U))] * F(S - U, r),
 
-    and weist_count = F(V, vertices[0]): O(3^V * V) work on bitmasks.  The
-    checks come in the order of the lexicographic tree scan: a disconnected
-    quiver has no tree and gives 0, theta not summing to 0 raises
-    NotNormalized, and a wall (a split into two connected sides with
-    theta = 0 on each) makes stable_trees raise NonRegularStability with the
-    scan's first tree and arrow as the witness.
+    and weist_count = F(V, vertices[0]): O(3^V * V) work on bitmasks.  It
+    runs only on a connected quiver and raises as the scan would: theta not
+    summing to 0 raises NotNormalized, and a wall (a split into two
+    connected sides with theta = 0 on each) raises NonRegularStability with
+    the scan's first tree and arrow as the witness, scanning trees only up
+    to that one.
     """
-    qbar, mult = reduced_quiver(q)
+    if plan is None:
+        plan = weist_plan(q)
+    if plan.steps > MAX_WEIST_STEPS:
+        raise TooMuchWork(plan.steps, MAX_WEIST_STEPS)
+    if plan.scan:  # also every quiver without a spanning tree
+        return sum((prod(plan.mult[i] for i in tree.arrows)
+                    for tree in stable_trees(plan.qbar, theta)), ZERO)
+    return _subset_dp(plan.qbar, plan.mult, theta)
+
+
+def _subset_dp(qbar: Quiver, mult: Mapping[int, int], theta: Stability) -> Fraction:
+    """weist_count's subset DP on a connected reduced quiver."""
     n = len(qbar.vertices)
     index = {v: i for i, v in enumerate(qbar.vertices)}
     adj = [0] * n
@@ -305,8 +405,6 @@ def weist_count(q: Quiver, theta: Stability) -> Fraction:
         adj[b] |= 1 << a
         down[a][b] = up[b][a] = mult[k]
     full = (1 << n) - 1
-    if not n or not _connected(full, adj):
-        return ZERO
     values = theta.as_dict()
     th = [values[v] for v in qbar.vertices]
     total = sum(th, ZERO)
@@ -321,7 +419,10 @@ def weist_count(q: Quiver, theta: Stability) -> Fraction:
         theta_of[mask] = theta_of[mask ^ low] + scaled[low.bit_length() - 1]
     for side in range(1, full, 2):  # the side that holds vertex 0
         if theta_of[side] == 0 and _connected(side, adj) and _connected(full ^ side, adj):
-            stable_trees(qbar, theta)  # raises: some tree crosses this wall
+            # some tree crosses this wall: scan lazily to the first one
+            edges = [(index[t], index[h]) for t, h in qbar.arrows]
+            for tree in _spanning_tree_indices(n, edges):
+                tree_components(qbar, SpanningTree(tree), theta)
     # rooted[S * n + r] = F(S, r); hanging[U * n + r] = the bracket above
     rooted = [0] * ((full + 1) * n)
     hanging = [0] * ((full + 1) * n)
@@ -395,15 +496,15 @@ def _multiplicity_vectors(d: int) -> list[tuple[int, ...]]:
     while stack:
         acc, left = stack.pop()
         l = len(acc) + 1
-        if l > d:
-            if left == 0:
-                out.append(acc)
-            continue
-        stack.extend((acc + (m,), left - l * m) for m in range(left // l, -1, -1))
+        if not left:
+            out.append(acc + (0,) * (d - len(acc)))
+        elif l <= left:  # else no part size is left that fits
+            stack.extend((acc + (m,), left - l * m) for m in range(left // l, -1, -1))
     return out
 
 
-# abelianize refuses a dimension vector with more terms than this
+# abelianize refuses a dimension vector with more terms than this: building
+# a term takes 0.2-0.3 ms and 6-12 KB (CPython 3.11, x86_64), so about 3 s
 MAX_ABELIANIZATION_TERMS = 10_000
 
 
@@ -474,5 +575,5 @@ def abelianize(q: Quiver, d: DimVector, zeta: Stability) -> list[AbelianizationT
                                  for v in support for vid, l in parts[v]})
         terms.append(AbelianizationTerm(
             nq, nd, nz, coeff,
-            tuple(list(zip(support, pick)))))
+            tuple([(v, m) for v, m in zip(support, pick)])))
     return terms

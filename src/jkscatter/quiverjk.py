@@ -12,11 +12,11 @@ from typing import Sequence
 
 from .arrangement import (Arrangement, build_arrangement, jk_basis, jk_global,
                           meet, sample_rcharges, zeta_from_theta)
-from .errors import NonRegularStability, NotATree, NotSumRegular
+from .errors import NonRegularStability, NotATree, NotSumRegular, TooMuchWork
 from .exact import LinForm, ONE, Q, RationalExpr, ZERO, qify, residue_step
-from .quiver import (DimVector, Quiver, SpanningTree, Stability, _tree_walk,
-                     abelianize, spanning_trees, support_quiver,
-                     tree_components, weist_count)
+from .quiver import (MAX_WEIST_STEPS, DimVector, Quiver, SpanningTree, Stability,
+                     _tree_walk, abelianize, spanning_trees, support_quiver,
+                     tree_components, weist_count, weist_plan)
 
 
 def build_ZQ(a: Arrangement) -> RationalExpr:
@@ -132,13 +132,19 @@ def jk_ab(q: Quiver, d: DimVector, zeta: Stability, rseed: int,
 
 def jk_ab_infinity(q: Quiver, d: DimVector, zeta: Stability) -> Fraction:
     """Closed-form large-R limit: sum of coefficient * weist_count per
-    abelianization term.  weist_count counts the stable trees of each
-    blown-up quiver by a DP over vertex subsets and lists none, so the cost
-    is O(3^V * V) per term with V the term's vertex count; abelianize
-    refuses a d with more than MAX_ABELIANIZATION_TERMS terms."""
+    abelianization term.  Each blown-up quiver is counted by the cheaper of
+    a stable-tree scan and a DP over vertex subsets (weist_plan); before
+    any is counted, TooMuchWork is raised if their steps add up to more
+    than MAX_WEIST_STEPS.  abelianize refuses a d with more than
+    MAX_ABELIANIZATION_TERMS terms."""
+    terms = abelianize(q, d, zeta)
+    plans = [weist_plan(term.quiver) for term in terms]
+    steps = sum(plan.steps for plan in plans)
+    if steps > MAX_WEIST_STEPS:
+        raise TooMuchWork(steps, MAX_WEIST_STEPS)
     total = ZERO
-    for term in abelianize(q, d, zeta):
-        total += term.coefficient * weist_count(term.quiver, term.stability)
+    for term, plan in zip(terms, plans):
+        total += term.coefficient * weist_count(term.quiver, term.stability, plan)
     return total
 
 

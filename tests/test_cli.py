@@ -377,6 +377,14 @@ class TestExitCodes:
         assert (code, rep["error"], rep["message"]) == (2, "TooManyTerms",
                                                         self.TOO_MANY_TERMS)
 
+    def test_too_much_work_is_2(self):
+        # the all-ones term of K(1,1) d=(14;2) is K(14,2) on 16 vertices
+        code, rep = run_json(["jk-ab", "--l1", "1", "--l2", "1", "--d", "14;2",
+                              "--zeta", "2,-14", "--infinity"])
+        assert (code, rep["error"], rep["message"]) == (
+            2, "TooMuchWork",
+            "counting stable trees needs about 431240941 steps, over the bound 200000000")
+
     def test_nonregular_over_cutoff_is_2(self):
         code, rep = run_json(["verify-main", "--l1", "2", "--l2", "2",
                               "--d", "1,1;1,1", "--zeta", "1,1,-1,-1",

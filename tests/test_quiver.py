@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from jkscatter.errors import (DuplicateVertex, HasLoop, HasOrientedCycle,
                               NonRegularStability, NotATree, NotNormalized,
-                              TooManyTerms, UnknownVertex)
+                              TooManyTerms, TooMuchWork, UnknownVertex)
 from jkscatter.exact import solve_linear
-from jkscatter.quiver import (DimVector, Quiver, SpanningTree, Stability,
+from jkscatter.quiver import (DimVector, Quiver, SpanningTree, Stability, _subset_dp,
                               abelianize, bipartite_quiver, moduli_dimension,
-                              reduced_quiver, skew_euler_form, spanning_trees,
-                              stable_trees, tree_components, validate_quiver,
-                              weist_count)
+                              reduced_quiver, skew_euler_form, spanning_tree_count,
+                              spanning_trees, stable_trees, tree_components,
+                              validate_quiver, weist_count, weist_plan)
 from jkscatter.quiverjk import wt_residue
 
 A2 = Quiver.make(["1", "2"], [("1", "2")])
@@ -274,7 +274,40 @@ class TestWeistCount:
     @settings(max_examples=300, deadline=None)
     def test_matches_tree_scan(self, data):
         q, theta = data
-        assert outcome(weist_count, q, theta) == outcome(tree_scan_count, q, theta)
+        want = outcome(tree_scan_count, q, theta)
+        assert outcome(weist_count, q, theta) == want
+        # weist_count scans small tree counts itself: check the DP on its own
+        qbar, mult = reduced_quiver(q)
+        if spanning_tree_count(qbar):  # the DP runs on connected quivers
+            assert outcome(_subset_dp, qbar, mult, theta) == want
+
+    @given(quivers_with_stability())
+    @settings(max_examples=200, deadline=None)
+    def test_kirchhoff_count_matches_listing(self, data):
+        q, _theta = data
+        qbar, _mult = reduced_quiver(q)
+        assert spanning_tree_count(qbar) == len(spanning_trees(qbar))
+
+    def test_route_follows_the_tree_count(self):
+        # a star has one spanning tree: scanned; K(4,4) has 4^3 * 4^3 trees,
+        # more than the subset DP's 8 * 3^8 steps buy at 100 * 8 steps a tree
+        star = weist_plan(bipartite_quiver(20, 1))
+        assert (star.steps, star.scan) == (100 * 21, True)
+        k44 = weist_plan(bipartite_quiver(4, 4))
+        assert (k44.steps, k44.scan) == (8 * 3 ** 8, False)
+
+    def test_star_is_scanned(self):
+        # 21 vertices: the subset DP would take 21 * 3^21 steps
+        star = bipartite_quiver(20, 1)
+        assert weist_count(star, stab(star, *[1] * 20, -20)) == 1
+        assert weist_count(star, stab(star, *[-1] * 20, 20)) == 0
+
+    def test_too_much_work_is_refused(self):
+        # K(15,2): 15 * 2^14 trees at 100 * 17 steps each, or 17 * 3^17 DP steps
+        k152 = bipartite_quiver(15, 2)
+        with pytest.raises(TooMuchWork) as ei:
+            weist_count(k152, stab(k152, *[2] * 15, -15, -15))
+        assert (ei.value.estimate, ei.value.bound) == (100 * 17 * 15 * 2 ** 14, 200_000_000)
 
     def test_wall_witness_is_the_first_scanned(self):
         # the 4-cycle K(2,2) with theta({i1, j1}) = 0: tree (0, 1, 2) has no

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from jkscatter import arrangement, cli, exact, quiver, quiverjk
 from jkscatter.arrangement import build_arrangement
-from jkscatter.errors import JKScatterError, NonRegularStability, NotATree
+from jkscatter.errors import JKScatterError, NonRegularStability, NotATree, TooMuchWork
 from jkscatter.quiver import (DimVector, Quiver, SpanningTree, Stability,
                               abelianize, bipartite_quiver, reduced_quiver)
 from jkscatter.quiverjk import (build_ZQ, jk_ab, jk_ab_infinity, jk_global_ZQ,
@@ -315,14 +315,20 @@ class TestAbelianizedJK:
 
 
 class TestStableTreeCounts:
-    """jk_ab_infinity counts stable trees without listing them, which
-    reaches blown-up quivers whose tree lists are out of reach."""
+    """jk_ab_infinity counts the stable trees of each blown-up quiver by the
+    cheaper of a subset DP and a tree scan, which reaches requests out of
+    reach of either route alone."""
 
     K11, K22, K31 = (bipartite_quiver(a, b) for a, b in ((1, 1), (2, 2), (3, 1)))
 
     def test_k11_d65(self):
-        # 77 terms; the all-ones one has 11 vertices and 6^4 * 5^5 trees
+        # 77 terms; the all-ones one has 11 vertices and 6^4 * 5^5 trees: the DP
         assert jk_ab_infinity(self.K11, dv(self.K11, i1=6, j1=5), stab(self.K11, 5, -6)) == 0
+
+    def test_k11_d201(self):
+        # 627 terms; the all-ones one is the 21-vertex star with one tree,
+        # whose DP would take 21 * 3^21 steps: the scan
+        assert jk_ab_infinity(self.K11, dv(self.K11, i1=20, j1=1), stab(self.K11, 1, -20)) == 0
 
     def test_k22_d2223(self):
         # 2! 2! 2! 3! * chi, with chi = 1 the Euler characteristic of the
@@ -330,6 +336,15 @@ class TestStableTreeCounts:
         d = dv(self.K22, i1=2, i2=2, j1=2, j2=3)
         assert jk_ab_infinity(self.K22, d, stab(self.K22, 5, 5, -4, -4)) == 48
         assert verify_main_theorem(2, 2, d, stab(self.K22, 5, 5, -4, -4), 9).passed
+
+    def test_too_much_work_is_refused_before_counting(self, monkeypatch):
+        def no_count(*_args):
+            raise AssertionError("a term was counted")
+
+        monkeypatch.setattr(quiverjk, "weist_count", no_count)
+        with pytest.raises(TooMuchWork) as ei:
+            jk_ab_infinity(self.K11, dv(self.K11, i1=14, j1=2), stab(self.K11, 2, -14))
+        assert (ei.value.estimate, ei.value.bound) == (431240941, 200_000_000)
 
     # the six jk_ab_infinity jobs of the benchmark's trees workload
     FIXTURES = [
@@ -343,14 +358,20 @@ class TestStableTreeCounts:
 
     @pytest.mark.parametrize("q, d, zeta, value", FIXTURES,
                              ids=["K11-53", "K11-43", "K11-34", "K22-2212", "K22-1111", "K31-1112"])
-    def test_no_tree_is_listed(self, monkeypatch, q, d, zeta, value):
-        def no_trees(*_args):
-            raise AssertionError("spanning trees were listed")
+    def test_few_trees_are_listed(self, monkeypatch, q, d, zeta, value):
+        # only one-tree stars are scanned; K(1,1) d=(5,3) alone has 2,796
+        # spanning trees over its 21 terms
+        real, listed = quiver.spanning_trees, []
 
-        for module in (quiver, quiverjk):
-            monkeypatch.setattr(module, "spanning_trees", no_trees)
+        def spanning_trees(qbar):
+            trees = real(qbar)
+            listed.extend(trees)
+            return trees
+
+        monkeypatch.setattr(quiver, "spanning_trees", spanning_trees)
         dim = DimVector.make(q, dict(zip(q.vertices, d)))
         assert jk_ab_infinity(q, dim, stab(q, *zeta)) == value
+        assert len(listed) <= 2
 
 
 class TestWTResidue:
