@@ -24,8 +24,8 @@ from .quiver import (DimVector, Quiver, Stability, bipartite_quiver,
                      spanning_trees, support_quiver, tree_components,
                      validate_quiver)
 from .quiverjk import (jk_ab, jk_ab_infinity, jk_global_ZQ, jk_tree_expansion)
-from .scattering import (_cd_target, extract_cd, init_bipartite, scatter,
-                         verify_main_theorem)
+from .scattering import (_cd_diagram, _check_sizes, extract_cd, init_bipartite,
+                         scatter, verify_main_theorem)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -298,9 +298,8 @@ def _cmd_scatter(args, out) -> int:
 
 def _cmd_extract_cd(args, out) -> int:
     q, d, _zeta = _bipartite_inputs(args)
-    initial = init_bipartite(args.l1, args.l2, args.order)
-    _cd_target(d, args.order)  # reject d before paying for the diagram
-    value = extract_cd(scatter(initial), d)
+    _check_sizes(args.l1, args.l2, args.order)
+    value = extract_cd(_cd_diagram(args.l1, args.l2, d, args.order), d)
     report = {
         "command": "extract-cd",
         "inputs": {"l1": args.l1, "l2": args.l2, "order": args.order,

@@ -545,23 +545,18 @@ def abelianize(q: Quiver, d: DimVector, zeta: Stability) -> list[AbelianizationT
         estimate *= counts[min(d[v], len(counts) - 1)]
         if estimate > MAX_ABELIANIZATION_TERMS:
             raise TooManyTerms(estimate, MAX_ABELIANIZATION_TERMS)
-    choices = [_multiplicity_vectors(d[v]) for v in support]
+    # per vertex: (m, factor, [(new id, l)]) for each multiplicity vector m
+    choices = [[(m, _blowup_factor(d[v], m),
+                 [(f"{v}@{k},{l}", l) for l, ml in enumerate(m, start=1)
+                  for k in range(1, ml + 1)])
+                for m in _multiplicity_vectors(d[v])]
+               for v in support]
+    lifted = {v: [zeta[v] * l for l in range(d[v] + 1)] for v in support}
     terms = []
     for pick in itertools.product(*choices):
-        coeff = ONE
-        new_vertices: list[str] = []
-        parts: dict[str, list[tuple[str, int]]] = {}  # vertex -> [(new id, l)]
-        for v, m in zip(support, pick):
-            coeff *= factorial(d[v])
-            parts[v] = []
-            for l, ml in enumerate(m, start=1):
-                if ml == 0:
-                    continue
-                coeff *= Q(1, factorial(ml)) * (Q((-1) ** (l - 1), l * l)) ** ml
-                for k in range(1, ml + 1):
-                    vid = f"{v}@{k},{l}"
-                    new_vertices.append(vid)
-                    parts[v].append((vid, l))
+        coeff = prod((factor for _m, factor, _p in pick), start=ONE)
+        parts = {v: blown for v, (_m, _f, blown) in zip(support, pick)}
+        new_vertices = [vid for _m, _f, blown in pick for vid, _l in blown]
         new_arrows = []
         for t, h in q.arrows:
             if d[t] == 0 or d[h] == 0:
@@ -571,9 +566,20 @@ def abelianize(q: Quiver, d: DimVector, zeta: Stability) -> list[AbelianizationT
                     new_arrows.extend([(tid, hid)] * (lt * lh))
         nq = Quiver.make(new_vertices, new_arrows)
         nd = DimVector.make(nq, {v: 1 for v in new_vertices})
-        nz = Stability.make(nq, {vid: zeta[v] * l
+        nz = Stability.make(nq, {vid: lifted[v][l]
                                  for v in support for vid, l in parts[v]})
         terms.append(AbelianizationTerm(
             nq, nd, nz, coeff,
-            tuple([(v, m) for v, m in zip(support, pick)])))
+            tuple([(v, m) for v, (m, _f, _p) in zip(support, pick)])))
     return terms
+
+
+def _blowup_factor(dv: int, m: tuple[int, ...]) -> Fraction:
+    """d_v! * prod_l (1/m_l!) * ((-1)^(l-1) / l^2)^(m_l), one vertex's share
+    of an abelianization coefficient, as one Fraction of two integers."""
+    num, den = factorial(dv), 1
+    for l, ml in enumerate(m, start=1):
+        if ml:
+            num *= (-1) ** ((l - 1) * ml)
+            den *= factorial(ml) * l ** (2 * ml)
+    return Q(num, den)

@@ -5,6 +5,8 @@ log-coefficient / JK cross-check.
 Initial walls are full lines through the origin; corrective walls are rays
 with primitive directions strictly inside the first quadrant.  All series
 live in Q[x^{±1}, y^{±1}][s_*, t_*] truncated in total parameter degree.
+A diagram scattered for one coefficient c_d is also truncated to the box of
+exponents <= d (see ``series``): its walls are the images of the full ones.
 """
 
 from __future__ import annotations
@@ -43,20 +45,30 @@ class ScatteringDiagram:
     walls: list[Wall]
     cutoff: int
     params: tuple[str, ...]
+    box: tuple[int, ...] | None = None  # per-parameter exponent bounds, or none
 
 
-def init_bipartite(l1: int, l2: int, cutoff: int) -> ScatteringDiagram:
-    """Initial diagram: line (1,0) with prod(1+s_i x), line (0,1) with prod(1+t_j y)."""
+def init_bipartite(l1: int, l2: int, cutoff: int,
+                   box: tuple[int, ...] | None = None) -> ScatteringDiagram:
+    """Initial diagram: line (1,0) with prod(1+s_i x), line (0,1) with prod(1+t_j y).
+
+    ``box`` bounds the exponents of s_1..s_l1, t_1..t_l2 in that order.
+    """
     _check_sizes(l1, l2, cutoff)
-    params = tuple(f"s{i + 1}" for i in range(l1)) + tuple(f"t{j + 1}" for j in range(l2))
-    fx = TruncatedSeries.const(params, cutoff, 1)
+    params = _params(l1, l2)
+    fx = fy = TruncatedSeries.const(params, cutoff, 1, box)
     for i in range(l1):
-        fx = fx * (1 + TruncatedSeries.monomial(params, cutoff, xe=1, pexp={f"s{i + 1}": 1}))
-    fy = TruncatedSeries.const(params, cutoff, 1)
+        fx = fx * (1 + TruncatedSeries.monomial(params, cutoff, xe=1,
+                                                pexp={f"s{i + 1}": 1}, box=box))
     for j in range(l2):
-        fy = fy * (1 + TruncatedSeries.monomial(params, cutoff, ye=1, pexp={f"t{j + 1}": 1}))
+        fy = fy * (1 + TruncatedSeries.monomial(params, cutoff, ye=1,
+                                                pexp={f"t{j + 1}": 1}, box=box))
     return ScatteringDiagram([Wall((1, 0), "line", fx), Wall((0, 1), "line", fy)],
-                             cutoff, params)
+                             cutoff, params, fx.box)
+
+
+def _params(l1: int, l2: int) -> tuple[str, ...]:
+    return tuple(f"s{i + 1}" for i in range(l1)) + tuple(f"t{j + 1}" for j in range(l2))
 
 
 def _check_sizes(l1: int, l2: int, cutoff: int) -> None:
@@ -64,12 +76,15 @@ def _check_sizes(l1: int, l2: int, cutoff: int) -> None:
         raise BadCutoff(f"need l1, l2, cutoff >= 1, got ({l1}, {l2}, {cutoff})")
 
 
-def cross_wall(w: Wall, g: TruncatedSeries, orientation: int = 1) -> TruncatedSeries:
+def cross_wall(w: Wall, g: TruncatedSeries, orientation: int = 1,
+               powers: dict[int, TruncatedSeries] | None = None) -> TruncatedSeries:
     """Apply x -> x f^{±<m,(1,0)>}, y -> y f^{±<m,(0,1)>} to g.
 
     The substitution sends a term c * p * x^A y^B to the same term times f^n,
     with n = ±<m,(A,B)>.  The terms of g are grouped by that pairing value,
-    so each distinct n costs one product f^n * part.
+    so each distinct n costs one product f^n * part.  ``powers`` is a table
+    n -> f^n (with f^-1 for every negative n) that crossings of the same
+    wall function may share, so that each power is raised once.
     """
     if orientation not in (1, -1):
         raise ValidationError("orientation", "must be +1 or -1")
@@ -77,13 +92,27 @@ def cross_wall(w: Wall, g: TruncatedSeries, orientation: int = 1) -> TruncatedSe
     for key, c in g.terms.items():
         n = orientation * _pair(w.direction, (key[0], key[1]))
         parts.setdefault(n, {})[key] = c
-    f = w.function
-    inv = f.inverse() if min(parts, default=0) < 0 else None
-    out = TruncatedSeries(g.params, g.cutoff)
+    if powers is None:
+        powers = {}
+    out = g._like()
     for n, part in parts.items():
-        fn = f.power(n) if n >= 0 else inv.power(-n)
-        out = out + fn * TruncatedSeries(g.params, g.cutoff, part)
+        out = out + _wall_power(w.function, n, powers) * g._like(part)
     return out
+
+
+def _wall_power(f: TruncatedSeries, n: int, powers: dict[int, TruncatedSeries]):
+    """f^n, looked up in or added to the table powers."""
+    fn = powers.get(n)
+    if fn is None:
+        if n < 0:
+            inv = powers.get(-1)
+            if inv is None:
+                inv = powers[-1] = f.inverse()
+            fn = inv.power(-n)
+        else:
+            fn = f.power(n)
+        powers[n] = fn
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -119,19 +148,24 @@ def _sort_events(events):
 
 
 def loop_product(d: ScatteringDiagram) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Images of x and y under one full counterclockwise loop of crossings."""
+    """Images of x and y under one full counterclockwise loop of crossings.
+
+    Every crossing of a wall (x and y, and both halves of a line) shares one
+    table of the powers of its function.
+    """
     events = []
     for w in d.walls:
         a, b = w.direction
-        events.append(((a, b), w, 1))
+        powers: dict[int, TruncatedSeries] = {}
+        events.append(((a, b), w, 1, powers))
         if w.support == "line":
-            events.append(((-a, -b), w, -1))
+            events.append(((-a, -b), w, -1, powers))
     events = _sort_events(events)
-    x = TruncatedSeries.monomial(d.params, d.cutoff, xe=1)
-    y = TruncatedSeries.monomial(d.params, d.cutoff, ye=1)
-    for _v, w, eps in events:
-        x = cross_wall(w, x, eps)
-        y = cross_wall(w, y, eps)
+    x = TruncatedSeries.monomial(d.params, d.cutoff, xe=1, box=d.box)
+    y = TruncatedSeries.monomial(d.params, d.cutoff, ye=1, box=d.box)
+    for _v, w, eps, powers in events:
+        x = cross_wall(w, x, eps, powers)
+        y = cross_wall(w, y, eps, powers)
     return x, y
 
 
@@ -155,7 +189,7 @@ def scatter(d0: ScatteringDiagram) -> ScatteringDiagram:
     """
     # fresh Wall objects: rays grow in place below, and d0 keeps its own
     d = ScatteringDiagram([Wall(w.direction, w.support, w.function) for w in d0.walls],
-                          d0.cutoff, d0.params)
+                          d0.cutoff, d0.params, d0.box)
     rays: dict[tuple[int, int], Wall] = {}
     for w in d.walls:
         if w.support == "ray":
@@ -180,7 +214,7 @@ def scatter(d0: ScatteringDiagram) -> ScatteringDiagram:
             coeff = Fraction(cx, b) if cx else Fraction(-cy, a)
             if coeff == 0:
                 continue
-            increment = 1 + TruncatedSeries(d.params, d.cutoff, {(xe, ye, p): coeff})
+            increment = 1 + TruncatedSeries(d.params, d.cutoff, {(xe, ye, p): coeff}, d.box)
             wall = rays.get((a, b))
             if wall is None:
                 rays[(a, b)] = Wall((a, b), "ray", increment)
@@ -195,8 +229,8 @@ def scatter(d0: ScatteringDiagram) -> ScatteringDiagram:
 def _truncated(d: ScatteringDiagram, k: int) -> ScatteringDiagram:
     """The diagram with every wall function truncated at parameter degree k."""
     return ScatteringDiagram(
-        [Wall(w.direction, w.support, TruncatedSeries(d.params, k, w.function.terms))
-         for w in d.walls], k, d.params)
+        [Wall(w.direction, w.support, TruncatedSeries(d.params, k, w.function.terms, d.box))
+         for w in d.walls], k, d.params, d.box)
 
 
 def _loop_defects(d: ScatteringDiagram) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -215,8 +249,14 @@ def _primitive(a: int, b: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def extract_cd(d: ScatteringDiagram, dim: DimVector) -> Fraction:
-    """c_d = coeff(s^{P1} t^{P2} x^{ka} y^{kb}, log f_{(a,b)}) / k."""
+    """c_d = coeff(s^{P1} t^{P2} x^{ka} y^{kb}, log f_{(a,b)}) / k.
+
+    Raises ``CutoffTooSmall`` when |d| exceeds the cutoff or d leaves the box.
+    """
     p1, p2, pexp = _cd_target(dim, d.cutoff)
+    if d.box is not None and any(pexp.get(p, 0) > b for p, b in zip(d.params, d.box)):
+        raise CutoffTooSmall(f"d = {pexp} leaves the diagram's box "
+                             f"{dict(zip(d.params, d.box))}")
     k = gcd(p1, p2)
     a, b = p1 // k, p2 // k
     for w in d.walls:
@@ -244,6 +284,17 @@ def _cd_target(dim: DimVector, cutoff: int) -> tuple[int, int, dict[str, int]]:
     return p1, p2, pexp
 
 
+def _cd_diagram(l1: int, l2: int, dim: DimVector, cutoff: int) -> ScatteringDiagram:
+    """The scattered K(l1, l2) diagram in the box of dim, at cutoff |dim|.
+
+    ``extract_cd`` reads from it the c_dim of the full diagram at any cutoff
+    >= |dim|, which cutoff must be.  The cost follows dim, not the cutoff.
+    """
+    p1, p2, pexp = _cd_target(dim, cutoff)
+    box = tuple(pexp.get(p, 0) for p in _params(l1, l2))
+    return scatter(init_bipartite(l1, l2, p1 + p2, box))
+
+
 @dataclass(frozen=True)
 class VerificationResult:
     passed: bool
@@ -269,7 +320,7 @@ def verify_main_theorem(l1: int, l2: int, dim: DimVector, zeta: Stability,
     for _v, dv in dim.values:
         dfact *= factorial(dv)
     rhs = Q(-1) ** D * jk_ab_infinity(q, dim, zeta) / dfact
-    lhs = extract_cd(scatter(init_bipartite(l1, l2, cutoff)), dim)
+    lhs = extract_cd(_cd_diagram(l1, l2, dim, cutoff), dim)
     return VerificationResult(lhs == rhs, lhs, rhs, D)
 
 

@@ -8,10 +8,16 @@ the ``Weight.pair`` field, ``LinForm.translate``, ``RationalExpr.translate``,
 ``series_exp_log``, the ``q`` and ``d`` parameters of ``build_ZQ``
 (it reads ``a.dim``), and the ``SingularPoint.inverse`` field (the point
 keeps its tree's ``walk`` and edge ``scales``).  Recorded additions:
-``meet``, which accepts only planes k (x_head - x_tail) + c.
+``meet``, which accepts only planes k (x_head - x_tail) + c; the ``box``
+of per-parameter exponent bounds on ``TruncatedSeries`` (and its ``const``
+and ``monomial``), ``init_bipartite`` and ``ScatteringDiagram``; the
+``powers`` table of ``cross_wall``.
 """
 
 import argparse
+import dataclasses
+import inspect
+from operator import attrgetter
 
 import jkscatter
 from jkscatter import cli
@@ -51,6 +57,22 @@ CLI_OPTIONS = {
 }
 
 
+# (name, default) of each parameter; "-" marks a parameter without a default
+SIGNATURES = {
+    "TruncatedSeries": [("params", "-"), ("cutoff", "-"), ("terms", None), ("box", None)],
+    "TruncatedSeries.const": [("params", "-"), ("cutoff", "-"), ("c", "-"), ("box", None)],
+    "TruncatedSeries.monomial": [("params", "-"), ("cutoff", "-"), ("xe", 0), ("ye", 0),
+                                 ("pexp", None), ("coeff", 1), ("box", None)],
+    "init_bipartite": [("l1", "-"), ("l2", "-"), ("cutoff", "-"), ("box", None)],
+    "cross_wall": [("w", "-"), ("g", "-"), ("orientation", 1), ("powers", None)],
+}
+
+
+def _signature(obj):
+    return [(p.name, "-" if p.default is p.empty else p.default)
+            for p in inspect.signature(obj).parameters.values()]
+
+
 def test_public_names():
     assert sorted(jkscatter.__all__) == PUBLIC_NAMES
 
@@ -62,3 +84,11 @@ def test_cli_options():
                         for opt in act.option_strings)
            for name, p in sub.choices.items()}
     assert got == CLI_OPTIONS
+
+
+def test_box_signatures():
+    got = {name: _signature(attrgetter(name)(jkscatter)) for name in SIGNATURES}
+    assert got == SIGNATURES
+    assert [(f.name, f.default if f.default is not dataclasses.MISSING else "-")
+            for f in dataclasses.fields(jkscatter.ScatteringDiagram)] == \
+        [("walls", "-"), ("cutoff", "-"), ("params", "-"), ("box", None)]

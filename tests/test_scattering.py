@@ -6,7 +6,7 @@ import functools
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jkscatter import scattering
@@ -339,6 +339,74 @@ class TestVerifyMain:
             verify_main_theorem(
                 2, 1, dv(k21, i1=1, i2=1, j1=1),
                 Stability.make(k21, {"i1": Q(2), "i2": Q(0), "j1": Q(-2)}), 4)
+
+
+@functools.lru_cache(maxsize=None)
+def full_diagram(l1, l2, cutoff):
+    return scatter(init_bipartite(l1, l2, cutoff))
+
+
+@st.composite
+def box_cases(draw):
+    """K(l1, l2) with l1, l2 <= 3 and d of |d| <= 6 touching both sides;
+    entries up to 3, so non-primitive d such as (2;2) and (1,1;1,1) occur."""
+    l1, l2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    src = draw(st.lists(st.integers(0, 3), min_size=l1, max_size=l1).filter(any))
+    snk = draw(st.lists(st.integers(0, 3), min_size=l2, max_size=l2).filter(any))
+    assume(sum(src) + sum(snk) <= 6)
+    order = draw(st.integers(sum(src) + sum(snk), 6))
+    q = bipartite_quiver(l1, l2)
+    return l1, l2, DimVector.make(q, dict(zip(q.vertices, src + snk))), order
+
+
+class TestBox:
+    """The diagram scattered in the box of d (exponents <= d) at cutoff |d|
+    holds the c_d of the full diagram at any cutoff >= |d|."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(box_cases())
+    def test_box_cd_equals_full_cd(self, case):
+        l1, l2, dim, order = case
+        boxed = scattering._cd_diagram(l1, l2, dim, order)
+        assert boxed.cutoff == sum(v for _v, v in dim.values)
+        assert extract_cd(boxed, dim) == extract_cd(full_diagram(l1, l2, 6), dim)
+
+    def test_box_loop_is_the_identity(self):
+        k32 = bipartite_quiver(3, 2)
+        d = scattering._cd_diagram(3, 2, dv(k32, i1=2, i2=1, i3=0, j1=1, j2=2), 6)
+        assert d.box == (2, 1, 0, 1, 2)
+        x, y = loop_product(d)
+        assert x == TruncatedSeries.monomial(d.params, d.cutoff, xe=1, box=d.box)
+        assert y == TruncatedSeries.monomial(d.params, d.cutoff, ye=1, box=d.box)
+
+    def test_extract_cd_refuses_d_outside_the_box(self):
+        # the full K(2,1) diagram has c_(1,1;1) = 1; the box of (2,0;1) drops
+        # s2 and would read a wrong 0
+        k21 = bipartite_quiver(2, 1)
+        boxed = scattering._cd_diagram(2, 1, dv(k21, i1=2, i2=0, j1=1), 3)
+        outside = dv(k21, i1=1, i2=1, j1=1)
+        assert extract_cd(full_diagram(2, 1, 6), outside) == 1
+        with pytest.raises(CutoffTooSmall, match="box"):
+            extract_cd(boxed, outside)
+
+    def test_order_above_d_costs_nothing(self, monkeypatch):
+        k21 = bipartite_quiver(2, 1)
+        dim = dv(k21, i1=1, i2=1, j1=1)
+        zeta = Stability.make(k21, {"i1": Q(1), "i2": Q(1), "j1": Q(-2)})
+        real = scattering.loop_product
+        results, calls = [], []
+        for order in (3, 9):
+            cutoffs = []
+
+            def counting(d):
+                cutoffs.append(d.cutoff)
+                return real(d)
+
+            monkeypatch.setattr(scattering, "loop_product", counting)
+            results.append(verify_main_theorem(2, 1, dim, zeta, order))
+            calls.append(cutoffs)
+        assert results[0] == results[1] and results[0].passed
+        assert calls[0] == calls[1] == [1, 2, 3, 3]
 
 
 # regression frozen from the consistency oracle: the central-ray function of

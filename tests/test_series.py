@@ -128,12 +128,16 @@ def test_integral_fractions_are_stored_as_int():
 
 # -- products and sums against an all-pairs Fraction reference (test-only oracle)
 
+def in_box(p, box):
+    return box is None or all(e <= b for e, b in zip(p, box))
+
+
 def reference_product(a, b):
     t = {}
     for (x1, y1, p1), c1 in a.terms.items():
         for (x2, y2, p2), c2 in b.terms.items():
             p = tuple(u + v for u, v in zip(p1, p2))
-            if sum(p) <= a.cutoff:
+            if sum(p) <= a.cutoff and in_box(p, a.box):
                 k = (x1 + x2, y1 + y2, p)
                 t[k] = t.get(k, Q(0)) + Q(c1) * Q(c2)
     return {k: c for k, c in t.items() if c}
@@ -155,13 +159,14 @@ def series_pairs(draw):
     n = draw(st.integers(1, 3))
     cutoff = draw(st.integers(1, 5))
     params = tuple(f"p{i}" for i in range(n))
-    # a raw key may carry a negative parameter exponent; it multiplies by its total degree
+    box = draw(st.none() | st.tuples(*[st.integers(0, cutoff)] * n))
+    # a raw key may lie past the cutoff or the box; the constructor drops it
     key = st.tuples(st.integers(-3, 3), st.integers(-3, 3),
-                    st.tuples(*[st.integers(-1, cutoff)] * n))
+                    st.tuples(*[st.integers(0, cutoff)] * n))
 
     def one():
         return TruncatedSeries(params, cutoff,
-                               draw(st.dictionaries(key, COEFFICIENTS, max_size=8)))
+                               draw(st.dictionaries(key, COEFFICIENTS, max_size=8)), box)
     return one(), one()
 
 
@@ -176,9 +181,60 @@ def assert_canonical(f):
 @given(series_pairs())
 def test_product_and_sum_match_fraction_reference(pair):
     a, b = pair
+    assert all(in_box(p, a.box) for _x, _y, p in a.terms)
     assert_canonical(a)
     prod, total = a * b, a + b
     assert prod.terms == reference_product(a, b)
     assert total.terms == reference_sum(a, b)
     assert_canonical(prod)
     assert_canonical(total)
+
+
+# -- parameter exponents are >= 0, and a box is a quotient of the ring
+
+def test_negative_parameter_exponent_is_refused():
+    # with s^-1 allowed the product was not associative: at cutoff 2,
+    # (s^2 * s) * s^-1 = 0 but s^2 * (s * s^-1) = s^2
+    with pytest.raises(ValueError, match=r"\(0, 0, \(-1, 0\)\)"):
+        TruncatedSeries(P, 2, {(0, 0, (-1, 0)): 1})
+    with pytest.raises(ValueError, match="negative"):
+        mono(pexp={"t": -2})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(0, 2),
+                          st.integers(-3, 3)), min_size=3, max_size=9),
+       st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2)))
+def test_product_is_associative(raw, box):
+    a, b, c = (TruncatedSeries(P, 3, {(x, 0, (e1, e2)): k for x, e1, e2, k in raw[i::3]}, box)
+               for i in range(3))
+    assert (a * b) * c == a * (b * c)
+
+
+def test_box_drops_terms_over_a_bound():
+    f = TruncatedSeries(P, 4, {(0, 0, (2, 0)): 1, (0, 0, (1, 1)): 1, (1, 0, (0, 2)): 3},
+                        box=(1, 2))
+    assert f.sorted_terms() == [((0, 0, (1, 1)), 1), ((1, 0, (0, 2)), 3)]
+    s = TruncatedSeries.monomial(P, 4, pexp={"s": 1}, box=(1, 2))  # s^2 = 0
+    assert (1 + s).power(3) == 1 + s.scale(3)
+    assert (1 + s).inverse() == 1 + s.scale(-1)
+
+
+def test_box_is_part_of_the_ring():
+    a = TruncatedSeries.const(P, 3, 1, box=(1, 1))
+    with pytest.raises(ValueError, match="different rings"):
+        a + TruncatedSeries.const(P, 3, 1)
+    assert a != TruncatedSeries.const(P, 3, 1)
+    with pytest.raises(ValueError, match="bound"):
+        TruncatedSeries.const(P, 3, 1, box=(1,))
+    with pytest.raises(ValueError, match="bound"):
+        TruncatedSeries.const(P, 3, 1, box=(1, -1))
+
+
+def test_box_commutes_with_log_and_exp():
+    full = 1 + mono(xe=1, pexp={"s": 1}) + mono(ye=1, pexp={"t": 1}).scale(Q(1, 2))
+    boxed = TruncatedSeries(P, 4, full.terms, box=(2, 1))
+    assert boxed.log() == TruncatedSeries(P, 4, full.log().terms, box=(2, 1))
+    g = full.log()
+    assert TruncatedSeries(P, 4, g.terms, box=(2, 1)).exp() == \
+        TruncatedSeries(P, 4, g.exp().terms, box=(2, 1))
