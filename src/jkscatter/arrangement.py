@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (DegenerateRCharges, NonRegularStability, NotProjective,
-                     NotSumRegular)
+                     NotSumRegular, TooManyPlanes)
 from .exact import (LinForm, ONE, Q, RationalExpr, ZERO, in_span,
                     iterated_residue, mat_det, mat_rank, qify,
                     rref, solve_linear, subst_linear_basis)
@@ -79,6 +79,10 @@ class Arrangement:
 
 
 RC_DENOMINATOR = 2 ** 31
+# build_arrangement refuses more hyperplanes than this before building any:
+# building and meeting them takes about 40 us a plane (CPython 3.11, x86_64;
+# K(1,1) d=(320;1), 102,400 planes: 4.2 s), so about 4 s
+MAX_ARRANGEMENT_PLANES = 100_000
 
 
 def sample_rcharges(count: int, seed: int) -> list[Fraction]:
@@ -97,9 +101,16 @@ def build_arrangement(q: Quiver, d: DimVector,
     sample_rcharges(len(q.arrows), seed); more than n planes through a point
     raise DegenerateRCharges, and no other R is tried (such coincidences are
     structural).  The reference coordinate is the last index of the last
-    vertex in the support of d.
+    vertex in the support of d.  TooManyPlanes is raised before anything is
+    built when the planes, d_t * d_h per arrow and d_v * (d_v - 1) per
+    vertex, number more than MAX_ARRANGEMENT_PLANES.
     """
     validate_quiver(q)
+    dims = d.as_dict()
+    planes = (sum(dims[t] * dims[h] for t, h in q.arrows)
+              + sum(x * (x - 1) for x in dims.values()))
+    if planes > MAX_ARRANGEMENT_PLANES:
+        raise TooManyPlanes(planes, MAX_ARRANGEMENT_PLANES, d.total() - 1)
     if rcharges is None:
         if seed is None:
             raise ValueError("provide explicit rcharges or a seed")

@@ -96,6 +96,19 @@ class DegenerateRCharges(JKScatterError):
     """R-charges produce a non-simple hyperplane intersection."""
 
 
+class TooManyPlanes(JKScatterError):
+    """An arrangement would have more hyperplanes than the fixed bound; both
+    numbers are kept on the exception, with the coordinate count."""
+
+    def __init__(self, estimate, bound, coordinates):
+        self.estimate = estimate
+        self.bound = bound
+        self.coordinates = coordinates
+        super().__init__(f"the arrangement needs {estimate} hyperplanes in "
+                         f"{coordinates} coordinates (d_t*d_h weights per arrow, "
+                         f"d_v*(d_v-1) roots per vertex), over the bound {bound}")
+
+
 class NotSumRegular(JKScatterError):
     """zeta fails the sum-regularity needed by the requested operation."""
 

@@ -7,7 +7,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
+from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import (DuplicateVertex, HasLoop, HasOrientedCycle, NonRegularStability,
@@ -276,15 +277,21 @@ def stable_trees(qbar: Quiver, theta: Stability) -> list[SpanningTree]:
             if all(c < 0 for c in tree_components(qbar, tree, theta).values())]
 
 
-# weist_count's work is counted in steps of the subset DP's inner loop, of
-# which it runs about V * 3^V on V vertices.  Listing a spanning tree and
-# cutting it costs about SCAN_STEPS_PER_TREE * V steps: measured on CPython
-# 3.11 (x86_64), a DP step takes about 65 ns and a scanned tree about 6.5 us
-# per vertex, on complete bipartite quivers of 4 to 10 vertices.
+# weist_count's work is counted in steps of the type DP's inner loop: on T
+# types of c_t vertices each it visits at most T * prod_t C(c_t + 2, 2)
+# (state, branch) pairs.  Listing a spanning tree and cutting it costs
+# about SCAN_STEPS_PER_TREE * V steps.  Measured on CPython 3.11 (x86_64),
+# a scanned tree takes 3.5-5.3 us per vertex on quivers of 4 to 9 vertices.
+# A DP step takes 50-170 ns on twin-free complete bipartite quivers of 13
+# down to 8 vertices, and 170-370 ns over the many small terms of
+# jk_ab_infinity on K(1,1), K(2,2) and K(3,3): each of the T * prod_t
+# (c_t + 1) (state, type) pairs costs about 40 steps more.
 SCAN_STEPS_PER_TREE = 100
-# weist_count and jk_ab_infinity refuse more steps than this: about 13 s
-# at 65 ns a step, and the DP runs on at most 14 vertices, so each of its
-# two tables has at most 2^14 * 14 entries
+# weist_count and jk_ab_infinity refuse more steps than this: 10-35 s at
+# those rates (K(1,1) d=(12;11), 1.95e8 steps over 4,312 terms, took 29-33
+# s).  A twin-free quiver under it has at most 14 vertices (K(7,6): 13
+# vertices, 2.1e7 steps, 1.4 s).  The DP's two tables have T * prod_t
+# (c_t + 1) entries each, fewer than its steps
 MAX_WEIST_STEPS = 200_000_000
 
 
@@ -341,116 +348,176 @@ def spanning_tree_count(qbar: Quiver) -> int:
 
 @dataclass(frozen=True)
 class WeistPlan:
-    """How weist_count counts the stable trees of a quiver: its reduced
-    quiver and multiplicities, and the cheaper of the two routes (scan the
-    spanning trees, or run the subset DP) with its steps."""
+    """How weist_count counts the stable trees of a quiver at one theta: its
+    reduced quiver and multiplicities, its twin classes (vertex indices of
+    the reduced quiver), and the cheaper of the two routes (scan the
+    spanning trees, or run the type DP) with its steps."""
     qbar: Quiver
     mult: dict[int, int]
+    types: tuple[tuple[int, ...], ...]
     steps: int
     scan: bool
 
 
-def weist_plan(q: Quiver) -> WeistPlan:
-    """weist_count's route on q: the tree scan where it is cheaper than the
-    subset DP, as on a sparse quiver with many vertices."""
-    qbar, mult = reduced_quiver(q)
+def twin_classes(qbar: Quiver, mult: Mapping[int, int],
+                 theta: Stability) -> tuple[tuple[int, ...], ...]:
+    """The vertices of a reduced quiver grouped by type, in order of their
+    first vertex: two vertices have one type when they have the same theta,
+    the same arrows out to each vertex and the same arrows in from each.
+    Equal rows leave no arrow between two vertices of one type, and any
+    permutation inside a type is an automorphism that keeps theta."""
     n = len(qbar.vertices)
-    scan = SCAN_STEPS_PER_TREE * n * spanning_tree_count(qbar)
-    return WeistPlan(qbar, mult, min(scan, n * 3 ** n), scan <= n * 3 ** n)
+    index = {v: i for i, v in enumerate(qbar.vertices)}
+    out = [[0] * n for _ in range(n)]
+    for k, (t, h) in enumerate(qbar.arrows):
+        out[index[t]][index[h]] = mult[k]
+    values = theta.as_dict()
+    classes: dict[tuple, list[int]] = {}
+    for i, v in enumerate(qbar.vertices):
+        key = (values[v], tuple(out[i]), tuple([row[i] for row in out]))
+        classes.setdefault(key, []).append(i)
+    return tuple([tuple(c) for c in classes.values()])
+
+
+def weist_plan(q: Quiver, theta: Stability) -> WeistPlan:
+    """weist_count's route on q at theta: the type DP, priced by its steps
+    (V * 3^V when no two vertices are twins), or the tree scan where that
+    is cheaper, as on a sparse twin-free quiver with many vertices.  A scan
+    costs at least SCAN_STEPS_PER_TREE * V steps, so the Kirchhoff count is
+    made only when the DP costs more than that."""
+    qbar, mult = reduced_quiver(q)
+    types = twin_classes(qbar, mult, theta)
+    dp = len(types) * prod(comb(len(c) + 2, 2) for c in types)
+    least_scan = SCAN_STEPS_PER_TREE * len(qbar.vertices)
+    if dp <= least_scan:
+        return WeistPlan(qbar, mult, types, dp, False)
+    scan = least_scan * spanning_tree_count(qbar)
+    return WeistPlan(qbar, mult, types, min(scan, dp), scan <= dp)
 
 
 def weist_count(q: Quiver, theta: Stability, plan: WeistPlan | None = None) -> Fraction:
     """Sum over theta-stable spanning trees of the product of arrow
     multiplicities (Weist's count of tree modules), along plan, which is
-    weist_plan(q) unless the caller has made it already.  TooMuchWork is
-    raised if the plan takes more than MAX_WEIST_STEPS.
+    weist_plan(q, theta) unless the caller has made it already.
+    TooMuchWork is raised if the plan takes more than MAX_WEIST_STEPS.
 
     The scan lists stable_trees.  The DP: a tree is stable iff every arrow
     leaves theta > 0 on the side of its tail when cut.  Rooted at r, a child
     u with subtree U hangs from r by an arrow r -> u if theta(U) < 0 and
-    u -> r if theta(U) > 0, so the count F(S, r) of stable trees on the
-    vertex set S rooted at r sums, over the branch U that holds the lowest
-    vertex of S - {r},
+    u -> r if theta(U) > 0.  Vertices of one type (twin_classes) are
+    interchangeable, so a count depends on a vertex set only through its
+    type vector s.  The count F(s, rho) of stable trees on s rooted at one
+    vertex of type rho sums, over the type vector u of the branch that holds
+    one fixed vertex of the lowest type t0 left in r = s - e_rho,
 
-        [sum over u in U of F(U, u) * w(u, r, theta(U))] * F(S - U, r),
+        C(r_t0 - 1, u_t0 - 1) * prod_(t != t0) C(r_t, u_t) * H(u, rho) * F(s - u, rho),
+        H(u, rho) = sum over sigma of u_sigma * F(u, sigma) * w(rho, sigma, theta(u)),
 
-    and weist_count = F(V, vertices[0]): O(3^V * V) work on bitmasks.  It
-    runs only on a connected quiver and raises as the scan would: theta not
-    summing to 0 raises NotNormalized, and a wall (a split into two
-    connected sides with theta = 0 on each) raises NonRegularStability with
-    the scan's first tree and arrow as the witness, scanning trees only up
-    to that one.
+    the binomials counting the branches of type vector u, and weist_count
+    is F(c, type of vertices[0]) for the full type vector c.  With every
+    type a single vertex, this is the DP over vertex subsets.  A
+    disconnected quiver counts 0, as the scan does; otherwise the DP raises
+    as the scan would: theta not summing to 0 raises NotNormalized, and a
+    wall (a split into two connected sides with theta = 0 on each) raises
+    NonRegularStability with the scan's first tree and arrow as the
+    witness, scanning trees only up to that one.
     """
     if plan is None:
-        plan = weist_plan(q)
+        plan = weist_plan(q, theta)
     if plan.steps > MAX_WEIST_STEPS:
         raise TooMuchWork(plan.steps, MAX_WEIST_STEPS)
     if plan.scan:  # also every quiver without a spanning tree
         return sum((prod(plan.mult[i] for i in tree.arrows)
                     for tree in stable_trees(plan.qbar, theta)), ZERO)
-    return _subset_dp(plan.qbar, plan.mult, theta)
+    return _type_dp(plan.qbar, plan.mult, theta, plan.types)
 
 
-def _subset_dp(qbar: Quiver, mult: Mapping[int, int], theta: Stability) -> Fraction:
-    """weist_count's subset DP on a connected reduced quiver."""
-    n = len(qbar.vertices)
+def _type_dp(qbar: Quiver, mult: Mapping[int, int], theta: Stability,
+             types: Sequence[Sequence[int]]) -> Fraction:
+    """weist_count's DP over type vectors; types are qbar's twin classes."""
+    n, nt = len(qbar.vertices), len(types)
     index = {v: i for i, v in enumerate(qbar.vertices)}
+    kind = [0] * n
+    for t, members in enumerate(types):
+        for i in members:
+            kind[i] = t
     adj = [0] * n
-    # down[r][u]: arrows r -> u; up[r][u]: arrows u -> r
-    down = [[0] * n for _ in range(n)]
-    up = [[0] * n for _ in range(n)]
+    down = [[0] * nt for _ in range(nt)]  # down[rho][sigma]: arrows rho -> sigma
     for k, (t, h) in enumerate(qbar.arrows):
         a, b = index[t], index[h]
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-        down[a][b] = up[b][a] = mult[k]
+        down[kind[a]][kind[b]] = mult[k]
     full = (1 << n) - 1
+    if not n or not _connected(full, adj):
+        return ZERO
+    # theta per type, times the lcm of its denominators: integers of the same sign
     values = theta.as_dict()
-    th = [values[v] for v in qbar.vertices]
-    total = sum(th, ZERO)
-    if total != 0:
-        raise NotNormalized(f"sum d_v*theta_v = {total} != 0")
-    # theta(U) for every vertex subset U, as an integer of the same sign
-    scale = lcm(*[c.denominator for c in th])
-    scaled = [int(c * scale) for c in th]
-    theta_of = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        theta_of[mask] = theta_of[mask ^ low] + scaled[low.bit_length() - 1]
-    for side in range(1, full, 2):  # the side that holds vertex 0
-        if theta_of[side] == 0 and _connected(side, adj) and _connected(full ^ side, adj):
-            # some tree crosses this wall: scan lazily to the first one
-            edges = [(index[t], index[h]) for t, h in qbar.arrows]
-            for tree in _spanning_tree_indices(n, edges):
-                tree_components(qbar, SpanningTree(tree), theta)
-    # rooted[S * n + r] = F(S, r); hanging[U * n + r] = the bracket above
-    rooted = [0] * ((full + 1) * n)
-    hanging = [0] * ((full + 1) * n)
-    for mask in range(1, full + 1):
-        for r in _bits(mask):
-            rest = mask ^ (1 << r)
-            if not rest:
-                rooted[mask * n + r] = 1
+    th = [values[qbar.vertices[c[0]]] for c in types]
+    scale = lcm(*[x.denominator for x in th])
+    th = [x.numerator * (scale // x.denominator) for x in th]
+    counts = [len(c) for c in types]
+    total = sum(map(mul, th, counts))
+    if total:
+        raise NotNormalized(f"sum d_v*theta_v = {Q(total, scale)} != 0")
+    # a state is a type vector s <= c, indexed in mixed radix, the last
+    # type lowest: states[i] is the vector of index i
+    states = list(itertools.product(*[range(c + 1) for c in counts]))
+    strides = [1] * nt
+    for t in range(nt - 1, 0, -1):
+        strides[t - 1] = strides[t] * (counts[t] + 1)
+    theta_of = [0]  # theta(s) for every state
+    for c, x in zip(counts, th):
+        theta_of = [y + k * x for y in theta_of for k in range(c + 1)]
+    for state in range(1, len(states) - 1):
+        if not theta_of[state]:
+            # a representative side: the first s_t vertices of each type
+            side = sum(1 << i for c, k in zip(types, states[state]) for i in c[:k])
+            if _connected(side, adj) and _connected(full ^ side, adj):
+                # some tree crosses this wall: scan lazily to the first one
+                edges = [(index[t], index[h]) for t, h in qbar.arrows]
+                for tree in _spanning_tree_indices(n, edges):
+                    tree_components(qbar, SpanningTree(tree), theta)
+                break
+    up = [list(col) for col in zip(*down)]  # up[rho][sigma]: arrows sigma -> rho
+    # branch offsets and binomials per (type, count): all j <= k, and
+    # j >= 1 for the first type present, whose fixed vertex is in the branch
+    binom = [[comb(m, j) for j in range(m + 1)] for m in range(max(counts) + 1)]
+    offsets = [[[j * st for j in range(k + 1)] for k in range(c + 1)]
+               for c, st in zip(counts, strides)]
+    # rooted[rho][r] = F(r + e_rho, rho); hanging[rho][u] = H(u, rho)
+    rooted = [[0] * len(states) for _ in range(nt)]
+    hanging = [[0] * len(states) for _ in range(nt)]
+    for rho in range(nt):
+        rooted[rho][0] = 1
+    for state in range(1, len(states)):
+        digits = states[state]
+        open_ = [rho for rho, k in enumerate(digits) if k < counts[rho]]
+        if not open_:  # the full state: nothing hangs from it or grows it
+            continue
+        # F(state, .) is complete: hang the state from each type outside it
+        if theta_of[state]:
+            w = down if theta_of[state] < 0 else up
+            # u_sigma * F(u, sigma) for each type sigma
+            fs = [k and k * rooted[sigma][state - strides[sigma]]
+                  for sigma, k in enumerate(digits)]
+            for rho in open_:
+                hanging[rho][state] = sum(map(mul, w[rho], fs))
+        # every branch u <= r = state that holds the fixed vertex
+        subs = None
+        for t, k in enumerate(digits):
+            if not k:
                 continue
-            low = rest & -rest
-            others = rest ^ low
-            count = 0
-            sub = others
-            while True:  # every branch = sub | low, sub running over others' subsets
-                g = hanging[(sub | low) * n + r]
-                if g:
-                    count += g * rooted[(mask ^ sub ^ low) * n + r]
-                if not sub:
-                    break
-                sub = (sub - 1) & others
-            rooted[mask * n + r] = count
-        # F(mask, .) is complete: hang mask from each vertex outside it
-        if theta_of[mask]:
-            w = down if theta_of[mask] < 0 else up
-            for r in _bits(full ^ mask):
-                hanging[mask * n + r] = sum(rooted[mask * n + u] * w[r][u]
-                                            for u in _bits(mask & adj[r]))
-    return Q(rooted[full * n])
+            if subs is None:
+                subs, coefs = offsets[t][k][1:], binom[k - 1]
+            else:
+                subs = [u + o for u in subs for o in offsets[t][k]]
+                coefs = [c * b for c in coefs for b in binom[k]]
+        for rho in open_:
+            g, f = hanging[rho], rooted[rho]
+            f[state] = sum(map(mul, map(mul, coefs, map(g.__getitem__, subs)),
+                               map(f.__getitem__, map(state.__sub__, subs))))
+    return Q(rooted[0][len(states) - 1 - strides[0]])
 
 
 def _bits(mask: int):

@@ -132,13 +132,15 @@ def jk_ab(q: Quiver, d: DimVector, zeta: Stability, rseed: int,
 
 def jk_ab_infinity(q: Quiver, d: DimVector, zeta: Stability) -> Fraction:
     """Closed-form large-R limit: sum of coefficient * weist_count per
-    abelianization term.  Each blown-up quiver is counted by the cheaper of
-    a stable-tree scan and a DP over vertex subsets (weist_plan); before
-    any is counted, TooMuchWork is raised if their steps add up to more
-    than MAX_WEIST_STEPS.  abelianize refuses a d with more than
+    abelianization term.  In a blown-up quiver the vertices i@k,l that
+    share (i, l) are twins, one vertex type, and each quiver is counted by
+    the cheaper of a stable-tree scan and a DP over its type vectors
+    (weist_plan at the term's lifted stability); before any is counted,
+    TooMuchWork is raised if their steps add up to more than
+    MAX_WEIST_STEPS.  abelianize refuses a d with more than
     MAX_ABELIANIZATION_TERMS terms."""
     terms = abelianize(q, d, zeta)
-    plans = [weist_plan(term.quiver) for term in terms]
+    plans = [weist_plan(term.quiver, term.stability) for term in terms]
     steps = sum(plan.steps for plan in plans)
     if steps > MAX_WEIST_STEPS:
         raise TooMuchWork(steps, MAX_WEIST_STEPS)

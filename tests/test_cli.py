@@ -377,13 +377,50 @@ class TestExitCodes:
         assert (code, rep["error"], rep["message"]) == (2, "TooManyTerms",
                                                         self.TOO_MANY_TERMS)
 
+    PLANES = ("the arrangement needs {} hyperplanes in {} coordinates (d_t*d_h weights "
+              "per arrow, d_v*(d_v-1) roots per vertex), over the bound {}")
+
+    def test_jk_too_many_planes_is_2(self, monkeypatch):
+        # 1500 weights and 1500 * 1499 roots, refused before any coordinate
+        # is named: building them takes minutes
+        def no_coordinate(*_args):
+            raise AssertionError("a coordinate was built")
+
+        monkeypatch.setattr(arrangement, "coord_name", no_coordinate)
+        code, rep = run_json(["jk", "--l1", "1", "--l2", "1", "--d", "1500;1",
+                              "--zeta", "1,-1500"])
+        assert (code, rep["error"], rep["message"]) == (
+            2, "TooManyPlanes", self.PLANES.format(2250000, 1500, 100000))
+
+    def test_jk_huge_dimension_in_file_is_2(self, tmp_path):
+        # 10^60 planes in 10^30 coordinates: building them exhausts memory
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(dict(K21_FILE, dimension={"i1": 10**30, "j1": 1},
+                                     stability={"i1": "1", "j1": str(-10**30)})))
+        code, rep = run_json(["jk", "--quiver", str(p)])
+        assert (code, rep["error"], rep["message"]) == (
+            2, "TooManyPlanes", self.PLANES.format(10**60, 10**30, 100000))
+
+    def test_plane_bound_is_exact(self, monkeypatch):
+        # K(2,1) d=(1,1;1): 2 weights, no roots, 2 coordinates
+        argv = ["jk", "--l1", "2", "--l2", "1", "--d", "1,1;1", "--zeta", "1,1,-2"]
+        monkeypatch.setattr(arrangement, "MAX_ARRANGEMENT_PLANES", 2)
+        code, rep = run_json(argv)
+        assert (code, rep["results"]["value"]) == (0, "1/1")
+        monkeypatch.setattr(arrangement, "MAX_ARRANGEMENT_PLANES", 1)
+        code, rep = run_json(argv)
+        assert (code, rep["error"], rep["message"]) == (
+            2, "TooManyPlanes", self.PLANES.format(2, 2, 1))
+
     def test_too_much_work_is_2(self):
-        # the all-ones term of K(1,1) d=(14;2) is K(14,2) on 16 vertices
-        code, rep = run_json(["jk-ab", "--l1", "1", "--l2", "1", "--d", "14;2",
-                              "--zeta", "2,-14", "--infinity"])
+        # K(8,8) at d = 1 with a distinct zeta per vertex: one 16-vertex term
+        # with no twins, 16 * 3^16 DP steps
+        code, rep = run_json(["jk-ab", "--l1", "8", "--l2", "8", "--d", ",".join("1" * 16),
+                              "--zeta", "1,2,3,4,5,6,7,8,-1,-2,-3,-4,-5,-6,-7,-8",
+                              "--infinity"])
         assert (code, rep["error"], rep["message"]) == (
             2, "TooMuchWork",
-            "counting stable trees needs about 431240941 steps, over the bound 200000000")
+            "counting stable trees needs about 688747536 steps, over the bound 200000000")
 
     def test_nonregular_over_cutoff_is_2(self):
         code, rep = run_json(["verify-main", "--l1", "2", "--l2", "2",

@@ -3,20 +3,22 @@ trees, stability coefficients, and abelianization.
 """
 
 from fractions import Fraction as Q
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jkscatter import quiver
 from jkscatter.errors import (DuplicateVertex, HasLoop, HasOrientedCycle,
                               NonRegularStability, NotATree, NotNormalized,
                               TooManyTerms, TooMuchWork, UnknownVertex)
 from jkscatter.exact import solve_linear
-from jkscatter.quiver import (DimVector, Quiver, SpanningTree, Stability, _subset_dp,
-                              abelianize, bipartite_quiver, moduli_dimension,
-                              reduced_quiver, skew_euler_form, spanning_tree_count,
-                              spanning_trees, stable_trees, tree_components,
+from jkscatter.quiver import (DimVector, Quiver, SpanningTree, Stability, _bits,
+                              _connected, _spanning_tree_indices, _type_dp, abelianize,
+                              bipartite_quiver, moduli_dimension, reduced_quiver,
+                              skew_euler_form, spanning_tree_count, spanning_trees,
+                              stable_trees, tree_components, twin_classes,
                               validate_quiver, weist_count, weist_plan)
 from jkscatter.quiverjk import wt_residue
 
@@ -249,11 +251,11 @@ def outcome(fn, *args):
 
 
 @st.composite
-def quivers_with_stability(draw):
-    """An acyclic quiver on <= 7 vertices with repeated arrows, connected or
-    not, and a Fraction stability of small entries (so walls are common)
-    that mostly sums to 0."""
-    n = draw(st.integers(min_value=0, max_value=7))
+def quivers_with_stability(draw, max_vertices=7):
+    """An acyclic quiver on <= max_vertices vertices with repeated arrows,
+    connected or not, and a Fraction stability of small entries (so walls
+    are common) that mostly sums to 0."""
+    n = draw(st.integers(min_value=0, max_value=max_vertices))
     vertices = [f"v{i}" for i in range(n)]
     rank = draw(st.permutations(range(n)))  # arrows go up in rank: no cycles
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
@@ -269,17 +271,155 @@ def quivers_with_stability(draw):
     return q, stab(q, *vals)
 
 
+def subset_dp(qbar, mult, theta):
+    """Test-only reference: the DP over vertex subsets, F(S, r) on bitmasks
+    in about V * 3^V steps, which the type DP is when every vertex is its
+    own type.  A disconnected quiver counts 0, as the scan does."""
+    n = len(qbar.vertices)
+    index = {v: i for i, v in enumerate(qbar.vertices)}
+    adj = [0] * n
+    # down[r][u]: arrows r -> u; up[r][u]: arrows u -> r
+    down = [[0] * n for _ in range(n)]
+    up = [[0] * n for _ in range(n)]
+    for k, (t, h) in enumerate(qbar.arrows):
+        a, b = index[t], index[h]
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+        down[a][b] = up[b][a] = mult[k]
+    full = (1 << n) - 1
+    if not n or not _connected(full, adj):
+        return Q(0)
+    values = theta.as_dict()
+    th = [values[v] for v in qbar.vertices]
+    total = sum(th, Q(0))
+    if total != 0:
+        raise NotNormalized(f"sum d_v*theta_v = {total} != 0")
+    scale = lcm(*[c.denominator for c in th])
+    scaled = [int(c * scale) for c in th]
+    theta_of = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        theta_of[mask] = theta_of[mask ^ low] + scaled[low.bit_length() - 1]
+    for side in range(1, full, 2):  # the side that holds vertex 0
+        if theta_of[side] == 0 and _connected(side, adj) and _connected(full ^ side, adj):
+            edges = [(index[t], index[h]) for t, h in qbar.arrows]
+            for tree in _spanning_tree_indices(n, edges):
+                tree_components(qbar, SpanningTree(tree), theta)
+    rooted = [0] * ((full + 1) * n)
+    hanging = [0] * ((full + 1) * n)
+    for mask in range(1, full + 1):
+        for r in _bits(mask):
+            rest = mask ^ (1 << r)
+            if not rest:
+                rooted[mask * n + r] = 1
+                continue
+            low = rest & -rest
+            others = rest ^ low
+            count = 0
+            sub = others
+            while True:  # every branch = sub | low, sub running over others' subsets
+                count += hanging[(sub | low) * n + r] * rooted[(mask ^ sub ^ low) * n + r]
+                if not sub:
+                    break
+                sub = (sub - 1) & others
+            rooted[mask * n + r] = count
+        if theta_of[mask]:
+            w = down if theta_of[mask] < 0 else up
+            for r in _bits(full ^ mask):
+                hanging[mask * n + r] = sum(rooted[mask * n + u] * w[r][u]
+                                            for u in _bits(mask & adj[r]))
+    return Q(rooted[full * n])
+
+
+def type_dp(qbar, mult, theta):
+    return _type_dp(qbar, mult, theta, twin_classes(qbar, mult, theta))
+
+
+def assert_three_routes_agree(q, theta):
+    """The type DP, the subset DP and the tree scan give one value, or one
+    error type, message and witness; so does weist_count on its own route."""
+    want = outcome(tree_scan_count, q, theta)
+    qbar, mult = reduced_quiver(q)
+    assert outcome(type_dp, qbar, mult, theta) == want
+    assert outcome(subset_dp, qbar, mult, theta) == want
+    assert outcome(weist_count, q, theta) == want
+
+
+@st.composite
+def quivers_with_twins(draw):
+    """A quiver on <= 7 vertices whose vertices come in twin classes: each
+    vertex of a random acyclic quiver on <= 4 vertices is cloned 1-3 times,
+    clones keeping its arrows and theta (one clone's theta is sometimes
+    moved, which splits its class).  theta mostly sums to 0."""
+    base, theta = draw(quivers_with_stability(max_vertices=4))
+    copies = {}
+    for v in base.vertices:
+        room = 7 - sum(copies.values()) - (len(base.vertices) - len(copies) - 1)
+        copies[v] = draw(st.integers(1, max(1, min(3, room))))
+    clones = {v: [f"{v}.{k}" for k in range(copies[v])] for v in base.vertices}
+    arrows = [(a, b) for t, h in base.arrows for a in clones[t] for b in clones[h]]
+    q = Quiver.make([c for v in base.vertices for c in clones[v]], arrows)
+    vals = {c: theta[v] for v in base.vertices for c in clones[v]}
+    if vals and draw(st.sampled_from([False] * 3 + [True])):
+        vals[draw(st.sampled_from(sorted(vals)))] += draw(st.sampled_from([-1, 1, Q(1, 2)]))
+    if vals and draw(st.integers(0, 5)):
+        last = q.vertices[-1]
+        vals[last] -= sum(vals.values())
+    return q, Stability.make(q, vals)
+
+
+@st.composite
+def abelianization_terms(draw):
+    """One abelianization term (its blown-up quiver and lifted stability)
+    of a random K(l1, l2), l1, l2 <= 2, with |d| <= 7 and integer zeta
+    that mostly sums to 0 against d."""
+    l1, l2 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    q = bipartite_quiver(l1, l2)
+    d = draw(st.lists(st.integers(0, 3), min_size=l1 + l2, max_size=l1 + l2)
+             .filter(lambda d: 0 < sum(d) <= 7))
+    zeta = draw(st.lists(st.integers(-4, 4), min_size=l1 + l2, max_size=l1 + l2))
+    nonzero = [i for i, x in enumerate(d) if x]
+    fix = nonzero[-1]
+    total = sum(x * z for x, z in zip(d, zeta))
+    zeta = [Q(z) for z in zeta]
+    zeta[fix] -= Q(total, d[fix])
+    dim = DimVector.make(q, dict(zip(q.vertices, d)))
+    terms = abelianize(q, dim, stab(q, *zeta))
+    term = draw(st.sampled_from(terms))
+    theta = term.stability
+    if draw(st.sampled_from([False] * 7 + [True])):
+        v = term.quiver.vertices[0]
+        theta = Stability.make(term.quiver, dict(theta.as_dict(), **{v: theta[v] + 1}))
+    return term.quiver, theta
+
+
 class TestWeistCount:
     @given(quivers_with_stability())
     @settings(max_examples=300, deadline=None)
     def test_matches_tree_scan(self, data):
-        q, theta = data
-        want = outcome(tree_scan_count, q, theta)
-        assert outcome(weist_count, q, theta) == want
-        # weist_count scans small tree counts itself: check the DP on its own
+        assert_three_routes_agree(*data)
+
+    @given(quivers_with_twins())
+    @settings(max_examples=300, deadline=None)
+    def test_twin_classes_match_tree_scan(self, data):
+        assert_three_routes_agree(*data)
+
+    @given(abelianization_terms())
+    @settings(max_examples=200, deadline=None)
+    def test_abelianization_terms_match_tree_scan(self, data):
+        assert_three_routes_agree(*data)
+
+    def test_twins_are_one_type(self):
+        # K(3,2) with theta (2, 2, 1, -3, -2): i1 and i2 are twins, i3 is
+        # not (its theta differs), and neither are j1, j2
+        k32 = bipartite_quiver(3, 2)
+        qbar, mult = reduced_quiver(k32)
+        assert twin_classes(qbar, mult, stab(k32, 2, 2, 1, -3, -2)) == ((0, 1), (2,), (3,), (4,))
+        assert twin_classes(qbar, mult, stab(k32, 1, 1, 1, -1, -2)) == ((0, 1, 2), (3,), (4,))
+        # same theta, other arrows: a -> b, c has no arrow
+        q = Quiver.make(["a", "b", "c"], [("a", "b")])
         qbar, mult = reduced_quiver(q)
-        if spanning_tree_count(qbar):  # the DP runs on connected quivers
-            assert outcome(_subset_dp, qbar, mult, theta) == want
+        assert twin_classes(qbar, mult, stab(q, 0, 0, 0)) == ((0,), (1,), (2,))
 
     @given(quivers_with_stability())
     @settings(max_examples=200, deadline=None)
@@ -289,25 +429,50 @@ class TestWeistCount:
         assert spanning_tree_count(qbar) == len(spanning_trees(qbar))
 
     def test_route_follows_the_tree_count(self):
-        # a star has one spanning tree: scanned; K(4,4) has 4^3 * 4^3 trees,
-        # more than the subset DP's 8 * 3^8 steps buy at 100 * 8 steps a tree
-        star = weist_plan(bipartite_quiver(20, 1))
-        assert (star.steps, star.scan) == (100 * 21, True)
-        k44 = weist_plan(bipartite_quiver(4, 4))
-        assert (k44.steps, k44.scan) == (8 * 3 ** 8, False)
+        # with a distinct theta per vertex no two vertices are twins.  A star
+        # has one spanning tree: scanned; K(4,4) has 4^3 * 4^3 trees, more
+        # than the DP's 8 * 3^8 steps buy at 100 * 8 steps a tree
+        star = bipartite_quiver(20, 1)
+        plan = weist_plan(star, stab(star, *range(1, 21), -210))
+        assert (plan.steps, plan.scan) == (100 * 21, True)
+        k44 = bipartite_quiver(4, 4)
+        plan = weist_plan(k44, stab(k44, 1, 2, 3, 4, -1, -2, -3, -4))
+        assert (plan.steps, plan.scan) == (8 * 3 ** 8, False)
+
+    def test_twins_take_the_dp_without_counting_trees(self, monkeypatch):
+        # the star with one theta on its 20 sources has 2 types of 20 and 1
+        # vertices: 2 * C(22, 2) * C(3, 2) DP steps, under the 100 * 21 of
+        # the cheapest scan, so its trees are not counted
+        def no_count(_qbar):
+            raise AssertionError("the spanning trees were counted")
+
+        monkeypatch.setattr(quiver, "spanning_tree_count", no_count)
+        star = bipartite_quiver(20, 1)
+        theta = stab(star, *[1] * 20, -20)
+        plan = weist_plan(star, theta)
+        assert (plan.steps, plan.scan) == (2 * 231 * 3, False)
+        assert weist_count(star, theta, plan) == 1
 
     def test_star_is_scanned(self):
-        # 21 vertices: the subset DP would take 21 * 3^21 steps
+        # 21 vertices, no twins: the DP would take 21 * 3^21 steps
         star = bipartite_quiver(20, 1)
-        assert weist_count(star, stab(star, *[1] * 20, -20)) == 1
-        assert weist_count(star, stab(star, *[-1] * 20, 20)) == 0
+        theta = stab(star, *range(1, 21), -210)
+        assert weist_plan(star, theta).scan
+        assert weist_count(star, theta) == 1
+        assert weist_count(star, stab(star, *range(-1, -21, -1), 210)) == 0
 
-    def test_too_much_work_is_refused(self):
-        # K(15,2): 15 * 2^14 trees at 100 * 17 steps each, or 17 * 3^17 DP steps
-        k152 = bipartite_quiver(15, 2)
+    def test_too_much_work_is_refused(self, monkeypatch):
+        # K(8,8) with a distinct theta per vertex has no twins: 16 * 3^16 DP
+        # steps, and 8^7 * 8^7 trees at 100 * 16 steps each.  It is refused
+        # before any table is built
+        def no_table(*_args):
+            raise AssertionError("the DP ran")
+
+        monkeypatch.setattr(quiver, "_type_dp", no_table)
+        k88 = bipartite_quiver(8, 8)
         with pytest.raises(TooMuchWork) as ei:
-            weist_count(k152, stab(k152, *[2] * 15, -15, -15))
-        assert (ei.value.estimate, ei.value.bound) == (100 * 17 * 15 * 2 ** 14, 200_000_000)
+            weist_count(k88, stab(k88, *range(1, 9), *range(-1, -9, -1)))
+        assert (ei.value.estimate, ei.value.bound) == (16 * 3 ** 16, 200_000_000)
 
     def test_wall_witness_is_the_first_scanned(self):
         # the 4-cycle K(2,2) with theta({i1, j1}) = 0: tree (0, 1, 2) has no

@@ -316,18 +316,18 @@ class TestAbelianizedJK:
 
 class TestStableTreeCounts:
     """jk_ab_infinity counts the stable trees of each blown-up quiver by the
-    cheaper of a subset DP and a tree scan, which reaches requests out of
-    reach of either route alone."""
+    cheaper of a DP over type vectors and a tree scan, which reaches
+    requests out of reach of either route alone."""
 
-    K11, K22, K31 = (bipartite_quiver(a, b) for a, b in ((1, 1), (2, 2), (3, 1)))
+    K11, K22, K31, K33 = (bipartite_quiver(a, b) for a, b in ((1, 1), (2, 2), (3, 1), (3, 3)))
 
     def test_k11_d65(self):
         # 77 terms; the all-ones one has 11 vertices and 6^4 * 5^5 trees: the DP
         assert jk_ab_infinity(self.K11, dv(self.K11, i1=6, j1=5), stab(self.K11, 5, -6)) == 0
 
     def test_k11_d201(self):
-        # 627 terms; the all-ones one is the 21-vertex star with one tree,
-        # whose DP would take 21 * 3^21 steps: the scan
+        # 627 terms; the all-ones one is the 21-vertex star, whose 20 sources
+        # are twins: 2 types and 1,386 DP steps
         assert jk_ab_infinity(self.K11, dv(self.K11, i1=20, j1=1), stab(self.K11, 1, -20)) == 0
 
     def test_k22_d2223(self):
@@ -337,14 +337,36 @@ class TestStableTreeCounts:
         assert jk_ab_infinity(self.K22, d, stab(self.K22, 5, 5, -4, -4)) == 48
         assert verify_main_theorem(2, 2, d, stab(self.K22, 5, 5, -4, -4), 9).passed
 
+    @pytest.mark.parametrize("q, d, zeta, value", [
+        # 2! 2! 2! 2! 2! 3! * 3,000; a DP over vertex subsets takes about 6 s
+        (K33, (2, 2, 2, 2, 2, 3), (7, 7, 7, -6, -6, -6), 576_000),
+        # 202 terms; a scan of the all-ones K(13,2), 13 * 2^12 trees, takes about 12 s
+        (K11, (13, 2), (2, -13), 0),
+        # 3! 3! 2! 3! * chi with chi = 1
+        (K22, (3, 3, 2, 3), (5, 5, -6, -6), 432),
+    ], ids=["K33-222223", "K11-13-2", "K22-3323"])
+    def test_twin_classes_reach(self, q, d, zeta, value):
+        dim = DimVector.make(q, dict(zip(q.vertices, d)))
+        assert jk_ab_infinity(q, dim, stab(q, *zeta)) == value
+
+    def test_k11_d142_is_on_a_wall(self):
+        # d is not primitive: a blown-up term lies on a wall
+        with pytest.raises(NonRegularStability) as ei:
+            jk_ab_infinity(self.K11, dv(self.K11, i1=14, j1=2), stab(self.K11, 2, -14))
+        assert ei.value.witness == {"tree": (0, 1, 2), "arrow": ("i1@1,7", "j1@1,1")}
+
     def test_too_much_work_is_refused_before_counting(self, monkeypatch):
+        # K(8,8) at d = 1 with a distinct zeta per vertex is one term with
+        # no twins: 16 * 3^16 DP steps, and 8^7 * 8^7 trees to scan
         def no_count(*_args):
             raise AssertionError("a term was counted")
 
         monkeypatch.setattr(quiverjk, "weist_count", no_count)
+        k88 = bipartite_quiver(8, 8)
         with pytest.raises(TooMuchWork) as ei:
-            jk_ab_infinity(self.K11, dv(self.K11, i1=14, j1=2), stab(self.K11, 2, -14))
-        assert (ei.value.estimate, ei.value.bound) == (431240941, 200_000_000)
+            jk_ab_infinity(k88, DimVector.make(k88, {v: 1 for v in k88.vertices}),
+                           stab(k88, *range(1, 9), *range(-1, -9, -1)))
+        assert (ei.value.estimate, ei.value.bound) == (16 * 3 ** 16, 200_000_000)
 
     # the six jk_ab_infinity jobs of the benchmark's trees workload
     FIXTURES = [
