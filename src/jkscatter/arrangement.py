@@ -31,7 +31,7 @@ from .exact import (LinForm, ONE, Q, RationalExpr, ZERO, in_span,
                     iterated_residue, mat_det, mat_rank, qify,
                     rref, solve_linear, subst_linear_basis)
 from .quiver import (DimVector, Quiver, Stability, _cut_sums, _spanning_tree_indices,
-                     _tree_walk, validate_quiver)
+                     _tree_walk, check_tree_walk, validate_quiver)
 
 Vector = tuple[Fraction, ...]
 
@@ -196,10 +196,13 @@ def singular_points(a: Arrangement) -> list[SingularPoint]:
     on n + 1 nodes; each is met once.
     A second basis landing on a stored location means more than n planes
     meet there (basis exchange), which raises DegenerateRCharges at once.
+    An abelian d meets every basis: TooManyTrees past MAX_SPANNING_TREES.
     """
     planes = [lf + off for lf, off in a.hyperplanes()]
     index = {v: i for i, v in enumerate(a.variables)}
     edges = [(*(index[v] for v in p.coeffs), a.n, a.n)[:2] for p in planes]
+    if a.dim.is_abelian():
+        check_tree_walk(a.n + 1, edges)
     pts: dict[Vector, SingularPoint] = {}
     for basis in _spanning_tree_indices(a.n + 1, edges):
         pt = meet([planes[i] for i in basis], a.variables, basis)

@@ -50,27 +50,37 @@ class NotNormalized(JKScatterError):
     """A stability vector does not satisfy sum(d_v * theta_v) = 0."""
 
 
-class TooManyTerms(JKScatterError):
-    """An abelianization would have more terms than the fixed bound; both
+class OverBound(JKScatterError):
+    """Work refused before it starts, its estimate over a fixed bound; both
     numbers are kept on the exception."""
 
-    def __init__(self, estimate, bound):
+    def __init__(self, estimate, bound, need):
         self.estimate = estimate
         self.bound = bound
-        super().__init__(f"abelianization needs at least {estimate} terms "
-                         f"(the product of the partition counts p(d_v)), "
-                         f"over the bound {bound}")
+        super().__init__(f"{need}, over the bound {bound}")
 
 
-class TooMuchWork(JKScatterError):
-    """Counting stable trees would take more steps than the fixed bound;
-    both numbers are kept on the exception."""
+class TooManyTerms(OverBound):
+    """An abelianization would have more terms than the fixed bound."""
 
     def __init__(self, estimate, bound):
-        self.estimate = estimate
-        self.bound = bound
-        super().__init__(f"counting stable trees needs about {estimate} steps, "
-                         f"over the bound {bound}")
+        super().__init__(estimate, bound, f"abelianization needs at least {estimate} "
+                                          "terms (the product of the partition counts p(d_v))")
+
+
+class TooMuchWork(OverBound):
+    """Counting stable trees would take more steps than the fixed bound."""
+
+    def __init__(self, estimate, bound):
+        super().__init__(estimate, bound, f"counting stable trees needs about {estimate} steps")
+
+
+class TooManyTrees(OverBound):
+    """A walk would visit more spanning trees than the fixed bound."""
+
+    def __init__(self, estimate, bound):
+        super().__init__(estimate, bound,
+                         f"the walk would visit {estimate} spanning trees (Kirchhoff's count)")
 
 
 class NotATree(JKScatterError):
@@ -96,17 +106,15 @@ class DegenerateRCharges(JKScatterError):
     """R-charges produce a non-simple hyperplane intersection."""
 
 
-class TooManyPlanes(JKScatterError):
-    """An arrangement would have more hyperplanes than the fixed bound; both
-    numbers are kept on the exception, with the coordinate count."""
+class TooManyPlanes(OverBound):
+    """An arrangement would have more hyperplanes than the fixed bound; the
+    coordinate count is kept too."""
 
     def __init__(self, estimate, bound, coordinates):
-        self.estimate = estimate
-        self.bound = bound
         self.coordinates = coordinates
-        super().__init__(f"the arrangement needs {estimate} hyperplanes in "
-                         f"{coordinates} coordinates (d_t*d_h weights per arrow, "
-                         f"d_v*(d_v-1) roots per vertex), over the bound {bound}")
+        super().__init__(estimate, bound, f"the arrangement needs {estimate} hyperplanes in "
+                                          f"{coordinates} coordinates (d_t*d_h weights per "
+                                          "arrow, d_v*(d_v-1) roots per vertex)")
 
 
 class NotSumRegular(JKScatterError):

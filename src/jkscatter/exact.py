@@ -510,19 +510,6 @@ class RationalExpr:
     def __neg__(self):
         return self * -1
 
-    def power(self, e: int) -> "RationalExpr":
-        if e == 0:
-            return RationalExpr(1)
-        if self.is_zero():
-            if e < 0:
-                raise ZeroDenominator("inverting the zero expression")
-            return RationalExpr(0)
-        if e < 0 and not self.num.is_constant():
-            raise ZeroDenominator("cannot invert a non-factored numerator")
-        return RationalExpr(self.scalar ** e,
-                            tuple((lf, k * e) for lf, k in self.factors),
-                            self.num.power(e) if e > 0 else Poly.const(1))
-
     def __add__(self, other: "RationalExpr") -> "RationalExpr":
         if not isinstance(other, RationalExpr):
             other = RationalExpr(other)

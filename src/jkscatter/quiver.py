@@ -12,7 +12,8 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import (DuplicateVertex, HasLoop, HasOrientedCycle, NonRegularStability,
-                     NotNormalized, TooManyTerms, TooMuchWork, UnknownVertex)
+                     NotNormalized, TooManyTerms, TooManyTrees, TooMuchWork,
+                     UnknownVertex)
 from .exact import ONE, ZERO, qify
 
 Q = Fraction
@@ -196,8 +197,13 @@ def spanning_trees(qbar: Quiver) -> list[SpanningTree]:
     """All spanning trees of the underlying multigraph, lexicographic in arrow
     ids; none if the graph is disconnected or has no vertex."""
     validate_quiver(qbar)
-    edges = [(qbar.vertices.index(t), qbar.vertices.index(h)) for t, h in qbar.arrows]
-    return [SpanningTree(t) for t in _spanning_tree_indices(len(qbar.vertices), edges)]
+    return [SpanningTree(t) for t in _spanning_tree_indices(len(qbar.vertices), _edges(qbar))]
+
+
+def _edges(q: Quiver) -> list[tuple[int, int]]:
+    """q's arrows as (tail, head) pairs of vertex indices."""
+    index = {v: i for i, v in enumerate(q.vertices)}
+    return [(index[t], index[h]) for t, h in q.arrows]
 
 
 def _spanning_tree_indices(nodes: int, edges: Sequence[tuple[int, int]]):
@@ -295,55 +301,44 @@ SCAN_STEPS_PER_TREE = 100
 MAX_WEIST_STEPS = 200_000_000
 
 
-def spanning_tree_count(qbar: Quiver) -> int:
-    """The number of spanning trees of the underlying multigraph (Kirchhoff):
-    a principal minor of its Laplacian, by fraction-free elimination, once
-    the leaves are stripped (a leaf's edge is in every tree, so a star
-    leaves one vertex)."""
-    n = len(qbar.vertices)
-    if not n:
+def spanning_tree_count(nodes: int, edges: Sequence[tuple[int, int]]) -> int:
+    """How many trees _spanning_tree_indices lists (Kirchhoff): the Laplacian
+    without the last node's row and column, by fraction-free elimination."""
+    if not nodes:
         return 0
-    index = {v: i for i, v in enumerate(qbar.vertices)}
-    edges = [(index[t], index[h]) for t, h in qbar.arrows]
-    near = [[] for _ in range(n)]
+    lap = [[0] * nodes for _ in range(nodes)]
     for a, b in edges:
-        near[a].append(b)
-        near[b].append(a)
-    degree = [len(x) for x in near]
-    alive, left = [True] * n, n
-    leaves = [v for v in range(n) if degree[v] == 1]
-    while leaves and left > 1:
-        v = leaves.pop()
-        if not degree[v]:  # its one neighbour was a leaf: a component of two
-            continue
-        alive[v], left = False, left - 1
-        for u in near[v]:
-            if alive[u]:
-                degree[u] -= 1
-                if degree[u] == 1:
-                    leaves.append(u)
-    core = {v: i for i, v in enumerate(v for v in range(n) if alive[v])}
-    size = len(core) - 1
-    lap = [[0] * (size + 1) for _ in range(size + 1)]
-    for a, b in edges:
-        if alive[a] and alive[b]:
-            a, b = core[a], core[b]
-            lap[a][a] += 1
-            lap[b][b] += 1
-            lap[a][b] -= 1
-            lap[b][a] -= 1
-    m = [row[1:] for row in lap[1:]]
+        lap[a][a] += 1
+        lap[b][b] += 1
+        lap[a][b] -= 1
+        lap[b][a] -= 1
+    m = [row[:-1] for row in lap[:-1]]
     pivot = 1
-    for k in range(size):
+    for k, top in enumerate(m):
         # the minor is positive semi-definite, so a zero pivot (a zero
         # diagonal entry of a Schur complement) means a zero determinant
-        if not m[k][k]:
+        if not top[k]:
             return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // pivot
-        pivot = m[k][k]
+        for row in m[k + 1:]:
+            row[k + 1:] = [(x * top[k] - row[k] * y) // pivot
+                           for x, y in zip(row[k + 1:], top[k + 1:])]
+        pivot = top[k]
     return pivot
+
+
+# `trees` and abelian arrangements refuse more spanning trees than this:
+# 2-7 s at 0.22 and 0.74 ms a tree (CPython 3.11, x86_64; `trees` and `jk`
+# on K(4,4) at d = 1, 4,096 trees, took 0.9 and 3.0 s for 2.9 MB reports)
+MAX_SPANNING_TREES = 10_000
+
+
+def check_tree_walk(nodes: int, edges: Sequence[tuple[int, int]]) -> None:
+    """Raise TooManyTrees past MAX_SPANNING_TREES spanning trees on the nodes,
+    counting them only when the C(edges, nodes - 1) sets of a tree's size pass it."""
+    if nodes and comb(len(edges), nodes - 1) > MAX_SPANNING_TREES:
+        count = spanning_tree_count(nodes, edges)
+        if count > MAX_SPANNING_TREES:
+            raise TooManyTrees(count, MAX_SPANNING_TREES)
 
 
 @dataclass(frozen=True)
@@ -367,10 +362,9 @@ def twin_classes(qbar: Quiver, mult: Mapping[int, int],
     Equal rows leave no arrow between two vertices of one type, and any
     permutation inside a type is an automorphism that keeps theta."""
     n = len(qbar.vertices)
-    index = {v: i for i, v in enumerate(qbar.vertices)}
     out = [[0] * n for _ in range(n)]
-    for k, (t, h) in enumerate(qbar.arrows):
-        out[index[t]][index[h]] = mult[k]
+    for k, (a, b) in enumerate(_edges(qbar)):
+        out[a][b] = mult[k]
     values = theta.as_dict()
     classes: dict[tuple, list[int]] = {}
     for i, v in enumerate(qbar.vertices):
@@ -391,7 +385,7 @@ def weist_plan(q: Quiver, theta: Stability) -> WeistPlan:
     least_scan = SCAN_STEPS_PER_TREE * len(qbar.vertices)
     if dp <= least_scan:
         return WeistPlan(qbar, mult, types, dp, False)
-    scan = least_scan * spanning_tree_count(qbar)
+    scan = least_scan * spanning_tree_count(len(qbar.vertices), _edges(qbar))
     return WeistPlan(qbar, mult, types, min(scan, dp), scan <= dp)
 
 
@@ -420,7 +414,8 @@ def weist_count(q: Quiver, theta: Stability, plan: WeistPlan | None = None) -> F
     as the scan would: theta not summing to 0 raises NotNormalized, and a
     wall (a split into two connected sides with theta = 0 on each) raises
     NonRegularStability with the scan's first tree and arrow as the
-    witness, scanning trees only up to that one.
+    witness, scanning trees only up to that one (past MAX_WEIST_STEPS for
+    a full scan: a tree of each side of the wall and the first arrow across).
     """
     if plan is None:
         plan = weist_plan(q, theta)
@@ -435,16 +430,14 @@ def weist_count(q: Quiver, theta: Stability, plan: WeistPlan | None = None) -> F
 def _type_dp(qbar: Quiver, mult: Mapping[int, int], theta: Stability,
              types: Sequence[Sequence[int]]) -> Fraction:
     """weist_count's DP over type vectors; types are qbar's twin classes."""
-    n, nt = len(qbar.vertices), len(types)
-    index = {v: i for i, v in enumerate(qbar.vertices)}
+    n, nt, edges = len(qbar.vertices), len(types), _edges(qbar)
     kind = [0] * n
     for t, members in enumerate(types):
         for i in members:
             kind[i] = t
     adj = [0] * n
     down = [[0] * nt for _ in range(nt)]  # down[rho][sigma]: arrows rho -> sigma
-    for k, (t, h) in enumerate(qbar.arrows):
-        a, b = index[t], index[h]
+    for k, (a, b) in enumerate(edges):
         adj[a] |= 1 << b
         adj[b] |= 1 << a
         down[kind[a]][kind[b]] = mult[k]
@@ -474,9 +467,14 @@ def _type_dp(qbar: Quiver, mult: Mapping[int, int], theta: Stability,
             # a representative side: the first s_t vertices of each type
             side = sum(1 << i for c, k in zip(types, states[state]) for i in c[:k])
             if _connected(side, adj) and _connected(full ^ side, adj):
-                # some tree crosses this wall: scan lazily to the first one
-                edges = [(index[t], index[h]) for t, h in qbar.arrows]
-                for tree in _spanning_tree_indices(n, edges):
+                # some tree crosses this wall: scan to the first, or build one past the bound
+                trees = _spanning_tree_indices(n, edges)
+                if SCAN_STEPS_PER_TREE * n * spanning_tree_count(n, edges) > MAX_WEIST_STEPS:
+                    order = sorted(range(len(edges)), key=lambda k: (
+                        side >> edges[k][0] & 1 != side >> edges[k][1] & 1))
+                    first = next(_spanning_tree_indices(n, [edges[k] for k in order]))
+                    trees = [tuple(sorted(order[k] for k in first))]
+                for tree in trees:
                     tree_components(qbar, SpanningTree(tree), theta)
                 break
     up = [list(col) for col in zip(*down)]  # up[rho][sigma]: arrows sigma -> rho
@@ -591,6 +589,10 @@ def _partition_counts(bound: int) -> list[int]:
     return p
 
 
+# p is increasing: a d_v past the table already counts as over the bound
+_PARTITION_COUNTS = _partition_counts(MAX_ABELIANIZATION_TERMS)
+
+
 def abelianize(q: Quiver, d: DimVector, zeta: Stability) -> list[AbelianizationTerm]:
     """One term per total multiplicity vector m_* partitioning d.
 
@@ -605,11 +607,9 @@ def abelianize(q: Quiver, d: DimVector, zeta: Stability) -> list[AbelianizationT
     validate_quiver(q)
     zeta.check_normalized(d)
     support = [v for v in q.vertices if d[v] > 0]
-    # p is increasing: a d_v past the table already counts as over the bound
-    counts = _partition_counts(MAX_ABELIANIZATION_TERMS)
     estimate = 1
     for v in support:
-        estimate *= counts[min(d[v], len(counts) - 1)]
+        estimate *= _PARTITION_COUNTS[min(d[v], len(_PARTITION_COUNTS) - 1)]
         if estimate > MAX_ABELIANIZATION_TERMS:
             raise TooManyTerms(estimate, MAX_ABELIANIZATION_TERMS)
     # per vertex: (m, factor, [(new id, l)]) for each multiplicity vector m

@@ -6,12 +6,16 @@ Recorded removals: the ``reference=`` parameter of ``build_arrangement``,
 the ``Weight.pair`` field, ``LinForm.translate``, ``RationalExpr.translate``,
 ``jkscatter jk-ab --csv``, the ``sign_mode=`` parameter of ``build_ZQ``,
 ``series_exp_log``, the ``q`` and ``d`` parameters of ``build_ZQ``
-(it reads ``a.dim``), and the ``SingularPoint.inverse`` field (the point
-keeps its tree's ``walk`` and edge ``scales``).  Recorded additions:
+(it reads ``a.dim``), the ``SingularPoint.inverse`` field (the point
+keeps its tree's ``walk`` and edge ``scales``), and ``RationalExpr.power``
+(no caller).  Recorded additions:
 ``meet``, which accepts only planes k (x_head - x_tail) + c; the ``box``
 of per-parameter exponent bounds on ``TruncatedSeries`` (and its ``const``
 and ``monomial``), ``init_bipartite`` and ``ScatteringDiagram``; the
-``powers`` table of ``cross_wall``.
+``powers`` table of ``cross_wall``; ``errors.TooManyTrees``, raised by
+the CLI's tree listings past ``quiver.MAX_SPANNING_TREES``, with its base
+``errors.OverBound`` shared by the other refusals.  Not exported:
+``quiver.spanning_tree_count`` takes the enumerator's ``(nodes, edges)``.
 """
 
 import argparse
@@ -65,6 +69,8 @@ SIGNATURES = {
                                  ("pexp", None), ("coeff", 1), ("box", None)],
     "init_bipartite": [("l1", "-"), ("l2", "-"), ("cutoff", "-"), ("box", None)],
     "cross_wall": [("w", "-"), ("g", "-"), ("orientation", 1), ("powers", None)],
+    "errors.TooManyTrees": [("estimate", "-"), ("bound", "-")],
+    "quiver.spanning_tree_count": [("nodes", "-"), ("edges", "-")],
 }
 
 
@@ -92,3 +98,14 @@ def test_box_signatures():
     assert [(f.name, f.default if f.default is not dataclasses.MISSING else "-")
             for f in dataclasses.fields(jkscatter.ScatteringDiagram)] == \
         [("walls", "-"), ("cutoff", "-"), ("params", "-"), ("box", None)]
+
+
+def test_bound_errors():
+    # every up-front refusal keeps its estimate and bound the same way
+    errors = jkscatter.errors
+    for cls in (errors.TooManyTerms, errors.TooMuchWork, errors.TooManyTrees):
+        exc = cls(7, 5)
+        assert isinstance(exc, errors.OverBound)
+        assert (exc.estimate, exc.bound) == (7, 5)
+        assert str(exc).endswith(", over the bound 5")
+    assert not hasattr(jkscatter.RationalExpr, "power")

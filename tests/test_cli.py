@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jkscatter import arrangement, cli, quiver, quiverjk
-from jkscatter.errors import ParseError, UnknownVertex, ValidationError
+from jkscatter.errors import NonRegularStability, ParseError, UnknownVertex, ValidationError
 
 
 def run(argv):
@@ -243,10 +243,13 @@ class TestExitCodes:
         (1, 1, "3;2", "2,-3"),
         (3, 1, "1,1,1;2", "2,2,2,-3"),
         (2, 2, "2,1;1,1", "1,1,-3/2,-3/2"),
+        (3, 3, "2,2,2;2,2,2", "1,1,1,-1,-1,-1"),
     ])
     def test_nonabelian_probes_are_degenerate(self, samples, l1, l2, d, zeta):
         # the direct route on these non-abelian d: more than n planes meet
-        # for every R-charge, so one sample is all it takes to say so
+        # for every R-charge, so one sample is all it takes to say so.  The
+        # bases of a non-abelian d are not counted: K(3,3) at d = 2 has
+        # 1,296,000,000 and still stops at its first degeneracy
         code, rep = run_json(["jk", "--l1", str(l1), "--l2", str(l2), "--d", d,
                               "--zeta", zeta])
         assert code == 2 and rep["error"] == "DegenerateRCharges"
@@ -411,6 +414,61 @@ class TestExitCodes:
         code, rep = run_json(argv)
         assert (code, rep["error"], rep["message"]) == (
             2, "TooManyPlanes", self.PLANES.format(2, 2, 1))
+
+    TREES = "the walk would visit {} spanning trees (Kirchhoff's count), over the bound {}"
+
+    @pytest.mark.parametrize("command", ["trees", "jk"])
+    @pytest.mark.parametrize("size, bound", [(6, 10_000), (5, 10_000), (4, 4095)])
+    def test_too_many_trees_is_2(self, monkeypatch, command, size, bound):
+        # K(l,l) at d = 1 has l^(l-1) * l^(l-1) spanning trees, each a basis
+        # of its arrangement; none is listed or met.  K(4,4)'s 4,096 are
+        # answered at the real bound (in 1-3 s)
+        def no_walk(*_args):
+            raise AssertionError("a tree was walked")
+
+        for module in (quiver, arrangement):
+            monkeypatch.setattr(module, "_spanning_tree_indices", no_walk)
+        monkeypatch.setattr(quiver, "MAX_SPANNING_TREES", bound)
+        zeta = ",".join(map(str, [*range(1, size + 1), *range(-1, -size - 1, -1)]))
+        code, rep = run_json([command, "--l1", str(size), "--l2", str(size),
+                              "--d", ",".join("1" * (2 * size)), "--zeta", zeta])
+        assert (code, rep["error"], rep["message"]) == (
+            2, "TooManyTrees", self.TREES.format(size ** (2 * size - 2), bound))
+
+    @pytest.mark.parametrize("command", ["trees", "jk"])
+    def test_tree_bound_is_exact(self, monkeypatch, command):
+        # K(2,3) at d = 1: 2 * 2 * 3 = 12 spanning trees, counted since the
+        # 6 arrows hold C(6, 4) = 15 sets of a tree's size
+        argv = [command, "--l1", "2", "--l2", "3", "--d", "1,1;1,1,1", "--zeta", "3,3,-2,-2,-2"]
+        monkeypatch.setattr(quiver, "MAX_SPANNING_TREES", 12)
+        code, rep = run_json(argv)
+        assert code == 0
+        monkeypatch.setattr(quiver, "MAX_SPANNING_TREES", 11)
+        code, rep = run_json(argv)
+        assert (code, rep["error"], rep["message"]) == (
+            2, "TooManyTrees", self.TREES.format(12, 11))
+
+    def test_wall_witness_past_the_scan_bound_is_3(self):
+        # the all-ones term of K(6,6) lies on one wall, theta({i1, j1}) = 0:
+        # a scan of its 6^5 * 6^5 trees to the first witness is priced over
+        # MAX_WEIST_STEPS, so the witness tree is built on the wall at once
+        k66 = quiver.bipartite_quiver(6, 6)
+        zeta = ["1", "1037/8", "1148/9", "1333/10", "1592/11", "1925/12", "-1", "-553/13",
+                "-308/5", "-1931/17", "-3892/19", "-4540380983/16628040"]
+        code, rep = run_json(["jk-ab", "--l1", "6", "--l2", "6", "--d", ",".join("1" * 12),
+                              "--zeta", ",".join(zeta), "--infinity"])
+        assert (code, rep["error"]) == (3, "NonRegularStability")
+        d = quiver.DimVector.make(k66, dict.fromkeys(k66.vertices, 1))
+        theta = quiver.Stability.make(k66, dict(zip(k66.vertices, map(Fraction, zeta))))
+        (term,) = quiver.abelianize(k66, d, theta)
+        qbar, _mult = quiver.reduced_quiver(term.quiver)
+        tree = tuple(rep["witness"]["tree"])
+        # a spanning tree: 11 arrows that reach all 12 vertices
+        assert quiver._tree_walk(qbar.vertices, [qbar.arrows[i] for i in tree], qbar.vertices[0])
+        with pytest.raises(NonRegularStability) as ei:
+            quiver.tree_components(qbar, quiver.SpanningTree(tree), term.stability)
+        assert ei.value.witness == {"tree": tree, "arrow": ("i1@1,1", "j2@1,1")}
+        assert rep["witness"]["arrow"] == ["i1@1,1", "j2@1,1"]
 
     def test_too_much_work_is_2(self):
         # K(8,8) at d = 1 with a distinct zeta per vertex: one 16-vertex term

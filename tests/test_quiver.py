@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from jkscatter import quiver
 from jkscatter.errors import (DuplicateVertex, HasLoop, HasOrientedCycle,
                               NonRegularStability, NotATree, NotNormalized,
-                              TooManyTerms, TooMuchWork, UnknownVertex)
+                              TooManyTerms, TooManyTrees, TooMuchWork, UnknownVertex)
 from jkscatter.exact import solve_linear
 from jkscatter.quiver import (DimVector, Quiver, SpanningTree, Stability, _bits,
-                              _connected, _spanning_tree_indices, _type_dp, abelianize,
-                              bipartite_quiver, moduli_dimension, reduced_quiver,
+                              _connected, _edges, _spanning_tree_indices, _type_dp,
+                              abelianize, bipartite_quiver, check_tree_walk,
+                              moduli_dimension, reduced_quiver,
                               skew_euler_form, spanning_tree_count, spanning_trees,
                               stable_trees, tree_components, twin_classes,
                               validate_quiver, weist_count, weist_plan)
@@ -424,9 +425,32 @@ class TestWeistCount:
     @given(quivers_with_stability())
     @settings(max_examples=200, deadline=None)
     def test_kirchhoff_count_matches_listing(self, data):
+        # on the quiver with its repeated arrows and on its reduced quiver
         q, _theta = data
         qbar, _mult = reduced_quiver(q)
-        assert spanning_tree_count(qbar) == len(spanning_trees(qbar))
+        for g in (q, qbar):
+            assert spanning_tree_count(len(g.vertices), _edges(g)) == len(spanning_trees(g))
+
+    def test_trees_are_counted_only_past_the_arrow_sets(self, monkeypatch):
+        # K(4,3) has C(12, 6) = 924 arrow sets of a tree's size, under the
+        # bound, so no count is made; K(4,4) has C(16, 7) = 11,440 sets and
+        # 4^3 * 4^3 = 4,096 trees, under it; K(5,5) has 5^4 * 5^4, over it
+        counted = []
+        real = quiver.spanning_tree_count
+
+        def count(nodes, edges):
+            counted.append(nodes)
+            return real(nodes, edges)
+
+        monkeypatch.setattr(quiver, "spanning_tree_count", count)
+        for a, b in ((4, 3), (4, 4)):
+            k = bipartite_quiver(a, b)
+            check_tree_walk(len(k.vertices), _edges(k))
+        assert counted == [8]
+        k55 = bipartite_quiver(5, 5)
+        with pytest.raises(TooManyTrees) as ei:
+            check_tree_walk(10, _edges(k55))
+        assert (ei.value.estimate, ei.value.bound) == (5 ** 8, 10_000)
 
     def test_route_follows_the_tree_count(self):
         # with a distinct theta per vertex no two vertices are twins.  A star
@@ -481,6 +505,28 @@ class TestWeistCount:
         with pytest.raises(NonRegularStability) as ei:
             weist_count(k22, stab(k22, 2, 1, -2, -1))
         assert ei.value.witness == {"tree": (0, 1, 3), "arrow": ("i1", "j2")}
+
+    def test_wall_witness_past_the_scan_bound_is_built(self, monkeypatch):
+        # K(6,6) with a distinct theta per vertex, whose one wall is
+        # theta({i1, j1}) = 0 (a sink set sums to an integer only with none
+        # or all of j2..j6): scanning its 6^5 * 6^5 trees to the first
+        # witness is priced over MAX_WEIST_STEPS, so the witness is a tree
+        # of each side with the first arrow across, and only it is cut
+        real, cut = quiver.tree_components, []
+
+        def tree_components(qbar, tree, theta):
+            cut.append(tree.arrows)
+            return real(qbar, tree, theta)
+
+        monkeypatch.setattr(quiver, "tree_components", tree_components)
+        k66 = bipartite_quiver(6, 6)
+        sinks = [-Q(1, p) for p in (1, 7, 11, 13, 17)]
+        theta = stab(k66, 1, 10, 100, 1000, 10000, 100000, *sinks, -111111 - sum(sinks))
+        with pytest.raises(NonRegularStability) as ei:
+            weist_count(k66, theta)
+        tree = (0, 1, 7, 8, 9, 10, 11, 13, 19, 25, 31)
+        assert ei.value.witness == {"tree": tree, "arrow": ("i1", "j2")}
+        assert cut == [tree]
 
 
 # -- abelianization -----------------------------------------------------------
