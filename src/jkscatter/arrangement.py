@@ -12,8 +12,10 @@ more), so the local JK residue there is the basis case (Jeffrey-Kirwan 1995,
 Brion-Vergne 1999): it depends only on the signs of zeta's coordinates in
 the basis, zeta summed across each cut of the tree (quiver._cut_sums, as
 for theta in tree_components).  meet walks each tree once, and jk_basis
-reads the residue in closed form.  The flag residues of jk_zeta, for active
-sets that are not a basis, are reached by no command.
+reads the residue in closed form.  jk_zeta, the general residue for active
+sets that are not a basis, sums iterated residues over the flags adapted to
+the active set (Brion-Vergne 1999, Szenes-Vergne 2004), grown one flat at a
+time by enumerate_flags; no command reaches it.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ from typing import Sequence
 
 from .errors import (DegenerateRCharges, NonRegularStability, NotProjective,
                      NotSumRegular, TooManyPlanes)
-from .exact import (LinForm, ONE, Q, RationalExpr, ZERO, in_span,
-                    iterated_residue, mat_det, mat_rank, qify,
-                    rref, solve_linear, subst_linear_basis)
+from .exact import (LinForm, ONE, Q, RationalExpr, ZERO, iterated_residue,
+                    mat_det, qify, solve_linear, subst_linear_basis)
 from .quiver import (DimVector, Quiver, Stability, _cut_sums, _spanning_tree_indices,
                      _tree_walk, check_tree_walk, validate_quiver)
 
@@ -249,84 +250,53 @@ class Flag:
     in_cone: bool
 
 
-def _dmu_sign(dmu_order: Sequence[str], base: Sequence[str]) -> int:
-    """Sign of the permutation carrying `base` to `dmu_order`."""
-    perm = [list(base).index(v) for v in dmu_order]
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def enumerate_flags(activeset: Sequence[LinForm], zeta: Sequence[Fraction],
                     dmu_order: Sequence[str],
                     var_order: Sequence[str] | None = None) -> list[Flag]:
-    """All flags adapted to the active set, with nu, kappa and cone data.
+    """All flags adapted to the active set, with nu, kappa and cone data,
+    in partition order.
 
-    ``dmu_order`` is the ordered list of coordinate names whose wedge is the
-    reference measure; zeta components follow ``var_order`` (defaulting to
-    the sorted coordinate names).
+    ``dmu_order`` orders the coordinates whose wedge is the reference
+    measure, else ValueError; zeta components follow ``var_order``
+    (defaulting to the sorted coordinate names).  A flag grows one flat at
+    a time, F_{j+1} = F_j + span(a) for an active form a outside F_j, and
+    block j+1 of its partition holds the forms F_{j+1} adds (zero forms join
+    block 1).  A flat is named by the forms it holds, and its successors are
+    found once, one per unclaimed form in index order: that is block order,
+    as their blocks share no nonzero form, so the flags come out sorted and
+    the first kappa-cone wall met (NotSumRegular) is the smallest partition.
     """
     base = tuple(var_order) if var_order is not None else tuple(sorted(dmu_order))
     n = len(base)
     zeta = tuple(qify(x) for x in zeta)
     vecs = [f.vector(base) for f in activeset]
-    dsign = _dmu_sign(dmu_order, base)
-
-    # subspaces of each dimension spanned by active elements
-    spaces: list[dict[tuple, tuple[int, ...]]] = [dict() for _ in range(n + 1)]
-    spaces[0][()] = ()
-    for j in range(1, n + 1):
-        for sub in itertools.combinations(range(len(vecs)), j):
-            rows = [list(vecs[i]) for i in sub]
-            if mat_rank(rows) == j:
-                spaces[j].setdefault(rref(rows), sub)
-
-    def contains(big: tuple, small_sub: tuple[int, ...]) -> bool:
-        gens = [list(r) for r in big]
-        return all(in_span(vecs[i], gens) for i in small_sub)
-
-    def members(space_key: tuple) -> tuple[int, ...]:
-        gens = [list(r) for r in space_key]
-        return tuple(i for i in range(len(vecs)) if in_span(vecs[i], gens))
-
-    member_cache = {key: members(key) for j in range(1, n + 1) for key in spaces[j]}
-
+    perm = [[Q(v == w) for w in base] for v in dmu_order]
+    dsign = int(mat_det(perm)) if len(perm) == n else 0
+    if not dsign:
+        raise ValueError(f"dmu_order {tuple(dmu_order)} is not an ordering of {base}")
+    successors: dict[frozenset[int], list] = {}
     flags: list[Flag] = []
 
-    def rec(j: int, chain: list[tuple]):
-        if j == n:
-            _finish(chain)
+    def grow(held: frozenset[int], gens: list[Vector], partition: tuple):
+        if len(partition) == n:
+            flags.append(_finish(partition))
             return
-        prev = chain[-1] if chain else ()
-        prev_members = member_cache[prev] if prev else ()
-        for key in spaces[j + 1]:
-            if prev and not contains(key, member_cache[prev]):
-                continue
-            # F_{j+1} must be spanned by its active elements beyond F_j
-            new = [i for i in member_cache[key] if i not in prev_members]
-            if not new:
-                continue
-            rec(j + 1, chain + [key])
+        if held not in successors:
+            rest = [k for k in range(len(vecs)) if k not in held]
+            zeros = [k for k in rest if not any(vecs[k])]
+            claimed, successors[held] = set(zeros), []
+            for i in (i for i in rest if i not in claimed):  # claimed grows below
+                up = gens + [vecs[i]]
+                cols = [list(row) for row in zip(*up)]
+                block = sorted(zeros + [i] + [k for k in rest if k > i and k not in claimed
+                                              and solve_linear(cols, vecs[k]) is not None])
+                claimed.update(block)
+                successors[held].append((tuple(block), held.union(block), up))
+        for block, flat, up in successors[held]:
+            grow(flat, up, partition + (block,))
 
-    def _finish(chain: list[tuple]):
-        partition = []
-        prev_members: tuple[int, ...] = ()
-        for key in chain:
-            cur = member_cache[key]
-            partition.append(tuple(i for i in cur if i not in prev_members))
-            prev_members = cur
-        kappas = []
-        running = [ZERO] * n
+    def _finish(partition: tuple[tuple[int, ...], ...]) -> Flag:
+        kappas, running = [], [ZERO] * n
         for part in partition:
             for i in part:
                 running = [a + b for a, b in zip(running, vecs[i])]
@@ -334,26 +304,29 @@ def enumerate_flags(activeset: Sequence[LinForm], zeta: Sequence[Fraction],
         det = mat_det(kappas)
         nu = 0 if det == 0 else (1 if det > 0 else -1) * dsign
         coeffs = None
-        in_cone = False
         if nu != 0:
             # zeta on the boundary of a kappa-cone is a sum-regularity failure
             # (each kappa is a sum of distinct active elements)
-            cols = [[kappas[j][i] for j in range(n)] for i in range(n)]
-            coeffs = tuple(solve_linear(cols, list(zeta)))
-            if any(c == 0 for c in coeffs):
+            coeffs = tuple(solve_linear([list(col) for col in zip(*kappas)], list(zeta)))
+            if 0 in coeffs:
                 raise NotSumRegular("zeta lies on a kappa-cone wall",
-                                    witness=partition)
-            in_cone = all(c > 0 for c in coeffs)
+                                    witness=list(partition))
         gamma = [activeset[part[0]] for part in partition]
-        gdet = mat_det([g.vector(base) for g in gamma])
+        gdet = mat_det([vecs[part[0]] for part in partition])
         if gdet != 0:
             gamma[-1] = gamma[-1] * (Q(dsign) / gdet)
-        flags.append(Flag(tuple(partition), tuple(kappas), nu, tuple(gamma),
-                          coeffs, in_cone))
+        return Flag(partition, tuple(kappas), nu, tuple(gamma), coeffs,
+                    coeffs is not None and all(c > 0 for c in coeffs))
 
-    rec(0, [])
-    flags.sort(key=lambda fl: fl.partition)
+    grow(frozenset(), [], ())
     return flags
+
+
+def _basis_residue(f: RationalExpr, basis: Sequence[LinForm],
+                   var_order: Sequence[str]) -> Fraction:
+    """IR_0 of f in the coordinates x_i = basis_i, taken in the basis order."""
+    names = [f"x{i + 1}" for i in range(len(basis))]
+    return iterated_residue(subst_linear_basis(f, basis, var_order, names), names)
 
 
 def flag_residue(f: RationalExpr, flag: Flag,
@@ -364,9 +337,7 @@ def flag_residue(f: RationalExpr, flag: Flag,
     fixes the orientation; no Jacobian factor is applied (it is +-1 and
     already encoded in the basis normalization).
     """
-    names = [f"x{i + 1}" for i in range(len(flag.gamma))]
-    g = subst_linear_basis(f, flag.gamma, var_order=var_order, new_names=names)
-    return iterated_residue(g, names)
+    return _basis_residue(f, flag.gamma, var_order)
 
 
 def jk_zeta(f: RationalExpr, activeset: Sequence[LinForm],
@@ -434,9 +405,7 @@ def jk_basis(f: RationalExpr, point: SingularPoint, zeta: Sequence[Fraction],
         return ZERO
     if all(m == 1 for m in poles):
         return value
-    names = [f"x{i + 1}" for i in range(n)]
-    g = subst_linear_basis(f, basis, var_order=var_order, new_names=names)
-    return iterated_residue(g, names)
+    return _basis_residue(f, basis, var_order)
 
 
 # ---------------------------------------------------------------------------

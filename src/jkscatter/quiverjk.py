@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .arrangement import (Arrangement, build_arrangement, jk_basis, jk_global,
                           meet, sample_rcharges, zeta_from_theta)
-from .errors import NonRegularStability, NotATree, NotSumRegular, TooMuchWork
+from .errors import NotATree, TooMuchWork
 from .exact import LinForm, ONE, Q, RationalExpr, ZERO, qify, residue_step
 from .quiver import (MAX_WEIST_STEPS, DimVector, Quiver, SpanningTree, Stability,
                      _tree_walk, abelianize, spanning_trees, support_quiver,
@@ -66,6 +66,8 @@ def jk_tree_expansion(q: Quiver, theta: Stability,
     here, not looked up in a.points: a.points is reached only through
     zeta_from_theta's regularity check, so this route (the jk report's tree
     table) stays an independent check of jk_global_ZQ, which jk_ab uses.
+    Each lift meets a point of a.points with its own basis (another would
+    raise DegenerateRCharges), where zeta_from_theta found zeta regular.
     """
     if not a.dim.is_abelian():
         raise ValueError("tree expansion needs an abelian dimension vector")
@@ -87,15 +89,8 @@ def jk_tree_expansion(q: Quiver, theta: Stability,
         for lift in itertools.product(*(by_reduced[qbar.arrows[i]] for i in tree.arrows)):
             point = meet([a.weights[i].form + a.weights[i].rcharge for i in lift],
                          a.variables)
-            local = ZERO
-            if stable:
-                try:
-                    local = jk_basis(z, point, zeta, a.variables)
-                except NotSumRegular as exc:
-                    raise NonRegularStability(
-                        f"zeta not regular for tree {tree.arrows}: {exc}",
-                        witness=exc.witness) from exc
-                total += local
+            local = jk_basis(z, point, zeta, a.variables) if stable else ZERO
+            total += local
             terms.append(TreeExpansionTerm(tree.arrows, tuple(lift), point.location,
                                            local, 1 if stable else 0, comp_tuple))
     return total, TreeExpansion(tuple(terms), total)

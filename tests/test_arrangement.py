@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jkscatter import arrangement, quiverjk
-from jkscatter.arrangement import (build_arrangement, enumerate_flags,
+from jkscatter.arrangement import (Flag, build_arrangement, enumerate_flags,
                                    flag_residue, jk_basis, jk_global, jk_zeta,
                                    meet, sample_rcharges, singular_points, theta_lift,
                                    zeta_from_theta)
@@ -17,8 +17,9 @@ from jkscatter.errors import (DegenerateRCharges, JKScatterError,
                               NotSumRegular)
 from jkscatter.exact import (LinForm, Poly, RationalExpr, in_span,
                              iterated_residue, mat_det, mat_inverse, mat_rank,
-                             solve_linear, subst_linear_basis)
-from jkscatter.quiver import DimVector, Quiver, Stability, bipartite_quiver
+                             rref, solve_linear, subst_linear_basis)
+from jkscatter.quiver import (DimVector, Quiver, Stability, _spanning_tree_indices,
+                              bipartite_quiver)
 from jkscatter.quiverjk import (build_ZQ, jk_ab, jk_ab_infinity, jk_global_ZQ,
                                 jk_tree_expansion)
 
@@ -355,6 +356,176 @@ class TestFlags:
         with pytest.raises(NotProjective):
             jk_zeta(RationalExpr(1, ((active[0], -1), (active[1], -1))),
                     active, (Q(1),), ("u",), var_order=("u",))
+
+    @pytest.mark.parametrize("dmu_order", [("u",), ("u", "u"), ("u", "z"),
+                                           ("u", "w", "z")])
+    def test_dmu_order_must_order_the_coordinates(self, dmu_order):
+        with pytest.raises(ValueError, match="is not an ordering"):
+            enumerate_flags(self.ACTIVE, self.ZETA, dmu_order, var_order=UW)
+
+
+def reference_dmu_sign(dmu_order, base):
+    """Sign of the permutation carrying `base` to `dmu_order`, by cycles."""
+    perm = [list(base).index(v) for v in dmu_order]
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def reference_enumerate_flags(activeset, zeta, dmu_order, var_order=None):
+    """The subspace-table enumeration enumerate_flags replaced (test
+    reference): the span of every independent subset of active forms, keyed
+    by its reduced row echelon form, the forms each span holds, and a chain
+    of spans grown by containment tests, sorted by partition at the end."""
+    base = tuple(var_order) if var_order is not None else tuple(sorted(dmu_order))
+    n = len(base)
+    zeta = tuple(Q(x) for x in zeta)
+    vecs = [f.vector(base) for f in activeset]
+    dsign = reference_dmu_sign(dmu_order, base)
+
+    spaces = [dict() for _ in range(n + 1)]
+    spaces[0][()] = ()
+    for j in range(1, n + 1):
+        for sub in itertools.combinations(range(len(vecs)), j):
+            rows = [list(vecs[i]) for i in sub]
+            if mat_rank(rows) == j:
+                spaces[j].setdefault(rref(rows), sub)
+
+    def contains(big, small_sub):
+        gens = [list(r) for r in big]
+        return all(in_span(vecs[i], gens) for i in small_sub)
+
+    def members(space_key):
+        gens = [list(r) for r in space_key]
+        return tuple(i for i in range(len(vecs)) if in_span(vecs[i], gens))
+
+    member_cache = {key: members(key) for j in range(1, n + 1) for key in spaces[j]}
+    flags = []
+
+    def rec(j, chain):
+        if j == n:
+            finish(chain)
+            return
+        prev = chain[-1] if chain else ()
+        prev_members = member_cache[prev] if prev else ()
+        for key in spaces[j + 1]:
+            if prev and not contains(key, member_cache[prev]):
+                continue
+            if not [i for i in member_cache[key] if i not in prev_members]:
+                continue
+            rec(j + 1, chain + [key])
+
+    def finish(chain):
+        partition = []
+        prev_members = ()
+        for key in chain:
+            cur = member_cache[key]
+            partition.append(tuple(i for i in cur if i not in prev_members))
+            prev_members = cur
+        kappas = []
+        running = [Q(0)] * n
+        for part in partition:
+            for i in part:
+                running = [a + b for a, b in zip(running, vecs[i])]
+            kappas.append(tuple(running))
+        det = mat_det(kappas)
+        nu = 0 if det == 0 else (1 if det > 0 else -1) * dsign
+        coeffs = None
+        in_cone = False
+        if nu != 0:
+            cols = [[kappas[j][i] for j in range(n)] for i in range(n)]
+            coeffs = tuple(solve_linear(cols, list(zeta)))
+            if any(c == 0 for c in coeffs):
+                raise NotSumRegular("zeta lies on a kappa-cone wall",
+                                    witness=partition)
+            in_cone = all(c > 0 for c in coeffs)
+        gamma = [activeset[part[0]] for part in partition]
+        gdet = mat_det([g.vector(base) for g in gamma])
+        if gdet != 0:
+            gamma[-1] = gamma[-1] * (Q(dsign) / gdet)
+        flags.append(Flag(tuple(partition), tuple(kappas), nu, tuple(gamma),
+                          coeffs, in_cone))
+
+    rec(0, [])
+    flags.sort(key=lambda fl: fl.partition)
+    return flags
+
+
+def flag_outcomes(activeset, zeta, dmu_order, var_order):
+    """(library, reference) outcomes: the flags in order, or the error and
+    its witness."""
+    return tuple(outcome(fn, activeset, zeta, dmu_order, var_order)
+                 for fn in (enumerate_flags, reference_enumerate_flags))
+
+
+@st.composite
+def flag_cases(draw):
+    """Active sets in 1 <= n <= 3 coordinates with up to n + 3 forms, entries in
+    -2..2, so zero and parallel forms and dependent sets occur, some forms
+    drawn as multiples of earlier ones; zeta in -2..2, often on a kappa-cone
+    wall, and dmu_order any ordering of the coordinates."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    names = tuple(f"x{i}" for i in range(n))
+    entry = st.integers(min_value=-2, max_value=2)
+    vectors = []
+    for _ in range(draw(st.integers(min_value=0, max_value=n + 3))):
+        if vectors and draw(st.booleans()):
+            vectors.append([draw(entry) * x for x in draw(st.sampled_from(vectors))])
+        else:
+            vectors.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    active = tuple(LinForm({v: Q(c) for v, c in zip(names, vec)}) for vec in vectors)
+    zeta = tuple(Q(z) for z in draw(st.lists(entry, min_size=n, max_size=n)))
+    return active, zeta, tuple(draw(st.permutations(names))), names
+
+
+class TestFlagsGrowOneFlatAtATime:
+    """enumerate_flags against the subspace table it replaced: the same
+    flags in the same order, or NotSumRegular with the same witness."""
+
+    @given(flag_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_subspace_table(self, case):
+        got, expected = flag_outcomes(*case)
+        assert got == expected
+
+    @pytest.mark.parametrize("zeta, flags, walls", [
+        ((Q(7, 3), Q(-5, 11), Q(13, 17), Q(2, 19)), 660, 0),
+        ((Q(1), Q(2), Q(3), Q(-7)), 276, 8),
+    ])
+    def test_degenerate_points_of_k21(self, zeta, flags, walls):
+        # K(2,1) d=(2,1;2) at seed 0, whose points build_arrangement rejects:
+        # the 13 points where 5 or 6 planes meet in n = 4; the flags of the
+        # points where zeta is on no kappa-cone wall, and the points where it is
+        q = bipartite_quiver(2, 1)
+        a = unchecked_arrangement(q, dv(q, i1=2, i2=1, j1=2),
+                                  sample_rcharges(len(q.arrows), 0))
+        planes = [lf + off for lf, off in a.hyperplanes()]
+        index = {v: i for i, v in enumerate(a.variables)}
+        edges = [(*(index[v] for v in p.coeffs), a.n, a.n)[:2] for p in planes]
+        active = {}
+        for basis in _spanning_tree_indices(a.n + 1, edges):
+            pt = meet([planes[i] for i in basis], a.variables, basis)
+            active.setdefault(pt.location, set()).update(basis)
+        degenerate = [sorted(idx) for idx in active.values() if len(idx) > a.n]
+        assert len(degenerate) == 13
+        seen = []
+        for idx in degenerate:
+            forms = tuple(planes[i] - planes[i].const for i in idx)
+            got, expected = flag_outcomes(forms, zeta, a.variables, a.variables)
+            assert got == expected
+            seen.append(got)
+        assert sum(len(got[1]) for got in seen if got[0] == "value") == flags
+        assert sum(got[0] == "NotSumRegular" for got in seen) == walls
 
 
 UW = ("u", "w")
