@@ -11,8 +11,10 @@ Exactly n planes meet at every singular point (singular_points rejects
 more), so the local JK residue there is the basis case (Jeffrey-Kirwan 1995,
 Brion-Vergne 1999): it depends only on the signs of zeta's coordinates in
 the basis, zeta summed across each cut of the tree (quiver._cut_sums, as
-for theta in tree_components).  meet walks each tree once, and jk_basis
-reads the residue in closed form.  jk_zeta, the general residue for active
+for theta in tree_components) over the edge's scale, so a coordinate's
+sign is read from the cut sum and the scale without a division.  meet
+walks each tree once, and jk_basis reads the residue in closed form, as
+one fraction of two integers.  jk_zeta, the general residue for active
 sets that are not a basis, sums iterated residues over the flags adapted to
 the active set (Brion-Vergne 1999, Szenes-Vergne 2004), grown one flat at a
 time by enumerate_flags; no command reaches it.
@@ -25,6 +27,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import (DegenerateRCharges, NonRegularStability, NotProjective,
@@ -152,12 +155,6 @@ class SingularPoint:
     functionals: tuple[LinForm, ...]     # the active planes, 0 at the location
     walk: tuple[tuple, ...]              # their edges' tree from the reference
     scales: tuple[Fraction, ...]         # functional i: scales[i] (x_h - x_t) + c
-
-    def coordinates(self, zeta: Sequence[Fraction]) -> list[Fraction]:
-        """c with zeta = sum c_i (linear part of functional i): the cut sums
-        of zeta (quiver._cut_sums) over the scales."""
-        sums = _cut_sums(self.walk, [*zeta, ZERO])
-        return [s / k for s, k in zip(sums, self.scales)]
 
 
 def meet(planes: Sequence[LinForm], var_order: Sequence[str],
@@ -313,7 +310,7 @@ def enumerate_flags(activeset: Sequence[LinForm], zeta: Sequence[Fraction],
                                     witness=list(partition))
         gamma = [activeset[part[0]] for part in partition]
         gdet = mat_det([vecs[part[0]] for part in partition])
-        if gdet != 0:
+        if gamma and gdet != 0:  # n = 0: the one empty flag, nu = 1
             gamma[-1] = gamma[-1] * (Q(dsign) / gdet)
         return Flag(partition, tuple(kappas), nu, tuple(gamma), coeffs,
                     coeffs is not None and all(c > 0 for c in coeffs))
@@ -360,51 +357,74 @@ def jk_basis(f: RationalExpr, point: SingularPoint, zeta: Sequence[Fraction],
     """Local JK residue of f at a point where a basis of planes meets.
 
     The point (from meet) carries its basis forms basis_i, its location p
-    and its tree, which gives zeta's coordinates, zeta = sum c_i basis_i: a
-    zero c_i raises NotSumRegular, and the value is 0 unless every c_i is
-    positive.  Inside the cone, every denominator factor lf that vanishes
-    at p must be proportional to a basis form, basis_i = kappa_i * lf, else
-    ValueError.  In x_i = basis_i(u) the form is then g(x) / prod x_i^m_i
-    with g holomorphic at x = 0, and the residue is the Taylor coefficient
-    of g at x^(m-1), whatever the order of the x_i: 0 when some basis form
-    carries no pole, and for simple poles
+    and its tree, which gives zeta's coordinates, zeta = sum c_i basis_i,
+    as c_i = s_i / k_i: s_i is zeta's cut sum across basis edge i and k_i
+    its scale.  Only their signs are read, so nothing is divided: a zero
+    s_i raises NotSumRegular, and the value is 0 unless every s_i has the
+    sign of its k_i.  Inside the cone, every denominator factor lf that
+    vanishes at p must be proportional to a basis form, basis_i = kappa_i
+    * lf, else ValueError.  In x_i = basis_i(u) the form is then g(x) /
+    prod x_i^m_i with g holomorphic at x = 0, and the residue is the Taylor
+    coefficient of g at x^(m-1), whatever the order of the x_i: 0 when some
+    basis form carries no pole, and for simple poles
 
         scalar * num(p) * prod lf(p)^e * prod kappa_i,
 
     the first product over the factors that do not vanish at p (so 0 when a
-    numerator factor vanishes there).  A pole of order >= 2 takes the
-    iterated residue in the basis order.
+    numerator factor vanishes there).  The product is kept as one integer
+    fraction top / bottom: with p = a / L over the lcm L of its
+    denominators, a factor with integer coefficients is (const L + sum c_v
+    a_v) / L, and any other factor is evaluated as a Fraction.  A pole of
+    order >= 2 takes the iterated residue in the basis order.
     """
     basis = point.functionals
     n = len(basis)
-    coeffs = point.coordinates(zeta)
-    if any(c == 0 for c in coeffs):
-        idx = [i for i, c in enumerate(coeffs) if c == 0]
+    sums = _cut_sums(point.walk, [*zeta, ZERO])
+    if 0 in sums:
+        idx = [i for i, s in enumerate(sums) if s == 0]
         raise NotSumRegular(f"zeta has vanishing components {idx} w.r.t. the basis",
                             witness=[basis[i] for i in range(n) if i not in idx])
-    if any(c < 0 for c in coeffs):
+    if any((s < 0) != (k < 0) for s, k in zip(sums, point.scales)):
         return ZERO
     p = dict(zip(var_order, point.location))
+    big = lcm(*(x.denominator for x in p.values()))
+    at = {v: x.numerator * (big // x.denominator) for v, x in p.items()}
     kappa = {canon: (i, unit)
              for i, (unit, canon) in enumerate(b.canonical() for b in basis)}
     poles = [0] * n
     value = f.scalar * f.num.evaluate(p)
+    top, bottom = value.numerator, value.denominator
     for lf, e in f.factors:
-        at_p = lf.evaluate(p)
-        if at_p != 0:
-            value *= at_p ** e
+        lin = 0
+        for v, c in lf.coeffs.items():
+            if c.denominator != 1:
+                at_p = lf.evaluate(p)
+                num, den = at_p.numerator, at_p.denominator
+                break
+            lin += c.numerator * at[v]
+        else:  # const = cn / cd: (cn L + cd lin) / (cd L)
+            cn, cd = lf.const.numerator, lf.const.denominator
+            num, den = cn * big + cd * lin, cd * big
+        if num:
+            if e > 0:
+                top *= num ** e
+                bottom *= den ** e
+            else:
+                top *= den ** -e
+                bottom *= num ** -e
         elif lf in kappa:
             i, unit = kappa[lf]
             poles[i] = -e
-            value *= unit
+            top *= unit.numerator
+            bottom *= unit.denominator
         elif e < 0:
             raise ValueError(f"denominator {lf!r} vanishes at p off the basis")
         else:
-            value = ZERO
+            top = 0
     if any(m < 1 for m in poles):
         return ZERO
     if all(m == 1 for m in poles):
-        return value
+        return Fraction(top, bottom)
     return _basis_residue(f, basis, var_order)
 
 
@@ -426,20 +446,23 @@ def zeta_from_theta(a: Arrangement, theta: Stability) -> Vector:
 
     The active functionals of every singular point form a basis B, and zeta
     is tested in its coordinates c, zeta = sum c_i B_i, read off the point's
-    tree.  zeta lies on a wall, the span of n-1 active functionals, exactly
-    when some c_i is 0: that raises NonRegularStability with the smallest
-    such wall as the witness.  Otherwise zeta is returned as it is: the
-    local JK residue at a basis depends only on the signs of the c_i, so
-    ties and other coincidences among them change no value.
+    tree: c_i is zeta's cut sum s_i over the scale k_i, so c_i is 0 exactly
+    when s_i is, and nothing is divided.  zeta lies on a wall, the span of
+    n-1 active functionals, exactly when some c_i is 0: that raises
+    NonRegularStability with the smallest such wall as the witness.
+    Otherwise zeta is returned as it is: the local JK residue at a basis
+    depends only on the signs of the c_i, so ties and other coincidences
+    among them change no value.
     """
     zeta = tuple(-x for x in theta_lift(a, theta))
+    below = [*zeta, ZERO]
     walls = []
     for pt in a.points:
-        c = pt.coordinates(zeta)
-        if 0 in c:  # the vectors serve only to name a wall
+        sums = _cut_sums(pt.walk, list(below))
+        if 0 in sums:  # the vectors serve only to name a wall
             vecs = [f.vector(a.variables) for f in pt.functionals]
             walls.extend(tuple(sorted(vecs[:i] + vecs[i + 1:]))
-                         for i, x in enumerate(c) if x == 0)
+                         for i, x in enumerate(sums) if x == 0)
     if walls:
         raise NonRegularStability(
             "lifted stability lies on an arrangement wall",

@@ -146,7 +146,7 @@ def binom_general(e: int, k: int) -> Fraction:
 class LinForm:
     """Affine-linear form: mapping var -> coefficient, plus a constant."""
 
-    __slots__ = ("coeffs", "const", "_hash")
+    __slots__ = ("coeffs", "const", "_hash", "_canon")
 
     def __init__(self, coeffs: Mapping[str, Fraction] | None = None, const=0):
         cc = {}
@@ -158,6 +158,7 @@ class LinForm:
         object.__setattr__(self, "coeffs", cc)
         object.__setattr__(self, "const", qify(const))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_canon", None)
 
     # -- construction helpers
     @staticmethod
@@ -227,13 +228,19 @@ class LinForm:
 
         canon has leading coefficient 1 (leading = smallest variable name; a
         pure constant canonicalizes to 1).  Proportional forms share canon.
+        The pair is computed once per form, like its hash.
         """
-        if self.is_zero():
-            return ZERO, self
-        if not self.coeffs:
-            return self.const, LinForm.constant(1)
-        lead = self.coeffs[min(self.coeffs)]
-        return lead, self * (ONE / lead)
+        c = object.__getattribute__(self, "_canon")
+        if c is None:
+            if self.is_zero():
+                c = ZERO, self
+            elif not self.coeffs:
+                c = self.const, LinForm.constant(1)
+            else:
+                lead = self.coeffs[min(self.coeffs)]
+                c = lead, self * (ONE / lead)
+            object.__setattr__(self, "_canon", c)
+        return c
 
     # -- identity
     def _key(self):

@@ -10,13 +10,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arrangement import (Arrangement, build_arrangement, jk_basis, jk_global,
-                          meet, sample_rcharges, zeta_from_theta)
+from .arrangement import (MAX_ARRANGEMENT_PLANES, Arrangement, build_arrangement,
+                          jk_basis, jk_global, meet, sample_rcharges, zeta_from_theta)
 from .errors import NotATree, TooMuchWork
 from .exact import LinForm, ONE, Q, RationalExpr, ZERO, qify, residue_step
 from .quiver import (MAX_WEIST_STEPS, DimVector, Quiver, SpanningTree, Stability,
-                     _tree_walk, abelianize, spanning_trees, support_quiver,
-                     tree_components, weist_count, weist_plan)
+                     _edges, _tree_walk, abelianize, check_tree_walk, spanning_trees,
+                     support_quiver, tree_components, weist_count, weist_plan)
 
 
 def build_ZQ(a: Arrangement) -> RationalExpr:
@@ -114,10 +114,16 @@ def jk_ab(q: Quiver, d: DimVector, zeta: Stability, rseed: int,
     Each term k is the global JK residue (jk_global_ZQ) of its blown-up
     quiver with R-charges lambda * R-bar, R-bar = sample_rcharges(arrows,
     rseed + 1000003 * k): the arrangement is built once, at lambda * R-bar,
-    and the residue is read at the singular points that build met.
+    and the residue is read at the singular points that build met.  Every
+    term's bases, the spanning trees of its quiver, are priced before any
+    arrangement is built: TooManyTrees past MAX_SPANNING_TREES in any term.
     """
+    terms = abelianize(q, d, zeta)
+    for term in terms:  # a term over the plane bound is refused by its build
+        if len(term.quiver.arrows) <= MAX_ARRANGEMENT_PLANES:
+            check_tree_walk(len(term.quiver.vertices), _edges(term.quiver))
     total = ZERO
-    for k, term in enumerate(abelianize(q, d, zeta)):
+    for k, term in enumerate(terms):
         rbar = sample_rcharges(len(term.quiver.arrows), rseed + 1000003 * k)
         arr = build_arrangement(term.quiver, term.dimension,
                                 rcharges=[lam * r for r in rbar])

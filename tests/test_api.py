@@ -7,8 +7,10 @@ the ``Weight.pair`` field, ``LinForm.translate``, ``RationalExpr.translate``,
 ``jkscatter jk-ab --csv``, the ``sign_mode=`` parameter of ``build_ZQ``,
 ``series_exp_log``, the ``q`` and ``d`` parameters of ``build_ZQ``
 (it reads ``a.dim``), the ``SingularPoint.inverse`` field (the point
-keeps its tree's ``walk`` and edge ``scales``), and ``RationalExpr.power``
-(no caller).  Recorded additions:
+keeps its tree's ``walk`` and edge ``scales``), ``RationalExpr.power``
+(no caller), and ``SingularPoint.coordinates`` (``jk_basis`` and
+``zeta_from_theta`` read the signs of the cut sums; the division is a
+helper of ``tests/test_arrangement.py``).  Recorded additions:
 ``meet``, which accepts only planes k (x_head - x_tail) + c; the ``box``
 of per-parameter exponent bounds on ``TruncatedSeries`` (and its ``const``
 and ``monomial``), ``init_bipartite`` and ``ScatteringDiagram``; the
@@ -109,3 +111,4 @@ def test_bound_errors():
         assert (exc.estimate, exc.bound) == (7, 5)
         assert str(exc).endswith(", over the bound 5")
     assert not hasattr(jkscatter.RationalExpr, "power")
+    assert not hasattr(jkscatter.SingularPoint, "coordinates")

@@ -18,8 +18,8 @@ from jkscatter.errors import (DegenerateRCharges, JKScatterError,
 from jkscatter.exact import (LinForm, Poly, RationalExpr, in_span,
                              iterated_residue, mat_det, mat_inverse, mat_rank,
                              rref, solve_linear, subst_linear_basis)
-from jkscatter.quiver import (DimVector, Quiver, Stability, _spanning_tree_indices,
-                              bipartite_quiver)
+from jkscatter.quiver import (DimVector, Quiver, Stability, _cut_sums,
+                              _spanning_tree_indices, bipartite_quiver)
 from jkscatter.quiverjk import (build_ZQ, jk_ab, jk_ab_infinity, jk_global_ZQ,
                                 jk_tree_expansion)
 
@@ -257,6 +257,14 @@ def elimination_meet(planes, var_order):
                  for row in minv), minv
 
 
+def coordinates(pt, zeta):
+    """c with zeta = sum c_i (linear part of functional i): the cut sums of
+    zeta over the scales (the SingularPoint.coordinates that jk_basis and
+    zeta_from_theta replaced by sign tests on the cut sums)."""
+    sums = _cut_sums(pt.walk, [*zeta, Q(0)])
+    return [s / k for s, k in zip(sums, pt.scales)]
+
+
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
@@ -294,8 +302,8 @@ class TestMeetWalksTheTree:
             return
         location, minv = ref
         assert pt.location == location
-        assert pt.coordinates(zeta) == [sum((z * row[i] for z, row in zip(zeta, minv)), Q(0))
-                                        for i in range(len(names))]
+        assert coordinates(pt, zeta) == [sum((z * row[i] for z, row in zip(zeta, minv)), Q(0))
+                                         for i in range(len(names))]
         assert all(p.evaluate(dict(zip(names, pt.location))) == 0 for p in planes)
 
     @pytest.mark.parametrize("plane", [lf(u=1, w=1), lf(u=2, w=-1), lf(u=1, z=-1),
@@ -356,6 +364,12 @@ class TestFlags:
         with pytest.raises(NotProjective):
             jk_zeta(RationalExpr(1, ((active[0], -1), (active[1], -1))),
                     active, (Q(1),), ("u",), var_order=("u",))
+
+    def test_no_coordinates(self):
+        # n = 0: the one empty flag, nu = sign(dmu) = 1 and in the cone, so
+        # the residue of a constant is the constant
+        assert enumerate_flags((), (), ()) == [Flag((), (), 1, (), (), True)]
+        assert jk_zeta(RationalExpr(5), (), (), ()) == 5
 
     @pytest.mark.parametrize("dmu_order", [("u",), ("u", "u"), ("u", "z"),
                                            ("u", "w", "z")])
@@ -451,7 +465,7 @@ def reference_enumerate_flags(activeset, zeta, dmu_order, var_order=None):
             in_cone = all(c > 0 for c in coeffs)
         gamma = [activeset[part[0]] for part in partition]
         gdet = mat_det([g.vector(base) for g in gamma])
-        if gdet != 0:
+        if gamma and gdet != 0:
             gamma[-1] = gamma[-1] * (Q(dsign) / gdet)
         flags.append(Flag(tuple(partition), tuple(kappas), nu, tuple(gamma),
                           coeffs, in_cone))
@@ -470,11 +484,11 @@ def flag_outcomes(activeset, zeta, dmu_order, var_order):
 
 @st.composite
 def flag_cases(draw):
-    """Active sets in 1 <= n <= 3 coordinates with up to n + 3 forms, entries in
+    """Active sets in 0 <= n <= 3 coordinates with up to n + 3 forms, entries in
     -2..2, so zero and parallel forms and dependent sets occur, some forms
     drawn as multiples of earlier ones; zeta in -2..2, often on a kappa-cone
     wall, and dmu_order any ordering of the coordinates."""
-    n = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=0, max_value=3))
     names = tuple(f"x{i}" for i in range(n))
     entry = st.integers(min_value=-2, max_value=2)
     vectors = []
@@ -687,6 +701,136 @@ class TestClosedForm:
 
         assert local(f.subs_linear(move), [b.subs(move) for b in basis]) == \
             local(f, basis)
+
+
+def reference_jk_basis(f, point, zeta, var_order):
+    """The Fraction read jk_basis replaced (test reference): zeta's
+    coordinates c_i divided out, and every factor evaluated at p as a
+    Fraction, the product reduced after each factor."""
+    basis = point.functionals
+    n = len(basis)
+    coeffs = coordinates(point, zeta)
+    if any(c == 0 for c in coeffs):
+        idx = [i for i, c in enumerate(coeffs) if c == 0]
+        raise NotSumRegular(f"zeta has vanishing components {idx} w.r.t. the basis",
+                            witness=[basis[i] for i in range(n) if i not in idx])
+    if any(c < 0 for c in coeffs):
+        return Q(0)
+    p = dict(zip(var_order, point.location))
+    kappa = {canon: (i, unit)
+             for i, (unit, canon) in enumerate(b.canonical() for b in basis)}
+    poles = [0] * n
+    value = f.scalar * f.num.evaluate(p)
+    for lf, e in f.factors:
+        at_p = lf.evaluate(p)
+        if at_p != 0:
+            value *= at_p ** e
+        elif lf in kappa:
+            i, unit = kappa[lf]
+            poles[i] = -e
+            value *= unit
+        elif e < 0:
+            raise ValueError(f"denominator {lf!r} vanishes at p off the basis")
+        else:
+            value = Q(0)
+    if any(m < 1 for m in poles):
+        return Q(0)
+    if all(m == 1 for m in poles):
+        return value
+    return arrangement._basis_residue(f, basis, var_order)
+
+
+@st.composite
+def germs_at_points(draw):
+    """f, a point where a basis of edge planes meets (edge_planes), and zeta.
+
+    Each basis plane, scaled, is a factor of exponent -1 (mostly), -2, 0 or
+    1.  Up to three more factors are general forms, whose canonical form
+    often has non-integral coefficients, some made to vanish at the point:
+    a numerator zero, or a denominator zero off the basis.  The numerator
+    is 1 or a random polynomial, and zeta has the coordinates c_i in the
+    basis, mostly positive, some 0 or negative."""
+    planes, names, _zeta = draw(edge_planes())
+    point = meet(planes, names)
+    assume(point is not None)
+    n = len(names)
+    at = dict(zip(names, point.location))
+    factors = [(b * draw(fractions.filter(bool)), draw(st.sampled_from((-1, -1, -1, -2, 0, 1))))
+               for b in planes]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        form = LinForm(dict(zip(names, draw(st.lists(small, min_size=n, max_size=n)))))
+        vanish = draw(st.sampled_from((True, False, False)))
+        form = form - form.evaluate(at) if vanish else form + draw(fractions)
+        if not form.is_zero():
+            factors.append((form, draw(st.sampled_from((-2, -1, 1, 2)))))
+    num = (Poly({tuple((v, 1) for v in sub): draw(small)
+                 for r in range(3) for sub in itertools.combinations(names, r)})
+           if draw(st.booleans()) else None)
+    coeffs = draw(st.lists(st.sampled_from((1, 2, 3, 1, 2, 3, -1, 0)), min_size=n, max_size=n))
+    zeta = tuple(sum((c * b.coeff(v) for c, b in zip(coeffs, planes)), Q(0)) for v in names)
+    return RationalExpr(draw(fractions.filter(bool)), factors, num), point, zeta, names
+
+
+def residue_outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except (NotSumRegular, ValueError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+
+
+class TestIntegerRead:
+    """jk_basis (one integer fraction, sign tests) against the Fraction read
+    it replaced: the same value, or the same error."""
+
+    @given(germs_at_points())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_read(self, case):
+        f, point, zeta, names = case
+        assert residue_outcome(jk_basis, f, point, zeta, names) == \
+            residue_outcome(reference_jk_basis, f, point, zeta, names)
+
+    # the jk_ab jobs of the benchmark's jk-finite workload; their values do
+    # not depend on the R-charges
+    K11, K21, K31 = (bipartite_quiver(a, b) for a, b in ((1, 1), (2, 1), (3, 1)))
+    FIXTURES = [(K31, (1, 1, 1, 2), (2, 2, 2, -3), 2),
+                (K21, (2, 1, 2), (2, 2, -3), 0),
+                (K11, (2, 3), (3, -2), 0)]
+
+    @pytest.mark.parametrize("q, d, zeta, value", FIXTURES,
+                             ids=["K31-1112", "K21-212", "K11-23"])
+    @pytest.mark.parametrize("rseed", [0, 7, 2 ** 31 - 1])
+    @pytest.mark.parametrize("lam", [Q(1), Q(1000)])
+    def test_jk_ab_fixtures(self, monkeypatch, q, d, zeta, value, rseed, lam):
+        # every local residue read both ways, and the pinned value
+        reads = []
+
+        def both_reads(f, point, zeta, var_order):
+            got = jk_basis(f, point, zeta, var_order)
+            assert got == reference_jk_basis(f, point, zeta, var_order)
+            reads.append(got)
+            return got
+
+        monkeypatch.setattr(arrangement, "jk_basis", both_reads)
+        dim = DimVector.make(q, dict(zip(q.vertices, d)))
+        assert jk_ab(q, dim, stab(q, *zeta), rseed, lam) == value
+        assert reads
+
+    @pytest.mark.parametrize("zeta, expected", [
+        ((Q(1), Q(1)), ("value", Q(3, 4))),
+        ((Q(2), Q(-1)), ("value", Q(0))),
+        ((Q(1), Q(0)), ("NotSumRegular", "zeta has vanishing components [1] w.r.t. the basis",
+                        [lf(u=1) - 1])),
+    ])
+    def test_non_integral_factor(self, zeta, expected):
+        # planes u - 1 and w - u meet at p = (1, 1), where zeta = (c1 - c2,
+        # c2); the factor 2u + 3w - 1 canonicalizes to u + (3/2) w - 1/2,
+        # which is read as a Fraction: 4 at p, and (u + 2) gives 3
+        planes = [lf(u=1) - 1, lf(u=-1, w=1)]
+        f = RationalExpr(1, ((planes[0], -1), (planes[1], -1), (lf(u=2, w=3) - 1, -1),
+                             (lf(u=1) + 2, 1)))
+        got = residue_outcome(jk_basis, f, meet(planes, UW), zeta, UW)
+        assert got == expected == residue_outcome(reference_jk_basis, f, meet(planes, UW),
+                                                  zeta, UW)
 
 
 # -- zeta from theta -----------------------------------------------------------

@@ -4,6 +4,7 @@ abelianized JK, large-R limits, and tree-function residues.
 
 import io
 import json
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from jkscatter import arrangement, cli, exact, quiver, quiverjk
 from jkscatter.arrangement import build_arrangement
-from jkscatter.errors import JKScatterError, NonRegularStability, NotATree, TooMuchWork
+from jkscatter.errors import (JKScatterError, NonRegularStability, NotATree, TooManyTrees,
+                              TooMuchWork)
 from jkscatter.quiver import (DimVector, Quiver, SpanningTree, Stability,
                               abelianize, bipartite_quiver, reduced_quiver)
 from jkscatter.quiverjk import (build_ZQ, jk_ab, jk_ab_infinity, jk_global_ZQ,
@@ -306,6 +308,21 @@ class TestAbelianizedJK:
         d = dv(self.K11, i1=1, j1=1)
         table = lambda_sweep(self.K11, d, stab(self.K11, 1, -1), 0, [])
         assert table["rows"] == [] and table["limit"] == 1
+
+    def test_oversized_term_is_refused_before_any_build(self, monkeypatch):
+        # K(1,1) d=(5;4): 35 terms with 115,774 spanning trees in all, and
+        # term 29 is the first over the bound with 16,000.  Every term is
+        # priced before any arrangement is built; building and reading
+        # terms 0-28 first took 8-17 s
+        def no_build(*_args, **_kw):
+            raise AssertionError("an arrangement was built")
+
+        monkeypatch.setattr(quiverjk, "build_arrangement", no_build)
+        start = time.perf_counter()
+        with pytest.raises(TooManyTrees) as ei:
+            jk_ab(self.K11, dv(self.K11, i1=5, j1=4), stab(self.K11, 4, -5), rseed=0)
+        assert time.perf_counter() - start < 2
+        assert (ei.value.estimate, ei.value.bound) == (16_000, 10_000)
 
     def test_nonregular_lifted_stability(self):
         k22 = bipartite_quiver(2, 2)
