@@ -4,20 +4,29 @@ The ambient space has one coordinate ``u_{v}_{k}`` per vertex v and index
 k = 1..d_v, with one reference coordinate removed (set to 0).  Weights are the
 projections of u_{head,j} - u_{tail,i} displaced by rational R-charges, one
 per original arrow; roots are the differences u_{v,j} - u_{v,i} displaced by 1.
-So each plane is an edge between two coordinates (the reference being one
-node), and the bases of n planes are the spanning trees on n + 1 nodes.
+So each plane is an edge x_head - x_tail + c between two of the n + 1 nodes
+(the coordinates, then the reference node n), and the bases of n planes are
+the spanning trees on n + 1 nodes.  build_arrangement records the planes
+once as an integer edge table over one common denominator L: tail, head,
+c L, and whether the plane is a weight or a root.  singular_points and meet
+share one integer walk of each tree (_integer_walk), so a point is known by
+the integers L p, its numerators, and points are keyed and sorted by them.
 
 Exactly n planes meet at every singular point (singular_points rejects
 more), so the local JK residue there is the basis case (Jeffrey-Kirwan 1995,
 Brion-Vergne 1999): it depends only on the signs of zeta's coordinates in
 the basis, zeta summed across each cut of the tree (quiver._cut_sums, as
 for theta in tree_components) over the edge's scale, so a coordinate's
-sign is read from the cut sum and the scale without a division.  meet
-walks each tree once, and jk_basis reads the residue in closed form, as
-one fraction of two integers.  jk_zeta, the general residue for active
-sets that are not a basis, sums iterated residues over the flags adapted to
-the active set (Brion-Vergne 1999, Szenes-Vergne 2004), grown one flat at a
-time by enumerate_flags; no command reaches it.
+sign is read from the cut sum and the scale without a division.
+_zeta_cut_sums makes one list of cut sums per point, which serves the
+regularity test of zeta_from_theta and the cone test of
+quiverjk.jk_global_ZQ, which reads Z_Q's residue in closed form off the
+table, one integer product per point.  jk_basis reads the residue of any
+form at a basis point, as one fraction of two integers.  jk_zeta, the
+general residue for active sets that are not a basis, sums iterated
+residues over the flags adapted to the active set (Brion-Vergne 1999,
+Szenes-Vergne 2004), grown one flat at a time by enumerate_flags; no
+command reaches it.
 """
 
 from __future__ import annotations
@@ -65,6 +74,10 @@ class Arrangement:
     weights: tuple[Weight, ...]
     roots: tuple[LinForm, ...]
     rcharges: tuple[Fraction, ...]   # one per arrow
+    # one row (tail, head, c L, is a weight) per plane x_head - x_tail + c
+    # of hyperplanes(), over nodes 0..n (n the reference), and L
+    table: tuple[tuple[int, int, int, bool], ...]
+    denominator: int
 
     @property
     def n(self) -> int:
@@ -107,7 +120,8 @@ def build_arrangement(q: Quiver, d: DimVector,
     structural).  The reference coordinate is the last index of the last
     vertex in the support of d.  TooManyPlanes is raised before anything is
     built when the planes, d_t * d_h per arrow and d_v * (d_v - 1) per
-    vertex, number more than MAX_ARRANGEMENT_PLANES.
+    vertex, number more than MAX_ARRANGEMENT_PLANES.  The edge table puts
+    the planes over L, the lcm of the R-charges' denominators.
     """
     validate_quiver(q)
     dims = d.as_dict()
@@ -124,22 +138,27 @@ def build_arrangement(q: Quiver, d: DimVector,
         raise ValueError(f"expected {len(q.arrows)} R-charges, got {len(rc)}")
     rv = d.support()[-1]
     rk = d[rv]
+    coords = [(v, k) for v in q.vertices for k in range(1, d[v] + 1) if (v, k) != (rv, rk)]
+    node = {vk: i for i, vk in enumerate(coords + [(rv, rk)])}  # the reference is node n
+    variables = tuple(coord_name(v, k) for v, k in coords)
 
     def proj(vertex: str, k: int) -> LinForm:
         if (vertex, k) == (rv, rk):
             return LinForm()
         return LinForm.var(coord_name(vertex, k))
 
-    variables = tuple(coord_name(v, k)
-                      for v in q.vertices for k in range(1, d[v] + 1)
-                      if (v, k) != (rv, rk))
+    ends = [(t, h, i, j, r, idx) for idx, ((t, h), r) in enumerate(zip(q.arrows, rc))
+            for i in range(1, d[t] + 1) for j in range(1, d[h] + 1)]
+    pairs = [(v, i, j) for v in q.vertices
+             for i in range(1, d[v] + 1) for j in range(1, d[v] + 1) if i != j]
     weights = tuple(Weight(proj(h, j) - proj(t, i), r, (t, h), idx)
-                    for idx, ((t, h), r) in enumerate(zip(q.arrows, rc))
-                    for i in range(1, d[t] + 1) for j in range(1, d[h] + 1))
-    roots = tuple(proj(v, j) - proj(v, i) for v in q.vertices
-                  for i in range(1, d[v] + 1) for j in range(1, d[v] + 1)
-                  if i != j)
-    arr = Arrangement(q, d, variables, (rv, rk), weights, roots, rc)
+                    for t, h, i, j, r, idx in ends)
+    roots = tuple(proj(v, j) - proj(v, i) for v, i, j in pairs)
+    big = lcm(*(r.denominator for r in rc))
+    table = (tuple((node[t, i], node[h, j], r.numerator * (big // r.denominator), True)
+                   for t, h, i, j, r, _idx in ends)
+             + tuple((node[v, i], node[v, j], -big, False) for v, i, j in pairs))
+    arr = Arrangement(q, d, variables, (rv, rk), weights, roots, rc, table, big)
     arr.points  # raises DegenerateRCharges on coincidences
     return arr
 
@@ -155,6 +174,21 @@ class SingularPoint:
     functionals: tuple[LinForm, ...]     # the active planes, 0 at the location
     walk: tuple[tuple, ...]              # their edges' tree from the reference
     scales: tuple[Fraction, ...]         # functional i: scales[i] (x_h - x_t) + c
+    numerators: tuple[int, ...]          # location = numerators / denominator
+    denominator: int
+
+
+def _integer_walk(n: int, edges: Sequence[tuple[int, int]], steps: Sequence[int]):
+    """(walk, at) for the planes x_head - x_tail + step = 0 on edges (tail,
+    head) of nodes 0..n, walked from the reference node n (at 0): at[v] is
+    the integer where they put node v; None unless the edges form a tree."""
+    walk = _tree_walk(range(n + 1), edges, n)
+    if walk is None:
+        return None
+    at = [0] * (n + 1)
+    for v, k, p, down in walk:
+        at[v] = at[p] - steps[k] if down else at[p] + steps[k]
+    return walk, at
 
 
 def meet(planes: Sequence[LinForm], var_order: Sequence[str],
@@ -165,11 +199,12 @@ def meet(planes: Sequence[LinForm], var_order: Sequence[str],
     Each plane must be an edge k (x_head - x_tail) + c on the n coordinates
     and the reference node n, fixed at 0 (a plane in one coordinate is an
     edge to it), else ValueError.  The location is read along the walk of
-    the tree from the reference; the walk and the scales stay on the point.
+    the tree from the reference, in integers over the lcm of the c / k's
+    denominators; the walk and the scales stay on the point.
     """
     n = len(var_order)
     index = {v: i for i, v in enumerate(var_order)}
-    edges, scales = [], []
+    edges, scales, steps = [], [], []
     for p in planes:
         terms = sorted(p.coeffs.items(), key=lambda vc: -vc[1])  # the head first
         ends = [index.get(v) for v, _ in terms] + [n]  # the reference last
@@ -177,38 +212,44 @@ def meet(planes: Sequence[LinForm], var_order: Sequence[str],
             raise ValueError(f"plane {p!r} is not an edge k (x_head - x_tail) + c")
         edges.append((ends[1], ends[0]))
         scales.append(terms[0][1])
-    walk = _tree_walk(range(n + 1), edges, n)
-    if walk is None:
+        steps.append(p.const / terms[0][1])
+    big = lcm(*(x.denominator for x in steps))
+    got = _integer_walk(n, edges, [x.numerator * (big // x.denominator) for x in steps])
+    if got is None:
         return None
-    at = [ZERO] * (n + 1)
-    for v, k, p, down in walk:  # scale * (x_head - x_tail) = -const
-        step = planes[k].const / scales[k]
-        at[v] = at[p] - step if down else at[p] + step
-    return SingularPoint(tuple(at[:n]), active, tuple(planes), walk, tuple(scales))
+    walk, at = got
+    return SingularPoint(tuple(Q(x, big) for x in at[:n]), active, tuple(planes), walk,
+                         tuple(scales), tuple(at[:n]), big)
 
 
 def singular_points(a: Arrangement) -> list[SingularPoint]:
     """All points where n hyperplanes meet, sorted by location.
 
-    Every plane is an edge (see meet), so the bases are the spanning trees
-    on n + 1 nodes; each is met once.
-    A second basis landing on a stored location means more than n planes
-    meet there (basis exchange), which raises DegenerateRCharges at once.
-    An abelian d meets every basis: TooManyTrees past MAX_SPANNING_TREES.
+    Every plane is an edge of a.table, so the bases are the spanning trees
+    on n + 1 nodes; each is walked once (_integer_walk, as in meet), and
+    the point is keyed by its numerators over a.denominator, which sort as
+    the locations do.  A second basis landing on a stored point means more
+    than n planes meet there (basis exchange), which raises
+    DegenerateRCharges at once.  An abelian d meets every basis:
+    TooManyTrees past MAX_SPANNING_TREES.
     """
-    planes = [lf + off for lf, off in a.hyperplanes()]
-    index = {v: i for i, v in enumerate(a.variables)}
-    edges = [(*(index[v] for v in p.coeffs), a.n, a.n)[:2] for p in planes]
+    n, big = a.n, a.denominator
+    edges = [(t, h) for t, h, _c, _w in a.table]
     if a.dim.is_abelian():
-        check_tree_walk(a.n + 1, edges)
-    pts: dict[Vector, SingularPoint] = {}
-    for basis in _spanning_tree_indices(a.n + 1, edges):
-        pt = meet([planes[i] for i in basis], a.variables, basis)
-        if pt.location in pts:
-            at = ", ".join(f"{x.numerator}/{x.denominator}" for x in pt.location)
-            raise DegenerateRCharges(f"more than {a.n} hyperplanes meet at ({at})")
-        pts[pt.location] = pt
-    return [pts[loc] for loc in sorted(pts)]
+        check_tree_walk(n + 1, edges)
+    pts: dict[tuple[int, ...], tuple] = {}
+    for basis in _spanning_tree_indices(n + 1, edges):
+        walk, at = _integer_walk(n, [edges[i] for i in basis], [a.table[i][2] for i in basis])
+        key = tuple(at[:n])
+        if key in pts:
+            where = ", ".join(f"{x.numerator}/{x.denominator}" for x in (Q(y, big) for y in key))
+            raise DegenerateRCharges(f"more than {n} hyperplanes meet at ({where})")
+        pts[key] = basis, walk
+    planes = [lf + off for lf, off in a.hyperplanes()]
+    units = (ONE,) * n  # each plane is x_head - x_tail + c
+    return [SingularPoint(tuple(Q(x, big) for x in key), basis,
+                          tuple(planes[i] for i in basis), walk, units, key, big)
+            for key, (basis, walk) in sorted(pts.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +483,8 @@ def theta_lift(a: Arrangement, theta: Stability) -> Vector:
 
 
 def zeta_from_theta(a: Arrangement, theta: Stability) -> Vector:
-    """zeta = -theta_lift, checked for regularity at every singular point.
+    """zeta = -theta_lift, checked for regularity at every singular point
+    (_zeta_cut_sums).
 
     The active functionals of every singular point form a basis B, and zeta
     is tested in its coordinates c, zeta = sum c_i B_i, read off the point's
@@ -455,19 +497,30 @@ def zeta_from_theta(a: Arrangement, theta: Stability) -> Vector:
     among them change no value.
     """
     zeta = tuple(-x for x in theta_lift(a, theta))
-    below = [*zeta, ZERO]
-    walls = []
+    _zeta_cut_sums(a, zeta)
+    return zeta
+
+
+def _zeta_cut_sums(a: Arrangement, zeta: Sequence[Fraction]) -> list[list[int]]:
+    """zeta's cut sums at each point of a.points, times the lcm of zeta's
+    denominators (only their signs are read), after the regularity test of
+    zeta_from_theta: NonRegularStability, with the smallest wall as the
+    witness, if any sum is 0."""
+    big = lcm(*(x.denominator for x in zeta))
+    below = [x.numerator * (big // x.denominator) for x in zeta] + [0]
+    out, walls = [], []
     for pt in a.points:
-        sums = _cut_sums(pt.walk, list(below))
+        sums = _cut_sums(pt.walk, below.copy())
         if 0 in sums:  # the vectors serve only to name a wall
             vecs = [f.vector(a.variables) for f in pt.functionals]
             walls.extend(tuple(sorted(vecs[:i] + vecs[i + 1:]))
                          for i, x in enumerate(sums) if x == 0)
+        out.append(sums)
     if walls:
         raise NonRegularStability(
             "lifted stability lies on an arrangement wall",
             witness=[list(w) for w in min(walls)])
-    return zeta
+    return out
 
 
 def jk_global(f: RationalExpr, a: Arrangement, zeta: Sequence[Fraction]) -> Fraction:

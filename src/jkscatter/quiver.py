@@ -326,17 +326,28 @@ def spanning_tree_count(nodes: int, edges: Sequence[tuple[int, int]]) -> int:
     return pivot
 
 
-# `trees` and abelian arrangements refuse more spanning trees than this:
-# 2-7 s at 0.22 and 0.74 ms a tree (CPython 3.11, x86_64; `trees` and `jk`
-# on K(4,4) at d = 1, 4,096 trees, took 0.9 and 3.0 s for 2.9 MB reports)
+# `trees`, abelian arrangements and a jk_ab request (all its terms' trees)
+# refuse more spanning trees than this.  Measured on CPython 3.11, x86_64,
+# in-process: `trees` and `jk` on K(4,4) at d = 1, 4,096 trees, took 0.35
+# and 1.0 s for 2.9 and 2.7 MB reports (0.09 and 0.25 ms a tree), and
+# jk_ab reads a tree in 32-45 us (K(2,2) d=(2,2;2,1), 1,800 trees: 0.08 s;
+# K(2,1) d=(5,4;2), 63,580 trees: 2.5 s).  At the bound: about 0.9 s for
+# `trees`, 2.5 s for `jk` and 0.4 s for a jk_ab request
 MAX_SPANNING_TREES = 10_000
 
 
 def check_tree_walk(nodes: int, edges: Sequence[tuple[int, int]]) -> None:
-    """Raise TooManyTrees past MAX_SPANNING_TREES spanning trees on the nodes,
-    counting them only when the C(edges, nodes - 1) sets of a tree's size pass it."""
-    if nodes and comb(len(edges), nodes - 1) > MAX_SPANNING_TREES:
-        count = spanning_tree_count(nodes, edges)
+    """Raise TooManyTrees past MAX_SPANNING_TREES spanning trees on the nodes
+    (check_tree_walks of the one graph)."""
+    check_tree_walks([(nodes, edges)])
+
+
+def check_tree_walks(graphs: Sequence[tuple[int, Sequence[tuple[int, int]]]]) -> None:
+    """Raise TooManyTrees past MAX_SPANNING_TREES spanning trees in all on the
+    graphs (nodes, edges), counting them only when the C(edges, nodes - 1)
+    sets of a tree's size, summed over the graphs, pass it."""
+    if sum(comb(len(edges), nodes - 1) for nodes, edges in graphs if nodes) > MAX_SPANNING_TREES:
+        count = sum(spanning_tree_count(nodes, edges) for nodes, edges in graphs)
         if count > MAX_SPANNING_TREES:
             raise TooManyTrees(count, MAX_SPANNING_TREES)
 

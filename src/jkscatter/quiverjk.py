@@ -10,12 +10,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arrangement import (MAX_ARRANGEMENT_PLANES, Arrangement, build_arrangement,
-                          jk_basis, jk_global, meet, sample_rcharges, zeta_from_theta)
+from .arrangement import (MAX_ARRANGEMENT_PLANES, Arrangement, SingularPoint,
+                          _zeta_cut_sums, build_arrangement, jk_basis, meet,
+                          sample_rcharges, theta_lift, zeta_from_theta)
 from .errors import NotATree, TooMuchWork
 from .exact import LinForm, ONE, Q, RationalExpr, ZERO, qify, residue_step
 from .quiver import (MAX_WEIST_STEPS, DimVector, Quiver, SpanningTree, Stability,
-                     _edges, _tree_walk, abelianize, check_tree_walk, spanning_trees,
+                     _edges, _tree_walk, abelianize, check_tree_walks, spanning_trees,
                      support_quiver, tree_components, weist_count, weist_plan)
 
 
@@ -97,10 +98,48 @@ def jk_tree_expansion(q: Quiver, theta: Stability,
 
 
 def jk_global_ZQ(q: Quiver, theta: Stability, a: Arrangement) -> Fraction:
-    """Global JK of Z_Q via full singular-point enumeration (second route)."""
-    z = build_ZQ(a)
-    zeta = zeta_from_theta(a, theta)
-    return jk_global(z, a, zeta)
+    """Global JK of Z_Q via full singular-point enumeration (second route):
+    jk_global(build_ZQ(a), a, zeta_from_theta(a, theta)), read off a.table.
+
+    One list of zeta's cut sums per point (_zeta_cut_sums) serves the
+    regularity test of zeta_from_theta, with its error and witness, and the
+    cone test: every edge of a.table has scale 1, so the point's cone holds
+    zeta when every sum is positive.  There the residue of Z_Q is, with v_k
+    = L h_k(p) the integer value of plane k at the point p (L =
+    a.denominator, h_k = x_head - x_tail + c_k) and B its basis,
+
+        (-1)^(|d|-1) prod_{k not in B} (v_k - L) / v_k over the weights
+                     prod_{k not in B} (v_k + L) / v_k over the roots
+                     (-1)^(weights in B),
+
+    each weight's factor (h - 1) / h and each root's r / (r - 1) = (h + 1)
+    / h, and a basis plane's numerator at p, -1 or 1, for its simple pole:
+    one Fraction per point, and no LinForm or RationalExpr is built.
+    """
+    zeta = tuple(-x for x in theta_lift(a, theta))
+    total = ZERO
+    for pt, sums in zip(a.points, _zeta_cut_sums(a, zeta)):
+        if all(s > 0 for s in sums):
+            total += _zq_residue(a, pt)
+    return total
+
+
+def _zq_residue(a: Arrangement, pt: SingularPoint) -> Fraction:
+    """Z_Q's local JK residue at pt, a point of a.points, in the closed form
+    of jk_global_ZQ: the value where pt's cone holds zeta."""
+    big = a.denominator
+    at = pt.numerators + (0,)  # the reference node n
+    basis = set(pt.active)
+    odd = a.dim.total() - 1
+    top = bottom = 1
+    for k, (t, h, c, weight) in enumerate(a.table):
+        if k in basis:
+            odd += weight
+        else:
+            v = at[h] - at[t] + c
+            top *= v - big if weight else v + big
+            bottom *= v
+    return Fraction(-top if odd % 2 else top, bottom)
 
 
 # ---------------------------------------------------------------------------
@@ -114,14 +153,15 @@ def jk_ab(q: Quiver, d: DimVector, zeta: Stability, rseed: int,
     Each term k is the global JK residue (jk_global_ZQ) of its blown-up
     quiver with R-charges lambda * R-bar, R-bar = sample_rcharges(arrows,
     rseed + 1000003 * k): the arrangement is built once, at lambda * R-bar,
-    and the residue is read at the singular points that build met.  Every
-    term's bases, the spanning trees of its quiver, are priced before any
-    arrangement is built: TooManyTrees past MAX_SPANNING_TREES in any term.
+    and the residue is read at the singular points that build met.  The
+    request's bases, the spanning trees of all the terms' quivers, are
+    priced before any arrangement is built: TooManyTrees past
+    MAX_SPANNING_TREES in all (check_tree_walks).
     """
     terms = abelianize(q, d, zeta)
-    for term in terms:  # a term over the plane bound is refused by its build
-        if len(term.quiver.arrows) <= MAX_ARRANGEMENT_PLANES:
-            check_tree_walk(len(term.quiver.vertices), _edges(term.quiver))
+    # a term over the plane bound is refused by its build
+    check_tree_walks([(len(term.quiver.vertices), _edges(term.quiver)) for term in terms
+                      if len(term.quiver.arrows) <= MAX_ARRANGEMENT_PLANES])
     total = ZERO
     for k, term in enumerate(terms):
         rbar = sample_rcharges(len(term.quiver.arrows), rseed + 1000003 * k)

@@ -16,8 +16,13 @@ of per-parameter exponent bounds on ``TruncatedSeries`` (and its ``const``
 and ``monomial``), ``init_bipartite`` and ``ScatteringDiagram``; the
 ``powers`` table of ``cross_wall``; ``errors.TooManyTrees``, raised by
 the CLI's tree listings past ``quiver.MAX_SPANNING_TREES``, with its base
-``errors.OverBound`` shared by the other refusals.  Not exported:
-``quiver.spanning_tree_count`` takes the enumerator's ``(nodes, edges)``.
+``errors.OverBound`` shared by the other refusals; the
+``SingularPoint.numerators`` and ``SingularPoint.denominator`` fields (the
+location is ``numerators / denominator``) and the ``Arrangement.table``
+and ``Arrangement.denominator`` fields (the planes as integer edges, each
+``(tail, head, c L, is a weight)``, over ``L``).  Not exported:
+``quiver.spanning_tree_count`` takes the enumerator's ``(nodes, edges)``,
+and ``quiver.check_tree_walks`` prices several graphs' trees in all.
 """
 
 import argparse
@@ -112,3 +117,14 @@ def test_bound_errors():
         assert str(exc).endswith(", over the bound 5")
     assert not hasattr(jkscatter.RationalExpr, "power")
     assert not hasattr(jkscatter.SingularPoint, "coordinates")
+
+
+def test_point_and_arrangement_fields():
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+              for cls in (jkscatter.SingularPoint, jkscatter.Arrangement)}
+    assert fields == {
+        "SingularPoint": ["location", "active", "functionals", "walk", "scales",
+                          "numerators", "denominator"],
+        "Arrangement": ["quiver", "dim", "variables", "reference", "weights", "roots",
+                        "rcharges", "table", "denominator"],
+    }

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jkscatter import arrangement, quiverjk
+from jkscatter import arrangement, exact, quiverjk
 from jkscatter.arrangement import (Flag, build_arrangement, enumerate_flags,
                                    flag_residue, jk_basis, jk_global, jk_zeta,
                                    meet, sample_rcharges, singular_points, theta_lift,
@@ -231,18 +231,19 @@ class TestSpanningTreeBases:
         assert tree_rows(a) == combination_scan(a)
 
     def test_one_meet_per_basis(self, monkeypatch):
-        # K(1,1), d = (2;1): 5 bases among the C(4, 2) = 6 pairs of planes
-        calls = []
-
-        def counting_meet(*args):
-            calls.append(args)
-            return meet(*args)
-
+        # K(1,1), d = (2;1): 5 bases among the C(4, 2) = 6 pairs of planes,
+        # each walked once over the integer edge table, with no elimination
+        walks, eliminations = [], []
+        real_walk, real_gj = arrangement._integer_walk, exact._gauss_jordan
+        monkeypatch.setattr(arrangement, "_integer_walk",
+                            lambda *a: walks.append(a) or real_walk(*a))
+        monkeypatch.setattr(exact, "_gauss_jordan",
+                            lambda *a: eliminations.append(a) or real_gj(*a))
         q = bipartite_quiver(1, 1)
         a = unchecked_arrangement(q, dv(q, i1=2, j1=1), [Q(1, 3)])
-        monkeypatch.setattr(arrangement, "meet", counting_meet)
         pts = singular_points(a)
-        assert len(calls) == len(pts) == 5
+        assert len(walks) == len(pts) == 5
+        assert eliminations == []
 
 
 def elimination_meet(planes, var_order):
@@ -801,19 +802,32 @@ class TestIntegerRead:
     @pytest.mark.parametrize("rseed", [0, 7, 2 ** 31 - 1])
     @pytest.mark.parametrize("lam", [Q(1), Q(1000)])
     def test_jk_ab_fixtures(self, monkeypatch, q, d, zeta, value, rseed, lam):
-        # every local residue read both ways, and the pinned value
-        reads = []
-
-        def both_reads(f, point, zeta, var_order):
-            got = jk_basis(f, point, zeta, var_order)
-            assert got == reference_jk_basis(f, point, zeta, var_order)
-            reads.append(got)
-            return got
-
-        monkeypatch.setattr(arrangement, "jk_basis", both_reads)
+        # jk_ab reads Z_Q's residue off each term's edge table
+        # (quiverjk._zq_residue) where zeta's cone is; at every point of
+        # every term the table read equals jk_basis on build_ZQ, read with a
+        # zeta inside the point's cone, which equals the Fraction read, and
+        # the term's own zeta gives that value or 0 as the table read is
+        # taken there or not
+        terms, reads = [], []
+        real_global, real_read = quiverjk.jk_global_ZQ, quiverjk._zq_residue
+        monkeypatch.setattr(quiverjk, "jk_global_ZQ",
+                            lambda q, theta, a: terms.append((theta, a)) or real_global(q, theta, a))
+        monkeypatch.setattr(quiverjk, "_zq_residue",
+                            lambda a, pt: reads.append((a, pt)) or real_read(a, pt))
         dim = DimVector.make(q, dict(zip(q.vertices, d)))
         assert jk_ab(q, dim, stab(q, *zeta), rseed, lam) == value
-        assert reads
+        assert terms and reads
+        read_at = {id(pt) for _a, pt in reads}
+        for theta, a in terms:
+            z, term_zeta = build_ZQ(a), zeta_from_theta(a, theta)
+            for pt in a.points:
+                inside = tuple(sum((f.coeff(v) for f in pt.functionals), Q(0))
+                               for v in a.variables)
+                got = real_read(a, pt)
+                assert got == jk_basis(z, pt, inside, a.variables) == \
+                    reference_jk_basis(z, pt, inside, a.variables)
+                assert jk_basis(z, pt, term_zeta, a.variables) == \
+                    (got if id(pt) in read_at else 0)
 
     @pytest.mark.parametrize("zeta, expected", [
         ((Q(1), Q(1)), ("value", Q(3, 4))),

@@ -449,12 +449,13 @@ class TestExitCodes:
             2, "TooManyTrees", self.TREES.format(12, 11))
 
     def test_jk_ab_oversized_term_is_2(self):
-        # K(1,1) d=(5;4): term 29 of 35 has 16,000 spanning trees, refused
-        # before any term's arrangement is built
+        # K(1,1) d=(5;4): its 35 terms have 115,774 spanning trees in all
+        # (term 29 alone has 16,000), refused before any term's arrangement
+        # is built
         code, rep = run_json(["jk-ab", "--l1", "1", "--l2", "1", "--d", "5;4",
                               "--zeta", "4,-5"])
         assert (code, rep["error"], rep["message"]) == (
-            2, "TooManyTrees", self.TREES.format(16000, 10000))
+            2, "TooManyTrees", self.TREES.format(115774, 10000))
 
     def test_wall_witness_past_the_scan_bound_is_3(self):
         # the all-ones term of K(6,6) lies on one wall, theta({i1, j1}) = 0:

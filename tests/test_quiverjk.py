@@ -8,13 +8,13 @@ import time
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jkscatter import arrangement, cli, exact, quiver, quiverjk
-from jkscatter.arrangement import build_arrangement
-from jkscatter.errors import (JKScatterError, NonRegularStability, NotATree, TooManyTrees,
-                              TooMuchWork)
+from jkscatter.arrangement import build_arrangement, jk_global, zeta_from_theta
+from jkscatter.errors import (DegenerateRCharges, JKScatterError, NonRegularStability,
+                              NotATree, TooManyTrees, TooMuchWork)
 from jkscatter.quiver import (DimVector, Quiver, SpanningTree, Stability,
                               abelianize, bipartite_quiver, reduced_quiver)
 from jkscatter.quiverjk import (build_ZQ, jk_ab, jk_ab_infinity, jk_global_ZQ,
@@ -124,6 +124,42 @@ class TestTwoRoutes:
             outcome(jk_global_ZQ, q, theta, a)
 
 
+@st.composite
+def bipartite_small_d(draw):
+    """An arrangement of K(l1, l2), l1, l2 <= 3, at d entries <= 2 (so with
+    roots), R-charges lambda * sample_rcharges for lambda in {1, 1000}, and
+    theta in -2..2 made normal on the last vertex of the support of d: a
+    third of these theta lie on a wall."""
+    l1, l2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    q = bipartite_quiver(l1, l2)
+    d = draw(st.lists(st.integers(0, 2), min_size=l1 + l2, max_size=l1 + l2)
+             .filter(any))
+    lam = draw(st.sampled_from((Q(1), Q(1000))))
+    rc = [lam * r for r in arrangement.sample_rcharges(len(q.arrows), draw(st.integers(0, 50)))]
+    dim = DimVector.make(q, dict(zip(q.vertices, d)))
+    try:
+        a = build_arrangement(q, dim, rcharges=rc)
+    except DegenerateRCharges:  # most R-charges of a non-abelian d
+        assume(False)
+    theta = draw(st.lists(st.integers(-2, 2), min_size=l1 + l2, max_size=l1 + l2))
+    last = max(i for i, x in enumerate(d) if x)
+    theta[last] = Q(-sum(t * x for t, x in zip(theta[:last], d)), d[last])
+    return q, stab(q, *theta), a
+
+
+class TestTableRead:
+    """jk_global_ZQ reads Z_Q's residue off the edge table; it equals the
+    general read of build_ZQ at every point, and on a wall it raises
+    zeta_from_theta's error with the same witness."""
+
+    @given(bipartite_small_d())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_general_read(self, case):
+        q, theta, a = case
+        assert outcome(jk_global_ZQ, q, theta, a) == \
+            outcome(lambda: jk_global(build_ZQ(a), a, zeta_from_theta(a, theta)))
+
+
 class TestEnumerationCounts:
     """Each arrangement enumerates its singular points once."""
 
@@ -172,8 +208,13 @@ class TestJkAbOneEliminationPerBasis:
         return (dv(self.K31, i1=1, i2=1, i3=1, j1=2), stab(self.K31, 2, 2, 2, -3))
 
     def test_one_meet_per_point(self, monkeypatch):
-        meets, built = [], []
-        real_meet, real_build = arrangement.meet, quiverjk.build_arrangement
+        # each basis is walked once, over its arrangement's integer edge
+        # table, and no plane is met as a LinForm
+        walks, meets, built = [], [], []
+        real_walk, real_meet = arrangement._integer_walk, arrangement.meet
+        real_build = quiverjk.build_arrangement
+        monkeypatch.setattr(arrangement, "_integer_walk",
+                            lambda *a: walks.append(a) or real_walk(*a))
         for module in (arrangement, quiverjk):
             monkeypatch.setattr(module, "meet",
                                 lambda *a: meets.append(a) or real_meet(*a))
@@ -185,7 +226,8 @@ class TestJkAbOneEliminationPerBasis:
         monkeypatch.setattr(quiverjk, "build_arrangement", building)
         d, z = self.k31_inputs()
         assert jk_ab(self.K31, d, z, rseed=0, lam=Q(1000)) == 2
-        assert len(meets) == sum(len(a.points) for a in built) == 20
+        assert len(walks) == sum(len(a.points) for a in built) == 20
+        assert meets == []
 
     def test_no_tree_expansion(self, monkeypatch):
         def no_tree_expansion(*_args):
@@ -208,7 +250,7 @@ class TestLocalResidueCounts:
     the regularity of zeta and reads each residue with no elimination:
     both read zeta's coordinates off the tree that each point carries.  No
     elimination runs anywhere in a jk request or a finite-lambda jk-ab
-    request: meet walks the tree of each basis."""
+    request: each basis is one walk of its tree (arrangement._integer_walk)."""
 
     @pytest.mark.parametrize("argv", [
         ["--l1", "2", "--l2", "2", "--d", "1,1;1,1", "--zeta", "3,1,-2,-2"],
@@ -235,9 +277,17 @@ class TestLocalResidueCounts:
                 return out
             return counting
 
+        # zeta is tested by its cut sums (for jk_global_ZQ, and through
+        # zeta_from_theta for the tree expansion); the residues are read off
+        # the edge table (jk_global_ZQ) and by jk_basis (the tree expansion
+        # of an abelian d)
         zeta_calls, basis_calls = [], []
+        monkeypatch.setattr(quiverjk, "_zeta_cut_sums",
+                            eliminations_per_call(quiverjk._zeta_cut_sums, zeta_calls))
         monkeypatch.setattr(quiverjk, "zeta_from_theta",
                             eliminations_per_call(quiverjk.zeta_from_theta, zeta_calls))
+        monkeypatch.setattr(quiverjk, "_zq_residue",
+                            eliminations_per_call(quiverjk._zq_residue, basis_calls))
         counting_basis = eliminations_per_call(arrangement.jk_basis, basis_calls)
         for module in (arrangement, quiverjk):
             monkeypatch.setattr(module, "jk_basis", counting_basis)
@@ -256,17 +306,16 @@ class TestLocalResidueCounts:
          "--lambda", "1000"],
     ])
     def test_jk_ab_request(self, monkeypatch, argv):
-        eliminations, meets = [], []
-        real_gj, real_meet = exact._gauss_jordan, arrangement.meet
+        eliminations, walks = [], []
+        real_gj, real_walk = exact._gauss_jordan, arrangement._integer_walk
         monkeypatch.setattr(exact, "_gauss_jordan",
                             lambda *a: eliminations.append(a) or real_gj(*a))
-        for module in (arrangement, quiverjk):
-            monkeypatch.setattr(module, "meet",
-                                lambda *a: meets.append(a) or real_meet(*a))
+        monkeypatch.setattr(arrangement, "_integer_walk",
+                            lambda *a: walks.append(a) or real_walk(*a))
         out = io.StringIO()
         code = cli.main(["jk-ab", *argv], out=out)
         assert code == 0, out.getvalue()
-        assert meets and eliminations == []
+        assert walks and eliminations == []
 
 
 class TestAbelianizedJK:
@@ -311,9 +360,9 @@ class TestAbelianizedJK:
 
     def test_oversized_term_is_refused_before_any_build(self, monkeypatch):
         # K(1,1) d=(5;4): 35 terms with 115,774 spanning trees in all, and
-        # term 29 is the first over the bound with 16,000.  Every term is
-        # priced before any arrangement is built; building and reading
-        # terms 0-28 first took 8-17 s
+        # term 29 alone has 16,000.  The request is priced before any
+        # arrangement is built; building and reading terms 0-28 first took
+        # 8-17 s
         def no_build(*_args, **_kw):
             raise AssertionError("an arrangement was built")
 
@@ -322,7 +371,34 @@ class TestAbelianizedJK:
         with pytest.raises(TooManyTrees) as ei:
             jk_ab(self.K11, dv(self.K11, i1=5, j1=4), stab(self.K11, 4, -5), rseed=0)
         assert time.perf_counter() - start < 2
-        assert (ei.value.estimate, ei.value.bound) == (16_000, 10_000)
+        assert (ei.value.estimate, ei.value.bound) == (115_774, 10_000)
+
+    def test_request_is_priced_in_all(self, monkeypatch):
+        # K(2,1) d=(5,4;2): 70 terms, each under the bound (the largest has
+        # 2,304 trees), with 63,580 spanning trees in all; reading them all
+        # took 19.1 s before the request was priced as a whole
+        def no_build(*_args, **_kw):
+            raise AssertionError("an arrangement was built")
+
+        monkeypatch.setattr(quiverjk, "build_arrangement", no_build)
+        k21 = bipartite_quiver(2, 1)
+        d = dv(k21, i1=5, i2=4, j1=2)
+        zeta = stab(k21, 1, Q(1, 7), Q(-39, 14))
+        start = time.perf_counter()
+        with pytest.raises(TooManyTrees) as ei:
+            jk_ab(k21, d, zeta, rseed=0)
+        out = io.StringIO()
+        code = cli.main(["jk-ab", "--l1", "2", "--l2", "1", "--d", "5,4;2",
+                         "--zeta", "1,1/7,-39/14"], out=out)
+        assert time.perf_counter() - start < 1
+        assert (ei.value.estimate, ei.value.bound) == (63_580, 10_000)
+        assert max(quiver.spanning_tree_count(len(t.quiver.vertices), quiver._edges(t.quiver))
+                   for t in abelianize(k21, d, zeta)) == 2_304
+        assert code == 2
+        assert json.loads(out.getvalue()) == {
+            "command": "jk-ab", "error": "TooManyTrees",
+            "message": "the walk would visit 63580 spanning trees (Kirchhoff's count), "
+                       "over the bound 10000"}
 
     def test_nonregular_lifted_stability(self):
         k22 = bipartite_quiver(2, 2)
