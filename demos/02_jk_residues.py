@@ -1,11 +1,11 @@
 """The global JK residue of a quiver's meromorphic form, two ways.
 
-Route one enumerates every singular point of the weight/root arrangement and
-sums the local JK residues.  Route two reads the singular points only to
-check that the stability is regular: it walks the spanning trees of the
-reduced quiver, lifts each tree arrow back to an original arrow, and
-evaluates one local residue per lift.  The two answers
-agree exactly, and are independent of the generic R-charges.
+Both routes read the local JK residue at the singular points that building
+the weight/root arrangement met.  Route one sums it over every point whose
+cone holds the stability.  Route two walks the spanning trees of the reduced
+quiver, lifts each tree arrow back to an original arrow, and sums it over the
+points of the lifts of the stable trees.  The two answers agree exactly, and
+are independent of the generic R-charges.
 """
 
 from fractions import Fraction as Q

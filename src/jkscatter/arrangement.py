@@ -20,13 +20,13 @@ for theta in tree_components) over the edge's scale, so a coordinate's
 sign is read from the cut sum and the scale without a division.
 _zeta_cut_sums makes one list of cut sums per point, which serves the
 regularity test of zeta_from_theta and the cone test of
-quiverjk.jk_global_ZQ, which reads Z_Q's residue in closed form off the
-table, one integer product per point.  jk_basis reads the residue of any
-form at a basis point, as one fraction of two integers.  jk_zeta, the
-general residue for active sets that are not a basis, sums iterated
-residues over the flags adapted to the active set (Brion-Vergne 1999,
-Szenes-Vergne 2004), grown one flat at a time by enumerate_flags; no
-command reaches it.
+quiverjk.jk_global_ZQ.  Both JK routes of quiverjk read Z_Q's residue at
+these points in closed form off the table, one integer product per point.
+jk_basis reads the residue of any form at a basis point, each factor
+evaluated at the location, and jk_zeta, the general residue for active
+sets that are not a basis, sums iterated residues over the flags adapted
+to the active set (Brion-Vergne 1999, Szenes-Vergne 2004), grown one flat
+at a time by enumerate_flags; no command reaches either.
 """
 
 from __future__ import annotations
@@ -397,10 +397,10 @@ def jk_basis(f: RationalExpr, point: SingularPoint, zeta: Sequence[Fraction],
              var_order: Sequence[str]) -> Fraction:
     """Local JK residue of f at a point where a basis of planes meets.
 
-    The point (from meet) carries its basis forms basis_i, its location p
-    and its tree, which gives zeta's coordinates, zeta = sum c_i basis_i,
-    as c_i = s_i / k_i: s_i is zeta's cut sum across basis edge i and k_i
-    its scale.  Only their signs are read, so nothing is divided: a zero
+    The point (from meet or a.points) carries its basis forms basis_i, its
+    location p and its tree, which gives zeta's coordinates, zeta = sum c_i
+    basis_i, as c_i = s_i / k_i: s_i is zeta's cut sum across basis edge i
+    and k_i its scale.  Only their signs are read, so nothing is divided: a zero
     s_i raises NotSumRegular, and the value is 0 unless every s_i has the
     sign of its k_i.  Inside the cone, every denominator factor lf that
     vanishes at p must be proportional to a basis form, basis_i = kappa_i
@@ -412,11 +412,8 @@ def jk_basis(f: RationalExpr, point: SingularPoint, zeta: Sequence[Fraction],
         scalar * num(p) * prod lf(p)^e * prod kappa_i,
 
     the first product over the factors that do not vanish at p (so 0 when a
-    numerator factor vanishes there).  The product is kept as one integer
-    fraction top / bottom: with p = a / L over the lcm L of its
-    denominators, a factor with integer coefficients is (const L + sum c_v
-    a_v) / L, and any other factor is evaluated as a Fraction.  A pole of
-    order >= 2 takes the iterated residue in the basis order.
+    numerator factor vanishes there), each evaluated as a Fraction.  A pole
+    of order >= 2 takes the iterated residue in the basis order.
     """
     basis = point.functionals
     n = len(basis)
@@ -428,44 +425,26 @@ def jk_basis(f: RationalExpr, point: SingularPoint, zeta: Sequence[Fraction],
     if any((s < 0) != (k < 0) for s, k in zip(sums, point.scales)):
         return ZERO
     p = dict(zip(var_order, point.location))
-    big = lcm(*(x.denominator for x in p.values()))
-    at = {v: x.numerator * (big // x.denominator) for v, x in p.items()}
     kappa = {canon: (i, unit)
              for i, (unit, canon) in enumerate(b.canonical() for b in basis)}
     poles = [0] * n
     value = f.scalar * f.num.evaluate(p)
-    top, bottom = value.numerator, value.denominator
     for lf, e in f.factors:
-        lin = 0
-        for v, c in lf.coeffs.items():
-            if c.denominator != 1:
-                at_p = lf.evaluate(p)
-                num, den = at_p.numerator, at_p.denominator
-                break
-            lin += c.numerator * at[v]
-        else:  # const = cn / cd: (cn L + cd lin) / (cd L)
-            cn, cd = lf.const.numerator, lf.const.denominator
-            num, den = cn * big + cd * lin, cd * big
-        if num:
-            if e > 0:
-                top *= num ** e
-                bottom *= den ** e
-            else:
-                top *= den ** -e
-                bottom *= num ** -e
+        at_p = lf.evaluate(p)
+        if at_p:
+            value *= at_p ** e
         elif lf in kappa:
             i, unit = kappa[lf]
             poles[i] = -e
-            top *= unit.numerator
-            bottom *= unit.denominator
+            value *= unit
         elif e < 0:
             raise ValueError(f"denominator {lf!r} vanishes at p off the basis")
         else:
-            top = 0
+            value = ZERO
     if any(m < 1 for m in poles):
         return ZERO
     if all(m == 1 for m in poles):
-        return Fraction(top, bottom)
+        return value
     return _basis_residue(f, basis, var_order)
 
 

@@ -11,8 +11,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arrangement import (MAX_ARRANGEMENT_PLANES, Arrangement, SingularPoint,
-                          _zeta_cut_sums, build_arrangement, jk_basis, meet,
-                          sample_rcharges, theta_lift, zeta_from_theta)
+                          _zeta_cut_sums, build_arrangement, sample_rcharges,
+                          theta_lift, zeta_from_theta)
 from .errors import NotATree, TooMuchWork
 from .exact import LinForm, ONE, Q, RationalExpr, ZERO, qify, residue_step
 from .quiver import (MAX_WEIST_STEPS, DimVector, Quiver, SpanningTree, Stability,
@@ -63,19 +63,22 @@ def jk_tree_expansion(q: Quiver, theta: Stability,
     with a choice of original arrow per tree arrow, determines a singular
     point whose active weights form a basis; the tree contributes iff all
     its stability coefficients are negative.  A disconnected support has
-    no spanning tree, and the residue is 0.  Each lift's planes are met
-    here, not looked up in a.points: a.points is reached only through
-    zeta_from_theta's regularity check, so this route (the jk report's tree
-    table) stays an independent check of jk_global_ZQ, which jk_ab uses.
-    Each lift meets a point of a.points with its own basis (another would
-    raise DegenerateRCharges), where zeta_from_theta found zeta regular.
+    no spanning tree, and the residue is 0.  Both routes read Z_Q's closed
+    form (_zq_residue) at the points that building a met, and differ in
+    which points they sum: this one the lifts of the theta-stable trees,
+    jk_global_ZQ every point whose cone holds zeta.  A lift's weights are
+    its rows of a.table, so its point is the one of a.points whose basis is
+    the lift in ascending order, where zeta_from_theta found zeta regular.
+    ValueError unless d is abelian and a is built on q.
     """
     if not a.dim.is_abelian():
         raise ValueError("tree expansion needs an abelian dimension vector")
-    z = build_ZQ(a)
+    if q != a.quiver:
+        raise ValueError("the arrangement is not built on this quiver")
     # the arrangement sees only the support of d: trees of the quiver on it
     qbar, _mult = support_quiver(q, a.dim)
-    zeta = zeta_from_theta(a, theta)
+    zeta_from_theta(a, theta)  # raises on a wall
+    by_basis = {pt.active: pt for pt in a.points}
     # weights grouped by reduced arrow
     by_reduced: dict[tuple[str, str], list[int]] = {}
     for i, w in enumerate(a.weights):
@@ -88,9 +91,8 @@ def jk_tree_expansion(q: Quiver, theta: Stability,
         stable = all(c < 0 for c in comps.values())
         comp_tuple = tuple(comps[i] for i in tree.arrows)
         for lift in itertools.product(*(by_reduced[qbar.arrows[i]] for i in tree.arrows)):
-            point = meet([a.weights[i].form + a.weights[i].rcharge for i in lift],
-                         a.variables)
-            local = jk_basis(z, point, zeta, a.variables) if stable else ZERO
+            point = by_basis[tuple(sorted(lift))]
+            local = _zq_residue(a, point) if stable else ZERO
             total += local
             terms.append(TreeExpansionTerm(tree.arrows, tuple(lift), point.location,
                                            local, 1 if stable else 0, comp_tuple))
@@ -115,7 +117,10 @@ def jk_global_ZQ(q: Quiver, theta: Stability, a: Arrangement) -> Fraction:
     each weight's factor (h - 1) / h and each root's r / (r - 1) = (h + 1)
     / h, and a basis plane's numerator at p, -1 or 1, for its simple pole:
     one Fraction per point, and no LinForm or RationalExpr is built.
+    ValueError unless a is built on q.
     """
+    if q != a.quiver:
+        raise ValueError("the arrangement is not built on this quiver")
     zeta = tuple(-x for x in theta_lift(a, theta))
     total = ZERO
     for pt, sums in zip(a.points, _zeta_cut_sums(a, zeta)):

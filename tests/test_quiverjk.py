@@ -91,6 +91,29 @@ class TestTreeExpansion:
         with pytest.raises(ValueError):
             jk_tree_expansion(k11, stab(k11, 1, -2), a)
 
+    def test_lift_points_where_its_weights_meet(self):
+        # parallel arrows apart in the arrow list: the lift (2, 1) of the
+        # tree of reduced arrows 0 and 1 has the basis (1, 2) in a.points
+        q = Quiver.make(["1", "2", "3"], [("1", "2"), ("2", "3"), ("1", "2")])
+        theta = stab(q, 2, -1, -1)
+        a = build_arrangement(q, dv(q, **{"1": 1, "2": 1, "3": 1}), seed=0)
+        value, exp = jk_tree_expansion(q, theta, a)
+        assert sorted(t.lift for t in exp.terms) == [(0, 1), (2, 1)]
+        for t in exp.terms:
+            planes = [a.weights[i].form + a.weights[i].rcharge for i in t.lift]
+            assert t.point == arrangement.meet(planes, a.variables).location
+        assert value == jk_global_ZQ(q, theta, a) == 2
+
+    def test_arrangement_of_another_quiver_rejected(self):
+        # A2's arrangement holds one of KRON2's two weights: read with it,
+        # either route would give A2's value 1 for KRON2, whose value is 2
+        th = stab(KRON2, 1, -1)
+        a = build_arrangement(A2, dv(A2, **{"1": 1, "2": 1}), rcharges=[Q(1, 3)])
+        assert jk_global_ZQ(A2, th, a) == jk_tree_expansion(A2, th, a)[0] == 1
+        for route in (jk_global_ZQ, jk_tree_expansion):
+            with pytest.raises(ValueError, match="not built on this quiver"):
+                route(KRON2, th, a)
+
 
 def outcome(route, *args):
     """The value of a JK route, or its error type, message and witness."""
@@ -197,6 +220,41 @@ class TestEnumerationCounts:
         assert len(calls) == 2
 
 
+class TestTreeRouteReadsThePoints:
+    """The tree route of a jk request reads each lift at the point of
+    a.points with its basis: every basis is walked once, when the
+    arrangement is built, and no plane is met as a LinForm and no Z_Q is
+    built or read as a RationalExpr."""
+
+    def test_jk_request(self, monkeypatch):
+        walks, built, tables = [], [], []
+        real_walk = arrangement._integer_walk
+        monkeypatch.setattr(arrangement, "_integer_walk",
+                            lambda *a: walks.append(a) or real_walk(*a))
+
+        def general_read(*_args, **_kw):
+            raise AssertionError("a jk request left the edge table")
+
+        for name in ("meet", "build_ZQ", "jk_basis"):
+            for module in (arrangement, quiverjk, cli):
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, general_read)
+        real_build, real_tree = cli.build_arrangement, cli.jk_tree_expansion
+        monkeypatch.setattr(cli, "build_arrangement",
+                            lambda *a, **kw: built.append(real_build(*a, **kw)) or built[-1])
+        monkeypatch.setattr(cli, "jk_tree_expansion",
+                            lambda *a: tables.append(real_tree(*a)) or tables[-1])
+        out = io.StringIO()
+        code = cli.main(["jk", "--l1", "2", "--l2", "2", "--d", "1,1;1,1",
+                         "--zeta", "3,1,-2,-2"], out=out)
+        assert code == 0, out.getvalue()
+        [a], [(value, expansion)] = built, tables
+        assert value == 2 and len(expansion.terms) == 4
+        assert len(walks) == len(a.points) == 4  # one walk per basis, at the build
+        assert all(any(t.point is pt.location for pt in a.points)
+                   for t in expansion.terms)
+
+
 class TestJkAbOneEliminationPerBasis:
     """jk_ab reads each term's residue at the singular points its
     arrangement build met: no basis is met twice, and the tree
@@ -209,15 +267,14 @@ class TestJkAbOneEliminationPerBasis:
 
     def test_one_meet_per_point(self, monkeypatch):
         # each basis is walked once, over its arrangement's integer edge
-        # table, and no plane is met as a LinForm
+        # table, and no plane is met as a LinForm (meet)
         walks, meets, built = [], [], []
         real_walk, real_meet = arrangement._integer_walk, arrangement.meet
         real_build = quiverjk.build_arrangement
         monkeypatch.setattr(arrangement, "_integer_walk",
                             lambda *a: walks.append(a) or real_walk(*a))
-        for module in (arrangement, quiverjk):
-            monkeypatch.setattr(module, "meet",
-                                lambda *a: meets.append(a) or real_meet(*a))
+        monkeypatch.setattr(arrangement, "meet",
+                            lambda *a: meets.append(a) or real_meet(*a))
 
         def building(*args, **kw):
             built.append(real_build(*args, **kw))
@@ -278,9 +335,8 @@ class TestLocalResidueCounts:
             return counting
 
         # zeta is tested by its cut sums (for jk_global_ZQ, and through
-        # zeta_from_theta for the tree expansion); the residues are read off
-        # the edge table (jk_global_ZQ) and by jk_basis (the tree expansion
-        # of an abelian d)
+        # zeta_from_theta for the tree expansion); both routes read the
+        # residues off the edge table (_zq_residue)
         zeta_calls, basis_calls = [], []
         monkeypatch.setattr(quiverjk, "_zeta_cut_sums",
                             eliminations_per_call(quiverjk._zeta_cut_sums, zeta_calls))
@@ -288,9 +344,6 @@ class TestLocalResidueCounts:
                             eliminations_per_call(quiverjk.zeta_from_theta, zeta_calls))
         monkeypatch.setattr(quiverjk, "_zq_residue",
                             eliminations_per_call(quiverjk._zq_residue, basis_calls))
-        counting_basis = eliminations_per_call(arrangement.jk_basis, basis_calls)
-        for module in (arrangement, quiverjk):
-            monkeypatch.setattr(module, "jk_basis", counting_basis)
         code = cli.main(["jk", *argv], out=io.StringIO())
         assert code == 0
         # the points are enumerated when the arrangement is built, so zeta's
