@@ -11,6 +11,10 @@ once as an integer edge table over one common denominator L: tail, head,
 c L, and whether the plane is a weight or a root.  singular_points and meet
 share one integer walk of each tree (_integer_walk), so a point is known by
 the integers L p, its numerators, and points are keyed and sorted by them.
+The table is all a build computes: the LinForm and Fraction views of it
+(Weight.form, Arrangement.roots, and a point's location and functionals)
+are built on first read and cached, so a path that reads only the table,
+as jk_ab and jk_global_ZQ do, builds none of them.
 
 Exactly n planes meet at every singular point (singular_points rejects
 more), so the local JK residue there is the basis case (Jeffrey-Kirwan 1995,
@@ -57,12 +61,29 @@ def coord_name(vertex: str, k: int) -> str:
 # arrangement construction
 # ---------------------------------------------------------------------------
 
+def _edge_form(tail: str | None, head: str | None, scale: Fraction = ONE,
+               const: Fraction = ZERO) -> LinForm:
+    """scale (x_head - x_tail) + const, an end None being the reference (0)."""
+    coeffs = {}
+    if head is not None:
+        coeffs[head] = scale
+    if tail is not None:
+        coeffs[tail] = -scale
+    return LinForm(coeffs, const)
+
+
 @dataclass(frozen=True)
 class Weight:
-    form: LinForm            # linear part (reference coordinate projected out)
     rcharge: Fraction        # hyperplane: form + rcharge = 0
     arrow: tuple[str, str]   # original arrow
     arrow_index: int
+    _ends: tuple[str | None, str | None]  # (tail, head) coordinates, None the reference
+
+    @functools.cached_property
+    def form(self) -> LinForm:
+        """The linear part x_head - x_tail (reference coordinate projected
+        out), built on first read."""
+        return _edge_form(*self._ends)
 
 
 @dataclass(frozen=True)
@@ -72,7 +93,6 @@ class Arrangement:
     variables: tuple[str, ...]       # ordered coordinates (reference removed)
     reference: tuple[str, int]
     weights: tuple[Weight, ...]
-    roots: tuple[LinForm, ...]
     rcharges: tuple[Fraction, ...]   # one per arrow
     # one row (tail, head, c L, is a weight) per plane x_head - x_tail + c
     # of hyperplanes(), over nodes 0..n (n the reference), and L
@@ -82,6 +102,14 @@ class Arrangement:
     @property
     def n(self) -> int:
         return len(self.variables)
+
+    @functools.cached_property
+    def roots(self) -> tuple[LinForm, ...]:
+        """The roots' linear parts x_head - x_tail, one per root row of
+        table, built on first read."""
+        names = self.variables + (None,)
+        return tuple(_edge_form(names[t], names[h])
+                     for t, h, _c, weight in self.table if not weight)
 
     def hyperplanes(self) -> list[tuple[LinForm, Fraction]]:
         """(linear part, offset) pairs; the hyperplane is {linear + offset = 0}."""
@@ -97,8 +125,10 @@ class Arrangement:
 
 RC_DENOMINATOR = 2 ** 31
 # build_arrangement refuses more hyperplanes than this before building any:
-# building and meeting them takes about 40 us a plane (CPython 3.11, x86_64;
-# K(1,1) d=(320;1), 102,400 planes: 4.2 s), so about 4 s
+# building their table takes up to about 8 us a plane (CPython 3.11, x86_64,
+# in-process: two vertices and 99,999 arrows at d = (1, 1), R-charges
+# sampled, 0.8 s; K(1,1) d=(316;1), 99,856 planes, 99,540 of them roots,
+# 0.12 s to its DegenerateRCharges), so under a second
 MAX_ARRANGEMENT_PLANES = 100_000
 
 
@@ -141,24 +171,20 @@ def build_arrangement(q: Quiver, d: DimVector,
     coords = [(v, k) for v in q.vertices for k in range(1, d[v] + 1) if (v, k) != (rv, rk)]
     node = {vk: i for i, vk in enumerate(coords + [(rv, rk)])}  # the reference is node n
     variables = tuple(coord_name(v, k) for v, k in coords)
+    names = variables + (None,)
 
-    def proj(vertex: str, k: int) -> LinForm:
-        if (vertex, k) == (rv, rk):
-            return LinForm()
-        return LinForm.var(coord_name(vertex, k))
-
-    ends = [(t, h, i, j, r, idx) for idx, ((t, h), r) in enumerate(zip(q.arrows, rc))
+    ends = [(node[t, i], node[h, j], r, (t, h), idx)
+            for idx, ((t, h), r) in enumerate(zip(q.arrows, rc))
             for i in range(1, d[t] + 1) for j in range(1, d[h] + 1)]
-    pairs = [(v, i, j) for v in q.vertices
+    pairs = [(node[v, i], node[v, j]) for v in q.vertices
              for i in range(1, d[v] + 1) for j in range(1, d[v] + 1) if i != j]
-    weights = tuple(Weight(proj(h, j) - proj(t, i), r, (t, h), idx)
-                    for t, h, i, j, r, idx in ends)
-    roots = tuple(proj(v, j) - proj(v, i) for v, i, j in pairs)
+    weights = tuple(Weight(r, arrow, idx, (names[t], names[h]))
+                    for t, h, r, arrow, idx in ends)
     big = lcm(*(r.denominator for r in rc))
-    table = (tuple((node[t, i], node[h, j], r.numerator * (big // r.denominator), True)
-                   for t, h, i, j, r, _idx in ends)
-             + tuple((node[v, i], node[v, j], -big, False) for v, i, j in pairs))
-    arr = Arrangement(q, d, variables, (rv, rk), weights, roots, rc, table, big)
+    table = (tuple((t, h, r.numerator * (big // r.denominator), True)
+                   for t, h, r, _arrow, _idx in ends)
+             + tuple((t, h, -big, False) for t, h in pairs))
+    arr = Arrangement(q, d, variables, (rv, rk), weights, rc, table, big)
     arr.points  # raises DegenerateRCharges on coincidences
     return arr
 
@@ -169,13 +195,31 @@ def build_arrangement(q: Quiver, d: DimVector,
 
 @dataclass(frozen=True)
 class SingularPoint:
-    location: Vector                     # w.r.t. the arrangement's variables
     active: tuple[int, ...]              # indices into hyperplanes(), or ()
-    functionals: tuple[LinForm, ...]     # the active planes, 0 at the location
-    walk: tuple[tuple, ...]              # their edges' tree from the reference
+    walk: tuple[tuple, ...]              # the active planes' edges' tree from the reference
     scales: tuple[Fraction, ...]         # functional i: scales[i] (x_h - x_t) + c
     numerators: tuple[int, ...]          # location = numerators / denominator
     denominator: int
+    _variables: tuple[str, ...]          # the coordinates, the nodes 0..n-1 of walk
+
+    @functools.cached_property
+    def location(self) -> Vector:
+        """The point w.r.t. the variables, built on first read."""
+        return tuple(Q(x, self.denominator) for x in self.numerators)
+
+    @functools.cached_property
+    def functionals(self) -> tuple[LinForm, ...]:
+        """The active planes, 0 at the location, built on first read: plane
+        i is the walk's edge i, scales[i] (x_head - x_tail) + c, and c is
+        read off the numerators of its ends."""
+        names = self._variables + (None,)
+        at = self.numerators + (0,)  # the reference node n
+        out = [None] * len(self.walk)
+        for v, k, p, down in self.walk:
+            t, h = (p, v) if down else (v, p)
+            s = self.scales[k]
+            out[k] = _edge_form(names[t], names[h], s, s * Q(at[t] - at[h], self.denominator))
+        return tuple(out)
 
 
 def _integer_walk(n: int, edges: Sequence[tuple[int, int]], steps: Sequence[int]):
@@ -218,8 +262,7 @@ def meet(planes: Sequence[LinForm], var_order: Sequence[str],
     if got is None:
         return None
     walk, at = got
-    return SingularPoint(tuple(Q(x, big) for x in at[:n]), active, tuple(planes), walk,
-                         tuple(scales), tuple(at[:n]), big)
+    return SingularPoint(active, walk, tuple(scales), tuple(at[:n]), big, tuple(var_order))
 
 
 def singular_points(a: Arrangement) -> list[SingularPoint]:
@@ -245,10 +288,8 @@ def singular_points(a: Arrangement) -> list[SingularPoint]:
             where = ", ".join(f"{x.numerator}/{x.denominator}" for x in (Q(y, big) for y in key))
             raise DegenerateRCharges(f"more than {n} hyperplanes meet at ({where})")
         pts[key] = basis, walk
-    planes = [lf + off for lf, off in a.hyperplanes()]
     units = (ONE,) * n  # each plane is x_head - x_tail + c
-    return [SingularPoint(tuple(Q(x, big) for x in key), basis,
-                          tuple(planes[i] for i in basis), walk, units, key, big)
+    return [SingularPoint(basis, walk, units, key, big, a.variables)
             for key, (basis, walk) in sorted(pts.items())]
 
 

@@ -330,9 +330,9 @@ def spanning_tree_count(nodes: int, edges: Sequence[tuple[int, int]]) -> int:
 # refuse more spanning trees than this.  Measured on CPython 3.11, x86_64,
 # in-process: `trees` and `jk` on K(4,4) at d = 1, 4,096 trees, took 0.35
 # and 0.6-0.9 s for 2.9 and 2.7 MB reports (0.09 and 0.15-0.22 ms a tree),
-# and jk_ab reads a tree in 32-55 us (K(2,2) d=(2,2;2,1), 1,800 trees:
-# 0.08-0.10 s; K(2,1) d=(5,4;2), 63,580 trees: 2.5 s).  At the bound: about
-# 0.9 s for `trees`, 2 s for `jk` and 0.5 s for a jk_ab request
+# and jk_ab reads a tree in 29-47 us (K(2,2) d=(2,2;2,1), 1,800 trees:
+# 0.05-0.07 s; K(2,1) d=(5,4;2), 63,580 trees: 2.5-3.0 s).  At the bound:
+# about 0.9 s for `trees`, 2 s for `jk` and 0.5 s for a jk_ab request
 MAX_SPANNING_TREES = 10_000
 
 

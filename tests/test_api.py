@@ -20,13 +20,19 @@ the CLI's tree listings past ``quiver.MAX_SPANNING_TREES``, with its base
 ``SingularPoint.numerators`` and ``SingularPoint.denominator`` fields (the
 location is ``numerators / denominator``) and the ``Arrangement.table``
 and ``Arrangement.denominator`` fields (the planes as integer edges, each
-``(tail, head, c L, is a weight)``, over ``L``).  Not exported:
+``(tail, head, c L, is a weight)``, over ``L``).  Derived on first read
+and cached: ``Weight.form`` (the field ``_ends`` names its tail and head
+coordinates), ``Arrangement.roots`` (from ``table``), and
+``SingularPoint.location`` and ``SingularPoint.functionals`` (from the
+walk, scales, numerators and denominator, and the field ``_variables``);
+each constructor lost those parameters.  Not exported:
 ``quiver.spanning_tree_count`` takes the enumerator's ``(nodes, edges)``,
 and ``quiver.check_tree_walks`` prices several graphs' trees in all.
 """
 
 import argparse
 import dataclasses
+import functools
 import inspect
 from operator import attrgetter
 
@@ -120,11 +126,18 @@ def test_bound_errors():
 
 
 def test_point_and_arrangement_fields():
-    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
-              for cls in (jkscatter.SingularPoint, jkscatter.Arrangement)}
+    classes = (jkscatter.Weight, jkscatter.SingularPoint, jkscatter.Arrangement)
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in classes}
     assert fields == {
-        "SingularPoint": ["location", "active", "functionals", "walk", "scales",
-                          "numerators", "denominator"],
-        "Arrangement": ["quiver", "dim", "variables", "reference", "weights", "roots",
+        "Weight": ["rcharge", "arrow", "arrow_index", "_ends"],
+        "SingularPoint": ["active", "walk", "scales", "numerators", "denominator",
+                          "_variables"],
+        "Arrangement": ["quiver", "dim", "variables", "reference", "weights",
                         "rcharges", "table", "denominator"],
     }
+    # the views built on first read and cached on the instance
+    derived = {cls.__name__: sorted(name for name, attr in vars(cls).items()
+                                    if isinstance(attr, functools.cached_property))
+               for cls in classes}
+    assert derived == {"Weight": ["form"], "SingularPoint": ["functionals", "location"],
+                       "Arrangement": ["points", "roots"]}

@@ -1,13 +1,16 @@
 """Tests for arrangements, flags, and the JK residue machinery."""
 
+import io
 import itertools
+import json
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jkscatter import arrangement, exact, quiverjk
+from jkscatter import arrangement, cli, exact, quiverjk
 from jkscatter.arrangement import (Flag, build_arrangement, enumerate_flags,
                                    flag_residue, jk_basis, jk_global, jk_zeta,
                                    meet, sample_rcharges, singular_points, theta_lift,
@@ -306,6 +309,7 @@ class TestMeetWalksTheTree:
         assert coordinates(pt, zeta) == [sum((z * row[i] for z, row in zip(zeta, minv)), Q(0))
                                          for i in range(len(names))]
         assert all(p.evaluate(dict(zip(names, pt.location))) == 0 for p in planes)
+        assert pt.functionals == tuple(planes)
 
     @pytest.mark.parametrize("plane", [lf(u=1, w=1), lf(u=2, w=-1), lf(u=1, z=-1),
                                        lf() + 1])
@@ -934,3 +938,154 @@ class TestJKGlobal:
         z = build_ZQ(a)
         zeta = zeta_from_theta(a, stab(KRON2, -1, 1))
         assert jk_global(z, a, zeta) == 0
+
+
+# -- views built on first read -------------------------------------------------
+
+def eager_arrangement(q, d, rc):
+    """The eager build that made every plane and point as LinForms and
+    Fractions alongside the edge table (test reference): the weights'
+    (form, rcharge, arrow, arrow_index), the roots, and each point's
+    (location, active, functionals, walk, scales, numerators, denominator);
+    DegenerateRCharges with the same message as build_arrangement."""
+    rv = d.support()[-1]
+    rk = d[rv]
+    coords = [(v, k) for v in q.vertices for k in range(1, d[v] + 1) if (v, k) != (rv, rk)]
+    node = {vk: i for i, vk in enumerate(coords + [(rv, rk)])}
+    variables = tuple(arrangement.coord_name(v, k) for v, k in coords)
+
+    def proj(vertex, k):
+        if (vertex, k) == (rv, rk):
+            return LinForm()
+        return LinForm.var(arrangement.coord_name(vertex, k))
+
+    ends = [(t, h, i, j, r, idx) for idx, ((t, h), r) in enumerate(zip(q.arrows, rc))
+            for i in range(1, d[t] + 1) for j in range(1, d[h] + 1)]
+    pairs = [(v, i, j) for v in q.vertices
+             for i in range(1, d[v] + 1) for j in range(1, d[v] + 1) if i != j]
+    weights = tuple((proj(h, j) - proj(t, i), r, (t, h), idx) for t, h, i, j, r, idx in ends)
+    roots = tuple(proj(v, j) - proj(v, i) for v, i, j in pairs)
+    big = lcm(*(r.denominator for r in rc))
+    table = (tuple((node[t, i], node[h, j], r.numerator * (big // r.denominator))
+                   for t, h, i, j, r, _idx in ends)
+             + tuple((node[v, i], node[v, j], -big) for v, i, j in pairs))
+    n = len(variables)
+    edges = [(t, h) for t, h, _c in table]
+    pts = {}
+    for basis in _spanning_tree_indices(n + 1, edges):
+        walk, at = arrangement._integer_walk(n, [edges[i] for i in basis],
+                                             [table[i][2] for i in basis])
+        key = tuple(at[:n])
+        if key in pts:
+            where = ", ".join(f"{x.numerator}/{x.denominator}" for x in (Q(y, big) for y in key))
+            raise DegenerateRCharges(f"more than {n} hyperplanes meet at ({where})")
+        pts[key] = basis, walk
+    planes = [w[0] + w[1] for w in weights] + [r - 1 for r in roots]
+    points = [(tuple(Q(x, big) for x in key), basis, tuple(planes[i] for i in basis), walk,
+               (Q(1),) * n, key, big)
+              for key, (basis, walk) in sorted(pts.items())]
+    return variables, weights, roots, points
+
+
+def eager_meet(planes, var_order, active=()):
+    """meet with its location and functionals made at once (test
+    reference): the point's old fields, or None unless a basis."""
+    pt = meet(planes, var_order, active)
+    if pt is None:
+        return None
+    return (tuple(Q(x, pt.denominator) for x in pt.numerators), active, tuple(planes),
+            pt.walk, pt.scales, pt.numerators, pt.denominator)
+
+
+def point_fields(pt):
+    """A point's old fields, read through its views."""
+    return (pt.location, pt.active, pt.functionals, pt.walk, pt.scales, pt.numerators,
+            pt.denominator)
+
+
+@st.composite
+def bipartite_builds(draw):
+    """K(l1, l2) with l1, l2 <= 3, d entries 0..2 (a 2 gives roots), n <=
+    4, and seeded R-charges scaled by lambda 1 or 1000."""
+    l1, l2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    q = bipartite_quiver(l1, l2)
+    dims = draw(st.lists(st.integers(0, 2), min_size=l1 + l2, max_size=l1 + l2))
+    assume(1 <= sum(dims) <= 5)
+    lam = draw(st.sampled_from((Q(1), Q(1000))))
+    rc = [lam * r for r in sample_rcharges(len(q.arrows), draw(st.integers(0, 50)))]
+    return q, DimVector.make(q, dict(zip(q.vertices, dims))), rc
+
+
+def linform_count(monkeypatch):
+    """A list that grows by one per LinForm constructed from now on."""
+    made, real = [], exact.LinForm.__init__
+    monkeypatch.setattr(exact.LinForm, "__init__",
+                        lambda self, *a, **kw: made.append(1) or real(self, *a, **kw))
+    return made
+
+
+class TestViewsOnFirstRead:
+    """A build computes the integer table alone: Weight.form,
+    Arrangement.roots and each point's location and functionals are built
+    on first read, equal to the eager build's."""
+
+    def test_integer_paths_build_no_linform(self, monkeypatch):
+        made = linform_count(monkeypatch)
+        k31, k22, k11 = (bipartite_quiver(a, b) for a, b in ((3, 1), (2, 2), (1, 1)))
+        assert jk_ab(k31, dv(k31, i1=1, i2=1, i3=1, j1=2), stab(k31, 2, 2, 2, -3),
+                     rseed=0) == 2
+        assert made == []
+        d = dv(k22, i1=1, i2=1, j1=1, j2=1)
+        theta = stab(k22, 3, 1, -2, -2)
+        a = build_arrangement(k22, d, seed=0)
+        value = jk_global_ZQ(k22, theta, a)
+        assert made == []
+        # the degenerate refusal of `jk` on K(1,1) d=(316;1): 99,856 planes
+        out = io.StringIO()
+        assert cli.main(["jk", "--l1", "1", "--l2", "1", "--d", "316;1",
+                         "--zeta", "1,-316"], out=out) == 2
+        report = json.loads(out.getvalue())
+        assert report["error"] == "DegenerateRCharges"
+        where = ", ".join(["1813382119/2147483648"] * 315 + ["3960865767/2147483648"])
+        assert report["message"] == f"more than 316 hyperplanes meet at ({where})"
+        # each view is built on its first read, then read from its cache
+        b = build_arrangement(k11, dv(k11, i1=2, j1=1), seed=0)
+        assert made == []
+        pt = b.points[0]
+        for obj, name, count in [(b, "roots", 2), (b.weights[0], "form", 1),
+                                 (pt, "functionals", 2), (pt, "location", 0)]:
+            assert name not in vars(obj)
+            view = getattr(obj, name)
+            assert len(made) == count and getattr(obj, name) is view
+            made.clear()
+        assert jk_global(build_ZQ(a), a, zeta_from_theta(a, theta)) == value
+        assert a == build_arrangement(k22, d, seed=0) != build_arrangement(k22, d, seed=1)
+
+    @given(bipartite_builds())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_eager_build(self, case):
+        q, d, rc = case
+        try:
+            variables, weights, roots, points = eager_arrangement(q, d, rc)
+        except DegenerateRCharges as exc:
+            with pytest.raises(DegenerateRCharges) as ei:
+                build_arrangement(q, d, rcharges=rc)
+            assert str(ei.value) == str(exc)
+            return
+        a, b = (build_arrangement(q, d, rcharges=rc) for _ in range(2))
+        assert a.variables == variables
+        assert [(w.form, w.rcharge, w.arrow, w.arrow_index) for w in a.weights] == list(weights)
+        assert a.roots == roots
+        assert [point_fields(pt) for pt in a.points] == points
+        assert a.hyperplanes() == [w[:2] for w in weights] + [(r, Q(-1)) for r in roots]
+        # meet's points: the same old fields from the same planes
+        met = [meet(pt[2], variables, pt[1]) for pt in points]
+        assert [point_fields(pt) for pt in met] == [eager_meet(pt[2], variables, pt[1])
+                                                    for pt in points]
+        # == and hash still compare the old fields: a rebuild is equal, and
+        # a met point equals a built one exactly when their old fields do
+        assert a == b and hash(a) == hash(b) and a.weights == b.weights
+        pool = list(a.points) + list(b.points) + met
+        for p, r in itertools.product(pool, repeat=2):
+            assert (p == r) == (point_fields(p) == point_fields(r))
+            assert p != r or hash(p) == hash(r)
