@@ -210,16 +210,23 @@ def _spanning_tree_indices(nodes: int, edges: Sequence[tuple[int, int]]):
     """Edge-index tuples of the spanning trees on nodes 0..nodes-1, in
     lexicographic order: an edge is taken only when it joins two components
     of the forest so far, and a branch stops when too few edges remain."""
-    def grow(start: int, comp: list[int], chosen: tuple[int, ...]):
-        if len(chosen) == nodes - 1:
-            yield chosen
-            return
-        for i in range(start, len(edges) - nodes + len(chosen) + 2):
-            a, b = comp[edges[i][0]], comp[edges[i][1]]
-            if a != b:
-                yield from grow(i + 1, [a if c == b else c for c in comp], chosen + (i,))
+    return _grow_trees(nodes, edges, 0, list(range(nodes)), ()) if nodes else iter(())
 
-    return grow(0, list(range(nodes)), ()) if nodes else iter(())
+
+def _grow_trees(nodes: int, edges: Sequence[tuple[int, int]], start: int,
+                comp: list[int], chosen: tuple[int, ...]):
+    """The trees of _spanning_tree_indices that extend the forest chosen
+    (comp maps a node to its component) by edges from start on.  A
+    module-level generator holds its state in its arguments, so it makes
+    no reference cycle that only the cyclic GC would free."""
+    if len(chosen) == nodes - 1:
+        yield chosen
+        return
+    for i in range(start, len(edges) - nodes + len(chosen) + 2):
+        a, b = comp[edges[i][0]], comp[edges[i][1]]
+        if a != b:
+            yield from _grow_trees(nodes, edges, i + 1, [a if c == b else c for c in comp],
+                                   chosen + (i,))
 
 
 def _tree_walk(nodes: Sequence, edges: Sequence[tuple], root):

@@ -13,20 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd
 
-from .errors import BadCutoff, CutoffTooSmall, ValidationError
+from .errors import BadConstantTerm, BadCutoff, CutoffTooSmall, ValidationError
 from .exact import Q, ZERO
 from .quiver import DimVector, Stability, bipartite_quiver, moduli_dimension
 from .quiverjk import jk_ab_infinity
 from .series import Coeff, TruncatedSeries
 
-# pairing <(a,b),(c,d)> = a*d - b*c
-def _pair(m: tuple[int, int], v: tuple[int, int]) -> int:
-    return m[0] * v[1] - m[1] * v[0]
 
-
-@dataclass
+@dataclass(slots=True)
 class Wall:
     direction: tuple[int, int]       # primitive m
     support: str                     # "line" | "ray"
@@ -40,7 +37,7 @@ class Wall:
             raise ValidationError("wall", f"bad support {self.support!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class ScatteringDiagram:
     walls: list[Wall]
     cutoff: int
@@ -67,7 +64,9 @@ def init_bipartite(l1: int, l2: int, cutoff: int,
                              cutoff, params, fx.box)
 
 
+@lru_cache(maxsize=64)
 def _params(l1: int, l2: int) -> tuple[str, ...]:
+    """s1..s_l1, t1..t_l2, one shared tuple of names per (l1, l2)."""
     return tuple(f"s{i + 1}" for i in range(l1)) + tuple(f"t{j + 1}" for j in range(l2))
 
 
@@ -77,42 +76,54 @@ def _check_sizes(l1: int, l2: int, cutoff: int) -> None:
 
 
 def cross_wall(w: Wall, g: TruncatedSeries, orientation: int = 1,
-               powers: dict[int, TruncatedSeries] | None = None) -> TruncatedSeries:
+               powers: list[TruncatedSeries] | None = None) -> TruncatedSeries:
     """Apply x -> x f^{±<m,(1,0)>}, y -> y f^{±<m,(0,1)>} to g.
 
     The substitution sends a term c * p * x^A y^B to the same term times f^n,
     with n = ±<m,(A,B)>.  The terms of g are grouped by that pairing value,
-    so each distinct n costs one product f^n * part.  ``powers`` is a table
-    n -> f^n (with f^-1 for every negative n) that crossings of the same
-    wall function may share, so that each power is raised once.
+    so each distinct n costs one product f^n * part.  A wall function is
+    f = 1 + h with h nilpotent (0 mod parameters), so for every integer n,
+    negative too, f^n = sum_k C(n, k) h^k, where h^k = 0 past the cutoff
+    (Gross-Pandharipande-Siebert, "The tropical vertex").  ``powers`` is the
+    list h, h^2, ... up to the last nonzero power, filled here when empty;
+    crossings of the same wall function may share it, so that each power of
+    h is raised once and every f^n is a sum of integer multiples of them.
     """
     if orientation not in (1, -1):
         raise ValidationError("orientation", "must be +1 or -1")
-    parts: dict[int, dict] = {}
-    for key, c in g.terms.items():
-        n = orientation * _pair(w.direction, (key[0], key[1]))
-        parts.setdefault(n, {})[key] = c
     if powers is None:
-        powers = {}
-    out = g._like()
-    for n, part in parts.items():
-        out = out + _wall_power(w.function, n, powers) * g._like(part)
+        powers = []
+    if not powers:
+        powers.extend(_nilpotent_powers(w.function))
+    a, b = w.direction
+    # n = orientation * <(a, b), (A, B)> = orientation * (a B - b A)
+    parts = g._parts(-orientation * b, orientation * a)
+    return g._like()._plus_scaled(
+        (1, part * _wall_power(powers, n, part) if n else part) for n, part in parts.items())
+
+
+def _nilpotent_powers(f: TruncatedSeries) -> list[TruncatedSeries]:
+    """h, h^2, ... for h = f - 1, up to the last nonzero power (at most the
+    cutoff-th, since h^k has parameter degree >= k)."""
+    h = f - 1
+    if h.param_degree_zero_part():
+        raise BadConstantTerm("a wall function must be 1 mod parameters")
+    out: list[TruncatedSeries] = []
+    while not h.is_zero() and len(out) < f.cutoff:
+        out.append(h)
+        h = h * out[0]
     return out
 
 
-def _wall_power(f: TruncatedSeries, n: int, powers: dict[int, TruncatedSeries]):
-    """f^n, looked up in or added to the table powers."""
-    fn = powers.get(n)
-    if fn is None:
-        if n < 0:
-            inv = powers.get(-1)
-            if inv is None:
-                inv = powers[-1] = f.inverse()
-            fn = inv.power(-n)
-        else:
-            fn = f.power(n)
-        powers[n] = fn
-    return fn
+def _wall_power(powers: list[TruncatedSeries], n: int, like: TruncatedSeries) -> TruncatedSeries:
+    """f^n = 1 + sum_{k >= 1} C(n, k) h^k, for powers = [h, h^2, ...]."""
+    scaled, c = [], 1
+    for k, hk in enumerate(powers, 1):
+        c = c * (n - k + 1) // k  # exact: k divides c * (n - k + 1) = k C(n, k)
+        if not c:                 # n >= 0 and k > n
+            break
+        scaled.append((c, hk))
+    return like._const(1)._plus_scaled(scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +162,12 @@ def loop_product(d: ScatteringDiagram) -> tuple[TruncatedSeries, TruncatedSeries
     """Images of x and y under one full counterclockwise loop of crossings.
 
     Every crossing of a wall (x and y, and both halves of a line) shares one
-    table of the powers of its function.
+    list of the powers of its function minus 1.
     """
     events = []
     for w in d.walls:
         a, b = w.direction
-        powers: dict[int, TruncatedSeries] = {}
+        powers: list[TruncatedSeries] = []
         events.append(((a, b), w, 1, powers))
         if w.support == "line":
             events.append(((-a, -b), w, -1, powers))
@@ -207,7 +218,7 @@ def scatter(d0: ScatteringDiagram) -> ScatteringDiagram:
             if xe <= 0 or ye <= 0:
                 raise ValidationError(
                     "scatter", f"defect direction ({xe},{ye}) not in the open first quadrant")
-            a, b = _primitive(xe, ye)
+            m = a, b = _primitive(xe, ye)
             if a * cx + b * cy != 0:
                 raise ValidationError(
                     "scatter", f"inconsistent defect at x^{xe} y^{ye} {p}: {cx}, {cy}")
@@ -215,14 +226,16 @@ def scatter(d0: ScatteringDiagram) -> ScatteringDiagram:
             if coeff == 0:
                 continue
             increment = 1 + TruncatedSeries(d.params, d.cutoff, {(xe, ye, p): coeff}, d.box)
-            wall = rays.get((a, b))
+            wall = rays.get(m)
             if wall is None:
-                rays[(a, b)] = Wall((a, b), "ray", increment)
-                d.walls.append(rays[(a, b)])
+                rays[m] = Wall(m, "ray", increment)
+                d.walls.append(rays[m])
             else:
                 wall.function = wall.function * increment
     if any(not g.is_zero() for g in _loop_defects(d)):
         raise ValidationError("scatter", f"loop product is not the identity at cutoff {d.cutoff}")
+    for w in d.walls:  # the result callers keep: store its functions compactly
+        w.function = w.function._kept()
     return d
 
 
@@ -239,7 +252,10 @@ def _loop_defects(d: ScatteringDiagram) -> tuple[TruncatedSeries, TruncatedSerie
     return x.shift(-1, 0) - 1, y.shift(0, -1) - 1
 
 
+@lru_cache(maxsize=1024)
 def _primitive(a: int, b: int) -> tuple[int, int]:
+    """(a, b) over its gcd; one shared tuple per (a, b), so the walls of
+    every diagram scattered in a process share their direction tuples."""
     g = gcd(a, b)
     return (a // g, b // g)
 
@@ -295,7 +311,7 @@ def _cd_diagram(l1: int, l2: int, dim: DimVector, cutoff: int) -> ScatteringDiag
     return scatter(init_bipartite(l1, l2, p1 + p2, box))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationResult:
     passed: bool
     lhs: Fraction          # scattering-side coefficient c_d

@@ -19,21 +19,95 @@ vertex"), so products in ``scatter`` stay in ``int`` arithmetic; Python's
 numeric tower moves a sum or product to ``Fraction`` when an operand is one.
 Every division is ``Fraction``-exact, and ``coefficient`` returns a
 ``Fraction``.
+
+Each monomial is stored as one packed ``int`` key (Monagan-Pearce, "POLY: a
+new polynomial data structure for Maple 17", 2012).  From the lowest bit
+up, the key holds a field for the parameter degree, one field per
+parameter, an x field and, above them all, y as a signed integer of any
+size.  A field with bound b is b.bit_length() + 1 bits wide and stores
+e + 2^(w-1) - 1 - b, so its top bit, the guard bit, is set exactly when
+e > b.  The bound of the degree field is the cutoff; that of parameter i is
+its box bound, or the cutoff when there is no box.  The x field is
+``X_BITS`` wide and stores x + 2^(X_BITS - 2): an exponent outside
+[-2^(X_BITS - 2), 2^(X_BITS - 2)) raises ``ValueError``, and its guard bit
+also catches a product whose x leaves that range.  The key of a product of
+two monomials is then ``k1 + k2 - bias`` (``bias`` is the key of 1), and
+one test against the mask of all guard bits drops it when it leaves the
+box or the cutoff.  ``terms`` unpacks the keys into a fresh dict
+``{(x, y, param_exps): c}``.  The wall functions that ``scatter`` returns
+keep their keys in an array of machine integers instead of a dict
+(``_kept``), since a caller may hold many diagrams.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from math import factorial
-from operator import le
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BadConstantTerm
 from .exact import ONE, qify
 
-# term key: (x_exp, y_exp, param_exponent_tuple)
+# term key as read through ``terms``: (x_exp, y_exp, param_exponent_tuple)
 Key = tuple[int, int, tuple[int, ...]]
 Coeff = int | Fraction
+
+X_BITS = 24                    # width of the x field, its guard bit included
+_X_OFF = 1 << (X_BITS - 2)     # x is stored as x + _X_OFF
+_X_MASK = (1 << X_BITS) - 1
+_X_RANGE = f"the packed x field [-2^{X_BITS - 2}, 2^{X_BITS - 2})"
+
+
+class _Ring:
+    """The ring of a series and the layout of its packed keys."""
+
+    __slots__ = ("params", "cutoff", "box", "pfields", "dmask", "doff",
+                 "xshift", "yshift", "bias", "guard", "xguard")
+
+    def __init__(self, params: tuple[str, ...], cutoff: int, box: tuple[int, ...] | None):
+        self.params, self.cutoff, self.box = params, cutoff, box
+        bounds = [cutoff] + ([cutoff] * len(params) if box is None
+                             else [min(b, cutoff) for b in box])
+        fields, shift, bias, guard = [], 0, 0, 0
+        for b in bounds:
+            w = b.bit_length() + 1
+            off = (1 << (w - 1)) - 1 - b
+            fields.append((shift, (1 << w) - 1, off, b))
+            bias += off << shift
+            guard |= 1 << (shift + w - 1)
+            shift += w
+        (_s, self.dmask, self.doff, _b), self.pfields = fields[0], tuple(fields[1:])
+        self.xshift, self.yshift = shift, shift + X_BITS
+        self.xguard = 1 << (shift + X_BITS - 1)
+        self.bias = bias + (_X_OFF << shift)
+        self.guard = guard | self.xguard
+
+    def pack(self, x: int, y: int, p: Sequence[int]) -> int | None:
+        """The key of x^x y^y prod params^p, or None when the monomial is 0
+        in the ring (past the cutoff or the box).  p must be >= 0."""
+        deg = sum(p)
+        if deg > self.cutoff or any(e > b for e, (_s, _m, _o, b) in zip(p, self.pfields)):
+            return None
+        if not -_X_OFF <= x < _X_OFF:
+            raise ValueError(f"x exponent {x} leaves {_X_RANGE}")
+        k = (y << self.yshift) + ((x + _X_OFF) << self.xshift) + deg + self.doff
+        for e, (s, _m, off, _b) in zip(p, self.pfields):
+            k += (e + off) << s
+        return k
+
+    def unpack(self, k: int) -> Key:
+        return (*self.xy(k), tuple(((k >> s) & m) - off for s, m, off, _b in self.pfields))
+
+    def xy(self, k: int) -> tuple[int, int]:
+        return ((k >> self.xshift) & _X_MASK) - _X_OFF, k >> self.yshift
+
+
+@lru_cache(maxsize=256)
+def _ring(params: tuple[str, ...], cutoff: int, box: tuple[int, ...] | None) -> _Ring:
+    return _Ring(params, cutoff, box)
 
 
 class TruncatedSeries:
@@ -41,34 +115,79 @@ class TruncatedSeries:
     nonzero coefficient, an ``int`` when integral and else a ``Fraction``.
     ``box`` is None or one exponent bound per parameter."""
 
-    __slots__ = ("params", "cutoff", "box", "terms")
+    __slots__ = ("_ring", "_t")
 
     def __init__(self, params: Sequence[str], cutoff: int,
                  terms: Mapping[Key, Coeff] | None = None,
                  box: Sequence[int] | None = None):
-        self.params = tuple(params)
-        self.cutoff = int(cutoff)
+        params = tuple(params)
         if box is not None:
             box = tuple(int(b) for b in box)
-            if len(box) != len(self.params) or min(box, default=0) < 0:
+            if len(box) != len(params) or min(box, default=0) < 0:
                 raise ValueError(f"box {box} is not one bound >= 0 per parameter "
-                                 f"of {self.params}")
-        self.box = box
-        for k in terms or ():
-            if min(k[2], default=0) < 0:
+                                 f"of {params}")
+        if int(cutoff) < 0:
+            raise ValueError(f"cutoff {cutoff} is negative")
+        self._ring = ring = _ring(params, int(cutoff), box)
+        t: dict[int, Coeff] = {}
+        for k, c in (terms or {}).items():
+            xe, ye, p = k
+            if min(p, default=0) < 0:
                 raise ValueError(f"term {k} has a negative parameter exponent")
-        self.terms = _reduced(terms, self.cutoff, box)
+            if len(p) != len(params):
+                raise ValueError(f"term {k} has not one exponent per parameter of {params}")
+            key = ring.pack(xe, ye, p)
+            if key is not None:
+                t[key] = c
+        self._t = _canonical(t)
 
-    def _like(self, terms: Mapping[Key, Coeff] | None = None) -> "TruncatedSeries":
-        """A series of the same ring with the given terms, whose parameter
-        exponents must be >= 0: ring operations make only such terms."""
+    # -- the ring
+    params = property(lambda self: self._ring.params)
+    cutoff = property(lambda self: self._ring.cutoff)
+    box = property(lambda self: self._ring.box)
+
+    @property
+    def terms(self) -> dict[Key, Coeff]:
+        """A fresh dict ``{(x_exp, y_exp, param_exps): c}`` of the terms."""
+        unpack = self._ring.unpack
+        return {unpack(k): c for k, c in self._dict().items()}
+
+    def _wrap(self, t) -> "TruncatedSeries":
+        """A series of the same ring whose packed terms are t, taken as they
+        are: every key inside the ring, every coefficient nonzero and
+        canonical.  t is a dict, or the (keys, coefficients) of _kept."""
         out = TruncatedSeries.__new__(TruncatedSeries)
-        out.params, out.cutoff, out.box = self.params, self.cutoff, self.box
-        out.terms = _reduced(terms, self.cutoff, self.box)
+        out._ring, out._t = self._ring, t
         return out
 
+    def _dict(self) -> dict[int, Coeff]:
+        """The packed terms as a dict (built afresh from a _kept series)."""
+        t = self._t
+        return t if type(t) is dict else dict(zip(*t))
+
+    def _kept(self) -> "TruncatedSeries":
+        """The same series stored compactly, for a result that callers keep:
+        its keys in one array of machine integers (a tuple when one does
+        not fit in 64 bits) and its coefficients in one tuple, 16 bytes a
+        term where a dict and its int keys take 60 to 80.  An operation
+        that reads it builds the dict again."""
+        t = self._dict()
+        try:
+            keys = array("q", t)
+        except OverflowError:
+            keys = tuple(t)
+        return self._wrap((keys, tuple(t.values())))
+
+    def _like(self, t: dict[int, Coeff] | None = None) -> "TruncatedSeries":
+        """A series of the same ring with the packed terms t, whose
+        coefficients are ints and Fractions, some maybe 0 or integral."""
+        if not t:
+            return self._wrap({})
+        return self._wrap({k: c if type(c) is int else _int_or_fraction(c)
+                           for k, c in t.items() if c})
+
     def _const(self, c) -> "TruncatedSeries":
-        return self._like({(0, 0, (0,) * len(self.params)): c})
+        return self._wrap(_canonical({self._ring.bias: c}))
 
     # -- constructors
     @classmethod
@@ -82,31 +201,50 @@ class TruncatedSeries:
 
     # -- queries
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._dict()
 
     def param_degree_zero_part(self) -> dict[tuple[int, int], Coeff]:
-        z = (0,) * len(self.params)
-        return {(xe, ye): c for (xe, ye, p), c in self.terms.items() if p == z}
+        r = self._ring
+        return {r.xy(k): c for k, c in self._dict().items() if (k & r.dmask) == r.doff}
 
     def coefficient(self, xe: int, ye: int, pexp: Mapping[str, int]) -> Fraction:
-        return Fraction(self.terms.get((xe, ye, _exponents(self.params, pexp)), 0))
+        p = _exponents(self.params, pexp)
+        if min(p, default=0) < 0 or not -_X_OFF <= xe < _X_OFF:
+            return Fraction(0)
+        return Fraction(self._dict().get(self._ring.pack(xe, ye, p), 0))
 
-    def _compatible(self, other: "TruncatedSeries"):
-        if (self.params != other.params or self.cutoff != other.cutoff
-                or self.box != other.box):
+    def _compatible(self, other: "TruncatedSeries") -> _Ring:
+        r, o = self._ring, other._ring
+        if r is not o and (r.params, r.cutoff, r.box) != (o.params, o.cutoff, o.box):
             raise ValueError("series from different rings")
+        return r
+
+    def _parts(self, u: int, v: int) -> dict[int, "TruncatedSeries"]:
+        """The terms c x^A y^B ... of self grouped by u*A + v*B, one series a group."""
+        xy = self._ring.xy
+        parts: dict[int, dict[int, Coeff]] = {}
+        for k, c in self._dict().items():
+            a, b = xy(k)
+            parts.setdefault(u * a + v * b, {})[k] = c
+        return {n: self._wrap(t) for n, t in parts.items()}
 
     # -- ring operations
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             other = self._const(other)
-        self._compatible(other)
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            t[k] = t.get(k, 0) + c
-        return self._like(t)
+        return self._plus_scaled(((1, other),))
 
     __radd__ = __add__
+
+    def _plus_scaled(self, scaled: Iterable[tuple[int, "TruncatedSeries"]]) -> "TruncatedSeries":
+        """self + sum of n * g over the pairs (n, g) of integers and series."""
+        t = dict(self._dict())
+        get = t.get
+        for n, g in scaled:
+            self._compatible(g)
+            for k, c in g._dict().items():
+                t[k] = get(k, 0) + n * c
+        return self._like(t)
 
     def __neg__(self):
         return self.scale(-1)
@@ -119,42 +257,51 @@ class TruncatedSeries:
     def scale(self, s) -> "TruncatedSeries":
         if type(s) is not int:
             s = qify(s)
-        return self._like({k: c * s for k, c in self.terms.items()})
+        return self._like({k: c * s for k, c in self._dict().items()})
 
     def __mul__(self, other):
+        """The one product kernel.  other's terms are sorted by parameter
+        degree, so a term of self of degree d meets only the first
+        ends[cutoff - d] of them, those of degree <= cutoff - d.  A key past
+        a box bound has a guard bit set and is dropped; a key whose x leaves
+        its field raises ``ValueError``."""
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
-        self._compatible(other)
-        # other's terms by parameter degree: a left term of degree d1 meets
-        # only the buckets of degree <= cutoff - d1
-        buckets: dict[int, list] = {}
-        for (x2, y2, p2), c2 in other.terms.items():
-            buckets.setdefault(sum(p2), []).append((x2, y2, p2, c2))
-        t: dict[Key, Coeff] = {}
-        for (x1, y1, p1), c1 in self.terms.items():
-            room = self.cutoff - sum(p1)
-            for d2, bucket in buckets.items():
-                if d2 > room:
+        r = self._compatible(other)
+        dmask, doff, cutoff = r.dmask, r.doff, r.cutoff
+        by_degree: list[list] = [[] for _ in range(cutoff + 1)]
+        for k2, c2 in other._dict().items():
+            by_degree[(k2 & dmask) - doff].append((k2, c2))
+        right = [kc for kcs in by_degree for kc in kcs]
+        ends = list(accumulate(map(len, by_degree)))
+        bias, guard = r.bias, r.guard
+        t: dict[int, Coeff] = {}
+        get = t.get
+        for k1, c1 in self._dict().items():
+            top = ends[cutoff + doff - (k1 & dmask)]
+            k1 -= bias
+            for k2, c2 in right[:top]:
+                k = k1 + k2
+                if k & guard:
+                    if k & r.xguard:
+                        raise ValueError(f"a product's x exponent leaves {_X_RANGE}")
                     continue
-                for x2, y2, p2, c2 in bucket:
-                    k = (x1 + x2, y1 + y2, tuple(a + b for a, b in zip(p1, p2)))
-                    t[k] = t.get(k, 0) + c1 * c2
+                t[k] = get(k, 0) + c1 * c2
         return self._like(t)
 
     __rmul__ = __mul__
 
     def shift(self, dx: int, dy: int) -> "TruncatedSeries":
         """Multiply by the monomial x**dx * y**dy."""
-        return self._like({(x + dx, y + dy, p): c for (x, y, p), c in self.terms.items()})
+        return self * self._wrap({self._ring.pack(dx, dy, (0,) * len(self.params)): 1})
 
     def inverse(self) -> "TruncatedSeries":
         """Invert a unit of the form c * x^a y^b * (1 + nilpotent)."""
-        z = (0,) * len(self.params)
-        units = [(k, c) for k, c in self.terms.items() if k[2] == z]
+        units = list(self.param_degree_zero_part().items())
         if len(units) != 1:
             raise BadConstantTerm("not a unit: parameter-degree-0 part is not a monomial")
-        (xa, ya, _), c = units[0]
-        lead_inv = self._like({(-xa, -ya, z): ONE / c})
+        (xa, ya), c = units[0]
+        lead_inv = self._like({self._ring.pack(-xa, -ya, (0,) * len(self.params)): ONE / c})
         g = (self * lead_inv) - 1  # nilpotent
         return g._power_sum(1, lambda n: (-1) ** n) * lead_inv
 
@@ -197,9 +344,11 @@ class TruncatedSeries:
 
     # -- identity / display
     def __eq__(self, other):
-        return (isinstance(other, TruncatedSeries) and self.params == other.params
-                and self.cutoff == other.cutoff and self.box == other.box
-                and self.terms == other.terms)
+        if not isinstance(other, TruncatedSeries):
+            return False
+        r, o = self._ring, other._ring
+        return (r is o or (r.params, r.cutoff, r.box) == (o.params, o.cutoff, o.box)) \
+            and self._dict() == other._dict()
 
     def __hash__(self):
         raise TypeError("TruncatedSeries is not hashable")
@@ -208,7 +357,7 @@ class TruncatedSeries:
         return sorted(self.terms.items())
 
     def __repr__(self):
-        if not self.terms:
+        if self.is_zero():
             return "0"
         bits = []
         for (xe, ye, p), c in self.sorted_terms():
@@ -224,20 +373,21 @@ class TruncatedSeries:
         return " + ".join(bits)
 
 
-def _reduced(terms: Mapping[Key, Coeff] | None, cutoff: int,
-             box: tuple[int, ...] | None) -> dict[Key, Coeff]:
-    """The nonzero terms inside the cutoff and the box, each coefficient an
+def _canonical(t: Mapping[int, object]) -> dict[int, Coeff]:
+    """The nonzero terms of t, each coefficient (any exact rational) made an
     ``int`` when integral and else a ``Fraction``."""
-    t: dict[Key, Coeff] = {}
-    if terms:
-        for k, c in terms.items():
-            if type(c) is not int:
-                c = qify(c)
-                if c.denominator == 1:
-                    c = c.numerator
-            if c and sum(k[2]) <= cutoff and (box is None or all(map(le, k[2], box))):
-                t[k] = c
-    return t
+    out: dict[int, Coeff] = {}
+    for k, c in t.items():
+        if type(c) is not int:
+            c = _int_or_fraction(c)
+        if c:
+            out[k] = c
+    return out
+
+
+def _int_or_fraction(c) -> Coeff:
+    c = qify(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _exponents(params: Sequence[str], pexp: Mapping[str, int]) -> tuple[int, ...]:

@@ -25,7 +25,13 @@ and cached: ``Weight.form`` (the field ``_ends`` names its tail and head
 coordinates), ``Arrangement.roots`` (from ``table``), and
 ``SingularPoint.location`` and ``SingularPoint.functionals`` (from the
 walk, scales, numerators and denominator, and the field ``_variables``);
-each constructor lost those parameters.  Not exported:
+each constructor lost those parameters.  Changed in place:
+``TruncatedSeries.terms`` is read from packed integer keys, a fresh
+``{(x, y, param_exps): c}`` dict on every read, so writing to it no
+longer changes the series; a series refuses a negative cutoff and an x
+exponent outside the packed x field (``ValueError``); and ``powers`` of
+``cross_wall`` is a list h, h^2, ... of h = f - 1 (it was a dict n -> f^n),
+from which every f^n is summed with binomial coefficients.  Not exported:
 ``quiver.spanning_tree_count`` takes the enumerator's ``(nodes, edges)``,
 and ``quiver.check_tree_walks`` prices several graphs' trees in all.
 """

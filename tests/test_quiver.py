@@ -2,6 +2,7 @@
 trees, stability coefficients, and abelianization.
 """
 
+import gc
 from fractions import Fraction as Q
 from math import lcm, prod
 
@@ -130,6 +131,19 @@ def test_spanning_trees_bipartite():
     qbar, _ = reduced_quiver(bipartite_quiver(2, 2))
     # K(2,2) underlying graph is the 4-cycle: 4 spanning trees
     assert len(spanning_trees(qbar)) == 4
+
+
+def test_spanning_trees_leave_no_reference_cycle():
+    # the tree enumerator frees its state by reference counting alone: a
+    # recursive closure was a function-cell cycle left for the cyclic GC
+    qbar, _ = reduced_quiver(bipartite_quiver(2, 3))
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(spanning_trees(qbar)) == 12
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_tree_components_sign():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jkscatter.errors import BadConstantTerm
-from jkscatter.series import TruncatedSeries
+from jkscatter.scattering import _nilpotent_powers, _wall_power
+from jkscatter.series import X_BITS, TruncatedSeries
 
 P = ("s", "t")
 
@@ -154,6 +155,16 @@ COEFFICIENTS = st.one_of(st.integers(-4, 4),
                          st.fractions(min_value=-4, max_value=4, max_denominator=6))
 
 
+# the packed x field holds [-X_LIMIT, X_LIMIT); y has no bound.  Small
+# exponents make terms collide and cancel; wide ones (x up to half the
+# field, so that every product of two terms stays inside it) reach the top
+# of the x field and y far past it, negative too
+X_LIMIT = 2 ** (X_BITS - 2)
+SMALL = st.integers(-3, 3)
+EXP_X = SMALL | st.integers(-X_LIMIT // 2, X_LIMIT // 2 - 1)
+EXP_Y = SMALL | st.integers(-10 ** 30, 10 ** 30)
+
+
 @st.composite
 def series_pairs(draw):
     n = draw(st.integers(1, 3))
@@ -161,8 +172,7 @@ def series_pairs(draw):
     params = tuple(f"p{i}" for i in range(n))
     box = draw(st.none() | st.tuples(*[st.integers(0, cutoff)] * n))
     # a raw key may lie past the cutoff or the box; the constructor drops it
-    key = st.tuples(st.integers(-3, 3), st.integers(-3, 3),
-                    st.tuples(*[st.integers(0, cutoff)] * n))
+    key = st.tuples(EXP_X, EXP_Y, st.tuples(*[st.integers(0, cutoff)] * n))
 
     def one():
         return TruncatedSeries(params, cutoff,
@@ -188,6 +198,71 @@ def test_product_and_sum_match_fraction_reference(pair):
     assert total.terms == reference_sum(a, b)
     assert_canonical(prod)
     assert_canonical(total)
+
+
+def test_x_exponent_outside_its_field_is_refused():
+    for x in (X_LIMIT, -X_LIMIT - 1, 10 ** 40):
+        with pytest.raises(ValueError, match="x field"):
+            mono(xe=x)
+    top, bottom = mono(xe=X_LIMIT - 1), mono(xe=-X_LIMIT)
+    assert top.terms == {(X_LIMIT - 1, 0, (0, 0)): 1}
+    # a product whose x leaves the field raises: it never wraps into y
+    with pytest.raises(ValueError, match="x field"):
+        top * mono(xe=1)
+    with pytest.raises(ValueError, match="x field"):
+        bottom * mono(xe=-1, pexp={"s": 1})
+    with pytest.raises(ValueError, match="x field"):
+        bottom.shift(-1, 0)
+    assert (top * bottom).terms == {(-1, 0, (0, 0)): 1}
+    assert top.coefficient(X_LIMIT, 0, {}) == 0
+
+
+def test_y_exponent_has_no_bound():
+    big = 10 ** 40
+    f = mono(ye=big, pexp={"t": 1}) * mono(ye=big, xe=-2)
+    assert f.terms == {(-2, 2 * big, (0, 1)): 1}
+    assert (f * mono(ye=-2 * big)).terms == {(-2, 0, (0, 1)): 1}
+    assert f.coefficient(-2, 2 * big, {"t": 1}) == 1
+
+
+def test_terms_is_a_fresh_tuple_keyed_dict():
+    f = 1 + mono(xe=-1, ye=2, pexp={"s": 1, "t": 2}, coeff=Q(3, 2))
+    t = f.terms
+    assert t == {(0, 0, (0, 0)): 1, (-1, 2, (1, 2)): Q(3, 2)}
+    assert t is not f.terms
+    t.clear()
+    t[(5, 5, (1, 1))] = 7
+    assert f.terms == {(0, 0, (0, 0)): 1, (-1, 2, (1, 2)): Q(3, 2)}
+
+
+def test_kept_series_reads_as_the_original():
+    # scatter's walls store their keys in an array of machine integers, or
+    # in a tuple when a key does not fit in 64 bits
+    for f in (1 + mono(xe=1, pexp={"s": 1}, coeff=Q(2, 3)),
+              1 + mono(ye=10 ** 30, pexp={"s": 1})):
+        kept = f._kept()
+        assert kept == f and f == kept and kept.terms == f.terms
+        assert repr(kept) == repr(f) and kept.coefficient(0, 0, {}) == 1
+        assert kept * kept == f * f and kept + f == f.scale(2)
+        assert not kept.is_zero() and TruncatedSeries(P, 4)._kept().is_zero()
+
+
+@pytest.mark.parametrize("box", [None, (2, 1)])
+def test_wall_powers_from_the_binomial_list(box):
+    # f = 1 + h with h nilpotent: f^n = sum_k C(n, k) h^k for every integer n
+    f = TruncatedSeries(P, 4, {(0, 0, (0, 0)): 1, (1, 0, (1, 0)): 2,
+                               (2, 1, (1, 1)): Q(-1, 3), (-1, 1, (0, 2)): 1}, box)
+    powers = _nilpotent_powers(f)
+    assert powers[0] == f - 1 and (powers[-1] * powers[0]).is_zero()
+    for n in range(-7, 8):
+        fn = _wall_power(powers, n, f)
+        assert fn == f.power(n), n
+        assert fn == f.inverse().power(-n), n
+
+
+def test_wall_powers_need_a_function_one_mod_parameters():
+    with pytest.raises(BadConstantTerm):
+        _nilpotent_powers(1 + mono(xe=1))
 
 
 # -- parameter exponents are >= 0, and a box is a quotient of the ring
