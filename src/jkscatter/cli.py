@@ -24,8 +24,8 @@ from .quiver import (DimVector, Quiver, Stability, _edges, bipartite_quiver,
                      check_tree_walk, spanning_trees, support_quiver,
                      tree_components, validate_quiver)
 from .quiverjk import (jk_ab, jk_ab_infinity, jk_global_ZQ, jk_tree_expansion)
-from .scattering import (_cd_diagram, _check_sizes, extract_cd, init_bipartite,
-                         scatter, verify_main_theorem)
+from .scattering import (_cd_diagram, _check_sizes, check_scatter_work, extract_cd,
+                         init_bipartite, scatter, verify_main_theorem)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -277,6 +277,7 @@ def _cmd_jk_ab(args, out) -> int:
 
 def _cmd_scatter(args, out) -> int:
     ray_filter = _ray(args.ray)  # reject a bad direction before paying for the diagram
+    check_scatter_work(args.l1, args.l2, args.order)
     diagram = scatter(init_bipartite(args.l1, args.l2, args.order))
     walls = []
     for w in diagram.walls:

@@ -69,10 +69,12 @@ class TooManyTerms(OverBound):
 
 
 class TooMuchWork(OverBound):
-    """Counting stable trees would take more steps than the fixed bound."""
+    """Counting stable trees, or another priced computation named by
+    ``need``, would take more steps than the fixed bound."""
 
-    def __init__(self, estimate, bound):
-        super().__init__(estimate, bound, f"counting stable trees needs about {estimate} steps")
+    def __init__(self, estimate, bound, need=None):
+        super().__init__(estimate, bound,
+                         need or f"counting stable trees needs about {estimate} steps")
 
 
 class TooManyTrees(OverBound):

@@ -16,7 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
 
-from .errors import BadConstantTerm, BadCutoff, CutoffTooSmall, ValidationError
+from .errors import (BadConstantTerm, BadCutoff, CutoffTooSmall, TooMuchWork,
+                     ValidationError)
 from .exact import Q, ZERO
 from .quiver import DimVector, Stability, bipartite_quiver, moduli_dimension
 from .quiverjk import jk_ab_infinity
@@ -75,19 +76,53 @@ def _check_sizes(l1: int, l2: int, cutoff: int) -> None:
         raise BadCutoff(f"need l1, l2, cutoff >= 1, got ({l1}, {l2}, {cutoff})")
 
 
+# the price of a full scatter: C(N + P, P) * (N + P) for P = l1 + l2
+# parameters at order N.  Measured through cli.main in-process (nproc 2,
+# Python 3.11.7), a unit costs 1 us on K(500,1) and up to 20 us with ten
+# parameters a side: K(2,2) order 20 (2.6e5) 0.8 s, K(10,10) order 4
+# (2.6e5) 4.8 s, K(6,6) order 6 (3.3e5) 7.0 s, K(4,4) order 10 (7.9e5)
+# 11.3 s, K(1,1) order 120 (9.0e5) 4.8 s
+MAX_SCATTER_WORK = 3 * 10 ** 5
+
+
+def check_scatter_work(l1: int, l2: int, cutoff: int) -> None:
+    """Refuse a full diagram of K(l1, l2) at ``cutoff`` priced over
+    MAX_SCATTER_WORK, before any series is built.
+
+    The price is C(N + P, P) parameter monomials of degree <= N times
+    N + P.  C(N + P, P) is built one factor at a time and stops once over
+    the bound, so an absurd request is priced in a few steps and reported
+    with that lower bound.
+    """
+    _check_sizes(l1, l2, cutoff)
+    n = cutoff + l1 + l2
+    m = min(cutoff, l1 + l2)
+    work = n  # C(n - m, 0) * n
+    for i in range(1, m + 1):
+        work = work * (n - m + i) // i  # C(n - m + i, i) * n, exact
+        if work > MAX_SCATTER_WORK:
+            raise TooMuchWork(work, MAX_SCATTER_WORK,
+                              f"a full scattering diagram of K({l1}, {l2}) at order "
+                              f"{cutoff} needs at least {work} steps (C(N + P, P) "
+                              f"monomials times N + P, P = l1 + l2)")
+
+
 def cross_wall(w: Wall, g: TruncatedSeries, orientation: int = 1,
                powers: list[TruncatedSeries] | None = None) -> TruncatedSeries:
     """Apply x -> x f^{±<m,(1,0)>}, y -> y f^{±<m,(0,1)>} to g.
 
     The substitution sends a term c * p * x^A y^B to the same term times f^n,
-    with n = ±<m,(A,B)>.  The terms of g are grouped by that pairing value,
-    so each distinct n costs one product f^n * part.  A wall function is
-    f = 1 + h with h nilpotent (0 mod parameters), so for every integer n,
-    negative too, f^n = sum_k C(n, k) h^k, where h^k = 0 past the cutoff
-    (Gross-Pandharipande-Siebert, "The tropical vertex").  ``powers`` is the
+    with n = ±<m,(A,B)>.  A wall function is f = 1 + h with h nilpotent (0
+    mod parameters), so for every integer n, negative too, f^n = sum_k
+    C(n, k) h^k, where h^k = 0 past the cutoff (Gross-Pandharipande-Siebert,
+    "The tropical vertex").  Regrouped by k, the image is g + sum_{k >= 1}
+    h^k * P_k, with P_k = sum_n C(n, k) * (the terms of g with pairing n),
+    built in one pass over g: a term of parameter degree d feeds only the
+    P_k with k <= cutoff - d, and one with n = 0 none.  The products and the
+    sum are one multiply-accumulate, and no f^n is built.  ``powers`` is the
     list h, h^2, ... up to the last nonzero power, filled here when empty;
     crossings of the same wall function may share it, so that each power of
-    h is raised once and every f^n is a sum of integer multiples of them.
+    h is raised once.
     """
     if orientation not in (1, -1):
         raise ValidationError("orientation", "must be +1 or -1")
@@ -95,11 +130,19 @@ def cross_wall(w: Wall, g: TruncatedSeries, orientation: int = 1,
         powers = []
     if not powers:
         powers.extend(_nilpotent_powers(w.function))
-    a, b = w.direction
-    # n = orientation * <(a, b), (A, B)> = orientation * (a B - b A)
-    parts = g._parts(-orientation * b, orientation * a)
-    return g._like()._plus_scaled(
-        (1, part * _wall_power(powers, n, part) if n else part) for n, part in parts.items())
+    (a, b), r = w.direction, g._ring
+    xy, dmask, top = r.xy, r.dmask, r.cutoff + r.doff
+    parts: list[dict[int, Coeff]] = [{} for _ in powers]
+    for key, c in g._dict().items():
+        xe, ye = xy(key)
+        n = orientation * (a * ye - b * xe)  # orientation * <(a, b), (xe, ye)>
+        binom = 1
+        for k, pk in enumerate(parts[:top - (key & dmask)]):
+            binom = binom * (n - k) // (k + 1)  # C(n, k + 1), exact
+            if not binom:                       # n >= 0 and k >= n
+                break
+            pk[key] = binom * c
+    return g._plus_products((hk, g._like(pk)) for hk, pk in zip(powers, parts) if pk)
 
 
 def _nilpotent_powers(f: TruncatedSeries) -> list[TruncatedSeries]:
@@ -113,17 +156,6 @@ def _nilpotent_powers(f: TruncatedSeries) -> list[TruncatedSeries]:
         out.append(h)
         h = h * out[0]
     return out
-
-
-def _wall_power(powers: list[TruncatedSeries], n: int, like: TruncatedSeries) -> TruncatedSeries:
-    """f^n = 1 + sum_{k >= 1} C(n, k) h^k, for powers = [h, h^2, ...]."""
-    scaled, c = [], 1
-    for k, hk in enumerate(powers, 1):
-        c = c * (n - k + 1) // k  # exact: k divides c * (n - k + 1) = k C(n, k)
-        if not c:                 # n >= 0 and k > n
-            break
-        scaled.append((c, hk))
-    return like._const(1)._plus_scaled(scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +272,10 @@ def scatter(d0: ScatteringDiagram) -> ScatteringDiagram:
 
 
 def _truncated(d: ScatteringDiagram, k: int) -> ScatteringDiagram:
-    """The diagram with every wall function truncated at parameter degree k."""
+    """The diagram with every wall function truncated at parameter degree k;
+    d itself at its own cutoff, since ``loop_product`` only reads the walls."""
+    if k == d.cutoff:
+        return d
     return ScatteringDiagram(
         [Wall(w.direction, w.support, TruncatedSeries(d.params, k, w.function.terms, d.box))
          for w in d.walls], k, d.params, d.box)

@@ -37,6 +37,11 @@ box or the cutoff.  ``terms`` unpacks the keys into a fresh dict
 ``{(x, y, param_exps): c}``.  The wall functions that ``scatter`` returns
 keep their keys in an array of machine integers instead of a dict
 (``_kept``), since a caller may hold many diagrams.
+
+There is one product loop, ``_plus_products``: self + sum of a * b over a
+list of pairs, accumulated into one dict.  ``__mul__`` passes it one pair;
+``scattering.cross_wall`` passes it every h^k * P_k of a wall crossing,
+regrouped by the power k of h = f - 1, so that no power f^n is built.
 """
 
 from __future__ import annotations
@@ -178,11 +183,9 @@ class TruncatedSeries:
             keys = tuple(t)
         return self._wrap((keys, tuple(t.values())))
 
-    def _like(self, t: dict[int, Coeff] | None = None) -> "TruncatedSeries":
+    def _like(self, t: dict[int, Coeff]) -> "TruncatedSeries":
         """A series of the same ring with the packed terms t, whose
         coefficients are ints and Fractions, some maybe 0 or integral."""
-        if not t:
-            return self._wrap({})
         return self._wrap({k: c if type(c) is int else _int_or_fraction(c)
                            for k, c in t.items() if c})
 
@@ -213,38 +216,23 @@ class TruncatedSeries:
             return Fraction(0)
         return Fraction(self._dict().get(self._ring.pack(xe, ye, p), 0))
 
-    def _compatible(self, other: "TruncatedSeries") -> _Ring:
+    def _compatible(self, other: "TruncatedSeries") -> None:
         r, o = self._ring, other._ring
         if r is not o and (r.params, r.cutoff, r.box) != (o.params, o.cutoff, o.box):
             raise ValueError("series from different rings")
-        return r
-
-    def _parts(self, u: int, v: int) -> dict[int, "TruncatedSeries"]:
-        """The terms c x^A y^B ... of self grouped by u*A + v*B, one series a group."""
-        xy = self._ring.xy
-        parts: dict[int, dict[int, Coeff]] = {}
-        for k, c in self._dict().items():
-            a, b = xy(k)
-            parts.setdefault(u * a + v * b, {})[k] = c
-        return {n: self._wrap(t) for n, t in parts.items()}
 
     # -- ring operations
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             other = self._const(other)
-        return self._plus_scaled(((1, other),))
-
-    __radd__ = __add__
-
-    def _plus_scaled(self, scaled: Iterable[tuple[int, "TruncatedSeries"]]) -> "TruncatedSeries":
-        """self + sum of n * g over the pairs (n, g) of integers and series."""
+        self._compatible(other)
         t = dict(self._dict())
         get = t.get
-        for n, g in scaled:
-            self._compatible(g)
-            for k, c in g._dict().items():
-                t[k] = get(k, 0) + n * c
+        for k, c in other._dict().items():
+            t[k] = get(k, 0) + c
         return self._like(t)
+
+    __radd__ = __add__
 
     def __neg__(self):
         return self.scale(-1)
@@ -260,33 +248,40 @@ class TruncatedSeries:
         return self._like({k: c * s for k, c in self._dict().items()})
 
     def __mul__(self, other):
-        """The one product kernel.  other's terms are sorted by parameter
-        degree, so a term of self of degree d meets only the first
+        if not isinstance(other, TruncatedSeries):
+            return self.scale(other)
+        return self._wrap({})._plus_products(((self, other),))
+
+    def _plus_products(self, pairs: Iterable[tuple]) -> "TruncatedSeries":
+        """self + sum of a * b over the pairs (a, b) of series, accumulated
+        into one dict: the one product kernel.  b's terms are sorted by
+        parameter degree, so a term of a of degree d meets only the first
         ends[cutoff - d] of them, those of degree <= cutoff - d.  A key past
         a box bound has a guard bit set and is dropped; a key whose x leaves
         its field raises ``ValueError``."""
-        if not isinstance(other, TruncatedSeries):
-            return self.scale(other)
-        r = self._compatible(other)
+        r = self._ring
         dmask, doff, cutoff = r.dmask, r.doff, r.cutoff
-        by_degree: list[list] = [[] for _ in range(cutoff + 1)]
-        for k2, c2 in other._dict().items():
-            by_degree[(k2 & dmask) - doff].append((k2, c2))
-        right = [kc for kcs in by_degree for kc in kcs]
-        ends = list(accumulate(map(len, by_degree)))
         bias, guard = r.bias, r.guard
-        t: dict[int, Coeff] = {}
+        t = dict(self._dict())
         get = t.get
-        for k1, c1 in self._dict().items():
-            top = ends[cutoff + doff - (k1 & dmask)]
-            k1 -= bias
-            for k2, c2 in right[:top]:
-                k = k1 + k2
-                if k & guard:
-                    if k & r.xguard:
-                        raise ValueError(f"a product's x exponent leaves {_X_RANGE}")
-                    continue
-                t[k] = get(k, 0) + c1 * c2
+        for a, b in pairs:
+            self._compatible(a)
+            self._compatible(b)
+            by_degree: list[list] = [[] for _ in range(cutoff + 1)]
+            for k2, c2 in b._dict().items():
+                by_degree[(k2 & dmask) - doff].append((k2, c2))
+            right = [kc for kcs in by_degree for kc in kcs]
+            ends = list(accumulate(map(len, by_degree)))
+            for k1, c1 in a._dict().items():
+                top = ends[cutoff + doff - (k1 & dmask)]
+                k1 -= bias
+                for k2, c2 in right[:top]:
+                    k = k1 + k2
+                    if k & guard:
+                        if k & r.xguard:
+                            raise ValueError(f"a product's x exponent leaves {_X_RANGE}")
+                        continue
+                    t[k] = get(k, 0) + c1 * c2
         return self._like(t)
 
     __rmul__ = __mul__

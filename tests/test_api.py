@@ -31,7 +31,10 @@ each constructor lost those parameters.  Changed in place:
 longer changes the series; a series refuses a negative cutoff and an x
 exponent outside the packed x field (``ValueError``); and ``powers`` of
 ``cross_wall`` is a list h, h^2, ... of h = f - 1 (it was a dict n -> f^n),
-from which every f^n is summed with binomial coefficients.  Not exported:
+from which ``cross_wall`` sums g + sum_k h^k P_k with binomial
+coefficients; ``errors.TooMuchWork`` takes an optional ``need`` text that
+names the priced computation (CLI ``scatter`` refuses past
+``scattering.MAX_SCATTER_WORK`` with it).  Not exported:
 ``quiver.spanning_tree_count`` takes the enumerator's ``(nodes, edges)``,
 and ``quiver.check_tree_walks`` prices several graphs' trees in all.
 """
@@ -89,6 +92,7 @@ SIGNATURES = {
     "init_bipartite": [("l1", "-"), ("l2", "-"), ("cutoff", "-"), ("box", None)],
     "cross_wall": [("w", "-"), ("g", "-"), ("orientation", 1), ("powers", None)],
     "errors.TooManyTrees": [("estimate", "-"), ("bound", "-")],
+    "errors.TooMuchWork": [("estimate", "-"), ("bound", "-"), ("need", None)],
     "quiver.spanning_tree_count": [("nodes", "-"), ("edges", "-")],
 }
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jkscatter import arrangement, cli, quiver, quiverjk
+from jkscatter import arrangement, cli, quiver, quiverjk, scattering
 from jkscatter.errors import NonRegularStability, ParseError, UnknownVertex, ValidationError
 
 
@@ -488,6 +488,34 @@ class TestExitCodes:
         assert (code, rep["error"], rep["message"]) == (
             2, "TooMuchWork",
             "counting stable trees needs about 688747536 steps, over the bound 200000000")
+
+    @pytest.mark.parametrize("l1, l2, order, estimate", [
+        # C(5000002, 2) * 5000002 is over the bound at its first factor;
+        # C(200002, 1) * 200002 is exact.  Each ran until killed, unpriced
+        ("1", "1", "5000000", 5000002 * 5000001),
+        ("200000", "1", "1", 200002 * 200002),
+    ], ids=["order-5000000", "l1-200000"])
+    def test_scatter_over_its_work_bound_is_2(self, monkeypatch, l1, l2, order, estimate):
+        def no_scatter(*_args):
+            raise AssertionError("a diagram was built")
+        monkeypatch.setattr(cli, "init_bipartite", no_scatter)
+        monkeypatch.setattr(cli, "scatter", no_scatter)
+        code, rep = run_json(["scatter", "--l1", l1, "--l2", l2, "--order", order])
+        assert (code, rep["error"]) == (2, "TooMuchWork")
+        assert rep["message"] == (
+            f"a full scattering diagram of K({l1}, {l2}) at order {order} needs at least "
+            f"{estimate} steps (C(N + P, P) monomials times N + P, P = l1 + l2), "
+            "over the bound 300000")
+
+    def test_scatter_work_bound_is_exact(self, monkeypatch):
+        # K(1,1) at order 3: C(5, 2) * 5 = 50
+        argv = ["scatter", "--l1", "1", "--l2", "1", "--order", "3"]
+        monkeypatch.setattr(scattering, "MAX_SCATTER_WORK", 50)
+        assert run_json(argv)[0] == 0
+        monkeypatch.setattr(scattering, "MAX_SCATTER_WORK", 49)
+        code, rep = run_json(argv)
+        assert (code, rep["error"]) == (2, "TooMuchWork")
+        assert "needs at least 50 steps" in rep["message"]
 
     def test_nonregular_over_cutoff_is_2(self):
         code, rep = run_json(["verify-main", "--l1", "2", "--l2", "2",

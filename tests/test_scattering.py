@@ -4,6 +4,7 @@ consistent completion, and coefficient extraction.
 
 import functools
 from fractions import Fraction as Q
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from jkscatter import scattering
 from jkscatter.errors import (BadCutoff, CutoffTooSmall, NonRegularStability,
-                              ValidationError)
+                              TooMuchWork, ValidationError)
 from jkscatter.quiver import DimVector, Stability, bipartite_quiver
 from jkscatter.scattering import (ScatteringDiagram, Wall, cross_wall,
                                   extract_cd, init_bipartite, loop_product,
@@ -116,6 +117,22 @@ def naive_cross(w, g, eps):
 @given(walls(), series, st.sampled_from([1, -1]))
 def test_cross_wall_matches_per_term_substitution(w, g, eps):
     assert cross_wall(w, g, eps) == naive_cross(w, g, eps)
+
+
+def test_scatter_price_is_the_monomial_count_times_its_size(monkeypatch):
+    # C(N + P, P) * (N + P), refused exactly when over the bound; the CI
+    # probe's K(2,2) at order 14 (55,080) stays well under it
+    scattering.check_scatter_work(2, 2, 14)
+    for l1, l2, n in ((1, 1, 1), (1, 1, 30), (2, 1, 7), (3, 3, 4), (9, 1, 2), (4, 5, 1)):
+        price = comb(n + l1 + l2, n) * (n + l1 + l2)
+        monkeypatch.setattr(scattering, "MAX_SCATTER_WORK", price)
+        scattering.check_scatter_work(l1, l2, n)
+        monkeypatch.setattr(scattering, "MAX_SCATTER_WORK", price - 1)
+        with pytest.raises(TooMuchWork) as ei:
+            scattering.check_scatter_work(l1, l2, n)
+        assert (ei.value.estimate, ei.value.bound) == (price, price - 1)
+    with pytest.raises(BadCutoff):
+        scattering.check_scatter_work(1, 1, 0)
 
 
 def cmp_sort_events(events):

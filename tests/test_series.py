@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jkscatter.errors import BadConstantTerm
-from jkscatter.scattering import _nilpotent_powers, _wall_power
+from jkscatter.scattering import Wall, _nilpotent_powers, cross_wall
 from jkscatter.series import X_BITS, TruncatedSeries
 
 P = ("s", "t")
@@ -166,7 +166,8 @@ EXP_Y = SMALL | st.integers(-10 ** 30, 10 ** 30)
 
 
 @st.composite
-def series_pairs(draw):
+def ring_series(draw, count=2):
+    """count random series of one random ring."""
     n = draw(st.integers(1, 3))
     cutoff = draw(st.integers(1, 5))
     params = tuple(f"p{i}" for i in range(n))
@@ -177,7 +178,7 @@ def series_pairs(draw):
     def one():
         return TruncatedSeries(params, cutoff,
                                draw(st.dictionaries(key, COEFFICIENTS, max_size=8)), box)
-    return one(), one()
+    return tuple(one() for _ in range(count))
 
 
 def assert_canonical(f):
@@ -188,7 +189,7 @@ def assert_canonical(f):
 
 
 @settings(max_examples=150, deadline=None)
-@given(series_pairs())
+@given(ring_series())
 def test_product_and_sum_match_fraction_reference(pair):
     a, b = pair
     assert all(in_box(p, a.box) for _x, _y, p in a.terms)
@@ -198,6 +199,47 @@ def test_product_and_sum_match_fraction_reference(pair):
     assert total.terms == reference_sum(a, b)
     assert_canonical(prod)
     assert_canonical(total)
+
+
+# -- the multiply-accumulate kernel: self + sum of a * b into one dict
+
+@settings(max_examples=100, deadline=None)
+@given(ring_series(count=7), st.integers(0, 3))
+def test_multiply_accumulate_is_one_product_at_a_time(fs, npairs):
+    acc, *rest = fs
+    pairs = list(zip(rest[0::2], rest[1::2]))[:npairs]
+    want = acc
+    for a, b in pairs:
+        want = want + a * b
+    got = acc._plus_products(pairs)
+    assert got == want
+    assert_canonical(got)
+
+
+def test_multiply_accumulate_drops_keys_past_the_box():
+    s, t = (TruncatedSeries.monomial(P, 4, pexp={v: 1}, box=(1, 2)) for v in "st")
+    one = TruncatedSeries.const(P, 4, 1, box=(1, 2))
+    got = one._plus_products([(s, s), (s, t), (t, t), (t.scale(2), t), (t, t * t)])
+    assert got.sorted_terms() == [((0, 0, (0, 0)), 1), ((0, 0, (0, 2)), 3),
+                                  ((0, 0, (1, 1)), 1)]
+
+
+def test_multiply_accumulate_refuses_an_x_leaving_its_field():
+    top = mono(xe=X_LIMIT - 1)
+    with pytest.raises(ValueError, match="x field"):
+        mono()._plus_products([(mono(), mono()), (top, mono(xe=1, pexp={"s": 1}))])
+
+
+def test_multiply_accumulate_refuses_series_from_another_ring():
+    a = mono(xe=1)
+    for other in (TruncatedSeries.monomial(P, 3, xe=1),
+                  TruncatedSeries.monomial(P, 4, xe=1, box=(1, 1)),
+                  TruncatedSeries.monomial(("s",), 4, xe=1)):
+        for pair in ((a, other), (other, a)):
+            with pytest.raises(ValueError, match="series from different rings"):
+                a._plus_products([(a, a), pair])
+        with pytest.raises(ValueError, match="series from different rings"):
+            other._plus_products([(a, a)])
 
 
 def test_x_exponent_outside_its_field_is_refused():
@@ -247,17 +289,55 @@ def test_kept_series_reads_as_the_original():
         assert not kept.is_zero() and TruncatedSeries(P, 4)._kept().is_zero()
 
 
+# cross_wall against its definition: x -> x f^(-eps b), y -> y f^(eps a) sends
+# a term of g to itself times f^n, n = eps <(a, b), (x, y)>; the pairings of
+# these directions with exponents in -2..2 lie in -6..6
+DIRECTIONS = [(1, 0), (0, 1), (-1, 0), (1, 1), (2, 1), (1, -2), (-1, 1)]
+SMALL_COEFFICIENTS = st.one_of(st.integers(-3, 3).filter(bool),
+                               st.fractions(min_value=-2, max_value=2, max_denominator=3))
+
+
+@st.composite
+def wall_and_series(draw, box):
+    a, b = draw(st.sampled_from(DIRECTIONS))
+    # h = f - 1 along multiples of the direction, each term of degree >= 1
+    h = draw(st.dictionaries(st.tuples(st.integers(1, 2),
+                                       st.tuples(st.integers(0, 2), st.integers(0, 2))
+                                       .filter(lambda p: 1 <= sum(p))),
+                             SMALL_COEFFICIENTS, max_size=4))
+    f = TruncatedSeries(P, 4, {(0, 0, (0, 0)): 1,
+                               **{(j * a, j * b, p): c for (j, p), c in h.items()}}, box)
+    raw = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                                    st.tuples(st.integers(0, 4), st.integers(0, 4))),
+                          SMALL_COEFFICIENTS, max_size=6)
+    return (Wall((a, b), "ray", f), TruncatedSeries(P, 4, draw(raw), box),
+            TruncatedSeries(P, 4, draw(raw), box))
+
+
+def cross_by_definition(w, g, eps):
+    a, b = w.direction
+    out = TruncatedSeries(P, 4, box=g.box)
+    for (xe, ye, p), c in g.terms.items():
+        n = eps * (a * ye - b * xe)
+        assert -7 <= n <= 7
+        out = out + TruncatedSeries(P, 4, {(xe, ye, p): c}, g.box) * w.function.power(n)
+    return out
+
+
 @pytest.mark.parametrize("box", [None, (2, 1)])
-def test_wall_powers_from_the_binomial_list(box):
-    # f = 1 + h with h nilpotent: f^n = sum_k C(n, k) h^k for every integer n
-    f = TruncatedSeries(P, 4, {(0, 0, (0, 0)): 1, (1, 0, (1, 0)): 2,
-                               (2, 1, (1, 1)): Q(-1, 3), (-1, 1, (0, 2)): 1}, box)
-    powers = _nilpotent_powers(f)
-    assert powers[0] == f - 1 and (powers[-1] * powers[0]).is_zero()
-    for n in range(-7, 8):
-        fn = _wall_power(powers, n, f)
-        assert fn == f.power(n), n
-        assert fn == f.inverse().power(-n), n
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), eps=st.sampled_from([1, -1]))
+def test_cross_wall_is_the_substitution(box, data, eps):
+    w, g1, g2 = data.draw(wall_and_series(box))
+    powers = []
+    assert cross_wall(w, g1, eps, powers) == cross_by_definition(w, g1, eps)
+    assert powers == _nilpotent_powers(w.function)
+    # a second crossing reads the same list, as loop_product's x and y do
+    first = list(powers)
+    assert cross_wall(w, g2, eps, powers) == cross_by_definition(w, g2, eps)
+    assert len(powers) == len(first) and all(p is q for p, q in zip(powers, first))
+    if powers:
+        assert powers[0] == w.function - 1 and (powers[-1] * powers[0]).is_zero()
 
 
 def test_wall_powers_need_a_function_one_mod_parameters():
