@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
-from operator import mul
+from operator import lshift, mul
 from typing import Mapping, Sequence
 
 from .errors import (DuplicateVertex, HasLoop, HasOrientedCycle, NonRegularStability,
@@ -294,17 +295,22 @@ def stable_trees(qbar: Quiver, theta: Stability) -> list[SpanningTree]:
 # types of c_t vertices each it visits at most T * prod_t C(c_t + 2, 2)
 # (state, branch) pairs.  Listing a spanning tree and cutting it costs
 # about SCAN_STEPS_PER_TREE * V steps.  Measured on CPython 3.11 (x86_64),
-# a scanned tree takes 3.5-5.3 us per vertex on quivers of 4 to 9 vertices.
-# A DP step takes 50-170 ns on twin-free complete bipartite quivers of 13
-# down to 8 vertices, and 170-370 ns over the many small terms of
-# jk_ab_infinity on K(1,1), K(2,2) and K(3,3): each of the T * prod_t
-# (c_t + 1) (state, type) pairs costs about 40 steps more.
+# a scanned tree takes 3.5-5.3 us per vertex on quivers of 4 to 9 vertices,
+# and a DP step 60-160 ns on twin-free complete bipartite quivers of 13
+# down to 8 vertices.  jk_ab_infinity prices each term so, but counts all
+# the terms that take the DP in one DP over the type vectors under them,
+# which visits a tenth to a fifteenth of the pairs priced (K(1,1) d=(9;8):
+# 540,742 against 5,513,657; d=(12;11): 1.3e7 against 1.95e8), at 40-55 ns
+# a priced step on K(1,1) d=(11;10) and (12;11).
 SCAN_STEPS_PER_TREE = 100
-# weist_count and jk_ab_infinity refuse more steps than this: 10-35 s at
-# those rates (K(1,1) d=(12;11), 1.95e8 steps over 4,312 terms, took 29-33
-# s).  A twin-free quiver under it has at most 14 vertices (K(7,6): 13
-# vertices, 2.1e7 steps, 1.4 s).  The DP's two tables have T * prod_t
-# (c_t + 1) entries each, fewer than its steps
+# weist_count and jk_ab_infinity refuse more steps than this: about 12 s
+# on a twin-free quiver and 9 s over the many terms of a jk_ab_infinity
+# request at those rates (K(1,1) d=(12;11), 1.95e8 steps over 4,312 terms,
+# took 8.6 s and 55 MB; 25-33 s with a DP per term).  A twin-free quiver
+# under it has at most 14 vertices (K(7,6): 13 vertices, 2.1e7 steps, 1.3
+# s).  The DP's two tables have a row per type over the type vectors under
+# some term (T * prod_t (c_t + 1) entries for one quiver), fewer than its
+# steps
 MAX_WEIST_STEPS = 200_000_000
 
 
@@ -391,36 +397,47 @@ def twin_classes(qbar: Quiver, mult: Mapping[int, int],
     return tuple([tuple(c) for c in classes.values()])
 
 
+def _route(counts: Sequence[int], tree_count) -> tuple[int, bool]:
+    """weist_count's steps on a quiver of counts[t] > 0 vertices of type t,
+    and whether the tree scan is its cheaper route: the type DP takes T *
+    prod_t C(c_t + 2, 2) steps (V * 3^V when no two vertices are twins), a
+    scan SCAN_STEPS_PER_TREE * V steps a tree.  A scan costs at least
+    SCAN_STEPS_PER_TREE * V steps, so tree_count(), the Kirchhoff count, is
+    called only when the DP costs more than that."""
+    dp = len(counts) * prod(comb(c + 2, 2) for c in counts)
+    least_scan = SCAN_STEPS_PER_TREE * sum(counts)
+    if dp <= least_scan:
+        return dp, False
+    scan = least_scan * tree_count()
+    return min(scan, dp), scan <= dp
+
+
 def weist_plan(q: Quiver, theta: Stability) -> WeistPlan:
-    """weist_count's route on q at theta: the type DP, priced by its steps
-    (V * 3^V when no two vertices are twins), or the tree scan where that
-    is cheaper, as on a sparse twin-free quiver with many vertices.  A scan
-    costs at least SCAN_STEPS_PER_TREE * V steps, so the Kirchhoff count is
-    made only when the DP costs more than that."""
+    """weist_count's route on q at theta (_route): the type DP, or the tree
+    scan where that is cheaper, as on a sparse twin-free quiver with many
+    vertices."""
     qbar, mult = reduced_quiver(q)
     types = twin_classes(qbar, mult, theta)
-    dp = len(types) * prod(comb(len(c) + 2, 2) for c in types)
-    least_scan = SCAN_STEPS_PER_TREE * len(qbar.vertices)
-    if dp <= least_scan:
-        return WeistPlan(qbar, mult, types, dp, False)
-    scan = least_scan * spanning_tree_count(len(qbar.vertices), _edges(qbar))
-    return WeistPlan(qbar, mult, types, min(scan, dp), scan <= dp)
+    steps, scan = _route([len(c) for c in types],
+                         lambda: spanning_tree_count(len(qbar.vertices), _edges(qbar)))
+    return WeistPlan(qbar, mult, types, steps, scan)
 
 
-def weist_count(q: Quiver, theta: Stability, plan: WeistPlan | None = None) -> Fraction:
+def weist_count(q: Quiver, theta: Stability) -> Fraction:
     """Sum over theta-stable spanning trees of the product of arrow
-    multiplicities (Weist's count of tree modules), along plan, which is
-    weist_plan(q, theta) unless the caller has made it already.
-    TooMuchWork is raised if the plan takes more than MAX_WEIST_STEPS.
+    multiplicities (Weist's count of tree modules), along weist_plan(q,
+    theta).  TooMuchWork is raised if the plan takes more than
+    MAX_WEIST_STEPS.
 
-    The scan lists stable_trees.  The DP: a tree is stable iff every arrow
-    leaves theta > 0 on the side of its tail when cut.  Rooted at r, a child
-    u with subtree U hangs from r by an arrow r -> u if theta(U) < 0 and
-    u -> r if theta(U) > 0.  Vertices of one type (twin_classes) are
-    interchangeable, so a count depends on a vertex set only through its
-    type vector s.  The count F(s, rho) of stable trees on s rooted at one
-    vertex of type rho sums, over the type vector u of the branch that holds
-    one fixed vertex of the lowest type t0 left in r = s - e_rho,
+    The scan lists stable_trees.  The DP (_type_dp, whose counting kernel
+    is _type_counts): a tree is stable iff every arrow leaves theta > 0 on
+    the side of its tail when cut.  Rooted at r, a child u with subtree U
+    hangs from r by an arrow r -> u if theta(U) < 0 and u -> r if theta(U)
+    > 0.  Vertices of one type (twin_classes) are interchangeable, so a
+    count depends on a vertex set only through its type vector s.  The
+    count F(s, rho) of stable trees on s rooted at one vertex of type rho
+    sums, over the type vector u of the branch that holds one fixed vertex
+    of the lowest type t0 left in r = s - e_rho,
 
         C(r_t0 - 1, u_t0 - 1) * prod_(t != t0) C(r_t, u_t) * H(u, rho) * F(s - u, rho),
         H(u, rho) = sum over sigma of u_sigma * F(u, sigma) * w(rho, sigma, theta(u)),
@@ -435,8 +452,7 @@ def weist_count(q: Quiver, theta: Stability, plan: WeistPlan | None = None) -> F
     witness, scanning trees only up to that one (past MAX_WEIST_STEPS for
     a full scan: a tree of each side of the wall and the first arrow across).
     """
-    if plan is None:
-        plan = weist_plan(q, theta)
+    plan = weist_plan(q, theta)
     if plan.steps > MAX_WEIST_STEPS:
         raise TooMuchWork(plan.steps, MAX_WEIST_STEPS)
     if plan.scan:  # also every quiver without a spanning tree
@@ -447,78 +463,151 @@ def weist_count(q: Quiver, theta: Stability, plan: WeistPlan | None = None) -> F
 
 def _type_dp(qbar: Quiver, mult: Mapping[int, int], theta: Stability,
              types: Sequence[Sequence[int]]) -> Fraction:
-    """weist_count's DP over type vectors; types are qbar's twin classes."""
-    n, nt, edges = len(qbar.vertices), len(types), _edges(qbar)
-    kind = [0] * n
+    """weist_count's DP route; types are qbar's twin classes.  0 on a
+    disconnected quiver, then NotNormalized unless theta sums to 0, then the
+    scan's witness on the first wall (_type_wall), else _type_counts of the
+    one type vector."""
+    nt = len(types)
+    kind = [0] * len(qbar.vertices)
     for t, members in enumerate(types):
         for i in members:
             kind[i] = t
-    adj = [0] * n
     down = [[0] * nt for _ in range(nt)]  # down[rho][sigma]: arrows rho -> sigma
-    for k, (a, b) in enumerate(edges):
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
+    for k, (a, b) in enumerate(_edges(qbar)):
         down[kind[a]][kind[b]] = mult[k]
-    full = (1 << n) - 1
-    if not n or not _connected(full, adj):
-        return ZERO
-    # theta per type, times the lcm of its denominators: integers of the same sign
-    values = theta.as_dict()
-    th = [values[qbar.vertices[c[0]]] for c in types]
-    scale = lcm(*[x.denominator for x in th])
-    th = [x.numerator * (scale // x.denominator) for x in th]
+    adj = _type_adjacency(down)
     counts = [len(c) for c in types]
+    if not counts or not _types_connected(counts, adj):
+        return ZERO
+    values = theta.as_dict()
+    th, scale = _integer_theta([values[qbar.vertices[c[0]]] for c in types])
     total = sum(map(mul, th, counts))
     if total:
         raise NotNormalized(f"sum d_v*theta_v = {Q(total, scale)} != 0")
-    # a state is a type vector s <= c, indexed in mixed radix, the last
-    # type lowest: states[i] is the vector of index i
-    states = list(itertools.product(*[range(c + 1) for c in counts]))
-    strides = [1] * nt
-    for t in range(nt - 1, 0, -1):
-        strides[t - 1] = strides[t] * (counts[t] + 1)
-    theta_of = [0]  # theta(s) for every state
+    wall = _type_wall(th, counts, adj)
+    if wall is not None:
+        # a representative side: the first s_t vertices of each type
+        side = sum(1 << i for c, k in zip(types, wall) for i in c[:k])
+        # some tree crosses this wall: scan to the first, or build one past the bound
+        n, edges = len(qbar.vertices), _edges(qbar)
+        trees = _spanning_tree_indices(n, edges)
+        if SCAN_STEPS_PER_TREE * n * spanning_tree_count(n, edges) > MAX_WEIST_STEPS:
+            order = sorted(range(len(edges)), key=lambda k: (
+                side >> edges[k][0] & 1 != side >> edges[k][1] & 1))
+            first = next(_spanning_tree_indices(n, [edges[k] for k in order]))
+            trees = [tuple(sorted(order[k] for k in first))]
+        for tree in trees:
+            tree_components(qbar, SpanningTree(tree), theta)
+    return Q(_type_counts(th, down, [counts])[0])
+
+
+def _integer_theta(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """theta per type times the lcm of its denominators, integers of the
+    same signs, and that lcm."""
+    scale = lcm(*[x.denominator for x in values])
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def _type_adjacency(down: Sequence[Sequence[int]]) -> list[int]:
+    """Per type, the bitmask of the types joined to it by an arrow."""
+    adj = [0] * len(down)
+    for a, row in enumerate(down):
+        for b, m in enumerate(row):
+            if m:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    return adj
+
+
+def _types_connected(counts: Sequence[int], adj: Sequence[int]) -> bool:
+    """Whether counts[t] vertices of each type t span a connected subquiver.
+    No arrow joins two vertices of one type, and each vertex of a type
+    meets every vertex of a type adjacent to it, so the vertices are
+    connected iff they are one vertex or the types they hold are."""
+    present = sum(1 << t for t, k in enumerate(counts) if k)
+    if not present & (present - 1):
+        return sum(counts) <= 1
+    return _connected(present, adj)
+
+
+def _type_wall(th: Sequence[int], counts: Sequence[int],
+               adj: Sequence[int]) -> list[int] | None:
+    """The first type vector s, 0 < s < counts in mixed radix order (the
+    last type lowest), with theta(s) = 0 where both s and counts - s are
+    connected: a wall that some spanning tree crosses; None if there is
+    none.  th is theta per type, as integers."""
+    theta_of = [0]  # theta(s) for every s <= counts, in mixed radix order
     for c, x in zip(counts, th):
         theta_of = [y + k * x for y in theta_of for k in range(c + 1)]
-    for state in range(1, len(states) - 1):
-        if not theta_of[state]:
-            # a representative side: the first s_t vertices of each type
-            side = sum(1 << i for c, k in zip(types, states[state]) for i in c[:k])
-            if _connected(side, adj) and _connected(full ^ side, adj):
-                # some tree crosses this wall: scan to the first, or build one past the bound
-                trees = _spanning_tree_indices(n, edges)
-                if SCAN_STEPS_PER_TREE * n * spanning_tree_count(n, edges) > MAX_WEIST_STEPS:
-                    order = sorted(range(len(edges)), key=lambda k: (
-                        side >> edges[k][0] & 1 != side >> edges[k][1] & 1))
-                    first = next(_spanning_tree_indices(n, [edges[k] for k in order]))
-                    trees = [tuple(sorted(order[k] for k in first))]
-                for tree in trees:
-                    tree_components(qbar, SpanningTree(tree), theta)
-                break
+    index = 0
+    while True:
+        try:
+            index = theta_of.index(0, index + 1, len(theta_of) - 1)
+        except ValueError:
+            return None
+        side, rest = [], index
+        for c in reversed(counts):
+            rest, k = divmod(rest, c + 1)
+            side.append(k)
+        side.reverse()
+        if (_types_connected(side, adj)
+                and _types_connected([c - k for c, k in zip(counts, side)], adj)):
+            return side
+
+
+def _type_counts(th: Sequence[int], down: Sequence[Sequence[int]],
+                 targets: Sequence[Sequence[int]]) -> list[int]:
+    """F(c, rho) of weist_count's DP for each target type vector c, rho the
+    first type c holds, by one DP over every type vector under some target.
+    th is theta per type, as integers; down[rho][sigma] counts the arrows
+    from a vertex of type rho to one of type sigma.  Each target holds a
+    vertex and crosses no wall (a subtree with theta = 0 would count 0).
+
+    A state is a type vector packed into one int, a bit field per type as
+    wide as the largest count of that type in any target; the states under
+    some target, in increasing order, index the tables densely, and every
+    sub-vector of a state comes before it."""
+    nt = len(th)
+    top = [max(col) for col in zip(*targets)]
+    shifts, width = [], 0
+    for c in top:
+        shifts.append(width)
+        width += c.bit_length()
+    masks = [(1 << c.bit_length()) - 1 for c in top]
+    strides = [1 << s for s in shifts]
+    keys = {sum(map(lshift, c, shifts)) for c in targets}
+    for s, m in zip(shifts, masks):  # lower each count in turn: all vectors under a target
+        keys.update([key - (j << s) for key in keys for j in range(1, (key >> s & m) + 1)])
+    states = sorted(keys)
+    index = {key: i for i, key in enumerate(states)}
     up = [list(col) for col in zip(*down)]  # up[rho][sigma]: arrows sigma -> rho
     # branch offsets and binomials per (type, count): all j <= k, and
     # j >= 1 for the first type present, whose fixed vertex is in the branch
-    binom = [[comb(m, j) for j in range(m + 1)] for m in range(max(counts) + 1)]
-    offsets = [[[j * st for j in range(k + 1)] for k in range(c + 1)]
-               for c, st in zip(counts, strides)]
-    # rooted[rho][r] = F(r + e_rho, rho); hanging[rho][u] = H(u, rho)
+    binom = [[comb(m, j) for j in range(m + 1)] for m in range(max(top) + 1)]
+    offsets = [[[j << s for j in range(k + 1)] for k in range(c + 1)]
+               for c, s in zip(top, shifts)]
+    # rooted[rho][i] = F(states[i] + e_rho, rho); hanging[rho][i] = H(states[i], rho)
     rooted = [[0] * len(states) for _ in range(nt)]
     hanging = [[0] * len(states) for _ in range(nt)]
-    for rho in range(nt):
-        rooted[rho][0] = 1
-    for state in range(1, len(states)):
-        digits = states[state]
-        open_ = [rho for rho, k in enumerate(digits) if k < counts[rho]]
-        if not open_:  # the full state: nothing hangs from it or grows it
+    for f in rooted:
+        f[0] = 1
+    for i in range(1, len(states)):
+        key = states[i]
+        digits = [key >> s & m for s, m in zip(shifts, masks)]
+        # the types a root can take: F(state + e_rho, rho) lies under a target
+        open_ = [rho for rho, k in enumerate(digits)
+                 if k < top[rho] and key + strides[rho] in index]
+        if not open_:
             continue
-        # F(state, .) is complete: hang the state from each type outside it
-        if theta_of[state]:
-            w = down if theta_of[state] < 0 else up
+        # F(state, .) is complete: hang the state from each open type
+        theta = sum(map(mul, th, digits))
+        if theta:
+            w = down if theta < 0 else up
             # u_sigma * F(u, sigma) for each type sigma
-            fs = [k and k * rooted[sigma][state - strides[sigma]]
+            fs = [k and k * rooted[sigma][index[key - strides[sigma]]]
                   for sigma, k in enumerate(digits)]
             for rho in open_:
-                hanging[rho][state] = sum(map(mul, w[rho], fs))
+                hanging[rho][i] = sum(map(mul, w[rho], fs))
         # every branch u <= r = state that holds the fixed vertex
         subs = None
         for t, k in enumerate(digits):
@@ -529,11 +618,17 @@ def _type_dp(qbar: Quiver, mult: Mapping[int, int], theta: Stability,
             else:
                 subs = [u + o for u in subs for o in offsets[t][k]]
                 coefs = [c * b for c in coefs for b in binom[k]]
+        branch = list(map(index.__getitem__, subs))
+        rest = list(map(index.__getitem__, map(key.__sub__, subs)))
         for rho in open_:
             g, f = hanging[rho], rooted[rho]
-            f[state] = sum(map(mul, map(mul, coefs, map(g.__getitem__, subs)),
-                               map(f.__getitem__, map(state.__sub__, subs))))
-    return Q(rooted[0][len(states) - 1 - strides[0]])
+            f[i] = sum(map(mul, map(mul, coefs, map(g.__getitem__, branch)),
+                           map(f.__getitem__, rest)))
+    values = []
+    for c in targets:
+        rho = next(t for t, k in enumerate(c) if k)
+        values.append(rooted[rho][index[sum(map(lshift, c, shifts)) - strides[rho]]])
+    return values
 
 
 def _bits(mask: int):
@@ -621,7 +716,16 @@ def abelianize(q: Quiver, d: DimVector, zeta: Stability) -> list[AbelianizationT
     prod_i d_i! * prod_l (1/m_l!) * ((-1)^(l-1) / l^2)^(m_l).  There are
     prod_i p(d_i) terms (p the partition count); past
     MAX_ABELIANIZATION_TERMS, TooManyTerms is raised before any is built.
+    AbelianizationTypes holds the same terms without building them.
     """
+    support, choices = _abelianization(q, d, zeta)
+    return [_blown_up_term(q, d, support, pick) for pick in itertools.product(*choices)]
+
+
+def _abelianization(q: Quiver, d: DimVector, zeta: Stability) -> tuple[list[str], list]:
+    """abelianize's checks (validation, normalisation, TooManyTerms), then
+    its support and, per support vertex v, (m, factor, [(new id, l, l *
+    zeta_v)]) for each multiplicity vector m: a term picks one per vertex."""
     validate_quiver(q)
     zeta.check_normalized(d)
     support = [v for v in q.vertices if d[v] > 0]
@@ -630,33 +734,141 @@ def abelianize(q: Quiver, d: DimVector, zeta: Stability) -> list[AbelianizationT
         estimate *= _PARTITION_COUNTS[min(d[v], len(_PARTITION_COUNTS) - 1)]
         if estimate > MAX_ABELIANIZATION_TERMS:
             raise TooManyTerms(estimate, MAX_ABELIANIZATION_TERMS)
-    # per vertex: (m, factor, [(new id, l)]) for each multiplicity vector m
-    choices = [[(m, _blowup_factor(d[v], m),
-                 [(f"{v}@{k},{l}", l) for l, ml in enumerate(m, start=1)
-                  for k in range(1, ml + 1)])
-                for m in _multiplicity_vectors(d[v])]
-               for v in support]
-    lifted = {v: [zeta[v] * l for l in range(d[v] + 1)] for v in support}
-    terms = []
-    for pick in itertools.product(*choices):
-        coeff = prod((factor for _m, factor, _p in pick), start=ONE)
-        parts = {v: blown for v, (_m, _f, blown) in zip(support, pick)}
-        new_vertices = [vid for _m, _f, blown in pick for vid, _l in blown]
-        new_arrows = []
+    choices = []
+    for v in support:
+        lifted = [zeta[v] * l for l in range(d[v] + 1)]
+        choices.append([(m, _blowup_factor(d[v], m),
+                         [(f"{v}@{k},{l}", l, lifted[l]) for l, ml in enumerate(m, start=1)
+                          for k in range(1, ml + 1)])
+                        for m in _multiplicity_vectors(d[v])])
+    return support, choices
+
+
+def _blown_up_term(q: Quiver, d: DimVector, support: Sequence[str],
+                   pick: Sequence[tuple]) -> AbelianizationTerm:
+    """abelianize's term for pick, one of _abelianization's choices per
+    support vertex."""
+    coeff = prod((factor for _m, factor, _p in pick), start=ONE)
+    parts = {v: blown for v, (_m, _f, blown) in zip(support, pick)}
+    new_vertices = [vid for _m, _f, blown in pick for vid, _l, _z in blown]
+    new_arrows = []
+    for t, h in q.arrows:
+        if d[t] == 0 or d[h] == 0:
+            continue
+        for tid, lt, _z in parts[t]:
+            for hid, lh, _z in parts[h]:
+                new_arrows.extend([(tid, hid)] * (lt * lh))
+    nq = Quiver.make(new_vertices, new_arrows)
+    nd = DimVector.make(nq, {v: 1 for v in new_vertices})
+    nz = Stability.make(nq, {vid: z for v in support for vid, _l, z in parts[v]})
+    return AbelianizationTerm(nq, nd, nz, coeff,
+                              tuple([(v, m) for v, (m, _f, _p) in zip(support, pick)]))
+
+
+class AbelianizationTypes:
+    """The terms of abelianize(q, d, zeta), in its order, as type vectors
+    over one set of vertex types, none of their quivers built; abelianize's
+    checks run first.
+
+    A base type (v, l), one per support vertex v and part size l <= d_v,
+    holds the vertices v@k,l.  Two base types are merged when they have
+    equal l * zeta_v, equal arrows l * a_vw out to each support vertex w and
+    equal arrows l * a_wv in from each: every term holds some vertex w@k,l'
+    for each w, so the types are the twin classes (twin_classes) of every
+    term's quiver, and the count of stable trees on a type vector is the
+    same in every term that holds it.  theta is each type's stability l *
+    zeta_v, scaled to integers, and down[rho][sigma] the arrows from a
+    vertex of type rho to one of type sigma; per term k, counts[k] is its
+    type vector and routes[k] weist_plan's steps and route on its quiver
+    (_route)."""
+
+    def __init__(self, q: Quiver, d: DimVector, zeta: Stability):
+        self.q, self.d = q, d
+        self.support, choices = _abelianization(q, d, zeta)
+        self.picks = list(itertools.product(*choices))
+        arrows: dict[tuple[str, str], int] = {}
         for t, h in q.arrows:
-            if d[t] == 0 or d[h] == 0:
-                continue
-            for tid, lt in parts[t]:
-                for hid, lh in parts[h]:
-                    new_arrows.extend([(tid, hid)] * (lt * lh))
-        nq = Quiver.make(new_vertices, new_arrows)
-        nd = DimVector.make(nq, {v: 1 for v in new_vertices})
-        nz = Stability.make(nq, {vid: lifted[v][l]
-                                 for v in support for vid, l in parts[v]})
-        terms.append(AbelianizationTerm(
-            nq, nd, nz, coeff,
-            tuple([(v, m) for v, (m, _f, _p) in zip(support, pick)])))
-    return terms
+            arrows[t, h] = arrows.get((t, h), 0) + 1
+        # zeta_v as integers of its signs; l * zeta_v is the stability of v@k,l
+        scaled = _integer_theta([zeta[v] for v in self.support])[0]
+        types: dict[tuple, int] = {}
+        first, kinds = [], []  # a base type (v, l) per type; per vertex, the type of each l
+        for v, z in zip(self.support, scaled):
+            kinds.append([])
+            for l in range(1, d[v] + 1):
+                key = (l * z, tuple([l * arrows.get((v, w), 0) for w in self.support]),
+                       tuple([l * arrows.get((w, v), 0) for w in self.support]))
+                if key not in types:
+                    types[key] = len(first)
+                    first.append((v, l))
+                kinds[-1].append(types[key])
+        self.theta = [key[0] for key in types]
+        self._parts: dict[int, int] = {}  # per value of zeta_v, the sum of its d_v
+        for v, z in zip(self.support, scaled):
+            self._parts[z] = self._parts.get(z, 0) + d[v]
+        self.down = [[l * k * arrows.get((v, w), 0) for w, k in first] for v, l in first]
+        self.adj = _type_adjacency(self.down)
+        self.counts = []
+        for pick in self.picks:
+            c = [0] * len(first)
+            for (m, _f, _p), kind in zip(pick, kinds):
+                for l, ml in enumerate(m):
+                    if ml:
+                        c[kind[l]] += ml
+            self.counts.append(c)
+        self.routes = [_route([k for k in c if k],
+                              lambda c=c: spanning_tree_count(*self._graph(c)))
+                       for c in self.counts]
+
+    def _graph(self, counts: Sequence[int]) -> tuple[int, list[tuple[int, int]]]:
+        """(nodes, edges) of the reduced quiver of counts[t] vertices of each
+        type t: one edge per pair of vertices whose types have arrows."""
+        first = list(itertools.accumulate(counts, initial=0))
+        return first[-1], [(a, b) for r, row in enumerate(self.down) for s, m in enumerate(row)
+                           if m for a in range(first[r], first[r + 1])
+                           for b in range(first[s], first[s + 1])]
+
+    @cached_property
+    def _balanced(self) -> bool:
+        """Whether a side of a wall can exist: its e_v <= d_v vertices of
+        each original vertex v, neither none nor all, have zeta.e = 0.  Only
+        the sum E_z of e_v over the vertices of each value z of zeta_v
+        matters, so this counts the E <= D with sum z * E_z = 0 besides E =
+        0 and E = D."""
+        ways = {0: 1}
+        for z, total in self._parts.items():
+            sums: dict[int, int] = {}
+            for x, n in ways.items():
+                for k in range(total + 1):
+                    sums[x + k * z] = sums.get(x + k * z, 0) + n
+            ways = sums
+        return ways[0] > 2
+
+    def _has_trees(self, k: int) -> bool:
+        """Whether term k's quiver is nonempty and connected."""
+        return any(self.counts[k]) and _types_connected(self.counts[k], self.adj)
+
+    def alone(self, k: int) -> bool:
+        """Whether term k is counted on its own quiver: its cheaper route is
+        the scan, or it lies on a wall (_type_wall), where weist_count
+        raises with the scan's witness."""
+        return self.routes[k][1] or (self._balanced and self._has_trees(k) and _type_wall(
+            self.theta, self.counts[k], self.adj) is not None)
+
+    def term(self, k: int) -> AbelianizationTerm:
+        return _blown_up_term(self.q, self.d, self.support, self.picks[k])
+
+    def coefficient(self, k: int) -> Fraction:
+        return prod((factor for _m, factor, _p in self.picks[k]), start=ONE)
+
+    def count(self, ks: Sequence[int]) -> list[int]:
+        """The weist counts of terms ks, none of which is counted alone, by
+        one _type_counts over all of them; an empty or disconnected quiver
+        counts 0, as in _type_dp."""
+        live = [k for k in ks if self._has_trees(k)]
+        counts = dict(zip(live, _type_counts(self.theta, self.down,
+                                             [self.counts[k] for k in live]))) if live else {}
+        return [counts.get(k, 0) for k in ks]
 
 
 def _blowup_factor(dv: int, m: tuple[int, ...]) -> Fraction:

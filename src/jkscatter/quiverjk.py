@@ -15,9 +15,10 @@ from .arrangement import (MAX_ARRANGEMENT_PLANES, Arrangement, SingularPoint,
                           theta_lift, zeta_from_theta)
 from .errors import NotATree, TooMuchWork
 from .exact import LinForm, ONE, Q, RationalExpr, ZERO, qify, residue_step
-from .quiver import (MAX_WEIST_STEPS, DimVector, Quiver, SpanningTree, Stability,
-                     _edges, _tree_walk, abelianize, check_tree_walks, spanning_trees,
-                     support_quiver, tree_components, weist_count, weist_plan)
+from .quiver import (MAX_WEIST_STEPS, AbelianizationTypes, DimVector, Quiver,
+                     SpanningTree, Stability, _edges, _tree_walk, abelianize,
+                     check_tree_walks, spanning_trees, support_quiver, tree_components,
+                     weist_count)
 
 
 def build_ZQ(a: Arrangement) -> RationalExpr:
@@ -178,22 +179,33 @@ def jk_ab(q: Quiver, d: DimVector, zeta: Stability, rseed: int,
 
 def jk_ab_infinity(q: Quiver, d: DimVector, zeta: Stability) -> Fraction:
     """Closed-form large-R limit: sum of coefficient * weist_count per
-    abelianization term.  In a blown-up quiver the vertices i@k,l that
-    share (i, l) are twins, one vertex type, and each quiver is counted by
-    the cheaper of a stable-tree scan and a DP over its type vectors
-    (weist_plan at the term's lifted stability); before any is counted,
-    TooMuchWork is raised if their steps add up to more than
-    MAX_WEIST_STEPS.  abelianize refuses a d with more than
-    MAX_ABELIANIZATION_TERMS terms."""
-    terms = abelianize(q, d, zeta)
-    plans = [weist_plan(term.quiver, term.stability) for term in terms]
-    steps = sum(plan.steps for plan in plans)
+    abelianization term, counted without building the terms' quivers
+    (AbelianizationTypes): in a blown-up quiver the vertices i@k,l that
+    share (i, l) are twins, one vertex type, and a type vector's count of
+    stable trees is the same in every term that holds it.
+
+    abelianize's checks run first: it refuses a d with more than
+    MAX_ABELIANIZATION_TERMS terms.  Each term is priced as weist_plan
+    prices its quiver, the cheaper of a stable-tree scan and the type DP
+    at the term's lifted stability, and TooMuchWork is raised before any
+    is counted if the steps add up to more than MAX_WEIST_STEPS.  Then, in
+    order, a term that the scan prices cheaper, or that lies on a wall, is
+    built and counted alone by weist_count, which raises on the wall with
+    the scan's witness; every other term is read off one DP over the type
+    vectors under all of them (_type_counts)."""
+    types = AbelianizationTypes(q, d, zeta)
+    steps = sum(steps for steps, _scan in types.routes)
     if steps > MAX_WEIST_STEPS:
         raise TooMuchWork(steps, MAX_WEIST_STEPS)
-    total = ZERO
-    for term, plan in zip(terms, plans):
-        total += term.coefficient * weist_count(term.quiver, term.stability, plan)
-    return total
+    terms = range(len(types.picks))
+    counts = {}
+    for k in terms:
+        if types.alone(k):
+            term = types.term(k)
+            counts[k] = weist_count(term.quiver, term.stability)
+    shared = [k for k in terms if k not in counts]
+    counts.update(zip(shared, types.count(shared)))
+    return sum((types.coefficient(k) * counts[k] for k in terms if counts[k]), ZERO)
 
 
 def lambda_sweep(q: Quiver, d: DimVector, zeta: Stability, rseed: int,

@@ -489,7 +489,17 @@ class TestWeistCount:
         theta = stab(star, *[1] * 20, -20)
         plan = weist_plan(star, theta)
         assert (plan.steps, plan.scan) == (2 * 231 * 3, False)
-        assert weist_count(star, theta, plan) == 1
+        assert weist_count(star, theta) == 1
+
+    def test_count_follows_its_own_quiver(self):
+        # the path i1 -> j1 <- i2 -> j2 has no stable tree at this theta, K(2,2)
+        # has 2; weist_count once took a plan, and followed one made for K(2,2)
+        path = Quiver.make(["i1", "i2", "j1", "j2"], [("i1", "j1"), ("i2", "j1"), ("i2", "j2")])
+        k22 = bipartite_quiver(2, 2)
+        assert weist_count(path, stab(path, 3, 1, -2, -2)) == 0
+        assert weist_count(k22, stab(k22, 3, 1, -2, -2)) == 2
+        with pytest.raises(TypeError):
+            weist_count(path, stab(path, 3, 1, -2, -2), weist_plan(k22, stab(k22, 3, 1, -2, -2)))
 
     def test_star_is_scanned(self):
         # 21 vertices, no twins: the DP would take 21 * 3^21 steps

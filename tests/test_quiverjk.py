@@ -8,7 +8,7 @@ import time
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jkscatter import arrangement, cli, exact, quiver, quiverjk
@@ -540,6 +540,106 @@ class TestStableTreeCounts:
         dim = DimVector.make(q, dict(zip(q.vertices, d)))
         assert jk_ab_infinity(q, dim, stab(q, *zeta)) == value
         assert len(listed) <= 2
+
+    @pytest.mark.parametrize("q, d, zeta, value", FIXTURES,
+                             ids=["K11-53", "K11-43", "K11-34", "K22-2212", "K22-1111", "K31-1112"])
+    def test_one_dp_and_no_blown_up_quiver(self, monkeypatch, q, d, zeta, value):
+        # every term is read off one shared type DP, and none is built
+        dim, theta = DimVector.make(q, dict(zip(q.vertices, d))), stab(q, *zeta)
+        made, dps = [], []
+        make, dp = quiver.Quiver.make, quiver._type_counts
+        monkeypatch.setattr(quiver.Quiver, "make",
+                            staticmethod(lambda *args: made.append(args) or make(*args)))
+        monkeypatch.setattr(quiver, "_type_counts", lambda *args: dps.append(args) or dp(*args))
+        assert jk_ab_infinity(q, dim, theta) == value
+        assert (made, len(dps)) == ([], 1)
+
+
+def per_term_jk_ab_infinity(q, d, zeta):
+    """jk_ab_infinity term by term, the reference for the shared type DP:
+    abelianize, price each term's quiver by weist_plan and refuse the sum
+    past MAX_WEIST_STEPS, then weist_count each term on its own."""
+    terms = abelianize(q, d, zeta)
+    steps = sum(quiver.weist_plan(t.quiver, t.stability).steps for t in terms)
+    if steps > quiver.MAX_WEIST_STEPS:
+        raise TooMuchWork(steps, quiver.MAX_WEIST_STEPS)
+    return sum((t.coefficient * quiver.weist_count(t.quiver, t.stability) for t in terms), Q(0))
+
+
+@st.composite
+def abelianization_requests(draw):
+    """K(l1, l2), l1, l2 <= 3, with d entries 0..3, 0 < |d| <= 8, and integer
+    zeta normalised on the last vertex of the support of d.  In a third of
+    the draws the sources share one zeta, so base types of several
+    vertices merge; a non-primitive d puts terms on a wall."""
+    l1, l2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    q = bipartite_quiver(l1, l2)
+    d = draw(st.lists(st.integers(0, 3), min_size=l1 + l2, max_size=l1 + l2)
+             .filter(lambda d: 0 < sum(d) <= 8))
+    zeta = draw(st.lists(st.integers(-4, 4), min_size=l1 + l2, max_size=l1 + l2))
+    if draw(st.integers(0, 2)) == 0:
+        zeta[:l1] = [zeta[0]] * l1
+    fix = max(i for i, x in enumerate(d) if x)
+    total = sum(x * z for x, z in zip(d, zeta))
+    zeta = [z * d[fix] for z in zeta]
+    zeta[fix] -= total
+    return q, DimVector.make(q, dict(zip(q.vertices, d))), stab(q, *zeta)
+
+
+def request(l1, l2, d, zeta):
+    q = bipartite_quiver(l1, l2)
+    return q, DimVector.make(q, dict(zip(q.vertices, d))), stab(q, *zeta)
+
+
+# twin sources; a zero in d; two non-primitive d, on walls; a term whose
+# quiver is a one-tree star of four distinct sources, which is scanned;
+# sources alone, whose terms are disconnected; and d = 0, one empty term
+EXAMPLES = [request(3, 1, (1, 1, 1, 2), (2, 2, 2, -3)),
+            request(2, 2, (2, 0, 1, 2), (3, 1, -2, -2)),
+            request(1, 1, (2, 2), (1, -1)),
+            request(2, 2, (2, 2, 2, 2), (1, 1, -1, -1)),
+            request(3, 1, (2, 1, 1, 1), (1, 2, 3, -7)),
+            request(2, 1, (2, 1, 0), (1, -2, 5)),
+            request(1, 1, (0, 0), (1, -1))]
+
+
+def with_examples(test):
+    for case in EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+class TestSharedTypeDP:
+    """jk_ab_infinity reads every term off one type DP over the base types
+    of d; the per-term route is its oracle."""
+
+    @given(abelianization_requests())
+    @with_examples
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_term_route(self, case):
+        assert outcome(jk_ab_infinity, *case) == outcome(per_term_jk_ab_infinity, *case)
+
+    @given(abelianization_requests())
+    @with_examples
+    @settings(max_examples=100, deadline=None)
+    def test_refusal_estimate_is_the_terms_steps(self, case):
+        # so every TooMuchWork report is as the per-term route's
+        q, d, zeta = case
+        want = sum(quiver.weist_plan(t.quiver, t.stability).steps for t in abelianize(q, d, zeta))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quiverjk, "MAX_WEIST_STEPS", -1)
+            with pytest.raises(TooMuchWork) as ei:
+                jk_ab_infinity(q, d, zeta)
+        assert ei.value.estimate == want
+
+    def test_examples_take_each_route(self):
+        twins, _zero, wall, wall2, star = EXAMPLES[:5]
+        # i1, i2, i3 merge: 3 types for 5 base types
+        assert len(quiver.AbelianizationTypes(*twins).theta) == 3
+        for case in (wall, wall2):
+            with pytest.raises(NonRegularStability):
+                jk_ab_infinity(*case)
+        assert any(quiver.weist_plan(t.quiver, t.stability).scan for t in abelianize(*star))
 
 
 class TestWTResidue:
