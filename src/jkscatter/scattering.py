@@ -7,21 +7,25 @@ with primitive directions strictly inside the first quadrant.  All series
 live in Q[x^{±1}, y^{±1}][s_*, t_*] truncated in total parameter degree.
 A diagram scattered for one coefficient c_d is also truncated to the box of
 exponents <= d (see ``series``): its walls are the images of the full ones.
+``scatter`` computes each parameter degree of each crossing once, and one
+loop product at the full cutoff (``loop_product``) checks its result.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 from .errors import (BadConstantTerm, BadCutoff, CutoffTooSmall, TooMuchWork,
                      ValidationError)
 from .exact import Q, ZERO
 from .quiver import DimVector, Stability, bipartite_quiver, moduli_dimension
 from .quiverjk import jk_ab_infinity
-from .series import Coeff, TruncatedSeries
+from .series import (Coeff, TruncatedSeries, _by_degree, _int_or_fraction, _mul_acc,
+                     _summed)
 
 
 @dataclass(slots=True)
@@ -78,10 +82,10 @@ def _check_sizes(l1: int, l2: int, cutoff: int) -> None:
 
 # the price of a full scatter: C(N + P, P) * (N + P) for P = l1 + l2
 # parameters at order N.  Measured through cli.main in-process (nproc 2,
-# Python 3.11.7), a unit costs 1 us on K(500,1) and up to 20 us with ten
-# parameters a side: K(2,2) order 20 (2.6e5) 0.8 s, K(10,10) order 4
-# (2.6e5) 4.8 s, K(6,6) order 6 (3.3e5) 7.0 s, K(4,4) order 10 (7.9e5)
-# 11.3 s, K(1,1) order 120 (9.0e5) 4.8 s
+# Python 3.11.7), a unit costs 0.6 us on K(1,1), 1.2 us on K(2,2) and
+# K(500,1) and up to 6 us with four or more parameters a side: K(2,2)
+# order 20 (2.6e5) 0.3 s, K(10,10) order 4 (2.6e5) 1.5 s, K(6,6) order 6
+# (3.3e5) 1.8 s, K(4,4) order 10 (7.9e5) 3.5 s, K(1,1) order 120 (9.0e5) 0.5 s
 MAX_SCATTER_WORK = 3 * 10 ** 5
 
 
@@ -178,16 +182,17 @@ def _angular_key(v: tuple[int, int]) -> tuple:
     return sector, v
 
 
-def _sort_events(events):
-    """Sort crossing events ccw: by sector, then by -dot/cross with
+def _event_key(v: tuple[int, int]) -> tuple:
+    """The ccw order of crossings: by sector, then by -dot/cross with
     START_DIRECTION, the -cot of the angle from it (0 on the axis sectors)."""
+    (a, b), (sx, sy) = v, START_DIRECTION
+    cr = sx * b - sy * a
+    return _angular_key(v)[0], Fraction(-(sx * a + sy * b), cr) if cr else 0
 
-    def key(event):
-        (a, b), (sx, sy) = event[0], START_DIRECTION
-        cr = sx * b - sy * a
-        return _angular_key((a, b))[0], Fraction(-(sx * a + sy * b), cr) if cr else 0
 
-    return sorted(events, key=key)
+def _sort_events(events):
+    """Sort crossing events, whose first item is a direction, ccw."""
+    return sorted(events, key=lambda event: _event_key(event[0]))
 
 
 def loop_product(d: ScatteringDiagram) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -219,32 +224,61 @@ def loop_product(d: ScatteringDiagram) -> tuple[TruncatedSeries, TruncatedSeries
 def scatter(d0: ScatteringDiagram) -> ScatteringDiagram:
     """Add rays one parameter degree per round until the loop is trivial.
 
-    Round k takes the loop product with every wall truncated at parameter
-    degree k.  The rounds before it have cancelled every defect below degree
-    k, so what is left is a sum of degree-k terms c * p * x^A y^B.  The two
-    defects (on x and on y) of each monomial satisfy a*c_x + b*c_y = 0 for
-    the primitive direction (a,b) of (A,B), and the increment 1 + c' * p *
-    x^A y^B of the ray (a,b) is solved from either one.  Increments of a round
-    commute, so their _angular_key order only places new rays in the wall
-    list.  A last loop product at the full cutoff must be the identity.  This
-    is the order-by-order proof of the Kontsevich-Soibelman lemma
+    Round k computes only the degree-k pieces of the loop product (on-line
+    series: van der Hoeven, "Relax, but don't be too lazy"): each crossing
+    keeps its images X, Y of x and y, and each wall the powers of f - 1,
+    split by parameter degree, and the pieces of degree < k are final.  So
+    the degree-k part of X/x - 1 and Y/y - 1 after the last crossing is the
+    lowest defect, a sum of terms c * p * x^A y^B.  The two defects (on x
+    and on y) of each monomial satisfy a*c_x + b*c_y = 0 for the primitive
+    direction (a,b) of (A,B), and the increment 1 + c' * p * x^A y^B of the
+    ray (a,b) is solved from either one.  At degree k it acts linearly: it
+    adds -b c' p x^A y^B * x to X and a c' p x^A y^B * y to Y at its
+    crossing and at every later one, after which the degree-k defect must be
+    zero.  A last loop product at the full cutoff must be the identity.
+    This is the order-by-order proof of the Kontsevich-Soibelman lemma
     (Gross-Pandharipande-Siebert, "The tropical vertex").
     """
-    # fresh Wall objects: rays grow in place below, and d0 keeps its own
+    # fresh Wall objects: their functions are replaced below, and d0 keeps its own
     d = ScatteringDiagram([Wall(w.direction, w.support, w.function) for w in d0.walls],
                           d0.cutoff, d0.params, d0.box)
-    rays: dict[tuple[int, int], Wall] = {}
-    for w in d.walls:
-        if w.support == "ray":
-            rays.setdefault(w.direction, w)
+    _add_rays(d)
+    if any(not g.is_zero() for g in _loop_defects(d)):
+        raise ValidationError("scatter", f"loop product is not the identity at cutoff {d.cutoff}")
+    for w in d.walls:  # the result callers keep: store its functions compactly
+        w.function = w.function._kept()
+    return d
+
+
+def _add_rays(d: ScatteringDiagram) -> None:
+    """The rounds of ``scatter``, on d in place; their state is dropped on
+    return.  A crossing is (direction, wall, (X, Y)), X and Y one dict of
+    packed terms per parameter degree; the first crosses no wall."""
+    zero = TruncatedSeries(d.params, d.cutoff, box=d.box)
+    r = zero._ring
+    walls = [_Pieces(w, zero) for w in d.walls]
+    rays = {w.wall.direction: w for w in reversed(walls) if w.wall.support == "ray"}
+    unit = [r.pack(1, 0, (0,) * len(d.params)), r.pack(0, 1, (0,) * len(d.params))]
+    xy = {unit[0]: 1}, {unit[1]: 1}  # every image at degree 0
+    loop = [((0, 0), None, ([xy[0]], [xy[1]]))]
+    for w in walls:
+        a, b = w.wall.direction
+        for eps in (1, -1) if w.wall.support == "line" else (1,):
+            loop.append(((eps * a, eps * b), w, ([xy[0]], [xy[1]])))
+    loop[1:] = sorted(loop[1:], key=lambda cr: _event_key(cr[0]))
     for k in range(1, d.cutoff + 1):
+        for w in walls:
+            w.fill(k)
+        for s in (0, 1):
+            loop[0][2][s].append({})
+            for before, cr in zip(loop, loop[1:]):
+                cr[2][s].append(_crossed(before[2][s], cr, k, r))
         defects: dict[tuple[int, int, tuple[int, ...]], list[Coeff]] = {}
-        for slot, g in enumerate(_loop_defects(_truncated(d, k))):
-            for (xe, ye, p), c in g.terms.items():
-                if sum(p) < k:
-                    raise ValidationError(
-                        "scatter", f"defect at x^{xe} y^{ye} {p} left below degree {k}")
-                defects.setdefault((xe, ye, p), [0, 0])[slot] = c
+        for s, image in enumerate(loop[-1][2]):
+            for key, c in image[k].items():
+                xe, ye, p = r.unpack(key)
+                defects.setdefault((xe - 1 + s, ye - s, p), [0, 0])[s] = c
+        added: dict[_Pieces, list[tuple[int, Coeff]]] = {}
         for (xe, ye, p) in sorted(defects, key=lambda t: _angular_key(_primitive(t[0], t[1]))):
             cx, cy = defects[(xe, ye, p)]
             if xe <= 0 or ye <= 0:
@@ -254,31 +288,117 @@ def scatter(d0: ScatteringDiagram) -> ScatteringDiagram:
             if a * cx + b * cy != 0:
                 raise ValidationError(
                     "scatter", f"inconsistent defect at x^{xe} y^{ye} {p}: {cx}, {cy}")
-            coeff = Fraction(cx, b) if cx else Fraction(-cy, a)
-            if coeff == 0:
-                continue
-            increment = 1 + TruncatedSeries(d.params, d.cutoff, {(xe, ye, p): coeff}, d.box)
-            wall = rays.get(m)
-            if wall is None:
-                rays[m] = Wall(m, "ray", increment)
-                d.walls.append(rays[m])
-            else:
-                wall.function = wall.function * increment
-    if any(not g.is_zero() for g in _loop_defects(d)):
-        raise ValidationError("scatter", f"loop product is not the identity at cutoff {d.cutoff}")
-    for w in d.walls:  # the result callers keep: store its functions compactly
-        w.function = w.function._kept()
-    return d
+            if m not in rays:  # a new ray joins the loop with the images before it
+                rays[m] = w = _Pieces(Wall(m, "ray", zero + 1), zero, k)
+                walls.append(w)
+                d.walls.append(w.wall)
+                j = bisect_right(loop, _event_key(m), 1, key=lambda cr: _event_key(cr[0]))
+                loop.insert(j, (m, w, tuple(im[:] for im in loop[j - 1][2])))
+            # c_x != 0 here: b c_y = -a c_x, and a defect is nonzero
+            key, c = r.pack(xe, ye, p), _int_or_fraction(Fraction(cx, b))
+            rays[m].times_one_plus(key, c, k)
+            added.setdefault(rays[m], []).append((key, c))
+        _add_increments(loop, added, k, unit, r)
+        for s, image in enumerate(loop[-1][2]):
+            for key in image[k]:
+                xe, ye, p = r.unpack(key)
+                raise ValidationError(
+                    "scatter", f"defect at x^{xe - 1 + s} y^{ye - s} {p} left at degree {k}")
+    for w in walls:
+        w.wall.function = zero._like({key: c for piece in w.f for key, c in piece.items()})
 
 
-def _truncated(d: ScatteringDiagram, k: int) -> ScatteringDiagram:
-    """The diagram with every wall function truncated at parameter degree k;
-    d itself at its own cutoff, since ``loop_product`` only reads the walls."""
-    if k == d.cutoff:
-        return d
-    return ScatteringDiagram(
-        [Wall(w.direction, w.support, TruncatedSeries(d.params, k, w.function.terms, d.box))
-         for w in d.walls], k, d.params, d.box)
+def _add_increments(loop: list[tuple], added: dict, k: int, unit: list[int], r) -> None:
+    """Add each increment c * key of round k on the ray (a, b) to the
+    degree-k images at its crossing and every later one: -b c key x to X
+    and a c key y to Y.  A touched piece is replaced by a new dict, since
+    crossings share the pieces they copied."""
+    acc: list[dict[int, Coeff]] = [{}, {}]
+    for (a, b), w, images in loop[1:]:
+        for key, c in added.get(w, ()):
+            _mul_acc(acc[0], ((key, -b * c),), ((unit[0], 1),), r)
+            _mul_acc(acc[1], ((key, a * c),), ((unit[1], 1),), r)
+        for s in (0, 1):
+            if acc[s]:
+                images[s][k] = _nonzero(_summed(images[s][k], acc[s]))
+
+
+class _Pieces:
+    """A wall in the rounds of ``scatter``, split by parameter degree a:
+    f[a] is the degree-a piece of its function, and so of h = f - 1 for
+    a >= 1; powers[a] lists the pairs (i, h^i[a]) with i >= 2 and a nonzero
+    piece, filled in round a; sums[a] keeps each (f^n - 1)[a] once built."""
+
+    __slots__ = ("wall", "ring", "f", "powers", "sums")
+
+    def __init__(self, wall: Wall, zero: TruncatedSeries, degree: int = 0):
+        zero._compatible(wall.function)
+        self.wall, self.ring = wall, zero._ring
+        self.f = [dict(kcs) for kcs in _by_degree(wall.function, self.ring)]
+        if self.f[0] != {self.ring.bias: 1}:
+            raise BadConstantTerm("a wall function must be 1 mod parameters")
+        self.powers: list[list[tuple[int, dict[int, Coeff]]]] = [[] for _ in range(degree + 1)]
+        self.sums: list[dict[int, dict[int, Coeff]]] = [{} for _ in range(degree + 1)]
+
+    def at(self, a: int) -> list[tuple[int, dict[int, Coeff]]]:
+        """(i, h^i[a]) for i = 1, 2, ... with a nonzero piece."""
+        return [(1, self.f[a]), *self.powers[a]] if self.f[a] else self.powers[a]
+
+    def fill(self, k: int) -> None:
+        """powers[k], from pieces of degree < k: h^i[k] = sum_c h^(i-1)[c] h[k - c]."""
+        acc: dict[int, dict[int, Coeff]] = {}
+        for c in range(1, k):
+            if self.f[k - c]:
+                for i, left in self.at(c):
+                    _mul_acc(acc.setdefault(i + 1, {}), left.items(), self.f[k - c].items(),
+                             self.ring)
+        self.powers.append([(i, nz) for i, t in sorted(acc.items()) if (nz := _nonzero(t))])
+        self.sums.append({})
+
+    def sum_at(self, n: int, a: int) -> dict[int, Coeff]:
+        """(f^n - 1)[a] = sum_i C(n, i) h^i[a]."""
+        if n not in self.sums[a]:
+            t: dict[int, Coeff] = {}
+            for i, piece in self.at(a):
+                c = comb(n, i) if n >= 0 else (-1) ** i * comb(i - n - 1, i)
+                if not c:  # n >= 0 and i > n
+                    break
+                _mul_acc(t, piece.items(), ((self.ring.bias, c),), self.ring)  # t += c h^i[a]
+            self.sums[a][n] = _nonzero(t)
+        return self.sums[a][n]
+
+    def times_one_plus(self, key: int, c: Coeff, k: int) -> None:
+        """f = f * (1 + c * key) for an increment of degree k: the pieces of
+        degree >= k change, from the top down, and so do the sums at k."""
+        f = self.f
+        for a in range(len(f) - 1, k - 1, -1):
+            if f[a - k]:
+                t = dict(f[a])
+                _mul_acc(t, ((key, c),), f[a - k].items(), self.ring)
+                f[a] = _nonzero(t)
+        self.sums[k].clear()
+
+
+def _crossed(before: list[dict[int, Coeff]], cr: tuple, k: int, r) -> dict[int, Coeff]:
+    """The degree-k piece of ``cross_wall`` of the image ``before``: its own
+    degree-k piece plus, for each degree b < k and pairing n, the terms of
+    degree b with pairing n times (f^n - 1)[k - b]."""
+    (a, b), w, _images = cr
+    t = dict(before[k])
+    for deg in range(k):
+        if w.f[k - deg] or w.powers[k - deg]:
+            groups: dict[int, list[tuple[int, Coeff]]] = {}
+            for kc in before[deg].items():
+                xe, ye = r.xy(kc[0])
+                if a * ye - b * xe:
+                    groups.setdefault(a * ye - b * xe, []).append(kc)
+            for n, kcs in groups.items():
+                _mul_acc(t, w.sum_at(n, k - deg).items(), kcs, r)
+    return _nonzero(t)
+
+
+def _nonzero(t: dict[int, Coeff]) -> dict[int, Coeff]:
+    return {k: c for k, c in t.items() if c}
 
 
 def _loop_defects(d: ScatteringDiagram) -> tuple[TruncatedSeries, TruncatedSeries]:

@@ -35,13 +35,17 @@ two monomials is then ``k1 + k2 - bias`` (``bias`` is the key of 1), and
 one test against the mask of all guard bits drops it when it leaves the
 box or the cutoff.  ``terms`` unpacks the keys into a fresh dict
 ``{(x, y, param_exps): c}``.  The wall functions that ``scatter`` returns
-keep their keys in an array of machine integers instead of a dict
-(``_kept``), since a caller may hold many diagrams.
+keep their keys and coefficients interleaved in the bytes of one array of
+machine integers instead of a dict (``_kept``), since a caller may hold
+many diagrams.
 
-There is one product loop, ``_plus_products``: self + sum of a * b over a
-list of pairs, accumulated into one dict.  ``__mul__`` passes it one pair;
-``scattering.cross_wall`` passes it every h^k * P_k of a wall crossing,
-regrouped by the power k of h = f - 1, so that no power f^n is built.
+There is one product loop, ``_mul_acc``: t += a * b over two lists of
+packed terms, accumulated into one dict.  ``_plus_products`` (self + sum of
+a * b over a list of pairs) feeds it each parameter degree of a against the
+terms of b of low enough degree; ``__mul__`` passes it one pair, and
+``scattering.cross_wall`` every h^k * P_k of a wall crossing, regrouped by
+the power k of h = f - 1, so that no power f^n is built.  The rounds of
+``scatter`` feed it pieces of one parameter degree each.
 """
 
 from __future__ import annotations
@@ -160,7 +164,8 @@ class TruncatedSeries:
     def _wrap(self, t) -> "TruncatedSeries":
         """A series of the same ring whose packed terms are t, taken as they
         are: every key inside the ring, every coefficient nonzero and
-        canonical.  t is a dict, or the (keys, coefficients) of _kept."""
+        canonical.  t is a dict, or the flat keys and coefficients of
+        _kept."""
         out = TruncatedSeries.__new__(TruncatedSeries)
         out._ring, out._t = self._ring, t
         return out
@@ -168,20 +173,24 @@ class TruncatedSeries:
     def _dict(self) -> dict[int, Coeff]:
         """The packed terms as a dict (built afresh from a _kept series)."""
         t = self._t
-        return t if type(t) is dict else dict(zip(*t))
+        if type(t) is dict:
+            return t
+        if type(t) is bytes:
+            t = memoryview(t).cast("q")
+        return dict(zip(t[0::2], t[1::2]))
 
     def _kept(self) -> "TruncatedSeries":
         """The same series stored compactly, for a result that callers keep:
-        its keys in one array of machine integers (a tuple when one does
-        not fit in 64 bits) and its coefficients in one tuple, 16 bytes a
-        term where a dict and its int keys take 60 to 80.  An operation
-        that reads it builds the dict again."""
-        t = self._dict()
+        its keys and coefficients interleaved in the bytes of one array of
+        machine integers, 16 bytes a term in one block where a dict and its
+        int keys take 60 to 80, or in one flat tuple when a key or a
+        coefficient is not an int of 64 bits.  An operation that reads it
+        builds the dict again."""
+        flat = [v for kc in self._dict().items() for v in kc]
         try:
-            keys = array("q", t)
-        except OverflowError:
-            keys = tuple(t)
-        return self._wrap((keys, tuple(t.values())))
+            return self._wrap(array("q", flat).tobytes())
+        except (OverflowError, TypeError):
+            return self._wrap(tuple(flat))
 
     def _like(self, t: dict[int, Coeff]) -> "TruncatedSeries":
         """A series of the same ring with the packed terms t, whose
@@ -226,11 +235,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             other = self._const(other)
         self._compatible(other)
-        t = dict(self._dict())
-        get = t.get
-        for k, c in other._dict().items():
-            t[k] = get(k, 0) + c
-        return self._like(t)
+        return self._like(_summed(self._dict(), other._dict()))
 
     __radd__ = __add__
 
@@ -254,34 +259,21 @@ class TruncatedSeries:
 
     def _plus_products(self, pairs: Iterable[tuple]) -> "TruncatedSeries":
         """self + sum of a * b over the pairs (a, b) of series, accumulated
-        into one dict: the one product kernel.  b's terms are sorted by
-        parameter degree, so a term of a of degree d meets only the first
-        ends[cutoff - d] of them, those of degree <= cutoff - d.  A key past
-        a box bound has a guard bit set and is dropped; a key whose x leaves
-        its field raises ``ValueError``."""
+        into one dict by ``_mul_acc``.  Both operands are grouped by
+        parameter degree and b's terms sorted by it, so a's terms of degree
+        d meet only the first ends[cutoff - d] of b's, those of degree
+        <= cutoff - d."""
         r = self._ring
-        dmask, doff, cutoff = r.dmask, r.doff, r.cutoff
-        bias, guard = r.bias, r.guard
         t = dict(self._dict())
-        get = t.get
         for a, b in pairs:
             self._compatible(a)
             self._compatible(b)
-            by_degree: list[list] = [[] for _ in range(cutoff + 1)]
-            for k2, c2 in b._dict().items():
-                by_degree[(k2 & dmask) - doff].append((k2, c2))
+            left, by_degree = _by_degree(a, r), _by_degree(b, r)
             right = [kc for kcs in by_degree for kc in kcs]
             ends = list(accumulate(map(len, by_degree)))
-            for k1, c1 in a._dict().items():
-                top = ends[cutoff + doff - (k1 & dmask)]
-                k1 -= bias
-                for k2, c2 in right[:top]:
-                    k = k1 + k2
-                    if k & guard:
-                        if k & r.xguard:
-                            raise ValueError(f"a product's x exponent leaves {_X_RANGE}")
-                        continue
-                    t[k] = get(k, 0) + c1 * c2
+            for d, kcs in enumerate(left):
+                if kcs:
+                    _mul_acc(t, kcs, right[:ends[r.cutoff - d]], r)
         return self._like(t)
 
     __rmul__ = __mul__
@@ -366,6 +358,44 @@ class TruncatedSeries:
             m = "*".join(mono)
             bits.append(f"{c}" + (f"*{m}" if m else ""))
         return " + ".join(bits)
+
+
+def _by_degree(f: TruncatedSeries, r: _Ring) -> list[list[tuple[int, Coeff]]]:
+    """f's packed terms in one list per parameter degree 0..cutoff."""
+    dmask, doff = r.dmask, r.doff
+    out: list[list] = [[] for _ in range(r.cutoff + 1)]
+    for kc in f._dict().items():
+        out[(kc[0] & dmask) - doff].append(kc)
+    return out
+
+
+def _mul_acc(t: dict[int, Coeff], left: Iterable[tuple[int, Coeff]],
+             right: Iterable[tuple[int, Coeff]], r: _Ring) -> None:
+    """t += left * right, for packed (key, coefficient) pairs of the ring r:
+    the one product loop.  The key of a product of two monomials is
+    k1 + k2 - bias; one past a box bound or the cutoff has a guard bit set
+    and is dropped, and one whose x leaves its field raises ``ValueError``.
+    right is read once per term of left.  Sums may leave zeros in t."""
+    bias, guard, xguard = r.bias, r.guard, r.xguard
+    get = t.get
+    for k1, c1 in left:
+        k1 -= bias
+        for k2, c2 in right:
+            k = k1 + k2
+            if k & guard:
+                if k & xguard:
+                    raise ValueError(f"a product's x exponent leaves {_X_RANGE}")
+                continue
+            t[k] = get(k, 0) + c1 * c2
+
+
+def _summed(t: dict[int, Coeff], u: dict[int, Coeff], c: Coeff = 1) -> dict[int, Coeff]:
+    """t + c * u, as a new dict that may hold zeros."""
+    t = dict(t)
+    get = t.get
+    for k, v in u.items():
+        t[k] = get(k, 0) + c * v
+    return t
 
 
 def _canonical(t: Mapping[int, object]) -> dict[int, Coeff]:
