@@ -8,7 +8,8 @@ live in Q[x^{±1}, y^{±1}][s_*, t_*] truncated in total parameter degree.
 A diagram scattered for one coefficient c_d is also truncated to the box of
 exponents <= d (see ``series``): its walls are the images of the full ones.
 ``scatter`` computes each parameter degree of each crossing once, and one
-loop product at the full cutoff (``loop_product``) checks its result.
+loop product at the full cutoff checks its result; ``loop_product`` and
+``cross_wall`` share one kernel on packed dicts, ``_cross``.
 """
 
 from __future__ import annotations
@@ -17,15 +18,16 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from itertools import chain, islice
+from math import comb, factorial, gcd, prod
 
 from .errors import (BadConstantTerm, BadCutoff, CutoffTooSmall, TooMuchWork,
                      ValidationError)
 from .exact import Q, ZERO
 from .quiver import DimVector, Stability, bipartite_quiver, moduli_dimension
 from .quiverjk import jk_ab_infinity
-from .series import (Coeff, TruncatedSeries, _by_degree, _int_or_fraction, _mul_acc,
-                     _summed)
+from .series import (_X_MASK, _X_OFF, Coeff, TruncatedSeries, _by_degree, _graded,
+                     _int_or_fraction, _mul_acc, _mul_graded, _summed)
 
 
 @dataclass(slots=True)
@@ -81,11 +83,12 @@ def _check_sizes(l1: int, l2: int, cutoff: int) -> None:
 
 
 # the price of a full scatter: C(N + P, P) * (N + P) for P = l1 + l2
-# parameters at order N.  Measured through cli.main in-process (nproc 2,
-# Python 3.11.7), a unit costs 0.6 us on K(1,1), 1.2 us on K(2,2) and
-# K(500,1) and up to 6 us with four or more parameters a side: K(2,2)
-# order 20 (2.6e5) 0.3 s, K(10,10) order 4 (2.6e5) 1.5 s, K(6,6) order 6
-# (3.3e5) 1.8 s, K(4,4) order 10 (7.9e5) 3.5 s, K(1,1) order 120 (9.0e5) 0.5 s
+# parameters at order N (of a box scatter: ``_cd_box``).  Measured through
+# cli.main in-process (nproc 2, Python 3.11.7), a unit costs 0.6 us on
+# K(1,1), 1.2 us on K(2,2) and K(500,1) and up to 6 us with four or more
+# parameters a side: K(2,2) order 20 (2.6e5) 0.3 s, K(10,10) order 4 (2.6e5)
+# 1.5 s, K(6,6) order 6 (3.3e5) 1.8 s, K(4,4) order 10 (7.9e5) 3.5 s, K(1,1)
+# order 120 (9.0e5) 0.5 s; the box of K(3,3) d=(3,3,3;2,3,3) (7.1e4) 1 s
 MAX_SCATTER_WORK = 3 * 10 ** 5
 
 
@@ -112,7 +115,7 @@ def check_scatter_work(l1: int, l2: int, cutoff: int) -> None:
 
 
 def cross_wall(w: Wall, g: TruncatedSeries, orientation: int = 1,
-               powers: list[TruncatedSeries] | None = None) -> TruncatedSeries:
+               powers: list[tuple] | None = None) -> TruncatedSeries:
     """Apply x -> x f^{±<m,(1,0)>}, y -> y f^{±<m,(0,1)>} to g.
 
     The substitution sends a term c * p * x^A y^B to the same term times f^n,
@@ -121,45 +124,60 @@ def cross_wall(w: Wall, g: TruncatedSeries, orientation: int = 1,
     C(n, k) h^k, where h^k = 0 past the cutoff (Gross-Pandharipande-Siebert,
     "The tropical vertex").  Regrouped by k, the image is g + sum_{k >= 1}
     h^k * P_k, with P_k = sum_n C(n, k) * (the terms of g with pairing n),
-    built in one pass over g: a term of parameter degree d feeds only the
-    P_k with k <= cutoff - d, and one with n = 0 none.  The products and the
-    sum are one multiply-accumulate, and no f^n is built.  ``powers`` is the
-    list h, h^2, ... up to the last nonzero power, filled here when empty;
-    crossings of the same wall function may share it, so that each power of
-    h is raised once.
+    and no f^n is built (``_cross``).  ``powers`` is the ``_wall_powers``
+    list, filled here when empty; crossings of the same wall function may
+    share it, so that each power of h is raised once.
     """
     if orientation not in (1, -1):
         raise ValidationError("orientation", "must be +1 or -1")
+    g._compatible(w.function)
     if powers is None:
         powers = []
     if not powers:
-        powers.extend(_nilpotent_powers(w.function))
-    (a, b), r = w.direction, g._ring
-    xy, dmask, top = r.xy, r.dmask, r.cutoff + r.doff
-    parts: list[dict[int, Coeff]] = [{} for _ in powers]
-    for key, c in g._dict().items():
-        xe, ye = xy(key)
-        n = orientation * (a * ye - b * xe)  # orientation * <(a, b), (xe, ye)>
-        binom = 1
-        for k, pk in enumerate(parts[:top - (key & dmask)]):
-            binom = binom * (n - k) // (k + 1)  # C(n, k + 1), exact
-            if not binom:                       # n >= 0 and k >= n
-                break
-            pk[key] = binom * c
-    return g._plus_products((hk, g._like(pk)) for hk, pk in zip(powers, parts) if pk)
+        powers.extend(_wall_powers(w.function, g._ring))
+    a, b = w.direction
+    return g._like(_cross(g._dict(), orientation * a, orientation * b, powers, g._ring))
 
 
-def _nilpotent_powers(f: TruncatedSeries) -> list[TruncatedSeries]:
+def _wall_powers(function: TruncatedSeries, r) -> list[tuple]:
     """h, h^2, ... for h = f - 1, up to the last nonzero power (at most the
-    cutoff-th, since h^k has parameter degree >= k)."""
-    h = f - 1
-    if h.param_degree_zero_part():
+    cutoff-th, since h^k has parameter degree >= k), each as its terms
+    sorted by parameter degree and their ends by degree (``_graded``)."""
+    f = function._dict()
+    hk = _by_degree({key: c for key, c in f.items() if key != r.bias}, r)
+    if f.get(r.bias) != 1 or hk[0]:
         raise BadConstantTerm("a wall function must be 1 mod parameters")
-    out: list[TruncatedSeries] = []
-    while not h.is_zero() and len(out) < f.cutoff:
-        out.append(h)
-        h = h * out[0]
-    return out
+    powers: list[tuple] = []
+    while any(hk):
+        powers.append(_graded(hk))
+        t: dict[int, Coeff] = {}
+        _mul_graded(t, hk, powers[0], r)
+        hk = _by_degree(_nonzero(t), r)
+    return powers
+
+
+def _cross(g: dict[int, Coeff], a: int, b: int, powers: list[tuple], r) -> dict[int, Coeff]:
+    """g + sum_k h^k P_k (``cross_wall``) for the packed terms g, the
+    direction (a, b) times the orientation and the ``_wall_powers`` of f,
+    one degree d of g at a time: its P_k meet the terms of h^k of degree
+    <= cutoff - d.  The sum may hold zeros."""
+    t, cutoff, xshift, yshift = dict(g), r.cutoff, r.xshift, r.yshift
+    for d, kcs in enumerate(_by_degree(g, r)):
+        if not kcs:
+            continue
+        parts: list[list[tuple[int, Coeff]]] = [[] for _ in powers[:cutoff - d]]
+        for key, c in kcs:
+            n = a * (key >> yshift) - b * (((key >> xshift) & _X_MASK) - _X_OFF)
+            binom = 1
+            for k, pk in enumerate(parts):
+                binom = binom * (n - k) // (k + 1)  # C(n, k + 1), exact
+                if not binom:                       # n >= 0 and k >= n
+                    break
+                pk.append((key, binom * c))
+        for (hk, ends), pk in zip(powers, parts):
+            if pk:
+                _mul_acc(t, pk, hk[:ends[cutoff - d]], r)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +200,7 @@ def _angular_key(v: tuple[int, int]) -> tuple:
     return sector, v
 
 
+@lru_cache(maxsize=1024)
 def _event_key(v: tuple[int, int]) -> tuple:
     """The ccw order of crossings: by sector, then by -dot/cross with
     START_DIRECTION, the -cot of the angle from it (0 on the axis sectors)."""
@@ -196,25 +215,24 @@ def _sort_events(events):
 
 
 def loop_product(d: ScatteringDiagram) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Images of x and y under one full counterclockwise loop of crossings.
-
-    Every crossing of a wall (x and y, and both halves of a line) shares one
-    list of the powers of its function minus 1.
-    """
+    """Images of x and y under one full counterclockwise loop of crossings,
+    crossed as packed dicts (``_cross``) with the powers of each wall
+    function minus 1 raised once."""
+    one = TruncatedSeries.const(d.params, d.cutoff, 1, d.box)
+    r = one._ring
     events = []
     for w in d.walls:
-        a, b = w.direction
-        powers: list[TruncatedSeries] = []
-        events.append(((a, b), w, 1, powers))
+        one._compatible(w.function)
+        (a, b), powers = w.direction, _wall_powers(w.function, r)
+        events.append(((a, b), powers))
         if w.support == "line":
-            events.append(((-a, -b), w, -1, powers))
-    events = _sort_events(events)
-    x = TruncatedSeries.monomial(d.params, d.cutoff, xe=1, box=d.box)
-    y = TruncatedSeries.monomial(d.params, d.cutoff, ye=1, box=d.box)
-    for _v, w, eps, powers in events:
-        x = cross_wall(w, x, eps, powers)
-        y = cross_wall(w, y, eps, powers)
-    return x, y
+            events.append(((-a, -b), powers))
+    zeros = (0,) * len(d.params)
+    x, y = {r.pack(1, 0, zeros): 1}, {r.pack(0, 1, zeros): 1}
+    for (a, b), powers in _sort_events(events):
+        x = _nonzero(_cross(x, a, b, powers, r))
+        y = _nonzero(_cross(y, a, b, powers, r))
+    return one._like(x), one._like(y)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +311,11 @@ def _add_rays(d: ScatteringDiagram) -> None:
                 walls.append(w)
                 d.walls.append(w.wall)
                 j = bisect_right(loop, _event_key(m), 1, key=lambda cr: _event_key(cr[0]))
+                # it shares the finished pieces before it: grouped once for the
+                # crossing after it (for itself when last), else anew each round
+                after = loop[j][0] if j < len(loop) else m
+                for im in loop[j - 1][2]:
+                    im[:k] = [_grouped(p, after, r) if p and type(p) is dict else p for p in im[:k]]
                 loop.insert(j, (m, w, tuple(im[:] for im in loop[j - 1][2])))
             # c_x != 0 here: b c_y = -a c_x, and a defect is nonzero
             key, c = r.pack(xe, ye, p), _int_or_fraction(Fraction(cx, b))
@@ -334,7 +357,7 @@ class _Pieces:
     def __init__(self, wall: Wall, zero: TruncatedSeries, degree: int = 0):
         zero._compatible(wall.function)
         self.wall, self.ring = wall, zero._ring
-        self.f = [dict(kcs) for kcs in _by_degree(wall.function, self.ring)]
+        self.f = [dict(kcs) for kcs in _by_degree(wall.function._dict(), self.ring)]
         if self.f[0] != {self.ring.bias: 1}:
             raise BadConstantTerm("a wall function must be 1 mod parameters")
         self.powers: list[list[tuple[int, dict[int, Coeff]]]] = [[] for _ in range(degree + 1)]
@@ -363,7 +386,7 @@ class _Pieces:
                 c = comb(n, i) if n >= 0 else (-1) ** i * comb(i - n - 1, i)
                 if not c:  # n >= 0 and i > n
                     break
-                _mul_acc(t, piece.items(), ((self.ring.bias, c),), self.ring)  # t += c h^i[a]
+                t = _summed(t, piece, c)
             self.sums[a][n] = _nonzero(t)
         return self.sums[a][n]
 
@@ -379,26 +402,51 @@ class _Pieces:
         self.sums[k].clear()
 
 
-def _crossed(before: list[dict[int, Coeff]], cr: tuple, k: int, r) -> dict[int, Coeff]:
+def _crossed(before: list, cr: tuple, k: int, r) -> dict[int, Coeff]:
     """The degree-k piece of ``cross_wall`` of the image ``before``: its own
     degree-k piece plus, for each degree b < k and pairing n, the terms of
-    degree b with pairing n times (f^n - 1)[k - b]."""
-    (a, b), w, _images = cr
-    t = dict(before[k])
+    degree b with pairing n times (f^n - 1)[k - b], or before[k] itself
+    when the wall adds nothing.  A finished piece before[b] is grouped by
+    pairing once, in place (``_grouped``)."""
+    m, w, _images = cr
+    t = None
     for deg in range(k):
-        if w.f[k - deg] or w.powers[k - deg]:
-            groups: dict[int, list[tuple[int, Coeff]]] = {}
-            for kc in before[deg].items():
-                xe, ye = r.xy(kc[0])
-                if a * ye - b * xe:
-                    groups.setdefault(a * ye - b * xe, []).append(kc)
-            for n, kcs in groups.items():
-                _mul_acc(t, w.sum_at(n, k - deg).items(), kcs, r)
-    return _nonzero(t)
+        piece = before[deg]
+        if piece and (w.f[k - deg] or w.powers[k - deg]):
+            if type(piece) is dict:
+                piece = before[deg] = _grouped(piece, m, r)
+            elif piece[0] != m:  # shared with an inserted ray's crossing: not in place
+                piece = _grouped(piece, m, r)
+            t = dict(before[k]) if t is None else t
+            items = iter(piece[1].items())
+            for i in range(2, len(piece), 2):
+                _mul_acc(t, w.sum_at(piece[i], k - deg).items(),
+                         list(islice(items, piece[i + 1])), r)
+    return before[k] if t is None else _nonzero(t)
+
+
+def _grouped(piece, m: tuple[int, int], r) -> tuple:
+    """A finished piece (a dict, or grouped for another direction) grouped
+    by the pairing n of its terms with m: (m, the terms in one dict, in one
+    run per nonzero n and then those with n = 0, and n and the length of
+    each run in turn)."""
+    (a, b), xshift, yshift = m, r.xshift, r.yshift
+    terms = piece if type(piece) is dict else piece[1]
+    groups: dict[int, list[tuple[int, Coeff]]] = {}
+    for kc in terms.items():
+        xe = ((kc[0] >> xshift) & _X_MASK) - _X_OFF
+        groups.setdefault(a * (kc[0] >> yshift) - b * xe, []).append(kc)
+    if 0 in groups:
+        groups[0] = groups.pop(0)  # last, and in no run
+    runs = [v for n, kcs in groups.items() if n for v in (n, len(kcs))]
+    if len(groups) > 1:
+        terms = dict(chain.from_iterable(groups.values()))
+    return m, terms, *runs
 
 
 def _nonzero(t: dict[int, Coeff]) -> dict[int, Coeff]:
-    return {k: c for k, c in t.items() if c}
+    """t without its zero terms: t itself when it holds none."""
+    return t if all(t.values()) else {k: c for k, c in t.items() if c}
 
 
 def _loop_defects(d: ScatteringDiagram) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -461,9 +509,23 @@ def _cd_diagram(l1: int, l2: int, dim: DimVector, cutoff: int) -> ScatteringDiag
     ``extract_cd`` reads from it the c_dim of the full diagram at any cutoff
     >= |dim|, which cutoff must be.  The cost follows dim, not the cutoff.
     """
-    p1, p2, pexp = _cd_target(dim, cutoff)
-    box = tuple(pexp.get(p, 0) for p in _params(l1, l2))
-    return scatter(init_bipartite(l1, l2, p1 + p2, box))
+    box = _cd_box(l1, l2, dim, cutoff)
+    return scatter(init_bipartite(l1, l2, sum(box), box))
+
+
+def _cd_box(l1: int, l2: int, dim: DimVector, cutoff: int) -> tuple[int, ...]:
+    """The box of dim after the checks of ``_cd_target``, refused when its
+    scatter is priced over MAX_SCATTER_WORK: prod(b_i + 1) box monomials
+    times N + P for N = |dim| and P = l1 + l2."""
+    box = tuple(_cd_target(dim, cutoff)[2].get(p, 0) for p in _params(l1, l2))
+    work = (sum(box) + l1 + l2) * prod(b + 1 for b in box)
+    if work > MAX_SCATTER_WORK:
+        raise TooMuchWork(work, MAX_SCATTER_WORK,
+                          f"the box scattering diagram of K({l1}, {l2}) for d = "
+                          f"({','.join(map(str, box[:l1]))};{','.join(map(str, box[l1:]))}) "
+                          f"needs {work} steps (prod(b_i + 1) box monomials times N + P, "
+                          f"N = |d|, P = l1 + l2)")
+    return box
 
 
 @dataclass(frozen=True, slots=True)
@@ -479,13 +541,13 @@ def verify_main_theorem(l1: int, l2: int, dim: DimVector, zeta: Stability,
     """Check c_d = (-1)^D * jk_ab_infinity / prod d_v! for K(l1, l2).
 
     The input checks run first and the JK side second, so a rejected input
-    (bad cutoff, |d| over the cutoff, non-regular stability) never pays for
-    the scattering diagram.
+    (bad cutoff, |d| over the cutoff, non-regular stability, a box scatter
+    over its work bound) never pays for the scattering diagram.
     """
     q = bipartite_quiver(l1, l2)
     _check_compatible(q, dim, zeta, l1)
     _check_sizes(l1, l2, cutoff)
-    _cd_target(dim, cutoff)
+    _cd_box(l1, l2, dim, cutoff)
     D = moduli_dimension(q, dim)
     dfact = 1
     for _v, dv in dim.values:

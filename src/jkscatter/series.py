@@ -40,12 +40,14 @@ machine integers instead of a dict (``_kept``), since a caller may hold
 many diagrams.
 
 There is one product loop, ``_mul_acc``: t += a * b over two lists of
-packed terms, accumulated into one dict.  ``_plus_products`` (self + sum of
-a * b over a list of pairs) feeds it each parameter degree of a against the
-terms of b of low enough degree; ``__mul__`` passes it one pair, and
-``scattering.cross_wall`` every h^k * P_k of a wall crossing, regrouped by
-the power k of h = f - 1, so that no power f^n is built.  The rounds of
-``scatter`` feed it pieces of one parameter degree each.
+packed terms, accumulated into one dict.  ``_mul_graded`` feeds it each
+parameter degree d of a (``_by_degree``) against the terms of b of degree
+<= cutoff - d, a prefix of b's terms sorted by degree (``_graded``);
+``__mul__`` is one such product.  ``scattering`` keeps the powers h^k of
+each wall function minus 1 graded, and adds every h^k * P_k of a wall
+crossing into one dict, degree by degree, so that no power f^n and no
+series per P_k is built.  The rounds of ``scatter`` feed ``_mul_acc``
+pieces of one parameter degree each.
 """
 
 from __future__ import annotations
@@ -255,25 +257,9 @@ class TruncatedSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
-        return self._wrap({})._plus_products(((self, other),))
-
-    def _plus_products(self, pairs: Iterable[tuple]) -> "TruncatedSeries":
-        """self + sum of a * b over the pairs (a, b) of series, accumulated
-        into one dict by ``_mul_acc``.  Both operands are grouped by
-        parameter degree and b's terms sorted by it, so a's terms of degree
-        d meet only the first ends[cutoff - d] of b's, those of degree
-        <= cutoff - d."""
-        r = self._ring
-        t = dict(self._dict())
-        for a, b in pairs:
-            self._compatible(a)
-            self._compatible(b)
-            left, by_degree = _by_degree(a, r), _by_degree(b, r)
-            right = [kc for kcs in by_degree for kc in kcs]
-            ends = list(accumulate(map(len, by_degree)))
-            for d, kcs in enumerate(left):
-                if kcs:
-                    _mul_acc(t, kcs, right[:ends[r.cutoff - d]], r)
+        self._compatible(other)
+        r, t = self._ring, {}
+        _mul_graded(t, _by_degree(self._dict(), r), _graded(_by_degree(other._dict(), r)), r)
         return self._like(t)
 
     __rmul__ = __mul__
@@ -360,13 +346,29 @@ class TruncatedSeries:
         return " + ".join(bits)
 
 
-def _by_degree(f: TruncatedSeries, r: _Ring) -> list[list[tuple[int, Coeff]]]:
-    """f's packed terms in one list per parameter degree 0..cutoff."""
+def _by_degree(t: dict[int, Coeff], r: _Ring) -> list[list[tuple[int, Coeff]]]:
+    """t's packed terms in one list per parameter degree 0..cutoff."""
     dmask, doff = r.dmask, r.doff
     out: list[list] = [[] for _ in range(r.cutoff + 1)]
-    for kc in f._dict().items():
+    for kc in t.items():
         out[(kc[0] & dmask) - doff].append(kc)
     return out
+
+
+def _graded(by_degree: list[list]) -> tuple[list[tuple[int, Coeff]], list[int]]:
+    """The terms of _by_degree in one list sorted by degree, and ends[d],
+    the number of them of degree <= d."""
+    return [kc for kcs in by_degree for kc in kcs], list(accumulate(map(len, by_degree)))
+
+
+def _mul_graded(t: dict[int, Coeff], left: list[list], right: tuple, r: _Ring) -> None:
+    """t += left * right, left split by degree (``_by_degree``) and right
+    ``_graded``: the terms of left of degree d meet only the first
+    ends[cutoff - d] terms of right, those of degree <= cutoff - d."""
+    terms, ends = right
+    for d, kcs in enumerate(left):
+        if kcs:
+            _mul_acc(t, kcs, terms[:ends[r.cutoff - d]], r)
 
 
 def _mul_acc(t: dict[int, Coeff], left: Iterable[tuple[int, Coeff]],

@@ -507,6 +507,18 @@ class TestExitCodes:
             f"{estimate} steps (C(N + P, P) monomials times N + P, P = l1 + l2), "
             "over the bound 300000")
 
+    def test_box_scatter_over_its_work_bound_is_2(self, monkeypatch):
+        # prod(b_i + 1) = 5^6 box monomials times |d| + l1 + l2 = 30; it ran
+        # until killed, unpriced
+        monkeypatch.setattr(scattering, "scatter", lambda *_a: pytest.fail("a diagram was built"))
+        code, rep = run_json(["extract-cd", "--l1", "3", "--l2", "3", "--d", "4,4,4;4,4,4",
+                              "--order", "24"])
+        assert (code, rep["error"]) == (2, "TooMuchWork")
+        assert rep["message"] == (
+            "the box scattering diagram of K(3, 3) for d = (4,4,4;4,4,4) needs 468750 steps "
+            "(prod(b_i + 1) box monomials times N + P, N = |d|, P = l1 + l2), "
+            "over the bound 300000")
+
     def test_scatter_work_bound_is_exact(self, monkeypatch):
         # K(1,1) at order 3: C(5, 2) * 5 = 50
         argv = ["scatter", "--l1", "1", "--l2", "1", "--order", "3"]

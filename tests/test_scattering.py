@@ -128,7 +128,7 @@ def test_wall_pieces_are_the_pieces_of_f_powers(w, n, p, c):
     r, pieces = zero._ring, scattering._Pieces(w, zero)
     for k in range(1, CUT + 1):
         pieces.fill(k)
-    want = scattering._by_degree(w.function.power(n) - 1, r)
+    want = scattering._by_degree((w.function.power(n) - 1)._dict(), r)
     assert [pieces.sum_at(n, a) for a in range(1, CUT + 1)] == [dict(t) for t in want[1:]]
     pieces.times_one_plus(r.pack(1, 2, p), c, sum(p))
     grown = w.function * (1 + TruncatedSeries(PARAMS, CUT, {(1, 2, p): c}))
@@ -178,6 +178,65 @@ def test_sort_events_matches_comparator(dirs):
     # distinct tags show that ties keep their input order on both sides
     events = [(v, i, 1) for i, v in enumerate(dirs)]
     assert scattering._sort_events(events) == cmp_sort_events(events)
+
+
+def cross_term_by_term(w, g, eps):
+    """g under the crossing of w with orientation eps, each term c p x^A y^B
+    sent to itself times f^n, n = eps <(a, b), (A, B)> (test reference)."""
+    a, b = w.direction
+    out = TruncatedSeries(g.params, g.cutoff, box=g.box)
+    for (xe, ye, p), c in g.terms.items():
+        term = TruncatedSeries(g.params, g.cutoff, {(xe, ye, p): c}, g.box)
+        out = out + term * w.function.power(eps * (a * ye - b * xe))
+    return out
+
+
+def loop_by_definition(d):
+    """The loop product one crossing at a time, in the comparator's order,
+    each by ``cross_term_by_term`` (test reference)."""
+    events = []
+    for w in d.walls:
+        (a, b), eps = w.direction, (1, -1) if w.support == "line" else (1,)
+        events += [((e * a, e * b), w, e) for e in eps]
+    x = TruncatedSeries.monomial(d.params, d.cutoff, xe=1, box=d.box)
+    y = TruncatedSeries.monomial(d.params, d.cutoff, ye=1, box=d.box)
+    for _v, w, eps in cmp_sort_events(events):
+        x, y = cross_term_by_term(w, x, eps), cross_term_by_term(w, y, eps)
+    return x, y
+
+
+@st.composite
+def loop_diagrams(draw):
+    """A K(l1, l2) diagram with l1 + l2 <= 3 at order <= 4, with or without
+    a box, maybe scattered, plus up to two walls (lines cross in both
+    orientations) of 1 plus terms along their direction; the first has
+    Fraction coefficients."""
+    l1, l2 = draw(st.sampled_from([(1, 1), (2, 1), (1, 2)]))
+    n, npar = draw(st.integers(1, 4)), l1 + l2
+    box = draw(st.none() | st.tuples(*[st.integers(0, 2)] * npar))
+    d = init_bipartite(l1, l2, n, box)
+    if draw(st.booleans()):
+        d = scatter(d)
+    exps = st.tuples(*[st.integers(0, 2)] * npar).filter(lambda p: sum(p) >= 1)
+    for i in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 1), (1, -2), (-1, 3)]))
+        c = st.fractions(-3, 3, max_denominator=4) if i == 0 else st.integers(-3, 3)
+        terms = {(0, 0, (0,) * npar): 1}
+        for j, p, cj in draw(st.lists(st.tuples(st.integers(1, 2), exps, c), max_size=3)):
+            terms[(j * a, j * b, p)] = cj
+        support = draw(st.sampled_from(["line", "ray"]))
+        d.walls.append(Wall((a, b), support, TruncatedSeries(d.params, n, terms, d.box)))
+    return d
+
+
+@settings(max_examples=50, deadline=None)
+@given(loop_diagrams())
+def test_loop_product_is_the_loop_of_substitutions(d):
+    got = loop_product(d)
+    assert got == loop_by_definition(d)
+    for image in got:  # canonical: an int whenever the value is integral
+        assert all(type(c) is int or (type(c) is Q and c.denominator != 1)
+                   for c in image.terms.values())
 
 
 class TestLoopAndScatter:
@@ -379,6 +438,49 @@ def test_relaxed_rounds_match_on_added_walls(walls):
     assert outcome(scatter, d0) == outcome(round_by_round_scatter, d0)
 
 
+@pytest.mark.parametrize("l1, l2, cutoff, box", [
+    (2, 1, 5, None), (2, 2, 5, None), (3, 1, 5, None), (2, 2, 7, (2, 1, 2, 2))])
+def test_grouped_pieces_follow_an_inserted_ray(monkeypatch, l1, l2, cutoff, box):
+    # a ray inserted between two crossings reads finished pieces that were
+    # grouped for the crossing after it: it must group them again for its
+    # own direction, and the crossing after must keep reading them grouped
+    # for its own
+    regrouped = []
+    real = scattering._grouped
+
+    def spy(piece, m, r):
+        if type(piece) is tuple and piece[0] != m:
+            regrouped.append((piece[0], m))
+        return real(piece, m, r)
+
+    monkeypatch.setattr(scattering, "_grouped", spy)
+    d0 = init_bipartite(l1, l2, cutoff, box)
+    assert outcome(scatter, d0) == outcome(round_by_round_scatter, d0)
+    assert regrouped
+
+
+@settings(max_examples=80, deadline=None)
+@given(series, st.sampled_from([(1, 0), (0, 1), (-1, 0), (1, 1), (2, 1), (1, -2)]),
+       st.sampled_from([(1, 1), (-1, 3), (0, -1)]))
+def test_grouped_piece_holds_one_run_per_pairing(g, m, m2):
+    # the runs read from the front of the grouped dict are the terms of
+    # each nonzero pairing with m, and the terms of pairing 0 come last;
+    # grouping again for m2 starts from the grouped form
+    r = g._ring
+    piece = g._dict()
+    for direction, grouped in ((m, scattering._grouped(piece, m, r)),
+                               (m2, scattering._grouped(scattering._grouped(piece, m, r), m2, r))):
+        assert grouped[0] == direction and grouped[1] == piece
+        a, b = direction
+        pairing = {k: a * r.xy(k)[1] - b * r.xy(k)[0] for k in piece}
+        items, seen = list(grouped[1].items()), 0
+        for n, count in zip(grouped[2::2], grouped[3::2]):
+            run = dict(items[seen:seen + count])
+            assert n and run == {k: c for k, c in piece.items() if pairing[k] == n}
+            seen += count
+        assert all(pairing[k] == 0 for k, _c in items[seen:])
+
+
 class TestExtractCd:
     def test_pentagon_values(self):
         d = scatter(init_bipartite(1, 1, 4))
@@ -512,6 +614,33 @@ class TestBox:
         x, y = loop_product(d)
         assert x == TruncatedSeries.monomial(d.params, d.cutoff, xe=1, box=d.box)
         assert y == TruncatedSeries.monomial(d.params, d.cutoff, ye=1, box=d.box)
+
+    def test_box_price_is_the_box_monomials_times_its_size(self, monkeypatch):
+        # prod(b_i + 1) * (|d| + l1 + l2), refused exactly when over the
+        # bound and before any series is built; the CI probes (2,2,2;2,2,3)
+        # and (2,2,1;1,2,3) price at 18,468 and 7,344
+        k33 = bipartite_quiver(3, 3)
+
+        def dim(d):
+            return DimVector.make(k33, dict(zip(k33.vertices, d)))
+
+        for d, order, price in (((2, 2, 2, 2, 2, 3), 13, 972 * 19),
+                                ((2, 2, 1, 1, 2, 3), 11, 432 * 17),
+                                ((3, 3, 3, 2, 3, 3), 17, 3072 * 23)):
+            assert scattering._cd_box(3, 3, dim(d), order) == d
+            monkeypatch.setattr(scattering, "MAX_SCATTER_WORK", price - 1)
+            with pytest.raises(TooMuchWork) as ei:
+                scattering._cd_diagram(3, 3, dim(d), order + 2)
+            assert (ei.value.estimate, ei.value.bound) == (price, price - 1)
+            monkeypatch.undo()
+        # verify-main refuses it with its input checks, before the JK side
+        for name in ("scatter", "jk_ab_infinity"):
+            monkeypatch.setattr(scattering, name, lambda *_a: pytest.fail(f"{name} ran"))
+        monkeypatch.setattr(scattering, "MAX_SCATTER_WORK", 625 * 20 - 1)
+        k22 = bipartite_quiver(2, 2)
+        zeta = Stability.make(k22, {"i1": Q(4), "i2": Q(4), "j1": Q(-4), "j2": Q(-4)})
+        with pytest.raises(TooMuchWork, match=r"d = \(4,4;4,4\) needs 12500 steps"):
+            verify_main_theorem(2, 2, dv(k22, i1=4, i2=4, j1=4, j2=4), zeta, 16)
 
     def test_extract_cd_refuses_d_outside_the_box(self):
         # the full K(2,1) diagram has c_(1,1;1) = 1; the box of (2,0;1) drops

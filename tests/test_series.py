@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jkscatter.errors import BadConstantTerm
-from jkscatter.scattering import Wall, _nilpotent_powers, cross_wall
-from jkscatter.series import X_BITS, TruncatedSeries
+from jkscatter.scattering import Wall, cross_wall
+from jkscatter.series import X_BITS, TruncatedSeries, _mul_acc
 
 P = ("s", "t")
 
@@ -201,7 +201,17 @@ def test_product_and_sum_match_fraction_reference(pair):
     assert_canonical(total)
 
 
-# -- the multiply-accumulate kernel: self + sum of a * b into one dict
+# -- the multiply-accumulate kernel: t += a * b into one dict
+
+def accumulated(acc, pairs):
+    """acc + sum of a * b over the pairs, through _mul_acc into one dict
+    with no grouping by degree: the guard bits alone drop what leaves the
+    ring."""
+    t = dict(acc._dict())
+    for a, b in pairs:
+        _mul_acc(t, a._dict().items(), list(b._dict().items()), acc._ring)
+    return acc._like(t)
+
 
 @settings(max_examples=100, deadline=None)
 @given(ring_series(count=7), st.integers(0, 3))
@@ -211,7 +221,7 @@ def test_multiply_accumulate_is_one_product_at_a_time(fs, npairs):
     want = acc
     for a, b in pairs:
         want = want + a * b
-    got = acc._plus_products(pairs)
+    got = accumulated(acc, pairs)
     assert got == want
     assert_canonical(got)
 
@@ -219,15 +229,18 @@ def test_multiply_accumulate_is_one_product_at_a_time(fs, npairs):
 def test_multiply_accumulate_drops_keys_past_the_box():
     s, t = (TruncatedSeries.monomial(P, 4, pexp={v: 1}, box=(1, 2)) for v in "st")
     one = TruncatedSeries.const(P, 4, 1, box=(1, 2))
-    got = one._plus_products([(s, s), (s, t), (t, t), (t.scale(2), t), (t, t * t)])
-    assert got.sorted_terms() == [((0, 0, (0, 0)), 1), ((0, 0, (0, 2)), 3),
-                                  ((0, 0, (1, 1)), 1)]
+    pairs = [(s, s), (s, t), (t, t), (t.scale(2), t), (t, t * t)]
+    for got in (accumulated(one, pairs), one + s * s + s * t + t * t + t.scale(2) * t + t * (t * t)):
+        assert got.sorted_terms() == [((0, 0, (0, 0)), 1), ((0, 0, (0, 2)), 3),
+                                      ((0, 0, (1, 1)), 1)]
 
 
 def test_multiply_accumulate_refuses_an_x_leaving_its_field():
     top = mono(xe=X_LIMIT - 1)
     with pytest.raises(ValueError, match="x field"):
-        mono()._plus_products([(mono(), mono()), (top, mono(xe=1, pexp={"s": 1}))])
+        accumulated(mono(), [(mono(), mono()), (top, mono(xe=1, pexp={"s": 1}))])
+    with pytest.raises(ValueError, match="x field"):
+        top * (mono() + mono(xe=1, pexp={"s": 1}))
 
 
 def test_multiply_accumulate_refuses_series_from_another_ring():
@@ -235,11 +248,9 @@ def test_multiply_accumulate_refuses_series_from_another_ring():
     for other in (TruncatedSeries.monomial(P, 3, xe=1),
                   TruncatedSeries.monomial(P, 4, xe=1, box=(1, 1)),
                   TruncatedSeries.monomial(("s",), 4, xe=1)):
-        for pair in ((a, other), (other, a)):
+        for x, y in ((a, other), (other, a)):
             with pytest.raises(ValueError, match="series from different rings"):
-                a._plus_products([(a, a), pair])
-        with pytest.raises(ValueError, match="series from different rings"):
-            other._plus_products([(a, a)])
+                x * y
 
 
 def test_x_exponent_outside_its_field_is_refused():
@@ -324,6 +335,20 @@ def cross_by_definition(w, g, eps):
     return out
 
 
+def graded_powers(f):
+    """h, h^2, ... for h = f - 1 up to the last nonzero power, each as its
+    packed terms and ends[d], the number of them of degree <= d."""
+    h, out = f - 1, []
+    while not (hk := h.power(len(out) + 1)).is_zero():
+        out.append((hk._dict(), [sum(sum(p) <= d for _x, _y, p in hk.terms)
+                                 for d in range(f.cutoff + 1)]))
+    return out
+
+
+def degrees(terms, r):
+    return [sum(r.unpack(k)[2]) for k, _c in terms]
+
+
 @pytest.mark.parametrize("box", [None, (2, 1)])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), eps=st.sampled_from([1, -1]))
@@ -331,18 +356,20 @@ def test_cross_wall_is_the_substitution(box, data, eps):
     w, g1, g2 = data.draw(wall_and_series(box))
     powers = []
     assert cross_wall(w, g1, eps, powers) == cross_by_definition(w, g1, eps)
-    assert powers == _nilpotent_powers(w.function)
+    # each power once, its terms sorted by parameter degree
+    assert [(dict(terms), ends) for terms, ends in powers] == graded_powers(w.function)
+    assert all(degrees(terms, g1._ring) == sorted(degrees(terms, g1._ring))
+               for terms, _ends in powers)
     # a second crossing reads the same list, as loop_product's x and y do
     first = list(powers)
     assert cross_wall(w, g2, eps, powers) == cross_by_definition(w, g2, eps)
     assert len(powers) == len(first) and all(p is q for p, q in zip(powers, first))
-    if powers:
-        assert powers[0] == w.function - 1 and (powers[-1] * powers[0]).is_zero()
 
 
 def test_wall_powers_need_a_function_one_mod_parameters():
-    with pytest.raises(BadConstantTerm):
-        _nilpotent_powers(1 + mono(xe=1))
+    for f in (1 + mono(xe=1), mono(pexp={"s": 1}), 1 + mono(ye=1).scale(Q(1, 2))):
+        with pytest.raises(BadConstantTerm):
+            cross_wall(Wall((1, 0), "ray", f), mono(ye=1))
 
 
 # -- parameter exponents are >= 0, and a box is a quotient of the ring
