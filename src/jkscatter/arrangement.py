@@ -7,14 +7,18 @@ per original arrow; roots are the differences u_{v,j} - u_{v,i} displaced by 1.
 So each plane is an edge x_head - x_tail + c between two of the n + 1 nodes
 (the coordinates, then the reference node n), and the bases of n planes are
 the spanning trees on n + 1 nodes.  build_arrangement records the planes
-once as an integer edge table over one common denominator L: tail, head,
-c L, and whether the plane is a weight or a root.  singular_points and meet
-share one integer walk of each tree (_integer_walk), so a point is known by
-the integers L p, its numerators, and points are keyed and sorted by them.
-The table is all a build computes: the LinForm and Fraction views of it
-(Weight.form, Arrangement.roots, and a point's location and functionals)
-are built on first read and cached, so a path that reads only the table,
-as jk_ab and jk_global_ZQ do, builds none of them.
+once as an integer edge table over one common denominator L (_edge_table):
+tail, head, c L, and whether the plane is a weight or a root.  The points
+of a table (_table_points) and meet share one integer walk of each tree
+(_integer_walk), so a point is known by the integers L p, its numerators,
+and points are keyed and sorted by them.  The table is all a build
+computes: the LinForm and Fraction views of it (Weight.form,
+Arrangement.roots, and a point's location and functionals) are built on
+first read and cached, so a path that reads only the table, as
+jk_global_ZQ does, builds none of them.  quiverjk.jk_ab builds no
+Arrangement at all: each of its terms is an edge table, read by the same
+kernels (_edge_table, _table_points, _zeta_cut_sums) that
+build_arrangement, singular_points and zeta_from_theta wrap.
 
 Exactly n planes meet at every singular point (singular_points rejects
 more), so the local JK residue there is the basis case (Jeffrey-Kirwan 1995,
@@ -22,8 +26,8 @@ Brion-Vergne 1999): it depends only on the signs of zeta's coordinates in
 the basis, zeta summed across each cut of the tree (quiver._cut_sums, as
 for theta in tree_components) over the edge's scale, so a coordinate's
 sign is read from the cut sum and the scale without a division.
-_zeta_cut_sums makes one list of cut sums per point, which serves the
-regularity test of zeta_from_theta and the cone test of
+_zeta_cut_sums makes one list of cut sums per point's walk, which serves
+the regularity test of zeta_from_theta and the cone test of
 quiverjk.jk_global_ZQ.  Both JK routes of quiverjk read Z_Q's residue at
 these points in closed form off the table, one integer product per point.
 jk_basis reads the residue of any form at a basis point, each factor
@@ -124,12 +128,18 @@ class Arrangement:
 
 
 RC_DENOMINATOR = 2 ** 31
-# build_arrangement refuses more hyperplanes than this before building any:
-# building their table takes up to about 8 us a plane (CPython 3.11, x86_64,
+# build_arrangement, and jk_ab for each term, refuses more hyperplanes than
+# this before building any (_check_planes): building their table takes up to about 8 us a plane (CPython 3.11, x86_64,
 # in-process: two vertices and 99,999 arrows at d = (1, 1), R-charges
 # sampled, 0.8 s; K(1,1) d=(316;1), 99,856 planes, 99,540 of them roots,
 # 0.12 s to its DegenerateRCharges), so under a second
 MAX_ARRANGEMENT_PLANES = 100_000
+
+
+def _check_planes(planes: int, coordinates: int) -> None:
+    """Raise TooManyPlanes past MAX_ARRANGEMENT_PLANES planes."""
+    if planes > MAX_ARRANGEMENT_PLANES:
+        raise TooManyPlanes(planes, MAX_ARRANGEMENT_PLANES, coordinates)
 
 
 def sample_rcharges(count: int, seed: int) -> list[Fraction]:
@@ -155,10 +165,8 @@ def build_arrangement(q: Quiver, d: DimVector,
     """
     validate_quiver(q)
     dims = d.as_dict()
-    planes = (sum(dims[t] * dims[h] for t, h in q.arrows)
-              + sum(x * (x - 1) for x in dims.values()))
-    if planes > MAX_ARRANGEMENT_PLANES:
-        raise TooManyPlanes(planes, MAX_ARRANGEMENT_PLANES, d.total() - 1)
+    _check_planes(sum(dims[t] * dims[h] for t, h in q.arrows)
+                  + sum(x * (x - 1) for x in dims.values()), d.total() - 1)
     if rcharges is None:
         if seed is None:
             raise ValueError("provide explicit rcharges or a seed")
@@ -173,20 +181,28 @@ def build_arrangement(q: Quiver, d: DimVector,
     variables = tuple(coord_name(v, k) for v, k in coords)
     names = variables + (None,)
 
-    ends = [(node[t, i], node[h, j], r, (t, h), idx)
-            for idx, ((t, h), r) in enumerate(zip(q.arrows, rc))
+    ends = [(node[t, i], node[h, j], idx) for idx, (t, h) in enumerate(q.arrows)
             for i in range(1, d[t] + 1) for j in range(1, d[h] + 1)]
     pairs = [(node[v, i], node[v, j]) for v in q.vertices
              for i in range(1, d[v] + 1) for j in range(1, d[v] + 1) if i != j]
-    weights = tuple(Weight(r, arrow, idx, (names[t], names[h]))
-                    for t, h, r, arrow, idx in ends)
-    big = lcm(*(r.denominator for r in rc))
-    table = (tuple((t, h, r.numerator * (big // r.denominator), True)
-                   for t, h, r, _arrow, _idx in ends)
-             + tuple((t, h, -big, False) for t, h in pairs))
+    weights = tuple(Weight(rc[idx], q.arrows[idx], idx, (names[t], names[h]))
+                    for t, h, idx in ends)
+    table, big = _edge_table(ends, rc, pairs)
     arr = Arrangement(q, d, variables, (rv, rk), weights, rc, table, big)
     arr.points  # raises DegenerateRCharges on coincidences
     return arr
+
+
+def _edge_table(weights: Sequence[tuple[int, int, int]], rcharges: Sequence[Fraction],
+                roots: Sequence[tuple[int, int]] = ()) -> tuple[tuple, int]:
+    """(table, L): L is the lcm of the R-charges' denominators, and the
+    rows (tail, head, c L, is a weight) are the weight planes x_head -
+    x_tail + rcharges[i] for the weights (tail, head, i), then the root
+    planes x_head - x_tail - 1 on the edges roots."""
+    big = lcm(*(r.denominator for r in rcharges))
+    steps = [r.numerator * (big // r.denominator) for r in rcharges]
+    return (tuple([(t, h, steps[i], True) for t, h, i in weights])
+            + tuple([(t, h, -big, False) for t, h in roots])), big
 
 
 # ---------------------------------------------------------------------------
@@ -266,31 +282,38 @@ def meet(planes: Sequence[LinForm], var_order: Sequence[str],
 
 
 def singular_points(a: Arrangement) -> list[SingularPoint]:
-    """All points where n hyperplanes meet, sorted by location.
-
-    Every plane is an edge of a.table, so the bases are the spanning trees
-    on n + 1 nodes; each is walked once (_integer_walk, as in meet), and
-    the point is keyed by its numerators over a.denominator, which sort as
-    the locations do.  A second basis landing on a stored point means more
-    than n planes meet there (basis exchange), which raises
-    DegenerateRCharges at once.  An abelian d meets every basis:
+    """All points where n hyperplanes meet, sorted by location
+    (_table_points of a.table).  An abelian d meets every basis:
     TooManyTrees past MAX_SPANNING_TREES.
     """
-    n, big = a.n, a.denominator
-    edges = [(t, h) for t, h, _c, _w in a.table]
     if a.dim.is_abelian():
-        check_tree_walk(n + 1, edges)
+        check_tree_walk(a.n + 1, [(t, h) for t, h, _c, _w in a.table])
+    units = (ONE,) * a.n  # each plane is x_head - x_tail + c
+    return [SingularPoint(basis, walk, units, key, a.denominator, a.variables)
+            for key, basis, walk in _table_points(a.n, a.table, a.denominator)]
+
+
+def _table_points(n: int, table: Sequence[tuple[int, int, int, bool]],
+                  big: int) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple]]:
+    """(numerators, basis, walk) of every point where n planes of the edge
+    table over big meet, sorted by numerators.
+
+    Every plane is an edge, so the bases are the spanning trees on n + 1
+    nodes; each is walked once (_integer_walk, as in meet), and the point
+    is keyed by its numerators over big, which sort as the locations do.
+    A second basis landing on a stored point means more than n planes meet
+    there (basis exchange), which raises DegenerateRCharges at once.
+    """
+    edges = [(t, h) for t, h, _c, _w in table]
     pts: dict[tuple[int, ...], tuple] = {}
     for basis in _spanning_tree_indices(n + 1, edges):
-        walk, at = _integer_walk(n, [edges[i] for i in basis], [a.table[i][2] for i in basis])
+        walk, at = _integer_walk(n, [edges[i] for i in basis], [table[i][2] for i in basis])
         key = tuple(at[:n])
         if key in pts:
             where = ", ".join(f"{x.numerator}/{x.denominator}" for x in (Q(y, big) for y in key))
             raise DegenerateRCharges(f"more than {n} hyperplanes meet at ({where})")
         pts[key] = basis, walk
-    units = (ONE,) * n  # each plane is x_head - x_tail + c
-    return [SingularPoint(basis, walk, units, key, big, a.variables)
-            for key, (basis, walk) in sorted(pts.items())]
+    return [(key, basis, walk) for key, (basis, walk) in sorted(pts.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -517,22 +540,30 @@ def zeta_from_theta(a: Arrangement, theta: Stability) -> Vector:
     among them change no value.
     """
     zeta = tuple(-x for x in theta_lift(a, theta))
-    _zeta_cut_sums(a, zeta)
+    _zeta_cut_sums([pt.walk for pt in a.points], zeta)
     return zeta
 
 
-def _zeta_cut_sums(a: Arrangement, zeta: Sequence[Fraction]) -> list[list[int]]:
-    """zeta's cut sums at each point of a.points, times the lcm of zeta's
-    denominators (only their signs are read), after the regularity test of
-    zeta_from_theta: NonRegularStability, with the smallest wall as the
-    witness, if any sum is 0."""
+def _zeta_cut_sums(walks: Sequence[tuple], zeta: Sequence[Fraction]) -> list[list[int]]:
+    """zeta's cut sums along each walk of a point's tree over the n nodes of
+    zeta and the reference, times the lcm of zeta's denominators (only their
+    signs are read), after the regularity test of zeta_from_theta:
+    NonRegularStability, with the smallest wall as the witness, if any sum
+    is 0.  A wall is named by the vectors of the other planes of its basis,
+    each a unit edge x_head - x_tail over the n coordinates."""
+    n = len(zeta)
     big = lcm(*(x.denominator for x in zeta))
     below = [x.numerator * (big // x.denominator) for x in zeta] + [0]
     out, walls = [], []
-    for pt in a.points:
-        sums = _cut_sums(pt.walk, below.copy())
+    for walk in walks:
+        sums = _cut_sums(walk, below.copy())
         if 0 in sums:  # the vectors serve only to name a wall
-            vecs = [f.vector(a.variables) for f in pt.functionals]
+            vecs = [None] * len(walk)
+            for v, k, p, down in walk:
+                t, h = (p, v) if down else (v, p)
+                vec = [ZERO] * (n + 1)  # the reference node n is cut off below
+                vec[h], vec[t] = ONE, -ONE
+                vecs[k] = tuple(vec[:n])
             walls.extend(tuple(sorted(vecs[:i] + vecs[i + 1:]))
                          for i, x in enumerate(sums) if x == 0)
         out.append(sums)

@@ -341,11 +341,14 @@ def spanning_tree_count(nodes: int, edges: Sequence[tuple[int, int]]) -> int:
 
 # `trees`, abelian arrangements and a jk_ab request (all its terms' trees)
 # refuse more spanning trees than this.  Measured on CPython 3.11, x86_64,
-# in-process: `trees` and `jk` on K(4,4) at d = 1, 4,096 trees, took 0.35
-# and 0.6-0.9 s for 2.9 and 2.7 MB reports (0.09 and 0.15-0.22 ms a tree),
-# and jk_ab reads a tree in 29-47 us (K(2,2) d=(2,2;2,1), 1,800 trees:
-# 0.05-0.07 s; K(2,1) d=(5,4;2), 63,580 trees: 2.5-3.0 s).  At the bound:
-# about 0.9 s for `trees`, 2 s for `jk` and 0.5 s for a jk_ab request
+# in-process: `trees` and `jk` on K(4,4) at d = 1, 4,096 trees, took
+# 0.44-0.56 and 0.41-0.45 s for 2.9 and 2.7 MB reports (0.11-0.14 and
+# 0.10-0.11 ms a tree), and jk_ab reads a tree off its term's edge table
+# in 14-26 us (K(2,2) d=(2,2;2,1), 1,800 trees: 0.024-0.026 s; K(2,1)
+# d=(5,4;2), 63,580 trees with the bound lifted: 1.3-1.6 s; 15-25 us on
+# the same host when each term built its quiver and arrangement).  At the
+# bound: about 1.3 s for `trees`, 1.1 s for `jk` and 0.25 s for a jk_ab
+# request
 MAX_SPANNING_TREES = 10_000
 
 
@@ -681,8 +684,13 @@ def _multiplicity_vectors(d: int) -> list[tuple[int, ...]]:
     return out
 
 
-# abelianize refuses a dimension vector with more terms than this: building
-# a term takes 0.2-0.3 ms and 6-12 KB (CPython 3.11, x86_64), so about 3 s
+# abelianize, jk_ab and jk_ab_infinity refuse a dimension vector with more
+# terms than this.  Measured on CPython 3.11, x86_64, in-process, on K(1,1)
+# d=(14;11), 7,560 terms: abelianize builds a term's quiver in 0.07-0.1 ms
+# and keeps 12 KB a term; jk_ab keeps a term as data (_blow_up), 13-32 us
+# and 3.3 KB a term, and refused that d (TooManyTrees) in 1.0-1.1 s, most
+# of it spent counting the terms' trees.  At the bound: about 1 s and 120
+# MB for abelianize, 0.3 s and 33 MB for jk_ab's terms
 MAX_ABELIANIZATION_TERMS = 10_000
 
 
@@ -719,7 +727,7 @@ def abelianize(q: Quiver, d: DimVector, zeta: Stability) -> list[AbelianizationT
     AbelianizationTypes holds the same terms without building them.
     """
     support, choices = _abelianization(q, d, zeta)
-    return [_blown_up_term(q, d, support, pick) for pick in itertools.product(*choices)]
+    return [_blown_up_term(q, support, pick) for pick in itertools.product(*choices)]
 
 
 def _abelianization(q: Quiver, d: DimVector, zeta: Stability) -> tuple[list[str], list]:
@@ -744,25 +752,41 @@ def _abelianization(q: Quiver, d: DimVector, zeta: Stability) -> tuple[list[str]
     return support, choices
 
 
-def _blown_up_term(q: Quiver, d: DimVector, support: Sequence[str],
+def _blown_up_term(q: Quiver, support: Sequence[str],
                    pick: Sequence[tuple]) -> AbelianizationTerm:
     """abelianize's term for pick, one of _abelianization's choices per
-    support vertex."""
-    coeff = prod((factor for _m, factor, _p in pick), start=ONE)
-    parts = {v: blown for v, (_m, _f, blown) in zip(support, pick)}
-    new_vertices = [vid for _m, _f, blown in pick for vid, _l, _z in blown]
-    new_arrows = []
-    for t, h in q.arrows:
-        if d[t] == 0 or d[h] == 0:
-            continue
-        for tid, lt, _z in parts[t]:
-            for hid, lh, _z in parts[h]:
-                new_arrows.extend([(tid, hid)] * (lt * lh))
-    nq = Quiver.make(new_vertices, new_arrows)
-    nd = DimVector.make(nq, {v: 1 for v in new_vertices})
-    nz = Stability.make(nq, {vid: z for v in support for vid, _l, z in parts[v]})
-    return AbelianizationTerm(nq, nd, nz, coeff,
+    support vertex: the quiver of _blow_up."""
+    ids, arrows, lifted = _blow_up(q, support, pick)
+    nq = Quiver(tuple(ids), tuple([(ids[t], ids[h]) for t, h in arrows]))
+    nd = DimVector.make(nq, {v: 1 for v in ids})
+    nz = Stability.make(nq, dict(zip(ids, lifted)))
+    return AbelianizationTerm(nq, nd, nz, _coefficient(pick),
                               tuple([(v, m) for v, (m, _f, _p) in zip(support, pick)]))
+
+
+def _blow_up(q: Quiver, support: Sequence[str],
+             pick: Sequence[tuple]) -> tuple[list[str], list[tuple[int, int]], list[Fraction]]:
+    """The blown-up quiver of pick as data, none of it built: its vertex
+    ids, its arrows as (tail, head) vertex indices, l_t * l_h copies per
+    original arrow between blown-up endpoints in q's arrow order, and each
+    vertex's lifted stability l * zeta_v."""
+    ids, lifted, parts = [], [], {}
+    for v, (_m, _f, blown) in zip(support, pick):
+        parts[v] = [(len(ids) + i, l) for i, (_vid, l, _z) in enumerate(blown)]
+        ids.extend([vid for vid, _l, _z in blown])
+        lifted.extend([z for _vid, _l, z in blown])
+    arrows = []
+    for t, h in q.arrows:
+        if t in parts and h in parts:
+            for a, lt in parts[t]:
+                for b, lh in parts[h]:
+                    arrows.extend([(a, b)] * (lt * lh))
+    return ids, arrows, lifted
+
+
+def _coefficient(pick: Sequence[tuple]) -> Fraction:
+    """The coefficient of pick's abelianization term."""
+    return prod((factor for _m, factor, _p in pick), start=ONE)
 
 
 class AbelianizationTypes:
@@ -783,7 +807,7 @@ class AbelianizationTypes:
     (_route)."""
 
     def __init__(self, q: Quiver, d: DimVector, zeta: Stability):
-        self.q, self.d = q, d
+        self.q = q
         self.support, choices = _abelianization(q, d, zeta)
         self.picks = list(itertools.product(*choices))
         arrows: dict[tuple[str, str], int] = {}
@@ -856,10 +880,10 @@ class AbelianizationTypes:
             self.theta, self.counts[k], self.adj) is not None)
 
     def term(self, k: int) -> AbelianizationTerm:
-        return _blown_up_term(self.q, self.d, self.support, self.picks[k])
+        return _blown_up_term(self.q, self.support, self.picks[k])
 
     def coefficient(self, k: int) -> Fraction:
-        return prod((factor for _m, factor, _p in self.picks[k]), start=ONE)
+        return _coefficient(self.picks[k])
 
     def count(self, ks: Sequence[int]) -> list[int]:
         """The weist counts of terms ks, none of which is counted alone, by

@@ -10,15 +10,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arrangement import (MAX_ARRANGEMENT_PLANES, Arrangement, SingularPoint,
-                          _zeta_cut_sums, build_arrangement, sample_rcharges,
-                          theta_lift, zeta_from_theta)
+from .arrangement import (MAX_ARRANGEMENT_PLANES, Arrangement, _check_planes, _edge_table,
+                          _table_points, _zeta_cut_sums, sample_rcharges, theta_lift,
+                          zeta_from_theta)
 from .errors import NotATree, TooMuchWork
 from .exact import LinForm, ONE, Q, RationalExpr, ZERO, qify, residue_step
 from .quiver import (MAX_WEIST_STEPS, AbelianizationTypes, DimVector, Quiver,
-                     SpanningTree, Stability, _edges, _tree_walk, abelianize,
-                     check_tree_walks, spanning_trees, support_quiver, tree_components,
-                     weist_count)
+                     SpanningTree, Stability, _abelianization, _blow_up, _coefficient,
+                     _tree_walk, check_tree_walks, spanning_trees, support_quiver,
+                     tree_components, weist_count)
 
 
 def build_ZQ(a: Arrangement) -> RationalExpr:
@@ -93,7 +93,8 @@ def jk_tree_expansion(q: Quiver, theta: Stability,
         comp_tuple = tuple(comps[i] for i in tree.arrows)
         for lift in itertools.product(*(by_reduced[qbar.arrows[i]] for i in tree.arrows)):
             point = by_basis[tuple(sorted(lift))]
-            local = _zq_residue(a, point) if stable else ZERO
+            local = _zq_residue(a.table, a.denominator, point.active,
+                                point.numerators) if stable else ZERO
             total += local
             terms.append(TreeExpansionTerm(tree.arrows, tuple(lift), point.location,
                                            local, 1 if stable else 0, comp_tuple))
@@ -122,23 +123,34 @@ def jk_global_ZQ(q: Quiver, theta: Stability, a: Arrangement) -> Fraction:
     """
     if q != a.quiver:
         raise ValueError("the arrangement is not built on this quiver")
-    zeta = tuple(-x for x in theta_lift(a, theta))
+    return _zq_global(a.table, a.denominator,
+                      [(pt.numerators, pt.active, pt.walk) for pt in a.points],
+                      [-x for x in theta_lift(a, theta)])
+
+
+def _zq_global(table: Sequence[tuple[int, int, int, bool]], big: int,
+               points: Sequence[tuple], zeta: Sequence[Fraction]) -> Fraction:
+    """jk_global_ZQ off an edge table over big: the sum of _zq_residue over
+    the points (numerators, basis, walk) of _table_points whose cone holds
+    zeta, after _zeta_cut_sums' regularity test."""
     total = ZERO
-    for pt, sums in zip(a.points, _zeta_cut_sums(a, zeta)):
+    for (at, basis, _walk), sums in zip(points, _zeta_cut_sums([w for _a, _b, w in points], zeta)):
         if all(s > 0 for s in sums):
-            total += _zq_residue(a, pt)
+            total += _zq_residue(table, big, basis, at)
     return total
 
 
-def _zq_residue(a: Arrangement, pt: SingularPoint) -> Fraction:
-    """Z_Q's local JK residue at pt, a point of a.points, in the closed form
-    of jk_global_ZQ: the value where pt's cone holds zeta."""
-    big = a.denominator
-    at = pt.numerators + (0,)  # the reference node n
-    basis = set(pt.active)
-    odd = a.dim.total() - 1
+def _zq_residue(table: Sequence[tuple[int, int, int, bool]], big: int,
+                basis: Sequence[int], numerators: Sequence[int]) -> Fraction:
+    """Z_Q's local JK residue at the point of an edge table over big where
+    the planes basis meet, at numerators / big, in the closed form of
+    jk_global_ZQ: the value where the point's cone holds zeta.  The sign's
+    |d| - 1 is the number of coordinates, len(numerators)."""
+    at = (*numerators, 0)  # the reference node n
+    basis = set(basis)
+    odd = len(numerators)
     top = bottom = 1
-    for k, (t, h, c, weight) in enumerate(a.table):
+    for k, (t, h, c, weight) in enumerate(table):
         if k in basis:
             odd += weight
         else:
@@ -156,24 +168,36 @@ def jk_ab(q: Quiver, d: DimVector, zeta: Stability, rseed: int,
           lam: Fraction = ONE) -> Fraction:
     """Abelianized JK residue: weighted sum over blown-up abelian quivers.
 
-    Each term k is the global JK residue (jk_global_ZQ) of its blown-up
-    quiver with R-charges lambda * R-bar, R-bar = sample_rcharges(arrows,
-    rseed + 1000003 * k): the arrangement is built once, at lambda * R-bar,
-    and the residue is read at the singular points that build met.  The
-    request's bases, the spanning trees of all the terms' quivers, are
-    priced before any arrangement is built: TooManyTrees past
-    MAX_SPANNING_TREES in all (check_tree_walks).
+    Term k of abelianize(q, d, zeta) contributes its coefficient times the
+    global JK residue (jk_global_ZQ) of its blown-up quiver, at its lifted
+    stability, with R-charges lambda * R-bar, R-bar = sample_rcharges(arrows,
+    rseed + 1000003 * k).  No term's quiver or arrangement is built: a term
+    is its vertices, arrow copies and lifted stability (_blow_up), and its
+    arrangement, of one weight plane per arrow at d = 1, its integer edge
+    table (_edge_table), whose points (_table_points) are read as
+    jk_global_ZQ reads them (_zq_global).  The request's bases, the
+    spanning trees of all the terms' quivers, are priced before any table
+    is built: TooManyTrees past MAX_SPANNING_TREES in all
+    (check_tree_walks).  Then, term by term, as build_arrangement and
+    jk_global_ZQ would: TooManyPlanes past MAX_ARRANGEMENT_PLANES arrows,
+    DegenerateRCharges where more planes meet than coordinates, and
+    NonRegularStability where the lifted stability lies on a wall.
     """
-    terms = abelianize(q, d, zeta)
-    # a term over the plane bound is refused by its build
-    check_tree_walks([(len(term.quiver.vertices), _edges(term.quiver)) for term in terms
-                      if len(term.quiver.arrows) <= MAX_ARRANGEMENT_PLANES])
+    support, choices = _abelianization(q, d, zeta)
+    picks = list(itertools.product(*choices))
+    terms = [_blow_up(q, support, pick) for pick in picks]
+    # a term over the plane bound is refused below, as by its build
+    check_tree_walks([(len(ids), arrows) for ids, arrows, _z in terms
+                      if len(arrows) <= MAX_ARRANGEMENT_PLANES])
     total = ZERO
-    for k, term in enumerate(terms):
-        rbar = sample_rcharges(len(term.quiver.arrows), rseed + 1000003 * k)
-        arr = build_arrangement(term.quiver, term.dimension,
-                                rcharges=[lam * r for r in rbar])
-        total += term.coefficient * jk_global_ZQ(term.quiver, term.stability, arr)
+    for k, (pick, (ids, arrows, lifted)) in enumerate(zip(picks, terms)):
+        n = len(ids) - 1  # the last vertex is the reference
+        _check_planes(len(arrows), n)
+        rbar = sample_rcharges(len(arrows), rseed + 1000003 * k)
+        table, big = _edge_table([(t, h, i) for i, (t, h) in enumerate(arrows)],
+                                 [qify(lam * r) for r in rbar])
+        total += _coefficient(pick) * _zq_global(table, big, _table_points(n, table, big),
+                                                 [-x for x in lifted[:-1]])
     return total
 
 

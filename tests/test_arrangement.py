@@ -22,7 +22,7 @@ from jkscatter.exact import (LinForm, Poly, RationalExpr, in_span,
                              iterated_residue, mat_det, mat_inverse, mat_rank,
                              rref, solve_linear, subst_linear_basis)
 from jkscatter.quiver import (DimVector, Quiver, Stability, _cut_sums,
-                              _spanning_tree_indices, bipartite_quiver)
+                              _spanning_tree_indices, abelianize, bipartite_quiver)
 from jkscatter.quiverjk import (build_ZQ, jk_ab, jk_ab_infinity, jk_global_ZQ,
                                 jk_tree_expansion)
 
@@ -732,29 +732,37 @@ class TestIntegerRead:
     @pytest.mark.parametrize("lam", [Q(1), Q(1000)])
     def test_jk_ab_fixtures(self, monkeypatch, q, d, zeta, value, rseed, lam):
         # jk_ab reads Z_Q's residue off each term's edge table
-        # (quiverjk._zq_residue) where zeta's cone is; at every point of
-        # every term the table read equals jk_basis on build_ZQ, read with a
-        # zeta inside the point's cone, and the term's own zeta gives that
-        # value or 0 as the table read is taken there or not
-        terms, reads = [], []
-        real_global, real_read = quiverjk.jk_global_ZQ, quiverjk._zq_residue
-        monkeypatch.setattr(quiverjk, "jk_global_ZQ",
-                            lambda q, theta, a: terms.append((theta, a)) or real_global(q, theta, a))
+        # (quiverjk._zq_residue) where zeta's cone is.  A term's table,
+        # points and zeta are those of its arrangement as abelianize and
+        # build_arrangement build it; at every point of every term the table
+        # read equals jk_basis on build_ZQ, read with a zeta inside the
+        # point's cone, and the term's own zeta gives that value or 0 as the
+        # table read is taken there or not
+        tables, reads = [], []
+        real_global, real_read = quiverjk._zq_global, quiverjk._zq_residue
+        monkeypatch.setattr(quiverjk, "_zq_global",
+                            lambda *args: tables.append(args) or real_global(*args))
         monkeypatch.setattr(quiverjk, "_zq_residue",
-                            lambda a, pt: reads.append((a, pt)) or real_read(a, pt))
-        dim = DimVector.make(q, dict(zip(q.vertices, d)))
-        assert jk_ab(q, dim, stab(q, *zeta), rseed, lam) == value
-        assert terms and reads
-        read_at = {id(pt) for _a, pt in reads}
-        for theta, a in terms:
-            z, term_zeta = build_ZQ(a), zeta_from_theta(a, theta)
+                            lambda *args: reads.append(args) or real_read(*args))
+        dim, theta = DimVector.make(q, dict(zip(q.vertices, d))), stab(q, *zeta)
+        assert jk_ab(q, dim, theta, rseed, lam) == value
+        terms = abelianize(q, dim, theta)
+        assert len(tables) == len(terms) and reads
+        read_at = {(id(table), tuple(basis)) for table, _big, basis, _at in reads}
+        for k, (term, (table, big, points, term_zeta)) in enumerate(zip(terms, tables)):
+            rbar = sample_rcharges(len(term.quiver.arrows), rseed + 1000003 * k)
+            a = build_arrangement(term.quiver, term.dimension, rcharges=[lam * r for r in rbar])
+            assert (a.table, a.denominator) == (table, big)
+            assert [(pt.numerators, pt.active, pt.walk) for pt in a.points] == points
+            assert tuple(term_zeta) == zeta_from_theta(a, term.stability)
+            z = build_ZQ(a)
             for pt in a.points:
                 inside = tuple(sum((f.coeff(v) for f in pt.functionals), Q(0))
                                for v in a.variables)
-                got = real_read(a, pt)
+                got = real_read(table, big, pt.active, pt.numerators)
                 assert got == jk_basis(z, pt, inside, a.variables)
                 assert jk_basis(z, pt, term_zeta, a.variables) == \
-                    (got if id(pt) in read_at else 0)
+                    (got if (id(table), pt.active) in read_at else 0)
 
     @pytest.mark.parametrize("zeta, expected", [
         ((Q(1), Q(1)), ("value", Q(3, 4))),

@@ -211,13 +211,19 @@ class TestEnumerationCounts:
         assert code == 0
         assert len(calls) == 1  # built once, at lambda * R
 
-    def test_jk_ab_one_enumeration_per_arrangement(self, calls):
+    def test_jk_ab_one_enumeration_per_arrangement(self, calls, monkeypatch):
+        # a term's arrangement is its edge table, whose points are
+        # enumerated once (_table_points); no Arrangement is built
+        tables = []
+        real = quiverjk._table_points
+        monkeypatch.setattr(quiverjk, "_table_points",
+                            lambda *a: tables.append(a) or real(*a))
         k31 = bipartite_quiver(3, 1)
         d = dv(k31, i1=1, i2=1, i3=1, j1=2)
         z = stab(k31, 2, 2, 2, -3)
         assert len(abelianize(k31, d, z)) == 2
         jk_ab(k31, d, z, rseed=0, lam=Q(1000))
-        assert len(calls) == 2
+        assert len(tables) == 2 and calls == []
 
 
 class TestTreeRouteReadsThePoints:
@@ -256,9 +262,10 @@ class TestTreeRouteReadsThePoints:
 
 
 class TestJkAbOneEliminationPerBasis:
-    """jk_ab reads each term's residue at the singular points its
-    arrangement build met: no basis is met twice, and the tree
-    expansion is not on its path."""
+    """jk_ab reads each term's residue at the singular points that the
+    enumeration of its edge table met: no basis is met twice, no quiver or
+    arrangement is built for a term, and the tree expansion is not on its
+    path."""
 
     K31 = bipartite_quiver(3, 1)
 
@@ -266,25 +273,36 @@ class TestJkAbOneEliminationPerBasis:
         return (dv(self.K31, i1=1, i2=1, i3=1, j1=2), stab(self.K31, 2, 2, 2, -3))
 
     def test_one_meet_per_point(self, monkeypatch):
-        # each basis is walked once, over its arrangement's integer edge
-        # table, and no plane is met as a LinForm (meet)
-        walks, meets, built = [], [], []
+        # each basis is walked once, over its term's integer edge table,
+        # and no plane is met as a LinForm (meet)
+        walks, meets, points = [], [], []
         real_walk, real_meet = arrangement._integer_walk, arrangement.meet
-        real_build = quiverjk.build_arrangement
+        real_points = quiverjk._table_points
         monkeypatch.setattr(arrangement, "_integer_walk",
                             lambda *a: walks.append(a) or real_walk(*a))
         monkeypatch.setattr(arrangement, "meet",
                             lambda *a: meets.append(a) or real_meet(*a))
-
-        def building(*args, **kw):
-            built.append(real_build(*args, **kw))
-            return built[-1]
-
-        monkeypatch.setattr(quiverjk, "build_arrangement", building)
+        monkeypatch.setattr(quiverjk, "_table_points",
+                            lambda *a: points.append(real_points(*a)) or points[-1])
         d, z = self.k31_inputs()
         assert jk_ab(self.K31, d, z, rseed=0, lam=Q(1000)) == 2
-        assert len(walks) == sum(len(a.points) for a in built) == 20
+        assert len(walks) == sum(len(p) for p in points) == 20
         assert meets == []
+
+    def test_no_quiver_or_arrangement_per_term(self, monkeypatch):
+        # a term is data: jk_ab builds no Quiver (Quiver.make), DimVector,
+        # Stability, Arrangement (build_arrangement), Weight or SingularPoint
+        def no_build(*_args, **_kw):
+            raise AssertionError("jk_ab built a term's quiver or arrangement")
+
+        d, z = self.k31_inputs()
+        monkeypatch.setattr(Quiver, "make", staticmethod(no_build))
+        monkeypatch.setattr(arrangement, "build_arrangement", no_build)
+        for cls in (Quiver, DimVector, Stability, arrangement.Arrangement,
+                    arrangement.Weight, arrangement.SingularPoint):
+            monkeypatch.setattr(cls, "__init__", no_build)
+        assert jk_ab(self.K31, d, z, rseed=0, lam=Q(1000)) == 2
+        assert jk_ab(self.K31, d, z, rseed=1, lam=Q(3, 7)) == 2
 
     def test_no_tree_expansion(self, monkeypatch):
         def no_tree_expansion(*_args):
@@ -300,6 +318,73 @@ class TestJkAbOneEliminationPerBasis:
                          "--zeta", "2,2,2,-3", "--lambda", "7"], out=out)
         assert code == 0
         assert json.loads(out.getvalue())["results"]["value"] == "2/1"
+
+
+def reference_jk_ab(q, d, zeta, rseed, lam):
+    """jk_ab with one built quiver and arrangement per term: abelianize,
+    then build_arrangement and jk_global_ZQ per term, the request's trees
+    priced first."""
+    terms = abelianize(q, d, zeta)
+    quiver.check_tree_walks([(len(t.quiver.vertices), quiver._edges(t.quiver)) for t in terms
+                             if len(t.quiver.arrows) <= arrangement.MAX_ARRANGEMENT_PLANES])
+    total = Q(0)
+    for k, term in enumerate(terms):
+        rbar = arrangement.sample_rcharges(len(term.quiver.arrows), rseed + 1000003 * k)
+        a = build_arrangement(term.quiver, term.dimension, rcharges=[lam * r for r in rbar])
+        total += term.coefficient * jk_global_ZQ(term.quiver, term.stability, a)
+    return total
+
+
+@st.composite
+def jk_ab_requests(draw):
+    """A jk_ab request on K(l1, l2), l1, l2 <= 3: d entries 0..3, theta in
+    -3..3 made normal on the last vertex of the support of d (about one in
+    eight lies on a wall of some term, and some d have too many trees),
+    lambda in {1, 1000, 3/7}, and how the request is read: as it is, with
+    every R-charge 1/2 (DegenerateRCharges where a term's quiver has a
+    cycle), or with a plane bound of 4 (TooManyPlanes)."""
+    l1, l2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    q = bipartite_quiver(l1, l2)
+    d = draw(st.lists(st.integers(0, 3), min_size=l1 + l2, max_size=l1 + l2).filter(any))
+    theta = draw(st.lists(st.integers(-3, 3), min_size=l1 + l2, max_size=l1 + l2))
+    last = max(i for i, x in enumerate(d) if x)
+    theta[last] = Q(-sum(t * x for t, x in zip(theta[:last], d)), d[last])
+    return (q, DimVector.make(q, dict(zip(q.vertices, d))), stab(q, *theta),
+            draw(st.integers(0, 2 ** 31 - 1)), draw(st.sampled_from((Q(1), Q(1000), Q(3, 7)))),
+            draw(st.sampled_from(("plain", "plain", "equal", "planes"))))
+
+
+K31 = bipartite_quiver(3, 1)
+
+
+class TestJkAbReference:
+    """jk_ab off integer edge tables gives the outcome of the reference
+    route, one built arrangement per term: the value, or the error's type,
+    message and witness."""
+
+    @given(jk_ab_requests())
+    @example((K31, dv(K31, i1=8, i2=8, i3=8, j1=1), stab(K31, 1, 1, 1, -24), 0, Q(1),
+              "plain"))  # TooManyTerms: p(8)^3 = 10,648 terms
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, case):
+        q, d, theta, rseed, lam, mode = case
+        with pytest.MonkeyPatch.context() as mp:
+            if mode == "equal":
+                mp.setattr(arrangement, "sample_rcharges", lambda count, _seed: [Q(1, 2)] * count)
+                mp.setattr(quiverjk, "sample_rcharges", arrangement.sample_rcharges)
+            elif mode == "planes":
+                for module in (arrangement, quiverjk):
+                    mp.setattr(module, "MAX_ARRANGEMENT_PLANES", 4)
+            assert outcome(jk_ab, q, d, theta, rseed, lam) == \
+                outcome(reference_jk_ab, q, d, theta, rseed, lam)
+
+    def test_zero_dimension_vector(self):
+        # the one term has no vertex: no coordinate, no point, value 0, as
+        # jk_ab_infinity reads it (the reference route has no reference
+        # coordinate to remove; the CLI refuses this d)
+        k21 = bipartite_quiver(2, 1)
+        d, theta = dv(k21), stab(k21, 0, 0, 0)
+        assert jk_ab(k21, d, theta, rseed=0) == jk_ab_infinity(k21, d, theta) == 0
 
 
 class TestLocalResidueCounts:
@@ -414,12 +499,12 @@ class TestAbelianizedJK:
     def test_oversized_term_is_refused_before_any_build(self, monkeypatch):
         # K(1,1) d=(5;4): 35 terms with 115,774 spanning trees in all, and
         # term 29 alone has 16,000.  The request is priced before any
-        # arrangement is built; building and reading terms 0-28 first took
-        # 8-17 s
+        # term's edge table is built; building and reading terms 0-28 first
+        # took 8-17 s
         def no_build(*_args, **_kw):
-            raise AssertionError("an arrangement was built")
+            raise AssertionError("a term's edge table was built")
 
-        monkeypatch.setattr(quiverjk, "build_arrangement", no_build)
+        monkeypatch.setattr(quiverjk, "_edge_table", no_build)
         start = time.perf_counter()
         with pytest.raises(TooManyTrees) as ei:
             jk_ab(self.K11, dv(self.K11, i1=5, j1=4), stab(self.K11, 4, -5), rseed=0)
@@ -431,9 +516,9 @@ class TestAbelianizedJK:
         # 2,304 trees), with 63,580 spanning trees in all; reading them all
         # took 19.1 s before the request was priced as a whole
         def no_build(*_args, **_kw):
-            raise AssertionError("an arrangement was built")
+            raise AssertionError("a term's edge table was built")
 
-        monkeypatch.setattr(quiverjk, "build_arrangement", no_build)
+        monkeypatch.setattr(quiverjk, "_edge_table", no_build)
         k21 = bipartite_quiver(2, 1)
         d = dv(k21, i1=5, i2=4, j1=2)
         zeta = stab(k21, 1, Q(1, 7), Q(-39, 14))
