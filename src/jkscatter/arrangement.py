@@ -10,15 +10,18 @@ the spanning trees on n + 1 nodes.  build_arrangement records the planes
 once as an integer edge table over one common denominator L (_edge_table):
 tail, head, c L, and whether the plane is a weight or a root.  The points
 of a table (_table_points) and meet share one integer walk of each tree
-(_integer_walk), so a point is known by the integers L p, its numerators,
-and points are keyed and sorted by them.  The table is all a build
-computes: the LinForm and Fraction views of it (Weight.form,
-Arrangement.roots, and a point's location and functionals) are built on
-first read and cached, so a path that reads only the table, as
-jk_global_ZQ does, builds none of them.  quiverjk.jk_ab builds no
+(_integer_walk, over per-node lists), so a point is known by the integers
+L p, its numerators, and points are keyed and sorted by them.  The table
+is all a build computes: the LinForm and Fraction views of it
+(Weight.form, Arrangement.roots, and a point's location and functionals)
+are built on first read and cached, so a path that reads only the table,
+as jk_global_ZQ does, builds none of them.  quiverjk.jk_ab builds no
 Arrangement at all: each of its terms is an edge table, read by the same
 kernels (_edge_table, _table_points, _zeta_cut_sums) that
-build_arrangement, singular_points and zeta_from_theta wrap.
+build_arrangement, singular_points and zeta_from_theta wrap.  _edge_table
+takes the R-charges as integer numerators over one denominator and reduces
+them by one gcd, so jk_ab passes the integer draws of sample_rcharges
+(_rcharge_numerators) scaled by lambda and makes no Fraction per arrow.
 
 Exactly n planes meet at every singular point (singular_points rejects
 more), so the local JK residue there is the basis case (Jeffrey-Kirwan 1995,
@@ -29,12 +32,13 @@ sign is read from the cut sum and the scale without a division.
 _zeta_cut_sums makes one list of cut sums per point's walk, which serves
 the regularity test of zeta_from_theta and the cone test of
 quiverjk.jk_global_ZQ.  Both JK routes of quiverjk read Z_Q's residue at
-these points in closed form off the table, one integer product per point.
-jk_basis reads the residue of any form at a basis point, each factor
-evaluated at the location, and jk_zeta, the general residue for active
-sets that are not a basis, sums iterated residues over the flags adapted
-to the active set (Brion-Vergne 1999, Szenes-Vergne 2004), grown one flat
-at a time by enumerate_flags; no command reaches either.
+these points in closed form off the table, as an integer pair (top,
+bottom) per point.  jk_basis reads the residue of any form at a basis
+point, each factor evaluated at the location, and jk_zeta, the general
+residue for active sets that are not a basis, sums iterated residues over
+the flags adapted to the active set (Brion-Vergne 1999, Szenes-Vergne
+2004), grown one flat at a time by enumerate_flags; no command reaches
+either.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import (DegenerateRCharges, NonRegularStability, NotProjective,
@@ -52,7 +56,7 @@ from .errors import (DegenerateRCharges, NonRegularStability, NotProjective,
 from .exact import (LinForm, ONE, Q, RationalExpr, ZERO, iterated_residue,
                     mat_det, qify, solve_linear, subst_linear_basis)
 from .quiver import (DimVector, Quiver, Stability, _cut_sums, _spanning_tree_indices,
-                     _tree_walk, check_tree_walk, validate_quiver)
+                     check_tree_walk, validate_quiver)
 
 Vector = tuple[Fraction, ...]
 
@@ -143,9 +147,14 @@ def _check_planes(planes: int, coordinates: int) -> None:
 
 
 def sample_rcharges(count: int, seed: int) -> list[Fraction]:
-    """Deterministic generic rationals: numerator from a seeded PRNG / 2^31."""
+    """Deterministic generic rationals: _rcharge_numerators / 2^31."""
+    return [Q(x, RC_DENOMINATOR) for x in _rcharge_numerators(count, seed)]
+
+
+def _rcharge_numerators(count: int, seed: int) -> list[int]:
+    """The numerators of sample_rcharges, each drawn from a seeded PRNG."""
     rng = random.Random(seed)
-    return [Q(rng.randrange(1, RC_DENOMINATOR), RC_DENOMINATOR) for _ in range(count)]
+    return [rng.randrange(1, RC_DENOMINATOR) for _ in range(count)]
 
 
 def build_arrangement(q: Quiver, d: DimVector,
@@ -187,20 +196,23 @@ def build_arrangement(q: Quiver, d: DimVector,
              for i in range(1, d[v] + 1) for j in range(1, d[v] + 1) if i != j]
     weights = tuple(Weight(rc[idx], q.arrows[idx], idx, (names[t], names[h]))
                     for t, h, idx in ends)
-    table, big = _edge_table(ends, rc, pairs)
+    lcd = lcm(*(r.denominator for r in rc))
+    table, big = _edge_table(ends, [r.numerator * (lcd // r.denominator) for r in rc], lcd, pairs)
     arr = Arrangement(q, d, variables, (rv, rk), weights, rc, table, big)
     arr.points  # raises DegenerateRCharges on coincidences
     return arr
 
 
-def _edge_table(weights: Sequence[tuple[int, int, int]], rcharges: Sequence[Fraction],
-                roots: Sequence[tuple[int, int]] = ()) -> tuple[tuple, int]:
-    """(table, L): L is the lcm of the R-charges' denominators, and the
-    rows (tail, head, c L, is a weight) are the weight planes x_head -
-    x_tail + rcharges[i] for the weights (tail, head, i), then the root
-    planes x_head - x_tail - 1 on the edges roots."""
-    big = lcm(*(r.denominator for r in rcharges))
-    steps = [r.numerator * (big // r.denominator) for r in rcharges]
+def _edge_table(weights: Sequence[tuple[int, int, int]], numerators: Sequence[int],
+                denominator: int, roots: Sequence[tuple[int, int]] = ()) -> tuple[tuple, int]:
+    """(table, L) for the R-charges numerators[i] / denominator: L is the
+    lcm of their reduced denominators, denominator over its gcd with all
+    the numerators, and the rows (tail, head, c L, is a weight) are the
+    weight planes x_head - x_tail + R_i for the weights (tail, head, i),
+    then the root planes x_head - x_tail - 1 on the edges roots."""
+    g = gcd(denominator, *numerators)
+    big = denominator // g
+    steps = [x // g for x in numerators]
     return (tuple([(t, h, steps[i], True) for t, h, i in weights])
             + tuple([(t, h, -big, False) for t, h in roots])), big
 
@@ -240,15 +252,25 @@ class SingularPoint:
 
 def _integer_walk(n: int, edges: Sequence[tuple[int, int]], steps: Sequence[int]):
     """(walk, at) for the planes x_head - x_tail + step = 0 on edges (tail,
-    head) of nodes 0..n, walked from the reference node n (at 0): at[v] is
-    the integer where they put node v; None unless the edges form a tree."""
-    walk = _tree_walk(range(n + 1), edges, n)
-    if walk is None:
+    head) of nodes 0..n, walked from the reference node n (at 0) as
+    quiver._tree_walk walks it, over per-node lists: at[v] is the integer
+    where they put node v; None unless the edges form a tree."""
+    if len(edges) != n:
         return None
-    at = [0] * (n + 1)
-    for v, k, p, down in walk:
-        at[v] = at[p] - steps[k] if down else at[p] + steps[k]
-    return walk, at
+    adj = [[] for _ in range(n + 1)]
+    for k, (t, h) in enumerate(edges):
+        adj[t].append((k, h, True))
+        adj[h].append((k, t, False))
+    at = [None] * n + [0]  # None until the walk reaches the node
+    walk, queue = [], [n]
+    for p in queue:  # grows while it is read: breadth first, as _tree_walk
+        for k, v, down in adj[p]:
+            if at[v] is None:
+                at[v] = at[p] - steps[k] if down else at[p] + steps[k]
+                walk.append((v, k, p, down))
+                queue.append(v)
+    # n edges that reach all n + 1 nodes form a tree
+    return (tuple(walk), at) if len(walk) == n else None
 
 
 def meet(planes: Sequence[LinForm], var_order: Sequence[str],

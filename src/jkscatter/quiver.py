@@ -358,14 +358,18 @@ def check_tree_walk(nodes: int, edges: Sequence[tuple[int, int]]) -> None:
     check_tree_walks([(nodes, edges)])
 
 
-def check_tree_walks(graphs: Sequence[tuple[int, Sequence[tuple[int, int]]]]) -> None:
+def check_tree_walks(graphs: Sequence[tuple[int, Sequence[tuple[int, int]]]]) -> list[int]:
     """Raise TooManyTrees past MAX_SPANNING_TREES spanning trees in all on the
     graphs (nodes, edges), counting them only when the C(edges, nodes - 1)
-    sets of a tree's size, summed over the graphs, pass it."""
-    if sum(comb(len(edges), nodes - 1) for nodes, edges in graphs if nodes) > MAX_SPANNING_TREES:
-        count = sum(spanning_tree_count(nodes, edges) for nodes, edges in graphs)
-        if count > MAX_SPANNING_TREES:
-            raise TooManyTrees(count, MAX_SPANNING_TREES)
+    sets of a tree's size, summed over the graphs, pass it.  Returns each
+    graph's bound on its trees: its count if they were counted, else its
+    C(edges, nodes - 1)."""
+    trees = [comb(len(edges), nodes - 1) if nodes else 0 for nodes, edges in graphs]
+    if sum(trees) > MAX_SPANNING_TREES:
+        trees = [spanning_tree_count(nodes, edges) for nodes, edges in graphs]
+        if sum(trees) > MAX_SPANNING_TREES:
+            raise TooManyTrees(sum(trees), MAX_SPANNING_TREES)
+    return trees
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,13 @@
 """Quiver-level residue pipeline: Z_Q, tree expansions of abelian JK
 residues, abelianized JK for general dimension vectors, the large-R-charge
 limit, and residues of the tree functions W_T.
+
+Both JK routes read Z_Q's residue at a point off an integer edge table
+(_zq_residue) as an integer pair (top, bottom), and sum a route's pairs in
+a balanced tree (_pair_sum), so one Fraction is made per sum.  jk_ab makes
+each term's table from the integer draws behind sample_rcharges, with no
+Fraction per arrow.  A read is priced before it starts, at trees *
+(planes - n)^2 units (_check_read).
 """
 
 from __future__ import annotations
@@ -8,11 +15,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
-from .arrangement import (MAX_ARRANGEMENT_PLANES, Arrangement, _check_planes, _edge_table,
-                          _table_points, _zeta_cut_sums, sample_rcharges, theta_lift,
-                          zeta_from_theta)
+from .arrangement import (MAX_ARRANGEMENT_PLANES, RC_DENOMINATOR, Arrangement, _check_planes,
+                          _edge_table, _rcharge_numerators, _table_points, _zeta_cut_sums,
+                          theta_lift, zeta_from_theta)
 from .errors import NotATree, TooMuchWork
 from .exact import LinForm, ONE, Q, RationalExpr, ZERO, qify, residue_step
 from .quiver import (MAX_WEIST_STEPS, AbelianizationTypes, DimVector, Quiver,
@@ -70,12 +78,14 @@ def jk_tree_expansion(q: Quiver, theta: Stability,
     jk_global_ZQ every point whose cone holds zeta.  A lift's weights are
     its rows of a.table, so its point is the one of a.points whose basis is
     the lift in ascending order, where zeta_from_theta found zeta regular.
-    ValueError unless d is abelian and a is built on q.
+    ValueError unless d is abelian and a is built on q, then TooMuchWork
+    as jk_global_ZQ prices a.
     """
     if not a.dim.is_abelian():
         raise ValueError("tree expansion needs an abelian dimension vector")
     if q != a.quiver:
         raise ValueError("the arrangement is not built on this quiver")
+    _check_read([(len(a.points), len(a.table), a.n)])
     # the arrangement sees only the support of d: trees of the quiver on it
     qbar, _mult = support_quiver(q, a.dim)
     zeta_from_theta(a, theta)  # raises on a wall
@@ -85,19 +95,20 @@ def jk_tree_expansion(q: Quiver, theta: Stability,
     for i, w in enumerate(a.weights):
         by_reduced.setdefault(w.arrow, []).append(i)
 
-    terms = []
-    total = ZERO
+    terms, reads = [], []
     for tree in spanning_trees(qbar):
         comps = tree_components(qbar, tree, theta)
         stable = all(c < 0 for c in comps.values())
         comp_tuple = tuple(comps[i] for i in tree.arrows)
         for lift in itertools.product(*(by_reduced[qbar.arrows[i]] for i in tree.arrows)):
             point = by_basis[tuple(sorted(lift))]
-            local = _zq_residue(a.table, a.denominator, point.active,
-                                point.numerators) if stable else ZERO
-            total += local
+            local = ZERO
+            if stable:
+                reads.append(_zq_residue(a.table, a.denominator, point.active, point.numerators))
+                local = Fraction(*reads[-1])
             terms.append(TreeExpansionTerm(tree.arrows, tuple(lift), point.location,
                                            local, 1 if stable else 0, comp_tuple))
+    total = _pair_sum(reads)
     return total, TreeExpansion(tuple(terms), total)
 
 
@@ -118,11 +129,14 @@ def jk_global_ZQ(q: Quiver, theta: Stability, a: Arrangement) -> Fraction:
 
     each weight's factor (h - 1) / h and each root's r / (r - 1) = (h + 1)
     / h, and a basis plane's numerator at p, -1 or 1, for its simple pole:
-    one Fraction per point, and no LinForm or RationalExpr is built.
-    ValueError unless a is built on q.
+    one integer pair per point, summed in a balanced tree (_pair_sum), and
+    no LinForm or RationalExpr is built.  ValueError unless a is built on
+    q; TooMuchWork past MAX_JK_WORK (_check_read) before any residue is
+    read.
     """
     if q != a.quiver:
         raise ValueError("the arrangement is not built on this quiver")
+    _check_read([(len(a.points), len(a.table), a.n)])
     return _zq_global(a.table, a.denominator,
                       [(pt.numerators, pt.active, pt.walk) for pt in a.points],
                       [-x for x in theta_lift(a, theta)])
@@ -130,22 +144,63 @@ def jk_global_ZQ(q: Quiver, theta: Stability, a: Arrangement) -> Fraction:
 
 def _zq_global(table: Sequence[tuple[int, int, int, bool]], big: int,
                points: Sequence[tuple], zeta: Sequence[Fraction]) -> Fraction:
-    """jk_global_ZQ off an edge table over big: the sum of _zq_residue over
-    the points (numerators, basis, walk) of _table_points whose cone holds
-    zeta, after _zeta_cut_sums' regularity test."""
-    total = ZERO
-    for (at, basis, _walk), sums in zip(points, _zeta_cut_sums([w for _a, _b, w in points], zeta)):
-        if all(s > 0 for s in sums):
-            total += _zq_residue(table, big, basis, at)
-    return total
+    """jk_global_ZQ off an edge table over big: the sum (_pair_sum) of
+    _zq_residue over the points (numerators, basis, walk) of _table_points
+    whose cone holds zeta, after _zeta_cut_sums' regularity test."""
+    sums = _zeta_cut_sums([w for _a, _b, w in points], zeta)
+    return _pair_sum([_zq_residue(table, big, basis, at)
+                      for (at, basis, _walk), cut in zip(points, sums) if all(s > 0 for s in cut)])
+
+
+# the JK routes price a read of Z_Q's residues at trees * (planes - n)^2
+# units over the arrangements read, each residue a product of planes - n
+# plane values whose sizes grow with planes - n.  Measured on CPython 3.11,
+# x86_64, in-process: 2-3 * 10^7 units a second (K(4,4) at d = 1, 331,776
+# units in 10 ms; jk_ab on m parallel arrows at d = (1, 1), m * (m - 1)^2
+# units, 0.65 s at m = 250, 1.26 s at m = 300 and 2.5 s at m = 369).  They
+# refuse more units than this, about 1.5 s of reading (m = 311 passes,
+# m = 312 does not)
+MAX_JK_WORK = 30_000_000
+
+
+def _check_read(arrangements: Sequence[tuple[int, int, int]]) -> None:
+    """Raise TooMuchWork past MAX_JK_WORK units over the arrangements
+    (trees, planes, n) read: trees * (planes - n)^2 each."""
+    work = sum(trees * (planes - n) ** 2 for trees, planes, n in arrangements)
+    if work > MAX_JK_WORK:
+        raise TooMuchWork(work, MAX_JK_WORK, f"reading the JK residues needs about {work} units")
+
+
+# past this many bits CPython's quadratic gcd costs more than the longer
+# products it saves.  CPython 3.11, x86_64, summing jk_ab's residues on 250
+# parallel arrows (8,000-bit leaves): 595 ms with no gcd, 1.04 s with one
+# at every merge, 427 ms with this cutoff; on the 70 terms of K(2,1)
+# d=(5,4;2), up to 640 residues of 400 bits: 751 ms, 56 ms and 51 ms
+PAIR_GCD_BITS = 2 ** 15
+
+
+def _pair_sum(pairs: Sequence[tuple[int, int]]) -> Fraction:
+    """The sum of top / bottom over the integer pairs (top, bottom), added
+    pairwise in a balanced tree, so the numbers merged stay alike in size, and
+    made one Fraction at the end; a merge divides out the gcd of the
+    bottoms only while they are shorter than PAIR_GCD_BITS."""
+    while len(pairs) > 1:
+        odd = [pairs[-1]] if len(pairs) % 2 else []
+        merged = []
+        for (a, b), (c, d) in zip(pairs[::2], pairs[1::2]):
+            g = gcd(b, d) if b.bit_length() < PAIR_GCD_BITS else 1
+            merged.append((a * (d // g) + c * (b // g), b * (d // g)))
+        pairs = merged + odd
+    return Fraction(*pairs[0]) if pairs else ZERO
 
 
 def _zq_residue(table: Sequence[tuple[int, int, int, bool]], big: int,
-                basis: Sequence[int], numerators: Sequence[int]) -> Fraction:
+                basis: Sequence[int], numerators: Sequence[int]) -> tuple[int, int]:
     """Z_Q's local JK residue at the point of an edge table over big where
     the planes basis meet, at numerators / big, in the closed form of
-    jk_global_ZQ: the value where the point's cone holds zeta.  The sign's
-    |d| - 1 is the number of coordinates, len(numerators)."""
+    jk_global_ZQ, as the integer pair (top, bottom) of its value top /
+    bottom where the point's cone holds zeta.  The sign's |d| - 1 is the
+    number of coordinates, len(numerators)."""
     at = (*numerators, 0)  # the reference node n
     basis = set(basis)
     odd = len(numerators)
@@ -157,7 +212,7 @@ def _zq_residue(table: Sequence[tuple[int, int, int, bool]], big: int,
             v = at[h] - at[t] + c
             top *= v - big if weight else v + big
             bottom *= v
-    return Fraction(-top if odd % 2 else top, bottom)
+    return -top if odd % 2 else top, bottom
 
 
 # ---------------------------------------------------------------------------
@@ -174,28 +229,37 @@ def jk_ab(q: Quiver, d: DimVector, zeta: Stability, rseed: int,
     rseed + 1000003 * k).  No term's quiver or arrangement is built: a term
     is its vertices, arrow copies and lifted stability (_blow_up), and its
     arrangement, of one weight plane per arrow at d = 1, its integer edge
-    table (_edge_table), whose points (_table_points) are read as
+    table (_edge_table), made from the integer draws of sample_rcharges
+    times lambda's numerator over 2^31 times lambda's denominator, so no
+    R-charge is made a Fraction; its points (_table_points) are read as
     jk_global_ZQ reads them (_zq_global).  The request's bases, the
     spanning trees of all the terms' quivers, are priced before any table
     is built: TooManyTrees past MAX_SPANNING_TREES in all
-    (check_tree_walks).  Then, term by term, as build_arrangement and
-    jk_global_ZQ would: TooManyPlanes past MAX_ARRANGEMENT_PLANES arrows,
-    DegenerateRCharges where more planes meet than coordinates, and
-    NonRegularStability where the lifted stability lies on a wall.
+    (check_tree_walks), then TooMuchWork past MAX_JK_WORK units of reading
+    in all (_check_read, with the Kirchhoff count of a term's trees where
+    check_tree_walks made one, else its C(arrows, n)).  Then, term by term,
+    as build_arrangement and jk_global_ZQ would: TooManyPlanes past
+    MAX_ARRANGEMENT_PLANES arrows, DegenerateRCharges where more planes
+    meet than coordinates, and NonRegularStability where the lifted
+    stability lies on a wall.
     """
+    lam = qify(lam)
     support, choices = _abelianization(q, d, zeta)
     picks = list(itertools.product(*choices))
     terms = [_blow_up(q, support, pick) for pick in picks]
     # a term over the plane bound is refused below, as by its build
-    check_tree_walks([(len(ids), arrows) for ids, arrows, _z in terms
-                      if len(arrows) <= MAX_ARRANGEMENT_PLANES])
+    priced = [(len(ids), arrows) for ids, arrows, _z in terms
+              if len(arrows) <= MAX_ARRANGEMENT_PLANES]
+    _check_read([(trees, len(arrows), nodes - 1)
+                 for trees, (nodes, arrows) in zip(check_tree_walks(priced), priced)])
     total = ZERO
     for k, (pick, (ids, arrows, lifted)) in enumerate(zip(picks, terms)):
         n = len(ids) - 1  # the last vertex is the reference
         _check_planes(len(arrows), n)
-        rbar = sample_rcharges(len(arrows), rseed + 1000003 * k)
+        rbar = _rcharge_numerators(len(arrows), rseed + 1000003 * k)
         table, big = _edge_table([(t, h, i) for i, (t, h) in enumerate(arrows)],
-                                 [qify(lam * r) for r in rbar])
+                                 [lam.numerator * x for x in rbar],
+                                 lam.denominator * RC_DENOMINATOR)
         total += _coefficient(pick) * _zq_global(table, big, _table_points(n, table, big),
                                                  [-x for x in lifted[:-1]])
     return total

@@ -22,7 +22,8 @@ from jkscatter.exact import (LinForm, Poly, RationalExpr, in_span,
                              iterated_residue, mat_det, mat_inverse, mat_rank,
                              rref, solve_linear, subst_linear_basis)
 from jkscatter.quiver import (DimVector, Quiver, Stability, _cut_sums,
-                              _spanning_tree_indices, abelianize, bipartite_quiver)
+                              _spanning_tree_indices, _tree_walk, abelianize,
+                              bipartite_quiver)
 from jkscatter.quiverjk import (build_ZQ, jk_ab, jk_ab_infinity, jk_global_ZQ,
                                 jk_tree_expansion)
 
@@ -310,6 +311,24 @@ class TestMeetWalksTheTree:
                                          for i in range(len(names))]
         assert all(p.evaluate(dict(zip(names, pt.location))) == 0 for p in planes)
         assert pt.functionals == tuple(planes)
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(0, n), min_size=2, max_size=2, unique=True).map(tuple),
+                 min_size=max(0, n - 1), max_size=n + 1),
+        st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1))))
+    @settings(max_examples=300, deadline=None)
+    def test_integer_walk_is_the_tree_walk(self, case):
+        # the walk over per-node lists takes quiver._tree_walk's steps in
+        # its order, and puts each node at its parent's integer -+ the step
+        n, edges, steps = case
+        got, ref = arrangement._integer_walk(n, edges, steps), _tree_walk(range(n + 1), edges, n)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            walk, at = got
+            assert walk == ref and at[n] == 0
+            assert all(at[v] == (at[p] - steps[k] if down else at[p] + steps[k])
+                       for v, k, p, down in walk)
 
     @pytest.mark.parametrize("plane", [lf(u=1, w=1), lf(u=2, w=-1), lf(u=1, z=-1),
                                        lf() + 1])
@@ -729,7 +748,9 @@ class TestIntegerRead:
     @pytest.mark.parametrize("q, d, zeta, value", FIXTURES,
                              ids=["K31-1112", "K21-212", "K11-23"])
     @pytest.mark.parametrize("rseed", [0, 7, 2 ** 31 - 1])
-    @pytest.mark.parametrize("lam", [Q(1), Q(1000)])
+    # lambda 2^31 / 3 cancels the draws' denominator 2^31: jk_ab's one gcd
+    # must reduce its integer R-charges to build_arrangement's table over 3
+    @pytest.mark.parametrize("lam", [Q(1), Q(1000), Q(3, 7), Q(2 ** 31, 3)])
     def test_jk_ab_fixtures(self, monkeypatch, q, d, zeta, value, rseed, lam):
         # jk_ab reads Z_Q's residue off each term's edge table
         # (quiverjk._zq_residue) where zeta's cone is.  A term's table,
@@ -759,7 +780,7 @@ class TestIntegerRead:
             for pt in a.points:
                 inside = tuple(sum((f.coeff(v) for f in pt.functionals), Q(0))
                                for v in a.variables)
-                got = real_read(table, big, pt.active, pt.numerators)
+                got = Q(*real_read(table, big, pt.active, pt.numerators))
                 assert got == jk_basis(z, pt, inside, a.variables)
                 assert jk_basis(z, pt, term_zeta, a.variables) == \
                     (got if (id(table), pt.active) in read_at else 0)

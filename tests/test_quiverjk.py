@@ -148,6 +148,40 @@ class TestTwoRoutes:
 
 
 @st.composite
+def bipartite_ones(draw):
+    """K(l1, l2), l1, l2 <= 3, at d = 1, theta in -3..3 made normal on the
+    last vertex, and an arrangement at seeded R-charges: about half of
+    these theta lie on a wall."""
+    l1, l2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    q = bipartite_quiver(l1, l2)
+    theta = draw(st.lists(st.integers(-3, 3), min_size=l1 + l2 - 1, max_size=l1 + l2 - 1))
+    a = build_arrangement(q, DimVector.make(q, dict.fromkeys(q.vertices, 1)),
+                          seed=draw(st.integers(0, 2 ** 31 - 1)))
+    return q, stab(q, *theta, -sum(theta)), a
+
+
+K22 = bipartite_quiver(2, 2)
+
+
+class TestTwoRoutesOnWalls:
+    """On a wall the two JK routes fail alike: the tree route's regularity
+    test (zeta_from_theta) and the global route's (_zeta_cut_sums) raise
+    the same error, message and witness, so the tree route's scan of zeta
+    is the global route's."""
+
+    @given(bipartite_ones())
+    @example((K22, stab(K22, 1, -1, 1, -1), build_arrangement(K22, dv(K22, i1=1, i2=1, j1=1, j2=1),
+                                                               seed=5)))  # on a wall
+    @example((K22, stab(K22, 2, -1, -1, 0), build_arrangement(K22, dv(K22, i1=1, i2=1, j1=1, j2=1),
+                                                               seed=5)))  # on another
+    @settings(max_examples=200, deadline=None)
+    def test_same_outcome(self, case):
+        q, theta, a = case
+        assert outcome(lambda: jk_tree_expansion(q, theta, a)[0]) == \
+            outcome(jk_global_ZQ, q, theta, a)
+
+
+@st.composite
 def bipartite_small_d(draw):
     """An arrangement of K(l1, l2), l1, l2 <= 3, at d entries <= 2 (so with
     roots), R-charges lambda * sample_rcharges for lambda in {1, 1000}, and
@@ -370,8 +404,9 @@ class TestJkAbReference:
         q, d, theta, rseed, lam, mode = case
         with pytest.MonkeyPatch.context() as mp:
             if mode == "equal":
-                mp.setattr(arrangement, "sample_rcharges", lambda count, _seed: [Q(1, 2)] * count)
-                mp.setattr(quiverjk, "sample_rcharges", arrangement.sample_rcharges)
+                # every R-charge 1/2, drawn as 2^30 over 2^31 for both routes
+                for module in (arrangement, quiverjk):
+                    mp.setattr(module, "_rcharge_numerators", lambda count, _seed: [2 ** 30] * count)
             elif mode == "planes":
                 for module in (arrangement, quiverjk):
                     mp.setattr(module, "MAX_ARRANGEMENT_PLANES", 4)
@@ -385,6 +420,107 @@ class TestJkAbReference:
         k21 = bipartite_quiver(2, 1)
         d, theta = dv(k21), stab(k21, 0, 0, 0)
         assert jk_ab(k21, d, theta, rseed=0) == jk_ab_infinity(k21, d, theta) == 0
+
+
+def parallel_arrows(m):
+    """Two vertices with m parallel arrows at d = (1, 1) and theta = (1, -1),
+    whose JK residue is m."""
+    q = Quiver.make(["1", "2"], [("1", "2")] * m)
+    return q, dv(q, **{"1": 1, "2": 1}), stab(q, 1, -1)
+
+
+class TestReadIsPriced:
+    """A JK read is priced before any residue is read, at trees * (planes -
+    n)^2 units, and refused past MAX_JK_WORK (TooMuchWork).  jk_ab prices
+    its request over all its terms before any table is built, with the
+    Kirchhoff count of a term's trees where the tree bound made one, else
+    its C(arrows, n); both routes of jk price an arrangement by its points."""
+
+    def test_frontier_answers(self):
+        # 15,500,250 units: 0.65 s on a shared 2-CPU host (1.7 s when each
+        # residue was a Fraction added to a running sum)
+        q, d, theta = parallel_arrows(250)
+        start = time.perf_counter()
+        assert jk_ab(q, d, theta, rseed=0) == 250
+        assert time.perf_counter() - start < 2
+
+    def test_jk_ab_refused_before_any_table(self, monkeypatch):
+        def no_build(*_args, **_kw):
+            raise AssertionError("a term's edge table was built")
+
+        monkeypatch.setattr(quiverjk, "_edge_table", no_build)
+        quiverjk._check_read([(311, 311, 1)])  # 29,887,100 units pass
+        for m in (312, 1000):
+            q, d, theta = parallel_arrows(m)
+            start = time.perf_counter()
+            with pytest.raises(TooMuchWork) as ei:
+                jk_ab(q, d, theta, rseed=0)
+            assert time.perf_counter() - start < 1
+            assert (ei.value.estimate, ei.value.bound) == (m * (m - 1) ** 2, 30_000_000)
+            assert str(ei.value) == (f"reading the JK residues needs about {m * (m - 1) ** 2} "
+                                     "units, over the bound 30000000")
+
+    @pytest.mark.parametrize("l1, l2, units", [
+        (3, 2, 15 * 2 ** 2),     # C(6, 4) = 15 sets of 4 arrows, 12 of them trees
+        (4, 4, 4_096 * 9 ** 2),  # C(16, 7) = 11,440 sets: Kirchhoff's 4,096 trees
+    ])
+    def test_jk_ab_price(self, monkeypatch, l1, l2, units):
+        q = bipartite_quiver(l1, l2)
+        d = DimVector.make(q, dict.fromkeys(q.vertices, 1))
+        theta = stab(q, *range(1, l1 + l2), -sum(range(1, l1 + l2)))
+        monkeypatch.setattr(quiverjk, "MAX_JK_WORK", units - 1)
+        with pytest.raises(TooMuchWork) as ei:
+            jk_ab(q, d, theta, rseed=0)
+        assert ei.value.estimate == units
+        monkeypatch.setattr(quiverjk, "MAX_JK_WORK", units)
+        assert jk_ab(q, d, theta, rseed=0) == jk_ab_infinity(q, d, theta)
+
+    def test_both_routes_price_the_points(self, monkeypatch):
+        # K(3,2) at d = 1: 12 points, 6 planes in 4 coordinates, 48 units,
+        # priced before zeta is tested, so a wall (the first theta; the
+        # second reads 4) is refused alike
+        q = bipartite_quiver(3, 2)
+        a = build_arrangement(q, DimVector.make(q, dict.fromkeys(q.vertices, 1)), seed=0)
+        assert len(a.points) == 12
+        monkeypatch.setattr(quiverjk, "MAX_JK_WORK", 47)
+        for theta in (stab(q, 1, 2, 3, -1, -5), stab(q, 1, 10, 100, -2, -109)):
+            got = outcome(jk_global_ZQ, q, theta, a)
+            assert got == outcome(lambda: jk_tree_expansion(q, theta, a)[0])
+            assert got[:2] == (TooMuchWork, "reading the JK residues needs about 48 units, "
+                                            "over the bound 47")
+
+    @pytest.mark.parametrize("command", ["jk", "jk-ab"])
+    def test_cli_refusal(self, tmp_path, command):
+        path = tmp_path / "m1000.json"
+        path.write_text(json.dumps({
+            "vertices": ["1", "2"], "arrows": [{"tail": "1", "head": "2"}] * 1000,
+            "dimension": {"1": 1, "2": 1}, "stability": {"1": 1, "2": -1}}))
+        out = io.StringIO()
+        start = time.perf_counter()
+        code = cli.main([command, "--quiver", str(path)], out=out)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert json.loads(out.getvalue()) == {
+            "command": command, "error": "TooMuchWork",
+            "message": "reading the JK residues needs about 998001000 units, "
+                       "over the bound 30000000"}
+
+
+class TestPairSum:
+    """_pair_sum adds integer pairs (top, bottom) as the Fractions top /
+    bottom would add, in any number and with either sign of bottom, with
+    the gcd of two bottoms divided out at every merge (the default cutoff,
+    for these sizes) or at none (a cutoff of 1 bit)."""
+
+    @pytest.mark.parametrize("cutoff", [quiverjk.PAIR_GCD_BITS, 1])
+    @given(pairs=st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6),
+                                    st.integers(-10 ** 6, 10 ** 6).filter(bool)), max_size=9))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fraction_sum(self, cutoff, pairs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quiverjk, "PAIR_GCD_BITS", cutoff)
+            got = quiverjk._pair_sum(pairs)
+        assert type(got) is Q and got == sum((Q(a, b) for a, b in pairs), Q(0))
 
 
 class TestLocalResidueCounts:
