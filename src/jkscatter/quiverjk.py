@@ -25,8 +25,8 @@ from .errors import NotATree, TooMuchWork
 from .exact import LinForm, ONE, Q, RationalExpr, ZERO, qify, residue_step
 from .quiver import (MAX_WEIST_STEPS, AbelianizationTypes, DimVector, Quiver,
                      SpanningTree, Stability, _abelianization, _blow_up, _coefficient,
-                     _tree_walk, check_tree_walks, spanning_trees, support_quiver,
-                     tree_components, weist_count)
+                     _tree_walk, check_tree_walks, spanning_tree_count, spanning_trees,
+                     support_quiver, tree_components, weist_count)
 
 
 def build_ZQ(a: Arrangement) -> RationalExpr:
@@ -158,24 +158,38 @@ def _zq_global(table: Sequence[tuple[int, int, int, bool]], big: int,
 # x86_64, in-process: 2-3 * 10^7 units a second (K(4,4) at d = 1, 331,776
 # units in 10 ms; jk_ab on m parallel arrows at d = (1, 1), m * (m - 1)^2
 # units, 0.65 s at m = 250, 1.26 s at m = 300 and 2.5 s at m = 369).  They
-# refuse more units than this, about 1.5 s of reading (m = 311 passes,
-# m = 312 does not)
+# refuse more units than this, about 1.5 s of reading on parallel arrows
+# (m = 311 passes, m = 312 does not).  The rate is calibrated there and
+# varies with the input, so a price can understate the time up to tenfold:
+# three vertices with 30 arrows between each two at d = 1 read 2.1 * 10^7
+# units in 1.7 s (about 2.5 s at the bound), and requests of many small
+# terms whose residues sum to integers read 3-6 * 10^6 units a second
+# (K(2,1) at d = (3,3;2) and (4,3;2), 10^5 and 5 * 10^5 units in 28 and
+# 90 ms; K(2,1) at d = (5,4;2), refused by the tree bound, as slowly)
 MAX_JK_WORK = 30_000_000
 
 
+def _read_units(arrangements: Sequence[tuple[int, int, int]]) -> int:
+    """The units of reading the arrangements (trees, planes, n): trees *
+    (planes - n)^2 each."""
+    return sum(trees * (planes - n) ** 2 for trees, planes, n in arrangements)
+
+
 def _check_read(arrangements: Sequence[tuple[int, int, int]]) -> None:
-    """Raise TooMuchWork past MAX_JK_WORK units over the arrangements
-    (trees, planes, n) read: trees * (planes - n)^2 each."""
-    work = sum(trees * (planes - n) ** 2 for trees, planes, n in arrangements)
+    """Raise TooMuchWork past MAX_JK_WORK units (_read_units) over the
+    arrangements (trees, planes, n) read."""
+    work = _read_units(arrangements)
     if work > MAX_JK_WORK:
         raise TooMuchWork(work, MAX_JK_WORK, f"reading the JK residues needs about {work} units")
 
 
 # past this many bits CPython's quadratic gcd costs more than the longer
-# products it saves.  CPython 3.11, x86_64, summing jk_ab's residues on 250
-# parallel arrows (8,000-bit leaves): 595 ms with no gcd, 1.04 s with one
-# at every merge, 427 ms with this cutoff; on the 70 terms of K(2,1)
-# d=(5,4;2), up to 640 residues of 400 bits: 751 ms, 56 ms and 51 ms
+# products it saves.  CPython 3.11, x86_64, in-process, jk_ab with a gcd
+# at every merge / with this cutoff / with none (and when each residue was
+# a Fraction added to a running sum): 250 parallel arrows at d = (1, 1),
+# 250 residues of 8,000 bits, 1.40 / 0.50 / 0.82 s (1.66 s); 40 parallel
+# arrows at d = (2, 1), 1,600 residues of 2,500 bits a term, which share
+# most factors, 0.25 / 0.27 / 2.33 s (0.40 s)
 PAIR_GCD_BITS = 2 ** 15
 
 
@@ -237,11 +251,12 @@ def jk_ab(q: Quiver, d: DimVector, zeta: Stability, rseed: int,
     is built: TooManyTrees past MAX_SPANNING_TREES in all
     (check_tree_walks), then TooMuchWork past MAX_JK_WORK units of reading
     in all (_check_read, with the Kirchhoff count of a term's trees where
-    check_tree_walks made one, else its C(arrows, n)).  Then, term by term,
-    as build_arrangement and jk_global_ZQ would: TooManyPlanes past
-    MAX_ARRANGEMENT_PLANES arrows, DegenerateRCharges where more planes
-    meet than coordinates, and NonRegularStability where the lifted
-    stability lies on a wall.
+    check_tree_walks made one, else its C(arrows, n), unless the C(arrows,
+    n) prices pass the bound: then every term's trees are counted).  Then,
+    term by term, as build_arrangement and jk_global_ZQ would:
+    TooManyPlanes past MAX_ARRANGEMENT_PLANES arrows, DegenerateRCharges
+    where more planes meet than coordinates, and NonRegularStability where
+    the lifted stability lies on a wall.
     """
     lam = qify(lam)
     support, choices = _abelianization(q, d, zeta)
@@ -250,8 +265,13 @@ def jk_ab(q: Quiver, d: DimVector, zeta: Stability, rseed: int,
     # a term over the plane bound is refused below, as by its build
     priced = [(len(ids), arrows) for ids, arrows, _z in terms
               if len(arrows) <= MAX_ARRANGEMENT_PLANES]
-    _check_read([(trees, len(arrows), nodes - 1)
-                 for trees, (nodes, arrows) in zip(check_tree_walks(priced), priced)])
+    reads = [(trees, len(arrows), nodes - 1)
+             for trees, (nodes, arrows) in zip(check_tree_walks(priced), priced)]
+    if _read_units(reads) > MAX_JK_WORK:
+        # a term's C(arrows, n) can overstate its trees many times over
+        reads = [(spanning_tree_count(nodes, arrows), len(arrows), nodes - 1)
+                 for nodes, arrows in priced]
+    _check_read(reads)
     total = ZERO
     for k, (pick, (ids, arrows, lifted)) in enumerate(zip(picks, terms)):
         n = len(ids) - 1  # the last vertex is the reference
