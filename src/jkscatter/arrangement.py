@@ -56,7 +56,7 @@ from .errors import (DegenerateRCharges, NonRegularStability, NotProjective,
 from .exact import (LinForm, ONE, Q, RationalExpr, ZERO, iterated_residue,
                     mat_det, qify, solve_linear, subst_linear_basis)
 from .quiver import (DimVector, Quiver, Stability, _cut_sums, _spanning_tree_indices,
-                     check_tree_walk, validate_quiver)
+                     check_tree_walks, validate_quiver)
 
 Vector = tuple[Fraction, ...]
 
@@ -309,7 +309,7 @@ def singular_points(a: Arrangement) -> list[SingularPoint]:
     TooManyTrees past MAX_SPANNING_TREES.
     """
     if a.dim.is_abelian():
-        check_tree_walk(a.n + 1, [(t, h) for t, h, _c, _w in a.table])
+        check_tree_walks([(a.n + 1, [(t, h) for t, h, _c, _w in a.table])])
     units = (ONE,) * a.n  # each plane is x_head - x_tail + c
     return [SingularPoint(basis, walk, units, key, a.denominator, a.variables)
             for key, basis, walk in _table_points(a.n, a.table, a.denominator)]

@@ -21,7 +21,7 @@ from .errors import (JKScatterError, NonRegularStability, ParseError,
                      ValidationError)
 from .exact import ZERO
 from .quiver import (DimVector, Quiver, Stability, _edges, bipartite_quiver,
-                     check_tree_walk, spanning_trees, support_quiver,
+                     check_tree_walks, spanning_trees, support_quiver,
                      tree_components, validate_quiver)
 from .quiverjk import (jk_ab, jk_ab_infinity, jk_global_ZQ, jk_tree_expansion)
 from .scattering import (_cd_diagram, _check_sizes, check_scatter_work, extract_cd,
@@ -206,7 +206,7 @@ def _csv_cell(v):
 def _cmd_trees(args, out) -> int:
     q, d, theta = _quiver_inputs(args)
     qbar, mult = support_quiver(q, d)
-    check_tree_walk(len(qbar.vertices), _edges(qbar))
+    check_tree_walks([(len(qbar.vertices), _edges(qbar))])
     rows = []
     for k, tree in enumerate(spanning_trees(qbar)):
         comps = tree_components(qbar, tree, theta)

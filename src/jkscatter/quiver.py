@@ -352,12 +352,6 @@ def spanning_tree_count(nodes: int, edges: Sequence[tuple[int, int]]) -> int:
 MAX_SPANNING_TREES = 10_000
 
 
-def check_tree_walk(nodes: int, edges: Sequence[tuple[int, int]]) -> None:
-    """Raise TooManyTrees past MAX_SPANNING_TREES spanning trees on the nodes
-    (check_tree_walks of the one graph)."""
-    check_tree_walks([(nodes, edges)])
-
-
 def check_tree_walks(graphs: Sequence[tuple[int, Sequence[tuple[int, int]]]]) -> list[int]:
     """Raise TooManyTrees past MAX_SPANNING_TREES spanning trees in all on the
     graphs (nodes, edges), counting them only when the C(edges, nodes - 1)

@@ -18,7 +18,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
 from math import comb, factorial, gcd, prod
 
 from .errors import (BadConstantTerm, BadCutoff, CutoffTooSmall, TooMuchWork,
@@ -114,8 +113,7 @@ def check_scatter_work(l1: int, l2: int, cutoff: int) -> None:
                               f"monomials times N + P, P = l1 + l2)")
 
 
-def cross_wall(w: Wall, g: TruncatedSeries, orientation: int = 1,
-               powers: list[tuple] | None = None) -> TruncatedSeries:
+def cross_wall(w: Wall, g: TruncatedSeries, orientation: int = 1) -> TruncatedSeries:
     """Apply x -> x f^{±<m,(1,0)>}, y -> y f^{±<m,(0,1)>} to g.
 
     The substitution sends a term c * p * x^A y^B to the same term times f^n,
@@ -124,19 +122,14 @@ def cross_wall(w: Wall, g: TruncatedSeries, orientation: int = 1,
     C(n, k) h^k, where h^k = 0 past the cutoff (Gross-Pandharipande-Siebert,
     "The tropical vertex").  Regrouped by k, the image is g + sum_{k >= 1}
     h^k * P_k, with P_k = sum_n C(n, k) * (the terms of g with pairing n),
-    and no f^n is built (``_cross``).  ``powers`` is the ``_wall_powers``
-    list, filled here when empty; crossings of the same wall function may
-    share it, so that each power of h is raised once.
+    and no f^n is built (``_cross``).
     """
     if orientation not in (1, -1):
         raise ValidationError("orientation", "must be +1 or -1")
     g._compatible(w.function)
-    if powers is None:
-        powers = []
-    if not powers:
-        powers.extend(_wall_powers(w.function, g._ring))
     a, b = w.direction
-    return g._like(_cross(g._dict(), orientation * a, orientation * b, powers, g._ring))
+    return g._like(_cross(g._dict(), orientation * a, orientation * b,
+                          _wall_powers(w.function, g._ring), g._ring))
 
 
 def _wall_powers(function: TruncatedSeries, r) -> list[tuple]:
@@ -270,8 +263,11 @@ def scatter(d0: ScatteringDiagram) -> ScatteringDiagram:
 
 def _add_rays(d: ScatteringDiagram) -> None:
     """The rounds of ``scatter``, on d in place; their state is dropped on
-    return.  A crossing is (direction, wall, (X, Y)), X and Y one dict of
-    packed terms per parameter degree; the first crosses no wall."""
+    return.  A crossing is (direction, wall, (X, Y)), X and Y lists of one
+    piece of packed terms per parameter degree; the first crosses no wall.
+    A piece is a dict until the crossing after it reads it finished and
+    keeps it grouped for its direction (``_crossed``); a new ray's crossing
+    starts from copies of the lists before it."""
     zero = TruncatedSeries(d.params, d.cutoff, box=d.box)
     r = zero._ring
     walls = [_Pieces(w, zero) for w in d.walls]
@@ -311,11 +307,6 @@ def _add_rays(d: ScatteringDiagram) -> None:
                 walls.append(w)
                 d.walls.append(w.wall)
                 j = bisect_right(loop, _event_key(m), 1, key=lambda cr: _event_key(cr[0]))
-                # it shares the finished pieces before it: grouped once for the
-                # crossing after it (for itself when last), else anew each round
-                after = loop[j][0] if j < len(loop) else m
-                for im in loop[j - 1][2]:
-                    im[:k] = [_grouped(p, after, r) if p and type(p) is dict else p for p in im[:k]]
                 loop.insert(j, (m, w, tuple(im[:] for im in loop[j - 1][2])))
             # c_x != 0 here: b c_y = -a c_x, and a defect is nonzero
             key, c = r.pack(xe, ye, p), _int_or_fraction(Fraction(cx, b))
@@ -404,44 +395,40 @@ class _Pieces:
 
 def _crossed(before: list, cr: tuple, k: int, r) -> dict[int, Coeff]:
     """The degree-k piece of ``cross_wall`` of the image ``before``: its own
-    degree-k piece plus, for each degree b < k and pairing n, the terms of
-    degree b with pairing n times (f^n - 1)[k - b], or before[k] itself
-    when the wall adds nothing.  A finished piece before[b] is grouped by
-    pairing once, in place (``_grouped``)."""
+    degree-k piece plus, for each degree b < k and nonzero pairing n, the
+    terms of degree b with pairing n times (f^n - 1)[k - b], or before[k]
+    itself when the wall adds nothing.  A finished piece before[b] not
+    grouped for this crossing's direction is grouped (``_grouped``) and
+    written back into ``before``, which no other crossing reads: a new
+    ray's crossing starts from copies of the lists it shares pieces with."""
     m, w, _images = cr
     t = None
     for deg in range(k):
         piece = before[deg]
         if piece and (w.f[k - deg] or w.powers[k - deg]):
-            if type(piece) is dict:
+            if type(piece) is dict or piece[0] != m:
                 piece = before[deg] = _grouped(piece, m, r)
-            elif piece[0] != m:  # shared with an inserted ray's crossing: not in place
-                piece = _grouped(piece, m, r)
             t = dict(before[k]) if t is None else t
-            items = iter(piece[1].items())
-            for i in range(2, len(piece), 2):
-                _mul_acc(t, w.sum_at(piece[i], k - deg).items(),
-                         list(islice(items, piece[i + 1])), r)
+            for n, kcs in piece[1]:
+                if n:
+                    _mul_acc(t, w.sum_at(n, k - deg).items(), kcs, r)
     return before[k] if t is None else _nonzero(t)
 
 
 def _grouped(piece, m: tuple[int, int], r) -> tuple:
     """A finished piece (a dict, or grouped for another direction) grouped
-    by the pairing n of its terms with m: (m, the terms in one dict, in one
-    run per nonzero n and then those with n = 0, and n and the length of
-    each run in turn)."""
+    by the pairing n of its terms with m: (m, [(n, [(key, c), ...]), ...]),
+    the groups in order of their first term and the one with n = 0 last.
+    The piece itself is not changed."""
     (a, b), xshift, yshift = m, r.xshift, r.yshift
-    terms = piece if type(piece) is dict else piece[1]
+    terms = piece.items() if type(piece) is dict else (kc for _n, kcs in piece[1] for kc in kcs)
     groups: dict[int, list[tuple[int, Coeff]]] = {}
-    for kc in terms.items():
+    for kc in terms:
         xe = ((kc[0] >> xshift) & _X_MASK) - _X_OFF
         groups.setdefault(a * (kc[0] >> yshift) - b * xe, []).append(kc)
     if 0 in groups:
-        groups[0] = groups.pop(0)  # last, and in no run
-    runs = [v for n, kcs in groups.items() if n for v in (n, len(kcs))]
-    if len(groups) > 1:
-        terms = dict(chain.from_iterable(groups.values()))
-    return m, terms, *runs
+        groups[0] = groups.pop(0)
+    return m, list(groups.items())
 
 
 def _nonzero(t: dict[int, Coeff]) -> dict[int, Coeff]:

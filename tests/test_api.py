@@ -8,12 +8,14 @@ the ``Weight.pair`` field, ``LinForm.translate``, ``RationalExpr.translate``,
 ``series_exp_log``, the ``q`` and ``d`` parameters of ``build_ZQ``
 (it reads ``a.dim``), the ``SingularPoint.inverse`` field (the point
 keeps its tree's ``walk`` and edge ``scales``), ``RationalExpr.power``
-(no caller), and ``SingularPoint.coordinates`` (``jk_basis`` and
+(no caller), ``SingularPoint.coordinates`` (``jk_basis`` and
 ``zeta_from_theta`` read the signs of the cut sums; the division is a
-helper of ``tests/test_arrangement.py``).  Recorded additions:
-``meet``, which accepts only planes k (x_head - x_tail) + c; the ``box``
-of per-parameter exponent bounds on ``TruncatedSeries`` (and its ``const``
-and ``monomial``), ``init_bipartite`` and ``ScatteringDiagram``; the
+helper of ``tests/test_arrangement.py``), and the ``powers`` parameter of
+``cross_wall`` (no caller shared it; each call raises its wall's powers).
+Recorded additions: ``meet``, which accepts only planes
+k (x_head - x_tail) + c; the ``box`` of per-parameter exponent bounds on
+``TruncatedSeries`` (and its ``const`` and ``monomial``),
+``init_bipartite`` and ``ScatteringDiagram``; the
 ``powers`` table of ``cross_wall``; ``errors.TooManyTrees``, raised by
 the CLI's tree listings past ``quiver.MAX_SPANNING_TREES``, with its base
 ``errors.OverBound`` shared by the other refusals; the
@@ -36,7 +38,8 @@ coefficients; ``errors.TooMuchWork`` takes an optional ``need`` text that
 names the priced computation (CLI ``scatter`` refuses past
 ``scattering.MAX_SCATTER_WORK`` with it).  Not exported:
 ``quiver.spanning_tree_count`` takes the enumerator's ``(nodes, edges)``,
-and ``quiver.check_tree_walks`` prices several graphs' trees in all.
+and ``quiver.check_tree_walks`` prices several graphs' trees in all (its
+one-graph wrapper ``quiver.check_tree_walk`` is removed).
 """
 
 import argparse
@@ -90,7 +93,7 @@ SIGNATURES = {
     "TruncatedSeries.monomial": [("params", "-"), ("cutoff", "-"), ("xe", 0), ("ye", 0),
                                  ("pexp", None), ("coeff", 1), ("box", None)],
     "init_bipartite": [("l1", "-"), ("l2", "-"), ("cutoff", "-"), ("box", None)],
-    "cross_wall": [("w", "-"), ("g", "-"), ("orientation", 1), ("powers", None)],
+    "cross_wall": [("w", "-"), ("g", "-"), ("orientation", 1)],
     "errors.TooManyTrees": [("estimate", "-"), ("bound", "-")],
     "errors.TooMuchWork": [("estimate", "-"), ("bound", "-"), ("need", None)],
     "quiver.spanning_tree_count": [("nodes", "-"), ("edges", "-")],

@@ -17,7 +17,7 @@ from jkscatter.errors import (DuplicateVertex, HasLoop, HasOrientedCycle,
 from jkscatter.exact import solve_linear
 from jkscatter.quiver import (DimVector, Quiver, SpanningTree, Stability, _bits,
                               _connected, _edges, _spanning_tree_indices, _type_dp,
-                              abelianize, bipartite_quiver, check_tree_walk,
+                              abelianize, bipartite_quiver, check_tree_walks,
                               moduli_dimension, reduced_quiver,
                               skew_euler_form, spanning_tree_count, spanning_trees,
                               stable_trees, tree_components, twin_classes,
@@ -459,11 +459,11 @@ class TestWeistCount:
         monkeypatch.setattr(quiver, "spanning_tree_count", count)
         for a, b in ((4, 3), (4, 4)):
             k = bipartite_quiver(a, b)
-            check_tree_walk(len(k.vertices), _edges(k))
+            check_tree_walks([(len(k.vertices), _edges(k))])
         assert counted == [8]
         k55 = bipartite_quiver(5, 5)
         with pytest.raises(TooManyTrees) as ei:
-            check_tree_walk(10, _edges(k55))
+            check_tree_walks([(10, _edges(k55))])
         assert (ei.value.estimate, ei.value.bound) == (5 ** 8, 10_000)
 
     def test_route_follows_the_tree_count(self):

@@ -459,26 +459,53 @@ def test_grouped_pieces_follow_an_inserted_ray(monkeypatch, l1, l2, cutoff, box)
     assert regrouped
 
 
+@pytest.mark.parametrize("l1, l2, cutoff, box", [
+    (2, 1, 5, None), (2, 2, 5, None), (3, 1, 5, None), (2, 2, 7, (2, 1, 2, 2)),
+    (4, 4, 8, None)])
+def test_each_piece_is_grouped_once_per_direction(monkeypatch, l1, l2, cutoff, box):
+    # a crossing writes the piece it grouped back where it read it, so no
+    # finished piece is grouped twice for one direction, whether it comes
+    # as a dict or grouped for another direction; a grouped piece counts
+    # as the piece it was grouped from
+    real, kept, origin, seen, repeats = scattering._grouped, [], {}, set(), []
+
+    def spy(piece, m, r):
+        grouped = real(piece, m, r)
+        kept.append((piece, grouped))  # no id is reused while the spy runs
+        origin[id(grouped)] = first = origin.get(id(piece), id(piece))
+        if (first, m) in seen:
+            repeats.append(m)
+        seen.add((first, m))
+        return grouped
+
+    monkeypatch.setattr(scattering, "_grouped", spy)
+    scatter(init_bipartite(l1, l2, cutoff, box))
+    assert kept
+    assert not repeats
+
+
 @settings(max_examples=80, deadline=None)
 @given(series, st.sampled_from([(1, 0), (0, 1), (-1, 0), (1, 1), (2, 1), (1, -2)]),
        st.sampled_from([(1, 1), (-1, 3), (0, -1)]))
 def test_grouped_piece_holds_one_run_per_pairing(g, m, m2):
-    # the runs read from the front of the grouped dict are the terms of
-    # each nonzero pairing with m, and the terms of pairing 0 come last;
-    # grouping again for m2 starts from the grouped form
+    # each group holds exactly the terms of one pairing with m, the groups
+    # partition the piece and the one of pairing 0 comes last; grouping
+    # again for m2 starts from the grouped form and changes neither form
     r = g._ring
     piece = g._dict()
-    for direction, grouped in ((m, scattering._grouped(piece, m, r)),
-                               (m2, scattering._grouped(scattering._grouped(piece, m, r), m2, r))):
-        assert grouped[0] == direction and grouped[1] == piece
+    first = scattering._grouped(piece, m, r)
+    unchanged = (first[0], [(n, list(kcs)) for n, kcs in first[1]])
+    second = scattering._grouped(first, m2, r)
+    assert first == unchanged and piece == g._dict()
+    for direction, grouped in ((m, first), (m2, second)):
+        assert grouped[0] == direction
         a, b = direction
         pairing = {k: a * r.xy(k)[1] - b * r.xy(k)[0] for k in piece}
-        items, seen = list(grouped[1].items()), 0
-        for n, count in zip(grouped[2::2], grouped[3::2]):
-            run = dict(items[seen:seen + count])
-            assert n and run == {k: c for k, c in piece.items() if pairing[k] == n}
-            seen += count
-        assert all(pairing[k] == 0 for k, _c in items[seen:])
+        ns = [n for n, _kcs in grouped[1]]
+        assert len(set(ns)) == len(ns) and 0 not in ns[:-1]
+        for n, kcs in grouped[1]:
+            assert kcs and dict(kcs) == {k: c for k, c in piece.items() if pairing[k] == n}
+        assert sum(len(kcs) for _n, kcs in grouped[1]) == len(piece)
 
 
 class TestExtractCd:
