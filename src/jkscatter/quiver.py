@@ -297,14 +297,15 @@ def stable_trees(qbar: Quiver, theta: Stability) -> list[SpanningTree]:
 # about SCAN_STEPS_PER_TREE * V steps.  Measured on CPython 3.11 (x86_64),
 # a scanned tree takes 3.5-5.3 us per vertex on quivers of 4 to 9 vertices,
 # and a DP step 60-160 ns on twin-free complete bipartite quivers of 13
-# down to 8 vertices.  jk_ab_infinity prices each term so, but counts all
-# the terms that take the DP in one DP over the type vectors under them,
+# down to 8 vertices.  AbelianizationTypes prices each term so, and counts
+# all the terms that take the DP in one DP over the type vectors under them,
 # which visits a tenth to a fifteenth of the pairs priced (K(1,1) d=(9;8):
 # 540,742 against 5,513,657; d=(12;11): 1.3e7 against 1.95e8), at 40-55 ns
 # a priced step on K(1,1) d=(11;10) and (12;11).
 SCAN_STEPS_PER_TREE = 100
-# weist_count and jk_ab_infinity refuse more steps than this: about 12 s
-# on a twin-free quiver and 9 s over the many terms of a jk_ab_infinity
+# AbelianizationTypes.weist_counts, for jk_ab_infinity and for weist_count
+# (the one term at d = 1), refuses more steps than this: about 12 s on a
+# twin-free quiver and 9 s over the many terms of a jk_ab_infinity
 # request at those rates (K(1,1) d=(12;11), 1.95e8 steps over 4,312 terms,
 # took 8.6 s and 55 MB; 25-33 s with a DP per term).  A twin-free quiver
 # under it has at most 14 vertices (K(7,6): 13 vertices, 2.1e7 steps, 1.3
@@ -333,8 +334,9 @@ def spanning_tree_count(nodes: int, edges: Sequence[tuple[int, int]]) -> int:
         if not top[k]:
             return 0
         for row in m[k + 1:]:
-            row[k + 1:] = [(x * top[k] - row[k] * y) // pivot
-                           for x, y in zip(row[k + 1:], top[k + 1:])]
+            if row[k] or top[k] != pivot:  # else the step leaves the row as it is
+                row[k + 1:] = [(x * top[k] - row[k] * y) // pivot
+                               for x, y in zip(row[k + 1:], top[k + 1:])]
         pivot = top[k]
     return pivot
 
@@ -366,38 +368,6 @@ def check_tree_walks(graphs: Sequence[tuple[int, Sequence[tuple[int, int]]]]) ->
     return trees
 
 
-@dataclass(frozen=True)
-class WeistPlan:
-    """How weist_count counts the stable trees of a quiver at one theta: its
-    reduced quiver and multiplicities, its twin classes (vertex indices of
-    the reduced quiver), and the cheaper of the two routes (scan the
-    spanning trees, or run the type DP) with its steps."""
-    qbar: Quiver
-    mult: dict[int, int]
-    types: tuple[tuple[int, ...], ...]
-    steps: int
-    scan: bool
-
-
-def twin_classes(qbar: Quiver, mult: Mapping[int, int],
-                 theta: Stability) -> tuple[tuple[int, ...], ...]:
-    """The vertices of a reduced quiver grouped by type, in order of their
-    first vertex: two vertices have one type when they have the same theta,
-    the same arrows out to each vertex and the same arrows in from each.
-    Equal rows leave no arrow between two vertices of one type, and any
-    permutation inside a type is an automorphism that keeps theta."""
-    n = len(qbar.vertices)
-    out = [[0] * n for _ in range(n)]
-    for k, (a, b) in enumerate(_edges(qbar)):
-        out[a][b] = mult[k]
-    values = theta.as_dict()
-    classes: dict[tuple, list[int]] = {}
-    for i, v in enumerate(qbar.vertices):
-        key = (values[v], tuple(out[i]), tuple([row[i] for row in out]))
-        classes.setdefault(key, []).append(i)
-    return tuple([tuple(c) for c in classes.values()])
-
-
 def _route(counts: Sequence[int], tree_count) -> tuple[int, bool]:
     """weist_count's steps on a quiver of counts[t] > 0 vertices of type t,
     and whether the tree scan is its cheaper route: the type DP takes T *
@@ -413,100 +383,37 @@ def _route(counts: Sequence[int], tree_count) -> tuple[int, bool]:
     return min(scan, dp), scan <= dp
 
 
-def weist_plan(q: Quiver, theta: Stability) -> WeistPlan:
-    """weist_count's route on q at theta (_route): the type DP, or the tree
-    scan where that is cheaper, as on a sparse twin-free quiver with many
-    vertices."""
-    qbar, mult = reduced_quiver(q)
-    types = twin_classes(qbar, mult, theta)
-    steps, scan = _route([len(c) for c in types],
-                         lambda: spanning_tree_count(len(qbar.vertices), _edges(qbar)))
-    return WeistPlan(qbar, mult, types, steps, scan)
-
-
 def weist_count(q: Quiver, theta: Stability) -> Fraction:
     """Sum over theta-stable spanning trees of the product of arrow
-    multiplicities (Weist's count of tree modules), along weist_plan(q,
-    theta).  TooMuchWork is raised if the plan takes more than
-    MAX_WEIST_STEPS.
+    multiplicities (Weist's count of tree modules): the count of q's one
+    abelianization term at d = 1 (AbelianizationTypes.weist_counts), built
+    on q's own vertex names.  TooMuchWork is raised if its route takes more
+    than MAX_WEIST_STEPS; then a quiver without a spanning tree counts 0,
+    and theta not summing to 0 raises NotNormalized.
 
-    The scan lists stable_trees.  The DP (_type_dp, whose counting kernel
-    is _type_counts): a tree is stable iff every arrow leaves theta > 0 on
-    the side of its tail when cut.  Rooted at r, a child u with subtree U
-    hangs from r by an arrow r -> u if theta(U) < 0 and u -> r if theta(U)
-    > 0.  Vertices of one type (twin_classes) are interchangeable, so a
-    count depends on a vertex set only through its type vector s.  The
-    count F(s, rho) of stable trees on s rooted at one vertex of type rho
-    sums, over the type vector u of the branch that holds one fixed vertex
-    of the lowest type t0 left in r = s - e_rho,
+    The scan lists stable_trees.  The DP (_type_counts): a tree is stable
+    iff every arrow leaves theta > 0 on the side of its tail when cut.
+    Rooted at r, a child u with subtree U hangs from r by an arrow r -> u if
+    theta(U) < 0 and u -> r if theta(U) > 0.  Vertices of one type are
+    interchangeable, so a count depends on a vertex set only through its
+    type vector s.  The count F(s, rho) of stable trees on s rooted at one
+    vertex of type rho sums, over the type vector u of the branch that
+    holds one fixed vertex of the lowest type t0 left in r = s - e_rho,
 
         C(r_t0 - 1, u_t0 - 1) * prod_(t != t0) C(r_t, u_t) * H(u, rho) * F(s - u, rho),
         H(u, rho) = sum over sigma of u_sigma * F(u, sigma) * w(rho, sigma, theta(u)),
 
     the binomials counting the branches of type vector u, and weist_count
     is F(c, type of vertices[0]) for the full type vector c.  With every
-    type a single vertex, this is the DP over vertex subsets.  A
-    disconnected quiver counts 0, as the scan does; otherwise the DP raises
-    as the scan would: theta not summing to 0 raises NotNormalized, and a
-    wall (a split into two connected sides with theta = 0 on each) raises
-    NonRegularStability with the scan's first tree and arrow as the
-    witness, scanning trees only up to that one (past MAX_WEIST_STEPS for
-    a full scan: a tree of each side of the wall and the first arrow across).
+    type a single vertex, this is the DP over vertex subsets.  A wall (a
+    split into two connected sides with theta = 0 on each) raises
+    NonRegularStability with a scan's witness (AbelianizationTypes._raise_wall).
     """
-    plan = weist_plan(q, theta)
-    if plan.steps > MAX_WEIST_STEPS:
-        raise TooMuchWork(plan.steps, MAX_WEIST_STEPS)
-    if plan.scan:  # also every quiver without a spanning tree
-        return sum((prod(plan.mult[i] for i in tree.arrows)
-                    for tree in stable_trees(plan.qbar, theta)), ZERO)
-    return _type_dp(plan.qbar, plan.mult, theta, plan.types)
-
-
-def _type_dp(qbar: Quiver, mult: Mapping[int, int], theta: Stability,
-             types: Sequence[Sequence[int]]) -> Fraction:
-    """weist_count's DP route; types are qbar's twin classes.  0 on a
-    disconnected quiver, then NotNormalized unless theta sums to 0, then the
-    scan's witness on the first wall (_type_wall), else _type_counts of the
-    one type vector."""
-    nt = len(types)
-    kind = [0] * len(qbar.vertices)
-    for t, members in enumerate(types):
-        for i in members:
-            kind[i] = t
-    down = [[0] * nt for _ in range(nt)]  # down[rho][sigma]: arrows rho -> sigma
-    for k, (a, b) in enumerate(_edges(qbar)):
-        down[kind[a]][kind[b]] = mult[k]
-    adj = _type_adjacency(down)
-    counts = [len(c) for c in types]
-    if not counts or not _types_connected(counts, adj):
-        return ZERO
+    validate_quiver(q)
     values = theta.as_dict()
-    th, scale = _integer_theta([values[qbar.vertices[c[0]]] for c in types])
-    total = sum(map(mul, th, counts))
-    if total:
-        raise NotNormalized(f"sum d_v*theta_v = {Q(total, scale)} != 0")
-    wall = _type_wall(th, counts, adj)
-    if wall is not None:
-        # a representative side: the first s_t vertices of each type
-        side = sum(1 << i for c, k in zip(types, wall) for i in c[:k])
-        # some tree crosses this wall: scan to the first, or build one past the bound
-        n, edges = len(qbar.vertices), _edges(qbar)
-        trees = _spanning_tree_indices(n, edges)
-        if SCAN_STEPS_PER_TREE * n * spanning_tree_count(n, edges) > MAX_WEIST_STEPS:
-            order = sorted(range(len(edges)), key=lambda k: (
-                side >> edges[k][0] & 1 != side >> edges[k][1] & 1))
-            first = next(_spanning_tree_indices(n, [edges[k] for k in order]))
-            trees = [tuple(sorted(order[k] for k in first))]
-        for tree in trees:
-            tree_components(qbar, SpanningTree(tree), theta)
-    return Q(_type_counts(th, down, [counts])[0])
-
-
-def _integer_theta(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """theta per type times the lcm of its denominators, integers of the
-    same signs, and that lcm."""
-    scale = lcm(*[x.denominator for x in values])
-    return [x.numerator * (scale // x.denominator) for x in values], scale
+    choices = [[((1,), ONE, [(v, 1, values[v])])] for v in q.vertices]
+    types = AbelianizationTypes(q, dict.fromkeys(q.vertices, 1), values, choices)
+    return Q(types.weist_counts()[0])
 
 
 def _type_adjacency(down: Sequence[Sequence[int]]) -> list[int]:
@@ -734,19 +641,20 @@ def _abelianization(q: Quiver, d: DimVector, zeta: Stability) -> tuple[list[str]
     zeta_v)]) for each multiplicity vector m: a term picks one per vertex."""
     validate_quiver(q)
     zeta.check_normalized(d)
-    support = [v for v in q.vertices if d[v] > 0]
+    dims, values = d.as_dict(), zeta.as_dict()
+    support = [v for v in q.vertices if dims[v] > 0]
     estimate = 1
     for v in support:
-        estimate *= _PARTITION_COUNTS[min(d[v], len(_PARTITION_COUNTS) - 1)]
+        estimate *= _PARTITION_COUNTS[min(dims[v], len(_PARTITION_COUNTS) - 1)]
         if estimate > MAX_ABELIANIZATION_TERMS:
             raise TooManyTerms(estimate, MAX_ABELIANIZATION_TERMS)
     choices = []
     for v in support:
-        lifted = [zeta[v] * l for l in range(d[v] + 1)]
-        choices.append([(m, _blowup_factor(d[v], m),
+        lifted = [values[v] * l for l in range(dims[v] + 1)]
+        choices.append([(m, _blowup_factor(dims[v], m),
                          [(f"{v}@{k},{l}", l, lifted[l]) for l, ml in enumerate(m, start=1)
                           for k in range(1, ml + 1)])
-                        for m in _multiplicity_vectors(d[v])])
+                        for m in _multiplicity_vectors(dims[v])])
     return support, choices
 
 
@@ -788,59 +696,68 @@ def _coefficient(pick: Sequence[tuple]) -> Fraction:
 
 
 class AbelianizationTypes:
-    """The terms of abelianize(q, d, zeta), in its order, as type vectors
-    over one set of vertex types, none of their quivers built; abelianize's
-    checks run first.
+    """The terms of an abelianization of q, given by _abelianization's
+    choices (whose checks its callers run) and d_v and zeta_v per vertex
+    (dims, values), as type vectors over one set of vertex types; a term's
+    quiver is built only to scan it or to witness a wall.
 
     A base type (v, l), one per support vertex v and part size l <= d_v,
     holds the vertices v@k,l.  Two base types are merged when they have
     equal l * zeta_v, equal arrows l * a_vw out to each support vertex w and
     equal arrows l * a_wv in from each: every term holds some vertex w@k,l'
-    for each w, so the types are the twin classes (twin_classes) of every
-    term's quiver, and the count of stable trees on a type vector is the
-    same in every term that holds it.  theta is each type's stability l *
-    zeta_v, scaled to integers, and down[rho][sigma] the arrows from a
-    vertex of type rho to one of type sigma; per term k, counts[k] is its
-    type vector and routes[k] weist_plan's steps and route on its quiver
-    (_route)."""
+    for each w, so a term's types are its twin classes (vertices of one
+    theta with the same arrows out to and in from each vertex), and the
+    count of stable trees on a type vector is the same in every term that
+    holds it.  theta is each type's l * zeta_v times scale, an integer, and
+    down[rho][sigma] the arrows from a vertex of type rho to one of type
+    sigma; per term k, counts[k] is its type vector and routes[k] its steps
+    and whether the tree scan is its cheaper route (_route)."""
 
-    def __init__(self, q: Quiver, d: DimVector, zeta: Stability):
+    def __init__(self, q: Quiver, dims: Mapping[str, int], values: Mapping[str, Fraction],
+                 choices: Sequence[list]):
         self.q = q
-        self.support, choices = _abelianization(q, d, zeta)
+        self.support = [v for v in q.vertices if dims[v] > 0]
         self.picks = list(itertools.product(*choices))
-        arrows: dict[tuple[str, str], int] = {}
+        at = {v: i for i, v in enumerate(self.support)}
+        out = [[0] * len(at) for _ in at]  # out[i][j]: arrows from support vertex i to j
         for t, h in q.arrows:
-            arrows[t, h] = arrows.get((t, h), 0) + 1
-        # zeta_v as integers of its signs; l * zeta_v is the stability of v@k,l
-        scaled = _integer_theta([zeta[v] for v in self.support])[0]
+            if t in at and h in at:
+                out[at[t]][at[h]] += 1
+        # zeta_v times scale, integers of its signs; l * zeta_v is the stability of v@k,l
+        zeta = [values[v] for v in self.support]
+        self.scale = lcm(*[z.denominator for z in zeta])
+        self._zeta = [z.numerator * (self.scale // z.denominator) for z in zeta]
+        self._dims = [dims[v] for v in self.support]
         types: dict[tuple, int] = {}
-        first, kinds = [], []  # a base type (v, l) per type; per vertex, the type of each l
-        for v, z in zip(self.support, scaled):
-            kinds.append([])
-            for l in range(1, d[v] + 1):
-                key = (l * z, tuple([l * arrows.get((v, w), 0) for w in self.support]),
-                       tuple([l * arrows.get((w, v), 0) for w in self.support]))
+        self._out, self._first = out, []  # a base type (i, l) per type
+        self._kinds = []  # per support vertex, the type of each l
+        for i, (row, col, z, dv) in enumerate(zip(out, zip(*out), self._zeta, self._dims)):
+            self._kinds.append([])
+            for l in range(1, dv + 1):
+                key = (l * z, tuple([l * a for a in row]), tuple([l * a for a in col]))
                 if key not in types:
-                    types[key] = len(first)
-                    first.append((v, l))
-                kinds[-1].append(types[key])
+                    types[key] = len(self._first)
+                    self._first.append((i, l))
+                self._kinds[-1].append(types[key])
         self.theta = [key[0] for key in types]
-        self._parts: dict[int, int] = {}  # per value of zeta_v, the sum of its d_v
-        for v, z in zip(self.support, scaled):
-            self._parts[z] = self._parts.get(z, 0) + d[v]
-        self.down = [[l * k * arrows.get((v, w), 0) for w, k in first] for v, l in first]
-        self.adj = _type_adjacency(self.down)
         self.counts = []
         for pick in self.picks:
-            c = [0] * len(first)
-            for (m, _f, _p), kind in zip(pick, kinds):
+            c = [0] * len(types)
+            for (m, _f, _p), kind in zip(pick, self._kinds):
                 for l, ml in enumerate(m):
-                    if ml:
-                        c[kind[l]] += ml
+                    c[kind[l]] += ml
             self.counts.append(c)
         self.routes = [_route([k for k in c if k],
                               lambda c=c: spanning_tree_count(*self._graph(c)))
                        for c in self.counts]
+
+    @cached_property
+    def down(self) -> list[list[int]]:
+        return [[l * k * self._out[i][j] for j, k in self._first] for i, l in self._first]
+
+    @cached_property
+    def adj(self) -> list[int]:
+        return _type_adjacency(self.down)
 
     def _graph(self, counts: Sequence[int]) -> tuple[int, list[tuple[int, int]]]:
         """(nodes, edges) of the reduced quiver of counts[t] vertices of each
@@ -857,8 +774,11 @@ class AbelianizationTypes:
         the sum E_z of e_v over the vertices of each value z of zeta_v
         matters, so this counts the E <= D with sum z * E_z = 0 besides E =
         0 and E = D."""
+        parts: dict[int, int] = {}  # per value of zeta_v, the sum of its d_v
+        for z, dv in zip(self._zeta, self._dims):
+            parts[z] = parts.get(z, 0) + dv
         ways = {0: 1}
-        for z, total in self._parts.items():
+        for z, total in parts.items():
             sums: dict[int, int] = {}
             for x, n in ways.items():
                 for k in range(total + 1):
@@ -866,31 +786,63 @@ class AbelianizationTypes:
             ways = sums
         return ways[0] > 2
 
-    def _has_trees(self, k: int) -> bool:
-        """Whether term k's quiver is nonempty and connected."""
-        return any(self.counts[k]) and _types_connected(self.counts[k], self.adj)
+    def weist_counts(self) -> list[int]:
+        """The weist count of every term, in order.  TooMuchWork first, if
+        the routes' steps add up to more than MAX_WEIST_STEPS.  Then, term by
+        term: one whose cheaper route is the scan is counted by stable_trees
+        on its built quiver; an empty or disconnected one counts 0; else
+        NotNormalized unless its theta sums to 0, and the scan's witness on a
+        wall (_raise_wall).  The rest are read off one _type_counts."""
+        steps = sum(steps for steps, _scan in self.routes)
+        if steps > MAX_WEIST_STEPS:
+            raise TooMuchWork(steps, MAX_WEIST_STEPS)
+        counts, shared = [0] * len(self.counts), []
+        for k, (c, (_steps, scan)) in enumerate(zip(self.counts, self.routes)):
+            if scan:
+                qbar, mult, theta = self._built(k)
+                counts[k] = sum(prod(mult[i] for i in tree.arrows)
+                                for tree in stable_trees(qbar, theta))
+            elif any(c) and _types_connected(c, self.adj):
+                total = sum(map(mul, self.theta, c))
+                if total:
+                    raise NotNormalized(f"sum d_v*theta_v = {Q(total, self.scale)} != 0")
+                if self._balanced and _type_wall(self.theta, c, self.adj) is not None:
+                    self._raise_wall(k)
+                shared.append(k)
+        if shared:
+            for k, n in zip(shared, _type_counts(self.theta, self.down,
+                                                 [self.counts[k] for k in shared])):
+                counts[k] = n
+        return counts
 
-    def alone(self, k: int) -> bool:
-        """Whether term k is counted on its own quiver: its cheaper route is
-        the scan, or it lies on a wall (_type_wall), where weist_count
-        raises with the scan's witness."""
-        return self.routes[k][1] or (self._balanced and self._has_trees(k) and _type_wall(
-            self.theta, self.counts[k], self.adj) is not None)
+    def _built(self, k: int) -> tuple[Quiver, dict[int, int], Stability]:
+        """Term k's reduced quiver, multiplicities and lifted stability."""
+        term = _blown_up_term(self.q, self.support, self.picks[k])
+        return (*reduced_quiver(term.quiver), term.stability)
 
-    def term(self, k: int) -> AbelianizationTerm:
-        return _blown_up_term(self.q, self.support, self.picks[k])
-
-    def coefficient(self, k: int) -> Fraction:
-        return _coefficient(self.picks[k])
-
-    def count(self, ks: Sequence[int]) -> list[int]:
-        """The weist counts of terms ks, none of which is counted alone, by
-        one _type_counts over all of them; an empty or disconnected quiver
-        counts 0, as in _type_dp."""
-        live = [k for k in ks if self._has_trees(k)]
-        counts = dict(zip(live, _type_counts(self.theta, self.down,
-                                             [self.counts[k] for k in live]))) if live else {}
-        return [counts.get(k, 0) for k in ks]
+    def _raise_wall(self, k: int) -> None:
+        """Raise NonRegularStability on term k, which lies on a wall, with a
+        scan's witness: its first spanning tree with a zero cut or, where a
+        full scan is priced past MAX_WEIST_STEPS, a tree of each side of its
+        first wall s (_type_wall, its types in order of their first vertex,
+        the first s_t vertices of each type t) joined by the first arrow across."""
+        kinds = [kind[l] for (m, _f, _p), kind in zip(self.picks[k], self._kinds)
+                 for l, ml in enumerate(m) for _ in range(ml)]  # per vertex of the term
+        order = list(dict.fromkeys(kinds))
+        wall = dict(zip(order, _type_wall(
+            [self.theta[t] for t in order], [self.counts[k][t] for t in order],
+            _type_adjacency([[self.down[a][b] for b in order] for a in order]))))
+        side = sum(1 << i for i, t in enumerate(kinds) if kinds[:i].count(t) < wall[t])
+        qbar, _mult, theta = self._built(k)
+        n, edges = len(qbar.vertices), _edges(qbar)
+        trees = _spanning_tree_indices(n, edges)
+        if SCAN_STEPS_PER_TREE * n * spanning_tree_count(n, edges) > MAX_WEIST_STEPS:
+            across_last = sorted(range(len(edges)), key=lambda e: (
+                side >> edges[e][0] & 1 != side >> edges[e][1] & 1))
+            first = next(_spanning_tree_indices(n, [edges[e] for e in across_last]))
+            trees = [tuple(sorted(across_last[e] for e in first))]
+        for tree in trees:
+            tree_components(qbar, SpanningTree(tree), theta)
 
 
 def _blowup_factor(dv: int, m: tuple[int, ...]) -> Fraction:

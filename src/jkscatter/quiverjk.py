@@ -23,10 +23,9 @@ from .arrangement import (MAX_ARRANGEMENT_PLANES, RC_DENOMINATOR, Arrangement, _
                           theta_lift, zeta_from_theta)
 from .errors import NotATree, TooMuchWork
 from .exact import LinForm, ONE, Q, RationalExpr, ZERO, qify, residue_step
-from .quiver import (MAX_WEIST_STEPS, AbelianizationTypes, DimVector, Quiver,
-                     SpanningTree, Stability, _abelianization, _blow_up, _coefficient,
-                     _tree_walk, check_tree_walks, spanning_tree_count, spanning_trees,
-                     support_quiver, tree_components, weist_count)
+from .quiver import (AbelianizationTypes, DimVector, Quiver, SpanningTree, Stability,
+                     _abelianization, _blow_up, _coefficient, _tree_walk, check_tree_walks,
+                     spanning_tree_count, spanning_trees, support_quiver, tree_components)
 
 
 def build_ZQ(a: Arrangement) -> RationalExpr:
@@ -288,32 +287,21 @@ def jk_ab(q: Quiver, d: DimVector, zeta: Stability, rseed: int,
 def jk_ab_infinity(q: Quiver, d: DimVector, zeta: Stability) -> Fraction:
     """Closed-form large-R limit: sum of coefficient * weist_count per
     abelianization term, counted without building the terms' quivers
-    (AbelianizationTypes): in a blown-up quiver the vertices i@k,l that
-    share (i, l) are twins, one vertex type, and a type vector's count of
-    stable trees is the same in every term that holds it.
+    (AbelianizationTypes.weist_counts, of which weist_count is the case d =
+    1): in a blown-up quiver the vertices i@k,l that share (i, l) are
+    twins, one vertex type, and a type vector's count of stable trees is
+    the same in every term that holds it.
 
     abelianize's checks run first: it refuses a d with more than
-    MAX_ABELIANIZATION_TERMS terms.  Each term is priced as weist_plan
-    prices its quiver, the cheaper of a stable-tree scan and the type DP
-    at the term's lifted stability, and TooMuchWork is raised before any
-    is counted if the steps add up to more than MAX_WEIST_STEPS.  Then, in
-    order, a term that the scan prices cheaper, or that lies on a wall, is
-    built and counted alone by weist_count, which raises on the wall with
-    the scan's witness; every other term is read off one DP over the type
-    vectors under all of them (_type_counts)."""
-    types = AbelianizationTypes(q, d, zeta)
-    steps = sum(steps for steps, _scan in types.routes)
-    if steps > MAX_WEIST_STEPS:
-        raise TooMuchWork(steps, MAX_WEIST_STEPS)
-    terms = range(len(types.picks))
-    counts = {}
-    for k in terms:
-        if types.alone(k):
-            term = types.term(k)
-            counts[k] = weist_count(term.quiver, term.stability)
-    shared = [k for k in terms if k not in counts]
-    counts.update(zip(shared, types.count(shared)))
-    return sum((types.coefficient(k) * counts[k] for k in terms if counts[k]), ZERO)
+    MAX_ABELIANIZATION_TERMS terms.  Each term is priced at the cheaper of
+    a stable-tree scan and the type DP, and TooMuchWork is raised before
+    any is counted if the steps add up to more than MAX_WEIST_STEPS.  Then,
+    in order, a term that the scan prices cheaper is built and scanned, and
+    one on a wall raises with the scan's witness; every other term is read
+    off one DP over the type vectors under all of them (_type_counts)."""
+    types = AbelianizationTypes(q, d.as_dict(), zeta.as_dict(), _abelianization(q, d, zeta)[1])
+    return sum((_coefficient(pick) * n for pick, n in zip(types.picks, types.weist_counts()) if n),
+               ZERO)
 
 
 def lambda_sweep(q: Quiver, d: DimVector, zeta: Stability, rseed: int,

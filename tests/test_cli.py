@@ -477,7 +477,8 @@ class TestExitCodes:
         with pytest.raises(NonRegularStability) as ei:
             quiver.tree_components(qbar, quiver.SpanningTree(tree), term.stability)
         assert ei.value.witness == {"tree": tree, "arrow": ("i1@1,1", "j2@1,1")}
-        assert rep["witness"]["arrow"] == ["i1@1,1", "j2@1,1"]
+        assert rep["witness"] == {"tree": [0, 1, 7, 8, 9, 10, 11, 13, 19, 25, 31],
+                                  "arrow": ["i1@1,1", "j2@1,1"]}
 
     def test_too_much_work_is_2(self):
         # K(8,8) at d = 1 with a distinct zeta per vertex: one 16-vertex term

@@ -15,13 +15,12 @@ from jkscatter.errors import (DuplicateVertex, HasLoop, HasOrientedCycle,
                               NonRegularStability, NotATree, NotNormalized,
                               TooManyTerms, TooManyTrees, TooMuchWork, UnknownVertex)
 from jkscatter.exact import solve_linear
-from jkscatter.quiver import (DimVector, Quiver, SpanningTree, Stability, _bits,
-                              _connected, _edges, _spanning_tree_indices, _type_dp,
-                              abelianize, bipartite_quiver, check_tree_walks,
-                              moduli_dimension, reduced_quiver,
+from jkscatter.quiver import (AbelianizationTypes, DimVector, Quiver, SpanningTree, Stability,
+                              _abelianization, _bits, _connected, _edges,
+                              _spanning_tree_indices, abelianize, bipartite_quiver,
+                              check_tree_walks, moduli_dimension, reduced_quiver,
                               skew_euler_form, spanning_tree_count, spanning_trees,
-                              stable_trees, tree_components, twin_classes,
-                              validate_quiver, weist_count, weist_plan)
+                              stable_trees, tree_components, validate_quiver, weist_count)
 from jkscatter.quiverjk import wt_residue
 
 A2 = Quiver.make(["1", "2"], [("1", "2")])
@@ -346,18 +345,33 @@ def subset_dp(qbar, mult, theta):
     return Q(rooted[full * n])
 
 
-def type_dp(qbar, mult, theta):
-    return _type_dp(qbar, mult, theta, twin_classes(qbar, mult, theta))
-
-
 def assert_three_routes_agree(q, theta):
-    """The type DP, the subset DP and the tree scan give one value, or one
-    error type, message and witness; so does weist_count on its own route."""
+    """weist_count, the subset DP and the tree scan give one value, or one
+    error type, message and witness; so does weist_count held to the type
+    DP, whatever its route would be."""
     want = outcome(tree_scan_count, q, theta)
     qbar, mult = reduced_quiver(q)
-    assert outcome(type_dp, qbar, mult, theta) == want
     assert outcome(subset_dp, qbar, mult, theta) == want
     assert outcome(weist_count, q, theta) == want
+    with pytest.MonkeyPatch.context() as mp:
+        route = quiver._route
+        mp.setattr(quiver, "_route", lambda counts, trees: (route(counts, trees)[0], False))
+        assert outcome(weist_count, q, theta) == want
+
+
+def types_at_one(q, theta):
+    """AbelianizationTypes of q's one abelianization term at d = 1."""
+    d = DimVector.make(q, dict.fromkeys(q.vertices, 1))
+    return AbelianizationTypes(q, d.as_dict(), theta.as_dict(), _abelianization(q, d, theta)[1])
+
+
+def twin_groups(q, theta):
+    """q's vertex indices grouped by their type at d = 1, in order of their
+    first vertex."""
+    groups = {}
+    for i, (kind,) in enumerate(types_at_one(q, theta)._kinds):
+        groups.setdefault(kind, []).append(i)
+    return tuple(tuple(g) for g in groups.values())
 
 
 @st.composite
@@ -428,13 +442,11 @@ class TestWeistCount:
         # K(3,2) with theta (2, 2, 1, -3, -2): i1 and i2 are twins, i3 is
         # not (its theta differs), and neither are j1, j2
         k32 = bipartite_quiver(3, 2)
-        qbar, mult = reduced_quiver(k32)
-        assert twin_classes(qbar, mult, stab(k32, 2, 2, 1, -3, -2)) == ((0, 1), (2,), (3,), (4,))
-        assert twin_classes(qbar, mult, stab(k32, 1, 1, 1, -1, -2)) == ((0, 1, 2), (3,), (4,))
+        assert twin_groups(k32, stab(k32, 2, 2, 1, -3, -2)) == ((0, 1), (2,), (3,), (4,))
+        assert twin_groups(k32, stab(k32, 1, 1, 1, -1, -2)) == ((0, 1, 2), (3,), (4,))
         # same theta, other arrows: a -> b, c has no arrow
         q = Quiver.make(["a", "b", "c"], [("a", "b")])
-        qbar, mult = reduced_quiver(q)
-        assert twin_classes(qbar, mult, stab(q, 0, 0, 0)) == ((0,), (1,), (2,))
+        assert twin_groups(q, stab(q, 0, 0, 0)) == ((0,), (1,), (2,))
 
     @given(quivers_with_stability())
     @settings(max_examples=200, deadline=None)
@@ -471,11 +483,10 @@ class TestWeistCount:
         # has one spanning tree: scanned; K(4,4) has 4^3 * 4^3 trees, more
         # than the DP's 8 * 3^8 steps buy at 100 * 8 steps a tree
         star = bipartite_quiver(20, 1)
-        plan = weist_plan(star, stab(star, *range(1, 21), -210))
-        assert (plan.steps, plan.scan) == (100 * 21, True)
+        assert types_at_one(star, stab(star, *range(1, 21), -210)).routes == [(100 * 21, True)]
         k44 = bipartite_quiver(4, 4)
-        plan = weist_plan(k44, stab(k44, 1, 2, 3, 4, -1, -2, -3, -4))
-        assert (plan.steps, plan.scan) == (8 * 3 ** 8, False)
+        assert types_at_one(k44, stab(k44, 1, 2, 3, 4, -1, -2, -3, -4)).routes == [
+            (8 * 3 ** 8, False)]
 
     def test_twins_take_the_dp_without_counting_trees(self, monkeypatch):
         # the star with one theta on its 20 sources has 2 types of 20 and 1
@@ -487,8 +498,7 @@ class TestWeistCount:
         monkeypatch.setattr(quiver, "spanning_tree_count", no_count)
         star = bipartite_quiver(20, 1)
         theta = stab(star, *[1] * 20, -20)
-        plan = weist_plan(star, theta)
-        assert (plan.steps, plan.scan) == (2 * 231 * 3, False)
+        assert types_at_one(star, theta).routes == [(2 * 231 * 3, False)]
         assert weist_count(star, theta) == 1
 
     def test_count_follows_its_own_quiver(self):
@@ -499,24 +509,25 @@ class TestWeistCount:
         assert weist_count(path, stab(path, 3, 1, -2, -2)) == 0
         assert weist_count(k22, stab(k22, 3, 1, -2, -2)) == 2
         with pytest.raises(TypeError):
-            weist_count(path, stab(path, 3, 1, -2, -2), weist_plan(k22, stab(k22, 3, 1, -2, -2)))
+            weist_count(path, stab(path, 3, 1, -2, -2), types_at_one(k22, stab(k22, 3, 1, -2, -2)))
 
     def test_star_is_scanned(self):
         # 21 vertices, no twins: the DP would take 21 * 3^21 steps
         star = bipartite_quiver(20, 1)
         theta = stab(star, *range(1, 21), -210)
-        assert weist_plan(star, theta).scan
+        assert types_at_one(star, theta).routes[0][1]
         assert weist_count(star, theta) == 1
         assert weist_count(star, stab(star, *range(-1, -21, -1), 210)) == 0
 
     def test_too_much_work_is_refused(self, monkeypatch):
         # K(8,8) with a distinct theta per vertex has no twins: 16 * 3^16 DP
         # steps, and 8^7 * 8^7 trees at 100 * 16 steps each.  It is refused
-        # before any table is built
-        def no_table(*_args):
-            raise AssertionError("the DP ran")
+        # before any table is built or tree listed
+        def no_count(*_args):
+            raise AssertionError("the stable trees were counted")
 
-        monkeypatch.setattr(quiver, "_type_dp", no_table)
+        monkeypatch.setattr(quiver, "_type_counts", no_count)
+        monkeypatch.setattr(quiver, "stable_trees", no_count)
         k88 = bipartite_quiver(8, 8)
         with pytest.raises(TooMuchWork) as ei:
             weist_count(k88, stab(k88, *range(1, 9), *range(-1, -9, -1)))

@@ -767,7 +767,8 @@ class TestStableTreeCounts:
         def no_count(*_args):
             raise AssertionError("a term was counted")
 
-        monkeypatch.setattr(quiverjk, "weist_count", no_count)
+        monkeypatch.setattr(quiver, "_type_counts", no_count)
+        monkeypatch.setattr(quiver, "stable_trees", no_count)
         k88 = bipartite_quiver(8, 8)
         with pytest.raises(TooMuchWork) as ei:
             jk_ab_infinity(k88, DimVector.make(k88, {v: 1 for v in k88.vertices}),
@@ -815,12 +816,24 @@ class TestStableTreeCounts:
         assert (made, len(dps)) == ([], 1)
 
 
+def types_of(q, d, zeta):
+    """The AbelianizationTypes of jk_ab_infinity(q, d, zeta)."""
+    return quiver.AbelianizationTypes(q, d.as_dict(), zeta.as_dict(),
+                                      quiver._abelianization(q, d, zeta)[1])
+
+
+def term_steps(term):
+    """The steps of weist_count's route on a built abelianization term:
+    those of its own one term at d = 1."""
+    return types_of(term.quiver, term.dimension, term.stability).routes[0][0]
+
+
 def per_term_jk_ab_infinity(q, d, zeta):
     """jk_ab_infinity term by term, the reference for the shared type DP:
-    abelianize, price each term's quiver by weist_plan and refuse the sum
-    past MAX_WEIST_STEPS, then weist_count each term on its own."""
+    abelianize, price each built term as weist_count does and refuse the
+    sum past MAX_WEIST_STEPS, then weist_count each term on its own."""
     terms = abelianize(q, d, zeta)
-    steps = sum(quiver.weist_plan(t.quiver, t.stability).steps for t in terms)
+    steps = sum(map(term_steps, terms))
     if steps > quiver.MAX_WEIST_STEPS:
         raise TooMuchWork(steps, quiver.MAX_WEIST_STEPS)
     return sum((t.coefficient * quiver.weist_count(t.quiver, t.stability) for t in terms), Q(0))
@@ -843,6 +856,23 @@ def abelianization_requests(draw):
     total = sum(x * z for x, z in zip(d, zeta))
     zeta = [z * d[fix] for z in zeta]
     zeta[fix] -= total
+    return q, DimVector.make(q, dict(zip(q.vertices, d))), stab(q, *zeta)
+
+
+@st.composite
+def merging_requests(draw):
+    """a -> c once or twice, b -> c once, twice or four times, sometimes a
+    -> b, with zeta_b = 2 zeta_a and zeta normalised on c: the base types
+    (a, 2l) and (b, l) merge when b has twice a's arrows to c and no arrow
+    from a, and d is mostly not primitive, so many terms lie on walls."""
+    arrows = ([("a", "c")] * draw(st.sampled_from([1, 2]))
+              + [("b", "c")] * draw(st.sampled_from([1, 2, 4])))
+    if draw(st.booleans()):
+        arrows.append(("a", "b"))
+    q = Quiver.make(["a", "b", "c"], arrows)
+    d = (draw(st.integers(0, 4)), draw(st.integers(0, 3)), draw(st.integers(1, 4)))
+    za = draw(st.integers(-3, 3))
+    zeta = (za * d[2], 2 * za * d[2], -za * (d[0] + 2 * d[1]))
     return q, DimVector.make(q, dict(zip(q.vertices, d))), stab(q, *zeta)
 
 
@@ -885,9 +915,9 @@ class TestSharedTypeDP:
     def test_refusal_estimate_is_the_terms_steps(self, case):
         # so every TooMuchWork report is as the per-term route's
         q, d, zeta = case
-        want = sum(quiver.weist_plan(t.quiver, t.stability).steps for t in abelianize(q, d, zeta))
+        want = sum(map(term_steps, abelianize(q, d, zeta)))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(quiverjk, "MAX_WEIST_STEPS", -1)
+            mp.setattr(quiver, "MAX_WEIST_STEPS", -1)
             with pytest.raises(TooMuchWork) as ei:
                 jk_ab_infinity(q, d, zeta)
         assert ei.value.estimate == want
@@ -895,11 +925,28 @@ class TestSharedTypeDP:
     def test_examples_take_each_route(self):
         twins, _zero, wall, wall2, star = EXAMPLES[:5]
         # i1, i2, i3 merge: 3 types for 5 base types
-        assert len(quiver.AbelianizationTypes(*twins).theta) == 3
+        assert len(types_of(*twins).theta) == 3
         for case in (wall, wall2):
             with pytest.raises(NonRegularStability):
                 jk_ab_infinity(*case)
-        assert any(quiver.weist_plan(t.quiver, t.stability).scan for t in abelianize(*star))
+        assert any(scan for _steps, scan in types_of(*star).routes)
+
+    @given(merging_requests())
+    # a wall term whose first wall, and so its built witness, differs when
+    # its types are taken in the order of the request's types
+    @example(request(3, 2, (2, 1, 2, 1, 2), (4, 4, 6, 4, -14)))
+    @settings(max_examples=150, deadline=None)
+    def test_built_witness_matches_per_term_route(self, case):
+        # with the bound at the request's steps, or twice them, a term on a
+        # wall whose full scan is priced past it builds its witness tree on
+        # its first wall, the wall's side in its own order of types
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quiver, "MAX_WEIST_STEPS", -1)
+            with pytest.raises(TooMuchWork) as ei:
+                jk_ab_infinity(*case)
+            for bound in (ei.value.estimate, 2 * ei.value.estimate):
+                mp.setattr(quiver, "MAX_WEIST_STEPS", bound)
+                assert outcome(jk_ab_infinity, *case) == outcome(per_term_jk_ab_infinity, *case)
 
 
 class TestWTResidue:
