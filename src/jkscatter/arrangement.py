@@ -9,7 +9,7 @@ So each plane is an edge x_head - x_tail + c between two of the n + 1 nodes
 the spanning trees on n + 1 nodes.  build_arrangement records the planes
 once as an integer edge table over one common denominator L (_edge_table):
 tail, head, c L, and whether the plane is a weight or a root.  The points
-of a table (_table_points) and meet share one integer walk of each tree
+of a table (_table_points) come from one integer walk of each tree
 (_integer_walk, over per-node lists), so a point is known by the integers
 L p, its numerators, and points are keyed and sorted by them.  The table
 is all a build computes: the LinForm and Fraction views of it
@@ -38,7 +38,8 @@ point, each factor evaluated at the location, and jk_zeta, the general
 residue for active sets that are not a basis, sums iterated residues over
 the flags adapted to the active set (Brion-Vergne 1999, Szenes-Vergne
 2004), grown one flat at a time by enumerate_flags; no command reaches
-either.
+either, and both stay because the benchmark's per-layer tracer
+(perfbench/tracer.py) wraps them by name.
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ class Arrangement:
     reference: tuple[str, int]
     weights: tuple[Weight, ...]
     rcharges: tuple[Fraction, ...]   # one per arrow
-    # one row (tail, head, c L, is a weight) per plane x_head - x_tail + c
-    # of hyperplanes(), over nodes 0..n (n the reference), and L
+    # one row (tail, head, c L, is a weight) per plane x_head - x_tail + c,
+    # the weights' then the roots', over nodes 0..n (n the reference), and L
     table: tuple[tuple[int, int, int, bool], ...]
     denominator: int
 
@@ -118,12 +119,6 @@ class Arrangement:
         names = self.variables + (None,)
         return tuple(_edge_form(names[t], names[h])
                      for t, h, _c, weight in self.table if not weight)
-
-    def hyperplanes(self) -> list[tuple[LinForm, Fraction]]:
-        """(linear part, offset) pairs; the hyperplane is {linear + offset = 0}."""
-        out = [(w.form, w.rcharge) for w in self.weights]
-        out.extend((r, Q(-1)) for r in self.roots)
-        return out
 
     @functools.cached_property
     def points(self) -> tuple[SingularPoint, ...]:
@@ -223,7 +218,7 @@ def _edge_table(weights: Sequence[tuple[int, int, int]], numerators: Sequence[in
 
 @dataclass(frozen=True)
 class SingularPoint:
-    active: tuple[int, ...]              # indices into hyperplanes(), or ()
+    active: tuple[int, ...]              # indices into the table's rows, or ()
     walk: tuple[tuple, ...]              # the active planes' edges' tree from the reference
     scales: tuple[Fraction, ...]         # functional i: scales[i] (x_h - x_t) + c
     numerators: tuple[int, ...]          # location = numerators / denominator
@@ -273,36 +268,6 @@ def _integer_walk(n: int, edges: Sequence[tuple[int, int]], steps: Sequence[int]
     return (tuple(walk), at) if len(walk) == n else None
 
 
-def meet(planes: Sequence[LinForm], var_order: Sequence[str],
-         active: tuple[int, ...] = ()) -> SingularPoint | None:
-    """The point where the affine planes p_i = 0 meet, or None unless they
-    form a basis (n = len(var_order) planes with independent linear parts).
-
-    Each plane must be an edge k (x_head - x_tail) + c on the n coordinates
-    and the reference node n, fixed at 0 (a plane in one coordinate is an
-    edge to it), else ValueError.  The location is read along the walk of
-    the tree from the reference, in integers over the lcm of the c / k's
-    denominators; the walk and the scales stay on the point.
-    """
-    n = len(var_order)
-    index = {v: i for i, v in enumerate(var_order)}
-    edges, scales, steps = [], [], []
-    for p in planes:
-        terms = sorted(p.coeffs.items(), key=lambda vc: -vc[1])  # the head first
-        ends = [index.get(v) for v, _ in terms] + [n]  # the reference last
-        if None in ends or not (len(terms) == 1 or len(terms) == 2 and terms[0][1] == -terms[1][1]):
-            raise ValueError(f"plane {p!r} is not an edge k (x_head - x_tail) + c")
-        edges.append((ends[1], ends[0]))
-        scales.append(terms[0][1])
-        steps.append(p.const / terms[0][1])
-    big = lcm(*(x.denominator for x in steps))
-    got = _integer_walk(n, edges, [x.numerator * (big // x.denominator) for x in steps])
-    if got is None:
-        return None
-    walk, at = got
-    return SingularPoint(active, walk, tuple(scales), tuple(at[:n]), big, tuple(var_order))
-
-
 def singular_points(a: Arrangement) -> list[SingularPoint]:
     """All points where n hyperplanes meet, sorted by location
     (_table_points of a.table).  An abelian d meets every basis:
@@ -321,7 +286,7 @@ def _table_points(n: int, table: Sequence[tuple[int, int, int, bool]],
     table over big meet, sorted by numerators.
 
     Every plane is an edge, so the bases are the spanning trees on n + 1
-    nodes; each is walked once (_integer_walk, as in meet), and the point
+    nodes; each is walked once (_integer_walk), and the point
     is keyed by its numerators over big, which sort as the locations do.
     A second basis landing on a stored point means more than n planes meet
     there (basis exchange), which raises DegenerateRCharges at once.
@@ -483,7 +448,7 @@ def jk_basis(f: RationalExpr, point: SingularPoint, zeta: Sequence[Fraction],
              var_order: Sequence[str]) -> Fraction:
     """Local JK residue of f at a point where a basis of planes meets.
 
-    The point (from meet or a.points) carries its basis forms basis_i, its
+    The point (from a.points) carries its basis forms basis_i, its
     location p and its tree, which gives zeta's coordinates, zeta = sum c_i
     basis_i, as c_i = s_i / k_i: s_i is zeta's cut sum across basis edge i
     and k_i its scale.  Only their signs are read, so nothing is divided: a zero

@@ -21,7 +21,7 @@ class SingularBasis(JKScatterError):
 
 
 class BadConstantTerm(JKScatterError):
-    """Series exp/log applied to an element with the wrong constant term."""
+    """Series inverse/log applied to an element with the wrong constant term."""
 
 
 # --- quiver combinatorics --------------------------------------------------
@@ -83,10 +83,6 @@ class TooManyTrees(OverBound):
     def __init__(self, estimate, bound):
         super().__init__(estimate, bound,
                          f"the walk would visit {estimate} spanning trees (Kirchhoff's count)")
-
-
-class NotATree(JKScatterError):
-    """An arrow subset is not a spanning tree oriented away from the root."""
 
 
 class NonRegularStability(JKScatterError):

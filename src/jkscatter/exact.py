@@ -79,12 +79,6 @@ def _gauss_jordan(m: Sequence[Sequence[Fraction]], ncols: int):
     return rows, pivots, values, swaps
 
 
-def rref(m: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """The nonzero rows of the reduced row echelon form of m."""
-    rows, pivots, _values, _swaps = _gauss_jordan(m, len(m[0]) if m else 0)
-    return tuple(tuple(row) for row in rows[:len(pivots)])
-
-
 def mat_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     _rows, pivots, values, swaps = _gauss_jordan(m, len(m))
     if len(pivots) < len(m):
@@ -702,19 +696,3 @@ def subst_linear_basis(f: RationalExpr, basis: Sequence[LinForm],
                for j, u in enumerate(var_order)}
     return f.subs_linear(mapping)
 
-
-def change_vars_linear(f: RationalExpr, basis: Sequence[LinForm],
-                       var_order: Sequence[str] | None = None,
-                       new_names: Sequence[str] | None = None) -> RationalExpr:
-    """f in coordinates x_i = basis_i(u), times the Jacobian det(du/dx).
-
-    iterated_residue of the output is invariant under rescaling of basis
-    elements, and equals the flag residue for a positively-oriented basis.
-    """
-    if var_order is None:
-        var_order = sorted(f.variables() | {v for b in basis for v in b.variables()})
-    m = [[b.coeff(u) for u in var_order] for b in basis]
-    det = mat_det(m) if len(m) == len(var_order) else ZERO
-    if det == 0:
-        raise SingularBasis("basis matrix is singular")
-    return subst_linear_basis(f, basis, var_order, new_names) * (ONE / det)

@@ -1,4 +1,4 @@
-"""Quiver combinatorics: reduced quivers, Euler forms, spanning trees,
+"""Quiver combinatorics: reduced quivers, spanning trees,
 stability coefficients, and abelianization (blown-up quivers).
 """
 
@@ -38,9 +38,6 @@ class Quiver:
     @staticmethod
     def make(vertices: Sequence[str], arrows: Sequence[tuple[str, str]]) -> "Quiver":
         return Quiver(tuple(vertices), tuple([(t, h) for t, h in arrows]))
-
-    def arrow_count(self, tail: str, head: str) -> int:
-        return sum(1 for t, h in self.arrows if (t, h) == (tail, head))
 
 
 def bipartite_quiver(l1: int, l2: int) -> Quiver:
@@ -100,13 +97,6 @@ def support_quiver(q: Quiver, d: DimVector) -> tuple[Quiver, dict[int, int]]:
     support = d.support()
     return reduced_quiver(Quiver.make(
         support, [(t, h) for t, h in q.arrows if t in support and h in support]))
-
-
-def skew_euler_form(q: Quiver, a: str, b: str) -> int:
-    """<a,b> = #(arrows b->a) - #(arrows a->b)."""
-    if a not in q.vertices or b not in q.vertices:
-        raise UnknownVertex(f"{a!r} or {b!r} not in quiver")
-    return q.arrow_count(b, a) - q.arrow_count(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Quiver-level residue pipeline: Z_Q, tree expansions of abelian JK
-residues, abelianized JK for general dimension vectors, the large-R-charge
-limit, and residues of the tree functions W_T.
+residues, abelianized JK for general dimension vectors, and the
+large-R-charge limit.
 
 Both JK routes read Z_Q's residue at a point off an integer edge table
 (_zq_residue) as an integer pair (top, bottom), and sum a route's pairs in
@@ -21,10 +21,10 @@ from typing import Sequence
 from .arrangement import (MAX_ARRANGEMENT_PLANES, RC_DENOMINATOR, Arrangement, _check_planes,
                           _edge_table, _rcharge_numerators, _table_points, _zeta_cut_sums,
                           theta_lift, zeta_from_theta)
-from .errors import NotATree, TooMuchWork
-from .exact import LinForm, ONE, Q, RationalExpr, ZERO, qify, residue_step
-from .quiver import (AbelianizationTypes, DimVector, Quiver, SpanningTree, Stability,
-                     _abelianization, _blow_up, _coefficient, _tree_walk, check_tree_walks,
+from .errors import TooMuchWork
+from .exact import ONE, Q, RationalExpr, ZERO, qify
+from .quiver import (AbelianizationTypes, DimVector, Quiver, Stability,
+                     _abelianization, _blow_up, _coefficient, check_tree_walks,
                      spanning_tree_count, spanning_trees, support_quiver, tree_components)
 
 
@@ -314,52 +314,3 @@ def lambda_sweep(q: Quiver, d: DimVector, zeta: Stability, rseed: int,
         rows.append({"lambda": qify(lam), "value": val, "abs_diff": abs(val - limit)})
     return {"rows": rows, "limit": limit}
 
-
-# ---------------------------------------------------------------------------
-# tree functions W_T
-# ---------------------------------------------------------------------------
-
-def wt_residue(qbar: Quiver, tree: SpanningTree,
-               multiplicities: dict[int, int], root: str) -> Fraction:
-    """Iterated residue of W_T at the locus where all w coincide.
-
-    W_T = prod over tree arrows i->j of (w_i / w_j) * m / (w_j - w_i);
-    residues are taken in the coordinates v_a = w_head - w_tail, leaf-first,
-    with the root variable left untouched (the result is w_root-free).
-    Contract: the value equals prod m_a.
-    """
-    walk = _tree_walk(qbar.vertices, [qbar.arrows[i] for i in tree.arrows], root)
-    if walk is None:
-        raise NotATree("arrows do not form a spanning tree with a valid root")
-
-    w = {v: LinForm.var(f"w_{v}") for v in qbar.vertices}
-    expr = RationalExpr(1)
-    for i in tree.arrows:
-        t, h = qbar.arrows[i]
-        m = multiplicities[i]
-        expr = expr * RationalExpr(m, ((w[t], 1), (w[h], -1), (w[h] - w[t], -1)))
-
-    # coordinates: v_i = w_head - w_tail per arrow; w_v = w_parent +- v_i
-    path: dict[str, LinForm] = {root: LinForm.var(f"w_{root}")}
-    depth = {root: 0}
-    for v, k, p, down in walk:
-        depth[v] = depth[p] + 1
-        step = LinForm.var(f"v{tree.arrows[k]}")
-        path[v] = path[p] + step if down else path[p] - step
-    expr = expr.subs_linear({f"w_{v}": path[v] for v in qbar.vertices})
-
-    # leaf-first: deepest arrows first; residue variable v_i for arrow into v
-    for _v, k, _p, _down in sorted(walk, key=lambda s: (-depth[s[0]], s[0])):
-        expr = residue_step(expr, f"v{tree.arrows[k]}")
-        if expr.is_zero():
-            return ZERO
-    expr = expr.reduce()
-    root_var = f"w_{root}"
-    if root_var in expr.variables():
-        # the residue is w_root-free as a function; cancel by evaluation
-        v1 = expr.evaluate({root_var: Q(1)})
-        v2 = expr.evaluate({root_var: Q(2)})
-        if v1 != v2:
-            raise NotATree("residue unexpectedly depends on the root variable")
-        return v1
-    return expr.as_fraction()

@@ -2,14 +2,14 @@
 
 Elements live in Q[x^{±1}, y^{±1}][s_1..s_{l1}, t_1..t_{l2}] / (parameter
 total degree > cutoff).  The monomial variables x, y are invertible; the
-parameters are nilpotent of the cutoff order, so all series inversions,
-exponentials and logarithms terminate.  Parameter exponents are >= 0: a
-term with a negative one is refused.
+parameters are nilpotent of the cutoff order, so all series inversions
+and logarithms terminate.  Parameter exponents are >= 0: a term with a
+negative one is refused.
 
 A ring may also carry a box, one exponent bound b_i per parameter, and
 then is the quotient by the monomial ideal (p_i^(b_i + 1)) as well: a term
 with some exponent over its bound is 0.  The quotient map is a ring
-homomorphism that commutes with products, inverses, powers, exp and log,
+homomorphism that commutes with products, inverses, powers and log,
 so a coefficient inside the box is the same as in the ring without it.
 
 A coefficient is stored as an exact ``int`` when it is integral and as a
@@ -56,7 +56,6 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BadConstantTerm
@@ -290,11 +289,6 @@ class TruncatedSeries:
             if e:
                 base = base * base
         return self._const(1) if out is None else out
-
-    def exp(self) -> "TruncatedSeries":
-        if self.param_degree_zero_part():
-            raise BadConstantTerm("exp requires an element == 0 mod parameters")
-        return self._power_sum(1, lambda n: Fraction(1, factorial(n)))
 
     def log(self) -> "TruncatedSeries":
         if self.param_degree_zero_part() != {(0, 0): ONE}:

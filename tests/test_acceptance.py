@@ -19,8 +19,7 @@ from jkscatter import cli
 from jkscatter.arrangement import (build_arrangement, enumerate_flags,
                                    flag_residue, jk_global, jk_zeta,
                                    zeta_from_theta)
-from jkscatter.exact import (LinForm, RationalExpr, change_vars_linear,
-                             iterated_residue, mat_det)
+from jkscatter.exact import LinForm, RationalExpr, iterated_residue, mat_det
 from jkscatter.quiver import (DimVector, Quiver, Stability, bipartite_quiver,
                               weist_count)
 from jkscatter.quiverjk import (build_ZQ, jk_ab, jk_ab_infinity,
@@ -28,6 +27,7 @@ from jkscatter.quiverjk import (build_ZQ, jk_ab, jk_ab_infinity,
 from jkscatter.scattering import (extract_cd, init_bipartite, scatter,
                                   verify_main_theorem)
 from jkscatter.series import TruncatedSeries
+from reference import change_vars_linear
 
 KRON2 = Quiver.make(["1", "2"], [("1", "2"), ("1", "2")])
 A2 = Quiver.make(["1", "2"], [("1", "2")])

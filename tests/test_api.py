@@ -10,10 +10,15 @@ the ``Weight.pair`` field, ``LinForm.translate``, ``RationalExpr.translate``,
 keeps its tree's ``walk`` and edge ``scales``), ``RationalExpr.power``
 (no caller), ``SingularPoint.coordinates`` (``jk_basis`` and
 ``zeta_from_theta`` read the signs of the cut sums; the division is a
-helper of ``tests/test_arrangement.py``), and the ``powers`` parameter of
-``cross_wall`` (no caller shared it; each call raises its wall's powers).
-Recorded additions: ``meet``, which accepts only planes
-k (x_head - x_tail) + c; the ``box`` of per-parameter exponent bounds on
+helper of ``tests/test_arrangement.py``), the ``powers`` parameter of
+``cross_wall`` (no caller shared it; each call raises its wall's powers),
+and the helpers that only tests called, which live on in
+``tests/reference.py``: ``meet``, ``rref``, ``change_vars_linear``,
+``wt_residue`` with ``errors.NotATree`` and ``skew_euler_form`` under their
+own names, and ``Arrangement.hyperplanes``, ``TruncatedSeries.exp`` and
+``Quiver.arrow_count`` as ``hyperplanes(a)``, ``series_exp(g)`` and
+``arrow_count(q, t, h)``.
+Recorded additions: the ``box`` of per-parameter exponent bounds on
 ``TruncatedSeries`` (and its ``const`` and ``monomial``),
 ``init_bipartite`` and ``ScatteringDiagram``; the
 ``powers`` table of ``cross_wall``; ``errors.TooManyTrees``, raised by
@@ -55,23 +60,23 @@ PUBLIC_NAMES = [
     "AbelianizationTerm", "Arrangement", "BadConstantTerm", "BadCutoff",
     "CutoffTooSmall", "DegenerateRCharges", "DimVector", "Flag", "HasLoop",
     "HasOrientedCycle", "JKScatterError", "LinForm", "NonRegularStability",
-    "NotATree", "NotNormalized", "NotProjective", "NotSumRegular",
+    "NotNormalized", "NotProjective", "NotSumRegular",
     "ParseError", "Poly", "Quiver", "RationalExpr", "ScatteringDiagram",
     "SingularBasis", "SingularPoint", "SpanningTree", "Stability",
     "TreeExpansion", "TreeExpansionTerm", "TruncatedSeries",
     "ValidationError", "VerificationResult", "Wall", "Weight",
     "ZeroDenominator", "abelianize", "arrangement", "bipartite_quiver",
-    "build_ZQ", "build_arrangement", "change_vars_linear", "cross_wall",
+    "build_ZQ", "build_arrangement", "cross_wall",
     "enumerate_flags", "errors", "exact", "extract_cd", "flag_residue",
     "init_bipartite", "iterated_residue", "jk_ab", "jk_ab_infinity",
     "jk_basis", "jk_global", "jk_global_ZQ", "jk_tree_expansion", "jk_zeta",
-    "lambda_sweep", "loop_product", "meet", "moduli_dimension", "quiver",
+    "lambda_sweep", "loop_product", "moduli_dimension", "quiver",
     "quiverjk",
     "reduced_quiver", "residue_step", "sample_rcharges", "scatter",
     "scattering", "series", "singular_points",
-    "skew_euler_form", "spanning_trees", "stable_trees",
+    "spanning_trees", "stable_trees",
     "subst_linear_basis", "theta_lift", "tree_components", "validate_quiver",
-    "verify_main_theorem", "weist_count", "wt_residue", "zeta_from_theta",
+    "verify_main_theorem", "weist_count", "zeta_from_theta",
 ]
 
 QUIVER_INPUTS = ["--d", "--l1", "--l2", "--quiver", "--zeta"]
@@ -136,6 +141,14 @@ def test_bound_errors():
         assert str(exc).endswith(", over the bound 5")
     assert not hasattr(jkscatter.RationalExpr, "power")
     assert not hasattr(jkscatter.SingularPoint, "coordinates")
+    # helpers that only tests called (see tests/reference.py)
+    for owner, name in [(jkscatter.arrangement, "meet"), (jkscatter.exact, "rref"),
+                        (jkscatter.exact, "change_vars_linear"),
+                        (jkscatter.Arrangement, "hyperplanes"),
+                        (jkscatter.TruncatedSeries, "exp"), (jkscatter.Quiver, "arrow_count"),
+                        (jkscatter.quiver, "skew_euler_form"),
+                        (jkscatter.quiverjk, "wt_residue"), (jkscatter.errors, "NotATree")]:
+        assert not hasattr(owner, name), name
 
 
 def test_point_and_arrangement_fields():

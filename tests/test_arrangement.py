@@ -13,19 +13,20 @@ from hypothesis import strategies as st
 from jkscatter import arrangement, cli, exact, quiverjk
 from jkscatter.arrangement import (Flag, build_arrangement, enumerate_flags,
                                    flag_residue, jk_basis, jk_global, jk_zeta,
-                                   meet, sample_rcharges, singular_points, theta_lift,
+                                   sample_rcharges, singular_points, theta_lift,
                                    zeta_from_theta)
 from jkscatter.errors import (DegenerateRCharges, JKScatterError,
                               NonRegularStability, NotProjective,
                               NotSumRegular)
 from jkscatter.exact import (LinForm, Poly, RationalExpr, in_span,
                              iterated_residue, mat_det, mat_inverse, mat_rank,
-                             rref, solve_linear, subst_linear_basis)
+                             solve_linear, subst_linear_basis)
 from jkscatter.quiver import (DimVector, Quiver, Stability, _cut_sums,
                               _spanning_tree_indices, _tree_walk, abelianize,
                               bipartite_quiver)
 from jkscatter.quiverjk import (build_ZQ, jk_ab, jk_ab_infinity, jk_global_ZQ,
                                 jk_tree_expansion)
+from reference import hyperplanes, meet, rref
 
 KRON2 = Quiver.make(["1", "2"], [("1", "2"), ("1", "2")])
 
@@ -111,7 +112,7 @@ class TestSingularPoints:
 def reference_singular_points(a):
     """Solve every combination, then evaluate every plane at every point
     (test reference): more than n active planes anywhere is degenerate."""
-    planes = [lf + off for lf, off in a.hyperplanes()]
+    planes = [lf + off for lf, off in hyperplanes(a)]
     locations = set()
     for combo in itertools.combinations(range(len(planes)), a.n):
         sol = solve_linear([planes[i].vector(a.variables) for i in combo],
@@ -193,7 +194,7 @@ def combination_scan(a):
     """The all-combinations scan singular_points replaced (test reference):
     meet every n planes, skip the dependent ones, and stop at the first
     repeated location.  Rows (location, active), or the degeneracy message."""
-    planes = [lf + off for lf, off in a.hyperplanes()]
+    planes = [lf + off for lf, off in hyperplanes(a)]
     pts = {}
     for combo in itertools.combinations(range(len(planes)), a.n):
         pt = meet([planes[i] for i in combo], a.variables, combo)
@@ -547,7 +548,7 @@ class TestFlagsGrowOneFlatAtATime:
         q = bipartite_quiver(2, 1)
         a = unchecked_arrangement(q, dv(q, i1=2, i2=1, j1=2),
                                   sample_rcharges(len(q.arrows), 0))
-        planes = [lf + off for lf, off in a.hyperplanes()]
+        planes = [lf + off for lf, off in hyperplanes(a)]
         index = {v: i for i, v in enumerate(a.variables)}
         edges = [(*(index[v] for v in p.coeffs), a.n, a.n)[:2] for p in planes]
         active = {}
@@ -1106,7 +1107,7 @@ class TestViewsOnFirstRead:
         assert [(w.form, w.rcharge, w.arrow, w.arrow_index) for w in a.weights] == list(weights)
         assert a.roots == roots
         assert [point_fields(pt) for pt in a.points] == points
-        assert a.hyperplanes() == [w[:2] for w in weights] + [(r, Q(-1)) for r in roots]
+        assert hyperplanes(a) == [w[:2] for w in weights] + [(r, Q(-1)) for r in roots]
         # meet's points: the same old fields from the same planes
         met = [meet(pt[2], variables, pt[1]) for pt in points]
         assert [point_fields(pt) for pt in met] == [eager_meet(pt[2], variables, pt[1])

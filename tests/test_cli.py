@@ -226,15 +226,15 @@ class TestExitCodes:
         # a non-abelian d whose weights meet more than n at a time for every
         # R-charge: the one sample stops at the first repeated point, far
         # short of the C(18, 6) combinations of its 18 planes in 6 unknowns
-        meets = []
-        real_meet = arrangement.meet
-        monkeypatch.setattr(arrangement, "meet",
-                            lambda *a: meets.append(a) or real_meet(*a))
+        walks = []
+        real_walk = arrangement._integer_walk
+        monkeypatch.setattr(arrangement, "_integer_walk",
+                            lambda *a: walks.append(a) or real_walk(*a))
         code, rep = run_json(["jk", "--l1", "2", "--l2", "2", "--d", "2,2;1,2",
                               "--zeta", "3,3,-4,-4"])
         assert code == 2 and rep["error"] == "DegenerateRCharges"
         assert len(samples) == 1
-        assert len(meets) < math.comb(18, 6) // 100
+        assert 0 < len(walks) < math.comb(18, 6) // 100
         assert rep["message"].startswith("more than 6 hyperplanes meet at (")
         assert "Fraction(" not in rep["message"]
 

@@ -12,16 +12,16 @@ from hypothesis import strategies as st
 
 from jkscatter import quiver
 from jkscatter.errors import (DuplicateVertex, HasLoop, HasOrientedCycle,
-                              NonRegularStability, NotATree, NotNormalized,
-                              TooManyTerms, TooManyTrees, TooMuchWork, UnknownVertex)
+                              NonRegularStability, NotNormalized, TooManyTerms,
+                              TooManyTrees, TooMuchWork, UnknownVertex)
 from jkscatter.exact import solve_linear
 from jkscatter.quiver import (AbelianizationTypes, DimVector, Quiver, SpanningTree, Stability,
                               _abelianization, _bits, _connected, _edges,
                               _spanning_tree_indices, abelianize, bipartite_quiver,
                               check_tree_walks, moduli_dimension, reduced_quiver,
-                              skew_euler_form, spanning_tree_count, spanning_trees,
-                              stable_trees, tree_components, validate_quiver, weist_count)
-from jkscatter.quiverjk import wt_residue
+                              spanning_tree_count, spanning_trees, stable_trees,
+                              tree_components, validate_quiver, weist_count)
+from reference import NotATree, skew_euler_form, wt_residue
 
 A2 = Quiver.make(["1", "2"], [("1", "2")])
 KRON2 = Quiver.make(["1", "2"], [("1", "2"), ("1", "2")])

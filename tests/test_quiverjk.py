@@ -1,5 +1,6 @@
 """Tests for the quiver-level residue pipeline: Z_Q, tree expansion,
-abelianized JK, large-R limits, and tree-function residues.
+abelianized JK, large-R limits, and tree-function residues (the
+last from tests/reference.py).
 """
 
 import io
@@ -14,12 +15,13 @@ from hypothesis import strategies as st
 from jkscatter import arrangement, cli, exact, quiver, quiverjk
 from jkscatter.arrangement import build_arrangement, jk_global, zeta_from_theta
 from jkscatter.errors import (DegenerateRCharges, JKScatterError, NonRegularStability,
-                              NotATree, TooManyTrees, TooMuchWork)
+                              TooManyTrees, TooMuchWork)
 from jkscatter.quiver import (DimVector, Quiver, SpanningTree, Stability,
                               abelianize, bipartite_quiver, reduced_quiver)
 from jkscatter.quiverjk import (build_ZQ, jk_ab, jk_ab_infinity, jk_global_ZQ,
-                                jk_tree_expansion, lambda_sweep, wt_residue)
+                                jk_tree_expansion, lambda_sweep)
 from jkscatter.scattering import verify_main_theorem
+from reference import NotATree, meet, wt_residue
 
 A2 = Quiver.make(["1", "2"], [("1", "2")])
 KRON2 = Quiver.make(["1", "2"], [("1", "2"), ("1", "2")])
@@ -101,7 +103,7 @@ class TestTreeExpansion:
         assert sorted(t.lift for t in exp.terms) == [(0, 1), (2, 1)]
         for t in exp.terms:
             planes = [a.weights[i].form + a.weights[i].rcharge for i in t.lift]
-            assert t.point == arrangement.meet(planes, a.variables).location
+            assert t.point == meet(planes, a.variables).location
         assert value == jk_global_ZQ(q, theta, a) == 2
 
     def test_arrangement_of_another_quiver_rejected(self):
@@ -275,10 +277,11 @@ class TestTreeRouteReadsThePoints:
         def general_read(*_args, **_kw):
             raise AssertionError("a jk request left the edge table")
 
-        for name in ("meet", "build_ZQ", "jk_basis"):
+        for name in ("build_ZQ", "jk_basis"):
             for module in (arrangement, quiverjk, cli):
                 if name in vars(module):
                     monkeypatch.setattr(module, name, general_read)
+        monkeypatch.setattr(exact.LinForm, "__init__", general_read)
         real_build, real_tree = cli.build_arrangement, cli.jk_tree_expansion
         monkeypatch.setattr(cli, "build_arrangement",
                             lambda *a, **kw: built.append(real_build(*a, **kw)) or built[-1])
@@ -307,25 +310,21 @@ class TestJkAbOneEliminationPerBasis:
         return (dv(self.K31, i1=1, i2=1, i3=1, j1=2), stab(self.K31, 2, 2, 2, -3))
 
     def test_one_meet_per_point(self, monkeypatch):
-        # each basis is walked once, over its term's integer edge table,
-        # and no plane is met as a LinForm (meet)
-        walks, meets, points = [], [], []
-        real_walk, real_meet = arrangement._integer_walk, arrangement.meet
-        real_points = quiverjk._table_points
+        # each basis is walked once, over its term's integer edge table
+        walks, points = [], []
+        real_walk, real_points = arrangement._integer_walk, quiverjk._table_points
         monkeypatch.setattr(arrangement, "_integer_walk",
                             lambda *a: walks.append(a) or real_walk(*a))
-        monkeypatch.setattr(arrangement, "meet",
-                            lambda *a: meets.append(a) or real_meet(*a))
         monkeypatch.setattr(quiverjk, "_table_points",
                             lambda *a: points.append(real_points(*a)) or points[-1])
         d, z = self.k31_inputs()
         assert jk_ab(self.K31, d, z, rseed=0, lam=Q(1000)) == 2
         assert len(walks) == sum(len(p) for p in points) == 20
-        assert meets == []
 
     def test_no_quiver_or_arrangement_per_term(self, monkeypatch):
         # a term is data: jk_ab builds no Quiver (Quiver.make), DimVector,
-        # Stability, Arrangement (build_arrangement), Weight or SingularPoint
+        # Stability, Arrangement (build_arrangement), Weight or SingularPoint,
+        # and no plane as a LinForm
         def no_build(*_args, **_kw):
             raise AssertionError("jk_ab built a term's quiver or arrangement")
 
@@ -333,7 +332,7 @@ class TestJkAbOneEliminationPerBasis:
         monkeypatch.setattr(Quiver, "make", staticmethod(no_build))
         monkeypatch.setattr(arrangement, "build_arrangement", no_build)
         for cls in (Quiver, DimVector, Stability, arrangement.Arrangement,
-                    arrangement.Weight, arrangement.SingularPoint):
+                    arrangement.Weight, arrangement.SingularPoint, exact.LinForm):
             monkeypatch.setattr(cls, "__init__", no_build)
         assert jk_ab(self.K31, d, z, rseed=0, lam=Q(1000)) == 2
         assert jk_ab(self.K31, d, z, rseed=1, lam=Q(3, 7)) == 2
